@@ -7,8 +7,8 @@ event's posterior must equal its own prior.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .errors import DomainError, ValidationError, ZeroEvidenceError
@@ -36,6 +36,8 @@ class EventSpace:
                 f"{len(self.prior)} prior entries for {len(self.labels)} events"
             )
         for label, p in zip(self.labels, self.prior):
+            if not math.isfinite(p):
+                raise DomainError(f"prior({label}) = {p!r} is not finite")
             if p < 0.0:
                 raise DomainError(f"prior({label}) = {p!r} is negative")
         total = sum(self.prior)
@@ -128,9 +130,9 @@ def fixed_point_posterior(space: EventSpace, unaffected: Iterable[int]) -> float
         alpha * (1 - q) = alpha * (1 - alpha)
 
     alpha = 0 is impossible (the event has positive prior and the evidence is
-    the comparison actually under consideration), so divide it out and solve
-    the linear remainder. The algebra runs in exact rational arithmetic so
-    the result is bit-for-bit the value the relation forces.
+    the comparison actually under consideration), so divide it out: the
+    linear remainder 1 - alpha = 1 - q gives alpha = q, the prior itself,
+    bit for bit.
     """
     indices = list(unaffected)
     if len(set(indices)) != len(indices):
@@ -153,12 +155,7 @@ def fixed_point_posterior(space: EventSpace, unaffected: Iterable[int]) -> float
             f"prior({space.labels[star]}) = {q!r}: the fixed point needs a "
             "prior strictly inside (0, 1)"
         )
-    prior_star = Fraction(q)
-    # alpha * (1 - prior_star) = alpha * (1 - alpha), alpha != 0
-    # => 1 - alpha = 1 - prior_star
-    one_minus_alpha = 1 - prior_star
-    alpha = 1 - one_minus_alpha
-    return float(alpha)
+    return q
 
 
 def posterior_update_map(space: EventSpace, star: int, alpha: float) -> float:

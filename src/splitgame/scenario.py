@@ -3,8 +3,9 @@
 Scenario files are JSON documents validated against the schema shipped at
 ``splitgame/resources/scenario.schema.json`` (unknown fields are rejected
 with the offending path named), then checked semantically: symbols must be
-unique and covered by the game, priors must sum to one, weights must sit
-strictly inside (0, 1).
+unique and covered by the game, priors must be finite and sum to one, weights
+must sit strictly inside (0, 1). The non-standard JSON literals NaN, Infinity
+and -Infinity are rejected while the file is read.
 """
 from __future__ import annotations
 
@@ -39,9 +40,12 @@ def scenario_schema() -> Dict:
 
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file."""
+    def reject_non_finite(literal: str):
+        raise ValidationError(f"{path}: {literal} is not a finite number")
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=reject_non_finite)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from None
     return scenario_from_dict(data, source=str(path))

@@ -37,7 +37,6 @@ from .index_model import (
     published_coefficient,
     reference_score,
     score_factor,
-    selection_coefficient,
 )
 
 SCORE_MATCH_TOLERANCE = 1e-12
@@ -291,17 +290,7 @@ def _check_mode_gate(scenario: Scenario):
             )
 
 
-def _bounds(scenario: Scenario) -> Dict[str, float]:
-    if scenario.mode is Mode.PUBLISHED:
-        em_cap = published_coefficient("em12", scenario.mode)
-        pf_cap = published_coefficient("pf21", scenario.mode)
-    else:
-        em_cap = score_factor(
-            scenario.em_params.score, scenario.em_params.variance
-        )
-        pf_cap = score_factor(
-            scenario.pf_params.score, scenario.pf_params.variance
-        )
+def _bounds(em_cap: float, pf_cap: float) -> Dict[str, float]:
     return {
         "p_em12_cap": em_cap,
         "p_pf21_weak_cap": pf_cap,
@@ -311,7 +300,9 @@ def _bounds(scenario: Scenario) -> Dict[str, float]:
     }
 
 
-def _divergence_notes(scenario: Scenario) -> List[str]:
+def _divergence_notes(
+    scenario: Scenario, factors: Mapping[str, float]
+) -> List[str]:
     notes = []
     for label, params in (
         ("em12", scenario.em_params),
@@ -320,7 +311,6 @@ def _divergence_notes(scenario: Scenario) -> List[str]:
         ref_score, constant = PUBLISHED_TABLE[label]
         if abs(params.score - ref_score) > SCORE_MATCH_TOLERANCE:
             continue
-        formula_value = score_factor(params.score, params.variance)
         if scenario.mode is Mode.PUBLISHED:
             used, other = "the published constant", "the formula value"
         else:
@@ -328,7 +318,7 @@ def _divergence_notes(scenario: Scenario) -> List[str]:
         notes.append(
             f"{label}: published constant {constant:.6g} at score "
             f"{ref_score:g} diverges from the formula value "
-            f"{formula_value:.6g}; this report uses {used}, not {other}"
+            f"{factors[label]:.6g}; this report uses {used}, not {other}"
         )
     return notes
 
@@ -345,31 +335,38 @@ def solve(scenario: Scenario) -> DecisionReport:
     order = effective_constraints(scenario)
     nash, undecided = pure_nash(scenario.game, order)
 
-    if scenario.mode is Mode.PUBLISHED:
-        p_em12 = scenario.em_params.weight * published_coefficient(
-            "em12", scenario.mode
+    # the formula values k(C) and k(Q), one tail evaluation each, shared by
+    # the probabilities, the bounds and the divergence notes
+    factors = {
+        label: score_factor(params.score, params.variance)
+        for label, params in (
+            ("em12", scenario.em_params),
+            ("pf21", scenario.pf_params),
         )
+    }
+    if scenario.mode is Mode.PUBLISHED:
+        caps = {
+            label: published_coefficient(label, scenario.mode)
+            for label in factors
+        }
     else:
-        p_em12 = selection_coefficient(scenario.em_params)
+        caps = factors
 
+    p_em12 = scenario.em_params.weight * caps["em12"]
     if scenario.case is Case.STRONG_EVIDENCE:
         # certainty chain: strict-course payoff beats the lenient one beats
         # the dutiful-cell one, each link independent
         pf12 = scenario.game.payoff(0, 1, 1).id
         chain = [(pf_event.left, pf12), (pf12, pf_event.right)]
         p_pf21 = order.independent_chain_probability(chain)
-    elif scenario.mode is Mode.PUBLISHED:
-        p_pf21 = scenario.pf_params.weight * published_coefficient(
-            "pf21", scenario.mode
-        )
     else:
-        p_pf21 = selection_coefficient(scenario.pf_params)
+        p_pf21 = scenario.pf_params.weight * caps["pf21"]
 
     p_cell_11 = p_em12 * (1.0 - p_pf21)
     p_cell_22 = p_pf21 * (1.0 - p_em12)
     indeterminate = 1.0 - p_cell_11 - p_cell_22
 
-    notes = _divergence_notes(scenario)
+    notes = _divergence_notes(scenario, factors)
     if scenario.case is Case.STRONG_EVIDENCE:
         pf11 = scenario.game.payoff(0, 0, 1).id
         pf12 = scenario.game.payoff(0, 1, 1).id
@@ -408,7 +405,7 @@ def solve(scenario: Scenario) -> DecisionReport:
         indeterminate=indeterminate,
         nash_cells=tuple(sorted(nash)),
         undecided_cells=tuple(sorted(undecided)),
-        bounds=_bounds(scenario),
+        bounds=_bounds(caps["em12"], caps["pf21"]),
         comparison_events=(em_event, pf_event),
         notes=tuple(notes),
         inputs=scenario.to_dict(),

@@ -31,7 +31,7 @@ from splitgame import (
 from splitgame.solver import Case
 from splitgame.survey import CHOICES, POSITIVE, canonical_instrument
 
-from conftest import erfc_tail
+from conftest import quad_tail
 
 
 def _report(number: int, label: str, check) -> None:
@@ -112,8 +112,8 @@ def test_criterion_3_published_mode_caps():
 
 def test_criterion_4_computed_vs_published_divergence():
     def check():
-        oracle_k34 = (1.0 - erfc_tail(math.sqrt(3.4))) / 3.0
-        oracle_k65 = (1.0 - erfc_tail(math.sqrt(6.5))) / 3.0
+        oracle_k34 = (1.0 - quad_tail(math.sqrt(3.4))) / 3.0
+        oracle_k65 = (1.0 - quad_tail(math.sqrt(6.5))) / 3.0
         assert abs(score_factor(3.4) - 0.2400) <= 5e-4
         assert abs(score_factor(6.5) - 0.2633) <= 5e-4
         assert abs(score_factor(3.4) - oracle_k34) < 1e-9
@@ -139,7 +139,7 @@ def test_criterion_5_quadrature_fidelity():
     def check():
         start = time.perf_counter()
         worst = max(
-            abs(gaussian_tail(float(lower), 10.0) - erfc_tail(float(lower)))
+            abs(gaussian_tail(float(lower), 10.0) - quad_tail(float(lower)))
             for lower in np.linspace(0.0, 10.0, 201)
         )
         assert worst < 1e-9, f"max quadrature error {worst:.2e}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,11 @@ class TestEventSpace:
     def test_prior_must_sum_to_one(self):
         with pytest.raises(DomainError):
             EventSpace(("a", "b"), (0.5, 0.4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prior_rejected_with_label(self, bad):
+        with pytest.raises(DomainError, match="prior\\(a\\)"):
+            EventSpace(("a", "b", "c"), (bad, 0.5, 0.5))
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):

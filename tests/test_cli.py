@@ -81,6 +81,24 @@ class TestSolveCommand:
         path = write_scenario(tmp_path, ipd_dict)
         assert main(["solve", "--scenario", path]) == 6
 
+    def test_nan_variance_fails_cleanly(self, tmp_path, ipd_dict, capsys):
+        ipd_dict["parameters"]["variance"] = float("nan")
+        path = write_scenario(tmp_path, ipd_dict)
+        code = main(["solve", "--scenario", path, "--mode", "computed"])
+        out, err = capsys.readouterr()
+        assert code in (4, 6)
+        assert out == ""
+        assert "error:" in err
+
+    def test_nan_prior_fails_cleanly(self, tmp_path, ipd_dict, capsys):
+        ipd_dict["events"]["prior"] = [float("nan"), 0.5, 0.5]
+        path = write_scenario(tmp_path, ipd_dict)
+        code = main(["solve", "--scenario", path])
+        out, err = capsys.readouterr()
+        assert code in (4, 6)
+        assert out == ""
+        assert "error:" in err
+
     def test_usage_error_without_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,7 +19,7 @@ from splitgame import (
     score_factor,
     selection_coefficient,
 )
-from conftest import erfc_tail
+from conftest import REPO_ROOT, erfc_tail, quad_tail
 
 
 class TestGaussianTail:
@@ -25,6 +28,7 @@ class TestGaussianTail:
 
     def test_infinite_lower_bound(self):
         assert gaussian_tail(math.inf, 10.0) == 0.0
+        assert gaussian_tail(-math.inf, 10.0) == 1.0
 
     def test_reference_point(self):
         tail = gaussian_tail(math.sqrt(3.4), 10.0)
@@ -40,7 +44,7 @@ class TestGaussianTail:
         for variance in (0.5, 1.0, 4.0):
             for lower in (0.0, 0.7, 2.5):
                 assert gaussian_tail(lower, variance) == pytest.approx(
-                    erfc_tail(lower, variance), abs=1e-9
+                    quad_tail(lower, variance), abs=1e-9
                 )
 
     def test_negative_lower_bound_exceeds_half(self):
@@ -52,6 +56,11 @@ class TestGaussianTail:
             gaussian_tail(1.0, 0.0)
         with pytest.raises(DomainError):
             gaussian_tail(1.0, -3.0)
+
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
+    def test_variance_must_be_finite(self, variance):
+        with pytest.raises(DomainError):
+            gaussian_tail(1.0, variance)
 
 
 class TestScoreFactor:
@@ -74,7 +83,7 @@ class TestScoreFactor:
 
     def test_matches_oracle_identity(self):
         for score in (0.5, 2.0, 3.4, 6.5, 9.9):
-            expected = (1.0 - erfc_tail(math.sqrt(score))) / 3.0
+            expected = (1.0 - quad_tail(math.sqrt(score))) / 3.0
             assert score_factor(score) == pytest.approx(expected, abs=1e-9)
 
     def test_rejects_non_positive_score(self):
@@ -100,6 +109,11 @@ class TestIndexParameters:
     def test_variance_positive(self):
         with pytest.raises(DomainError):
             IndexParameters(score=3.4, weight=0.5, variance=0.0)
+
+    @pytest.mark.parametrize("variance", [math.nan, math.inf])
+    def test_variance_finite(self, variance):
+        with pytest.raises(DomainError):
+            IndexParameters(score=3.4, weight=0.5, variance=variance)
 
     @pytest.mark.parametrize("score", [0.5, 1.0, 10.0])
     def test_unusual_scores_warn(self, score):
@@ -155,3 +169,19 @@ class TestModes:
     def test_reference_scores(self):
         assert reference_score("em12") == 3.4
         assert reference_score("pf21") == 6.5
+
+
+def test_import_does_not_load_scipy():
+    # the tail is closed-form; scipy is only the test suite's quadrature oracle
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import splitgame, sys; assert 'scipy' not in sys.modules",
+        ],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 
@@ -121,6 +122,16 @@ class TestSemanticValidation:
         with pytest.raises(DomainError):
             scenario_from_dict(ipd_dict)
 
+    def test_nan_prior_is_domain_error(self, ipd_dict):
+        ipd_dict["events"]["prior"] = [math.nan, 0.5, 0.5]
+        with pytest.raises(DomainError, match="scholarship_offer"):
+            scenario_from_dict(ipd_dict)
+
+    def test_nan_variance_is_domain_error(self, ipd_dict):
+        ipd_dict["parameters"]["variance"] = math.nan
+        with pytest.raises(DomainError, match="variance"):
+            scenario_from_dict(ipd_dict)
+
     def test_certain_cycle_named(self, ipd_dict):
         ipd_dict["constraints"].append(
             {"left": "EM21", "right": "EM11", "probability": 1.0}
@@ -147,3 +158,16 @@ class TestLoadErrors:
         with pytest.raises(ValidationError) as exc:
             load_scenario(path)
         assert "JSON" in str(exc.value)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_names_file(self, tmp_path, ipd_dict, literal):
+        text = json.dumps(ipd_dict).replace(
+            '"variance": 10.0', f'"variance": {literal}'
+        )
+        assert literal in text
+        path = tmp_path / "non_finite.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(path)
+        assert str(path) in str(exc.value)
+        assert literal in str(exc.value)

@@ -21,6 +21,7 @@ from splitgame import (
     sweep,
     with_parameters,
 )
+from splitgame import index_model
 from splitgame.constraints import BOUND_LOWER
 
 K34 = 0.240028463014  # formula value at score 3.4, frozen from quadrature
@@ -199,6 +200,20 @@ class TestSolve:
         broken = replace(ipd, game=big, constraints=ConstraintSet([]))
         with pytest.raises(ValidationError):
             solve(broken)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("case", list(Case))
+    def test_tail_evaluated_at_most_twice(self, monkeypatch, mode, case):
+        calls = []
+        tail = index_model.gaussian_tail
+
+        def counting_tail(*args, **kwargs):
+            calls.append(args)
+            return tail(*args, **kwargs)
+
+        monkeypatch.setattr(index_model, "gaussian_tail", counting_tail)
+        solve(ipd_scenario(case=case, mode=mode))
+        assert 0 < len(calls) <= 2
 
     def test_report_round_trip(self, ipd):
         report = solve(ipd)
