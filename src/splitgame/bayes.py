@@ -15,9 +15,6 @@ from .errors import DomainError, ValidationError, ZeroEvidenceError
 
 PRIOR_TOLERANCE = 1e-12
 
-EVENT_EM12 = "em12"
-EVENT_PF21 = "pf21"
-
 
 @dataclass(frozen=True)
 class EventSpace:

@@ -4,13 +4,8 @@ Machine output (report JSON, sweep CSV, score CSV) goes to --out or stdout
 at full float precision; human-readable summaries go to stderr rounded to
 six significant digits.
 
-Exit codes are stable:
-  0  success
-  2  usage errors (argparse)
-  3  I/O failures (missing or unreadable files)
-  4  validation errors (schemas, malformed rows, grids, mode gates)
-  5  inconsistent certain order (a dominance cycle)
-  6  numeric-domain errors (weights, scores, priors, sampling exhaustion)
+Exit codes are stable; ``_EXIT_CODE_DOC``, the epilog of ``--help``,
+lists them.
 """
 from __future__ import annotations
 
@@ -40,6 +35,16 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 EXIT_INCONSISTENT = 5
 EXIT_DOMAIN = 6
+
+# exception class -> exit code; the first class an error is an instance of
+# decides, so subclasses come before their bases
+_EXIT_CODES = {
+    InconsistentOrderError: EXIT_INCONSISTENT,
+    DomainError: EXIT_DOMAIN,
+    ValidationError: EXIT_VALIDATION,
+    SplitgameError: 1,
+    OSError: EXIT_IO,
+}
 
 _MODE_CHOICES = ("computed", "published", "paper")
 
@@ -353,18 +358,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.scenario, args.trials, args.seed, args.mode, args.out
             )
         raise AssertionError(f"unhandled command {args.command!r}")
-    except InconsistentOrderError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SplitgameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(
+            code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)
+        )

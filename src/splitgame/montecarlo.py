@@ -10,6 +10,7 @@ across environments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
@@ -22,6 +23,15 @@ from .game import CellCoord, OrdinalGame, pure_nash
 RNG_ALGORITHM = "pcg64"
 
 
+def check_trials(trials) -> None:
+    """Reject a trial count that is not an integer >= 1 (numpy integers
+    count as integers)."""
+    if not isinstance(trials, numbers.Integral):
+        raise ValidationError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials!r}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Inputs for a selection-frequency run."""
@@ -32,8 +42,7 @@ class SimulationConfig:
     p_pf21: float
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials!r}")
+        check_trials(self.trials)
         for name in ("p_em12", "p_pf21"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -150,8 +159,7 @@ def verify_nash_numeric(
     in it. Undecided cells may fall either way and are skipped. Realization
     seeds derive deterministically from (seed, trial index).
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials!r}")
+    check_trials(trials)
     equilibria, undecided = pure_nash(game, constraints)
     all_cells = {
         CellCoord(r, c)

@@ -23,21 +23,11 @@ from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bayes import ComparisonEvent, EventSpace
-from .constraints import (
-    BOUND_LOWER,
-    ConstraintSet,
-    DominanceConstraint,
-)
+from .constraints import BOUND_LOWER, ConstraintSet, DominanceConstraint
 from .errors import ValidationError
 from .game import CellCoord, OrdinalGame, pure_nash
-from .index_model import (
-    IndexParameters,
-    Mode,
-    PUBLISHED_TABLE,
-    published_coefficient,
-    reference_score,
-    score_factor,
-)
+from .index_model import PUBLISHED_TABLE, IndexParameters, Mode, score_factor
+from .montecarlo import check_trials
 
 SCORE_MATCH_TOLERANCE = 1e-12
 
@@ -79,8 +69,7 @@ class SimulationDefaults:
     seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials!r}")
+        check_trials(self.trials)
 
 
 @dataclass(frozen=True)
@@ -273,114 +262,47 @@ def effective_constraints(scenario: Scenario) -> ConstraintSet:
     return base.add_constraint(lower)
 
 
-def _check_mode_gate(scenario: Scenario):
-    """Published mode only covers the two reference scores."""
-    if scenario.mode is not Mode.PUBLISHED:
-        return
-    for label, params, param_name in (
-        ("em12", scenario.em_params, "C"),
-        ("pf21", scenario.pf_params, "Q"),
-    ):
-        ref = reference_score(label)
-        if abs(params.score - ref) > SCORE_MATCH_TOLERANCE:
-            raise ValidationError(
-                f"published mode requires {param_name} = {ref:g} "
-                f"(the score the published constant refers to), got "
-                f"{params.score!r}; use computed mode for other scores"
-            )
-
-
-def _bounds(em_cap: float, pf_cap: float) -> Dict[str, float]:
-    return {
-        "p_em12_cap": em_cap,
-        "p_pf21_weak_cap": pf_cap,
-        "p_cell_11_cap": em_cap,
-        "p_cell_22_weak_cap": pf_cap,
-        "p_cell_22_strong_floor": 1.0 - em_cap,
-    }
-
-
-def _divergence_notes(
-    scenario: Scenario, factors: Mapping[str, float]
-) -> List[str]:
-    notes = []
-    for label, params in (
-        ("em12", scenario.em_params),
-        ("pf21", scenario.pf_params),
-    ):
-        ref_score, constant = PUBLISHED_TABLE[label]
-        if abs(params.score - ref_score) > SCORE_MATCH_TOLERANCE:
-            continue
-        if scenario.mode is Mode.PUBLISHED:
-            used, other = "the published constant", "the formula value"
-        else:
-            used, other = "the formula value", "the published constant"
-        notes.append(
-            f"{label}: published constant {constant:.6g} at score "
-            f"{ref_score:g} diverges from the formula value "
-            f"{factors[label]:.6g}; this report uses {used}, not {other}"
-        )
-    return notes
-
-
 def _is_uniform_three(space: EventSpace) -> bool:
     return len(space) == 3 and all(p == space.prior[0] for p in space.prior)
 
 
-def solve(scenario: Scenario) -> DecisionReport:
-    """Solve one scenario into a decision report."""
-    _require_2x2(scenario.game)
-    _check_mode_gate(scenario)
+@dataclass(frozen=True)
+class _Structure:
+    """The part of a solution fixed by the game, the constraints and the
+    case; the parameters r, s, C, Q and the mode never change it."""
+
+    comparison_events: Tuple[ComparisonEvent, ComparisonEvent]
+    nash_cells: Tuple[CellCoord, ...]
+    undecided_cells: Tuple[CellCoord, ...]
+    # under strong evidence the certainty chain fixes p_pf21; under weak
+    # evidence it is None and the weight times the cap sets it
+    chain_p_pf21: Optional[float]
+    notes: Tuple[str, ...]
+
+
+def _structure(scenario: Scenario) -> _Structure:
+    """The structural stage: runs once per scenario and case."""
     em_event, pf_event = comparison_events(scenario.game)
     order = effective_constraints(scenario)
     nash, undecided = pure_nash(scenario.game, order)
 
-    # the formula values k(C) and k(Q), one tail evaluation each, shared by
-    # the probabilities, the bounds and the divergence notes
-    factors = {
-        label: score_factor(params.score, params.variance)
-        for label, params in (
-            ("em12", scenario.em_params),
-            ("pf21", scenario.pf_params),
-        )
-    }
-    if scenario.mode is Mode.PUBLISHED:
-        caps = {
-            label: published_coefficient(label, scenario.mode)
-            for label in factors
-        }
-    else:
-        caps = factors
-
-    p_em12 = scenario.em_params.weight * caps["em12"]
+    pf11 = pf_event.right
+    pf12 = scenario.game.payoff(0, 1, 1).id
     if scenario.case is Case.STRONG_EVIDENCE:
         # certainty chain: strict-course payoff beats the lenient one beats
         # the dutiful-cell one, each link independent
-        pf12 = scenario.game.payoff(0, 1, 1).id
-        chain = [(pf_event.left, pf12), (pf12, pf_event.right)]
-        p_pf21 = order.independent_chain_probability(chain)
-    else:
-        p_pf21 = scenario.pf_params.weight * caps["pf21"]
-
-    p_cell_11 = p_em12 * (1.0 - p_pf21)
-    p_cell_22 = p_pf21 * (1.0 - p_em12)
-    indeterminate = 1.0 - p_cell_11 - p_cell_22
-
-    notes = _divergence_notes(scenario, factors)
-    if scenario.case is Case.STRONG_EVIDENCE:
-        pf11 = scenario.game.payoff(0, 0, 1).id
-        pf12 = scenario.game.payoff(0, 1, 1).id
-        notes.append(
+        chain = [(pf_event.left, pf12), (pf12, pf11)]
+        chain_p_pf21 = order.independent_chain_probability(chain)
+        notes = [
             f"strong evidence: certain {pf12} > {pf11} applied; any certain "
             f"{pf11} > {pf12} assumption is dropped for consistency"
-        )
+        ]
     else:
-        pf11 = scenario.game.payoff(0, 0, 1).id
-        pf12 = scenario.game.payoff(0, 1, 1).id
-        notes.append(
+        chain_p_pf21 = None
+        notes = [
             f"weak evidence: p({pf11} > {pf12}) > 0.5 recorded as a lower "
             "bound; lower bounds never enter the dominance order"
-        )
+        ]
     if not _is_uniform_three(scenario.events):
         notes.append(
             "selection coefficients assume a uniform three-event "
@@ -393,21 +315,87 @@ def solve(scenario: Scenario) -> DecisionReport:
             f"(1,1); this order's equilibrium set is "
             f"{sorted(tuple(c) for c in nash)}"
         )
+    return _Structure(
+        comparison_events=(em_event, pf_event),
+        nash_cells=tuple(sorted(nash)),
+        undecided_cells=tuple(sorted(undecided)),
+        chain_p_pf21=chain_p_pf21,
+        notes=tuple(notes),
+    )
 
+
+def _point(
+    scenario: Scenario, structure: _Structure
+) -> Tuple[Tuple[float, ...], Dict[str, float], List[str]]:
+    """The point stage: runs once per parameter point.
+
+    Returns the SWEEP_METRICS values in order, the bounds and the
+    divergence notes. Published mode only covers the two reference scores;
+    any other score fails the gate here.
+    """
+    published = scenario.mode is Mode.PUBLISHED
+    caps: Dict[str, float] = {}
+    notes: List[str] = []
+    for label, params, param_name in (
+        ("em12", scenario.em_params, "C"),
+        ("pf21", scenario.pf_params, "Q"),
+    ):
+        ref_score, constant = PUBLISHED_TABLE[label]
+        on_reference = abs(params.score - ref_score) <= SCORE_MATCH_TOLERANCE
+        if published and not on_reference:
+            raise ValidationError(
+                f"published mode requires {param_name} = {ref_score:g} "
+                f"(the score the published constant refers to), got "
+                f"{params.score!r}; use computed mode for other scores"
+            )
+        # the formula value k(score), one tail evaluation per label, shared
+        # by the cap and the divergence note
+        factor = score_factor(params.score, params.variance)
+        caps[label] = constant if published else factor
+        if on_reference:
+            if published:
+                used, other = "the published constant", "the formula value"
+            else:
+                used, other = "the formula value", "the published constant"
+            notes.append(
+                f"{label}: published constant {constant:.6g} at score "
+                f"{ref_score:g} diverges from the formula value "
+                f"{factor:.6g}; this report uses {used}, not {other}"
+            )
+
+    em_cap, pf_cap = caps["em12"], caps["pf21"]
+    p_em12 = scenario.em_params.weight * em_cap
+    p_pf21 = structure.chain_p_pf21
+    if p_pf21 is None:
+        p_pf21 = scenario.pf_params.weight * pf_cap
+    p_cell_11 = p_em12 * (1.0 - p_pf21)
+    p_cell_22 = p_pf21 * (1.0 - p_em12)
+    indeterminate = 1.0 - p_cell_11 - p_cell_22
+    bounds = {
+        "p_em12_cap": em_cap,
+        "p_pf21_weak_cap": pf_cap,
+        "p_cell_11_cap": em_cap,
+        "p_cell_22_weak_cap": pf_cap,
+        "p_cell_22_strong_floor": 1.0 - em_cap,
+    }
+    values = (p_em12, p_pf21, p_cell_11, p_cell_22, indeterminate)
+    return values, bounds, notes
+
+
+def solve(scenario: Scenario) -> DecisionReport:
+    """Solve one scenario into a decision report."""
+    structure = _structure(scenario)
+    values, bounds, notes = _point(scenario, structure)
     return DecisionReport(
         scenario_name=scenario.name,
         mode=scenario.mode.value,
         case=scenario.case.value,
-        p_em12=p_em12,
-        p_pf21=p_pf21,
-        p_cell_11=p_cell_11,
-        p_cell_22=p_cell_22,
-        indeterminate=indeterminate,
-        nash_cells=tuple(sorted(nash)),
-        undecided_cells=tuple(sorted(undecided)),
-        bounds=_bounds(caps["em12"], caps["pf21"]),
-        comparison_events=(em_event, pf_event),
-        notes=tuple(notes),
+        **dict(zip(SWEEP_METRICS, values)),
+        nash_cells=structure.nash_cells,
+        undecided_cells=structure.undecided_cells,
+        bounds=bounds,
+        comparison_events=structure.comparison_events,
+        notes=tuple(notes) + structure.notes,
         inputs=scenario.to_dict(),
     )
 
@@ -450,11 +438,10 @@ def sweep(
         if not grid[name]:
             raise ValidationError(f"parameter {name!r} has no grid values")
     columns = names + list(SWEEP_METRICS)
+    structure = _structure(scenario)
     rows: List[List[float]] = []
     for combo in itertools.product(*(grid[name] for name in names)):
         point = with_parameters(scenario, dict(zip(names, combo)))
-        report = solve(point)
-        rows.append(
-            list(combo) + [getattr(report, metric) for metric in SWEEP_METRICS]
-        )
+        values, _, _ = _point(point, structure)
+        rows.append(list(combo) + list(values))
     return columns, rows

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from splitgame import (
@@ -9,7 +10,9 @@ from splitgame import (
     NumericOrder,
     OrdinalGame,
     SimulationConfig,
+    SimulationDefaults,
     ValidationError,
+    ipd_scenario,
     numeric_pure_nash,
     pure_nash,
     simulate_selection,
@@ -19,6 +22,26 @@ from splitgame import (
 
 def three_sigma(p: float, trials: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda trials: SimulationConfig(
+            trials=trials, seed=1, p_em12=0.5, p_pf21=0.5
+        ),
+        lambda trials, ipd=ipd_scenario(): verify_nash_numeric(
+            ipd.game, ipd.constraints, trials, 1
+        ),
+        lambda trials: SimulationDefaults(trials=trials, seed=1),
+    ],
+    ids=["SimulationConfig", "verify_nash_numeric", "SimulationDefaults"],
+)
+def test_trials_must_be_a_positive_integer(entry):
+    for bad in (2.5, 2.0, 0, -3):
+        with pytest.raises(ValidationError, match=repr(bad)):
+            entry(bad)
+    entry(np.int64(2))
 
 
 class TestSimulateSelection:

@@ -21,7 +21,7 @@ from splitgame import (
     sweep,
     with_parameters,
 )
-from splitgame import index_model
+from splitgame import index_model, solver
 from splitgame.constraints import BOUND_LOWER
 
 K34 = 0.240028463014  # formula value at score 3.4, frozen from quadrature
@@ -254,13 +254,50 @@ class TestSweep:
                 1 - 0.3090 * expected_r, abs=1e-12
             )
 
-    def test_single_point_grid_matches_solve(self, ipd):
-        columns, rows = sweep(ipd, {"s": [0.5]})
-        report = solve(ipd)
-        row = dict(zip(columns, rows[0]))
-        assert row["p_em12"] == report.p_em12
-        assert row["p_pf21"] == report.p_pf21
-        assert row["p_cell_22"] == report.p_cell_22
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("case", list(Case))
+    @pytest.mark.parametrize("axes", ["rs", "CQ"])
+    def test_rows_match_scalar_solve(self, mode, case, axes):
+        scenario = ipd_scenario(case=case, mode=mode)
+        if axes == "rs":
+            grid = {"r": [0.1, 0.5, 0.9], "s": [0.2, 0.5, 0.8]}
+        elif mode is Mode.PUBLISHED:
+            grid = {"C": [3.4], "Q": [6.5]}
+        else:
+            grid = {"C": [1.5, 3.4, 5.0], "Q": [2.0, 6.5, 9.0]}
+        columns, rows = sweep(scenario, grid)
+        assert len(rows) == len(grid[columns[0]]) * len(grid[columns[1]])
+        for row in rows:
+            point = with_parameters(scenario, dict(zip(columns[:2], row)))
+            report = solve(point)
+            assert row[2:] == [getattr(report, m) for m in columns[2:]]
+
+    def test_order_and_nash_built_once_per_sweep(self, ipd, monkeypatch):
+        calls = {"pure_nash": 0, "ConstraintSet": 0}
+        nash, init = solver.pure_nash, ConstraintSet.__init__
+
+        def counting_nash(*args, **kwargs):
+            calls["pure_nash"] += 1
+            return nash(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            calls["ConstraintSet"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "pure_nash", counting_nash)
+        monkeypatch.setattr(ConstraintSet, "__init__", counting_init)
+        values = [0.1, 0.3, 0.5, 0.7, 0.9]
+        _, rows = sweep(ipd, {"r": values, "s": values})
+        assert len(rows) == 25
+        assert calls == {"pure_nash": 1, "ConstraintSet": 1}
+
+    def test_published_gate_fires_at_first_off_reference_point(self, ipd):
+        with pytest.raises(ValidationError) as exc:
+            sweep(ipd, {"C": [3.4, 5.0]})
+        assert str(exc.value) == (
+            "published mode requires C = 3.4 (the score the published "
+            "constant refers to), got 5.0; use computed mode for other scores"
+        )
 
     def test_two_parameter_grid_lexicographic(self, ipd):
         grid = {"s": [0.2, 0.5, 0.8], "r": [0.1, 0.4, 0.7]}
