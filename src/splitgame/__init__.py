@@ -22,7 +22,7 @@ from .constraints import (
     BOUND_LOWER,
     ConstraintSet,
     DominanceConstraint,
-    SAMPLING_ATTEMPT_CAP,
+    SAMPLING_DOWNSET_CAP,
 )
 from .errors import (
     DomainError,
@@ -117,7 +117,7 @@ __all__ = [
     "PLAYER_ROW",
     "PUBLISHED_TABLE",
     "PayoffSymbol",
-    "SAMPLING_ATTEMPT_CAP",
+    "SAMPLING_DOWNSET_CAP",
     "SamplingExhaustedError",
     "Scenario",
     "SimulationConfig",

@@ -8,6 +8,7 @@ never answers an order query.
 """
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -25,9 +26,10 @@ from .errors import (
 BOUND_EXACT = "exact"
 BOUND_LOWER = "lower"
 
-# hard cap on rejection-sampling attempts, per draw
-SAMPLING_ATTEMPT_CAP = 1_000_000
-_SAMPLING_BATCH = 256
+# most downsets the exact sampler enumerates for one connected component of
+# the certain order; every component of a game up to 3x3 (18 symbols) fits,
+# the widest (one symbol above 17 others) having 2**17 + 1 downsets
+SAMPLING_DOWNSET_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,84 @@ def _bfs_path(adjacency, start, goal):
             seen.add(nxt)
             queue.append((nxt, None))
     return None
+
+
+def _components(names, reach) -> List[List[int]]:
+    """Connected components of the certain order over ``names``, as lists of
+    indices, ordered by their smallest index."""
+    index = {name: i for i, name in enumerate(names)}
+    root = list(range(len(names)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for name in names:
+        for lesser in reach[name]:
+            root[find(index[lesser])] = find(index[name])
+    groups: Dict[int, List[int]] = {}
+    for i in range(len(names)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _linear_extensions(above, rows, rng) -> np.ndarray:
+    """Uniformly random linear extensions of one connected order.
+
+    ``above[j]`` is the bitmask of the symbols that must precede symbol j.
+    The downsets (bitmasks of the symbols already placed from the top) are
+    enumerated breadth first; counting the completions of each one
+    backwards gives the exact probability of every next symbol, and all
+    rows walk the lattice together, one array step per position. Returns a
+    (rows, k) array of symbol positions from the top.
+    """
+    k = len(above)
+    symbols = [(j, above[j], above[j] | 1 << j) for j in range(k)]
+    downsets, index = [0], {0: 0}
+    source, symbol, target = [], [], []  # the moves, grouped by source
+    for at, placed in enumerate(downsets):  # grows while it is walked
+        for j, before, needs in symbols:
+            if placed & needs == before:
+                grown = placed | 1 << j
+                to = index.get(grown)
+                if to is None:
+                    to = index[grown] = len(downsets)
+                    if to >= SAMPLING_DOWNSET_CAP:
+                        raise SamplingExhaustedError(
+                            f"a connected component of {k} symbols in the "
+                            f"certain order has more than "
+                            f"{SAMPLING_DOWNSET_CAP} downsets"
+                        )
+                    downsets.append(grown)
+                source.append(at)
+                symbol.append(j)
+                target.append(to)
+
+    # exact completion counts, backwards (Python ints never overflow), then
+    # per downset the cumulative share of each next symbol, ending in
+    # exactly 1; the full downset, the last, has no next symbol
+    completions = [0] * (len(downsets) - 1) + [1]
+    for at, to in zip(reversed(source), reversed(target)):
+        completions[at] += completions[to]
+    follow = np.zeros((len(downsets) - 1, k), dtype=np.intp)
+    follow[source, symbol] = target
+    cumulative = np.zeros((len(downsets) - 1, k))
+    cumulative[source, symbol] = [
+        completions[to] / completions[at] for at, to in zip(source, target)
+    ]
+    np.cumsum(cumulative, axis=1, out=cumulative)
+    cumulative /= cumulative[:, -1:]
+
+    # u < 1, so the first entry above it is a move with positive share
+    u = rng.random((k, rows, 1))
+    state = np.zeros(rows, dtype=np.intp)
+    order = np.empty((k, rows), dtype=np.intp)
+    for depth in range(k):
+        order[depth] = pick = (cumulative[state] > u[depth]).argmax(axis=1)
+        state = follow[state, pick]
+    return order.T
 
 
 class ConstraintSet:
@@ -241,39 +321,49 @@ class ConstraintSet:
                 ) from None
         return product
 
-    def sample_realization(self, seed) -> Dict[str, float]:
-        """One numeric realization of the symbols consistent with the order.
+    def sample_realization(self, seed, size=None):
+        """Numeric realizations of the symbols, uniform on the certain order.
 
-        Uniform [0, 1] proposals are rejection-sampled until every certain
-        constraint holds strictly; no epsilon adjustments, ties have measure
-        zero. Deterministic for a given seed (numpy PCG64). Raises
-        SamplingExhaustedError after ``SAMPLING_ATTEMPT_CAP`` proposals.
+        The values are iid uniform on [0, 1] conditioned on every certain
+        constraint holding strictly (ties have measure zero), drawn exactly:
+        each connected component of the order gets a uniformly random linear
+        extension from a count over its downset lattice (Brightwell &
+        Winkler, Order 8, 1991), then sorted iid uniforms in that order;
+        unconstrained symbols are plain uniforms. ``size=None`` gives one
+        ``{name: float}``; an integer ``size`` gives ``{name: array}`` of
+        that many independent rows. Deterministic for a given seed (numpy
+        PCG64). Raises SamplingExhaustedError when a component has more
+        than ``SAMPLING_DOWNSET_CAP`` downsets.
         """
+        if size is not None and (
+            not isinstance(size, numbers.Integral) or size < 0
+        ):
+            raise ValidationError(
+                f"size must be None or an integer >= 0, got {size!r}"
+            )
+        rows = 1 if size is None else int(size)
         names = sorted(self.symbols)
-        if not names:
-            return {}
-        index = {name: i for i, name in enumerate(names)}
-        pairs = [
-            (index[c.left], index[c.right])
-            for c in self._constraints
-            if c.certain
-        ]
         rng = np.random.default_rng(seed)
-        attempts = 0
-        while attempts < SAMPLING_ATTEMPT_CAP:
-            batch = min(_SAMPLING_BATCH, SAMPLING_ATTEMPT_CAP - attempts)
-            draws = rng.random((batch, len(names)))
-            keep = np.ones(batch, dtype=bool)
-            for li, ri in pairs:
-                keep &= draws[:, li] > draws[:, ri]
-            hits = np.flatnonzero(keep)
-            if hits.size:
-                row = draws[hits[0]]
-                return {name: float(row[index[name]]) for name in names}
-            attempts += batch
-        raise SamplingExhaustedError(
-            f"no admissible draw within {SAMPLING_ATTEMPT_CAP} attempts"
-        )
+        values = np.empty((len(names), rows))
+        components = _components(names, self._reach)
+        free = [members[0] for members in components if len(members) == 1]
+        values[free] = rng.random((len(free), rows))
+        for members in components:
+            if len(members) == 1:
+                continue
+            local = {names[i]: bit for bit, i in enumerate(members)}
+            above = [0] * len(members)
+            for name, bit in local.items():
+                for lesser in self._reach[name]:
+                    above[local[lesser]] |= 1 << bit
+            order = _linear_extensions(above, rows, rng)
+            draws = np.sort(rng.random((rows, len(members))), axis=1)
+            values[np.asarray(members)[order], np.arange(rows)[:, None]] = (
+                draws[:, ::-1]
+            )
+        if size is None:
+            return {name: float(v[0]) for name, v in zip(names, values)}
+        return dict(zip(names, values))
 
     def __eq__(self, other):
         if not isinstance(other, ConstraintSet):

@@ -30,7 +30,8 @@ class ZeroEvidenceError(DomainError):
 
 
 class SamplingExhaustedError(DomainError):
-    """Rejection sampling hit the attempt cap without an accepted draw."""
+    """A component of the certain order is too wide to sample exactly: its
+    downset lattice passes ``constraints.SAMPLING_DOWNSET_CAP``."""
 
 
 class InconsistentOrderError(SplitgameError):

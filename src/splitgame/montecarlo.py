@@ -18,9 +18,11 @@ import numpy as np
 
 from .constraints import ConstraintSet
 from .errors import ValidationError
-from .game import CellCoord, OrdinalGame, pure_nash
+from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, pure_nash
 
 RNG_ALGORITHM = "pcg64"
+# trials per sampler call in verify_nash_numeric; bounds its memory
+VERIFY_BLOCK = 4096
 
 
 def check_trials(trials) -> None:
@@ -93,30 +95,29 @@ def simulate_selection(config: SimulationConfig) -> SimulationResult:
 
 def numeric_pure_nash(
     game: OrdinalGame, values: Mapping[str, float]
-) -> frozenset:
+) -> frozenset | np.ndarray:
     """Pure Nash cells of a numeric payoff assignment, by exhaustive scan.
 
     Intentionally independent of the symbolic machinery: a cell is an
-    equilibrium when no player has a strictly better unilateral deviation.
+    equilibrium when its row payoff is >= the max of its column and its
+    column payoff is >= the max of its row, i.e. no player has a strictly
+    better unilateral deviation. Scalar values give a frozenset of cells;
+    values that are arrays of shape (size,) give a (size, n_rows, n_cols)
+    bool mask, one scan per row.
     """
-    cells = game.cells
-    result = set()
-    for r in range(game.n_rows):
-        for c in range(game.n_cols):
-            row_value = values[cells[r][c][0].id]
-            if any(
-                values[cells[alt][c][0].id] > row_value
-                for alt in range(game.n_rows)
-            ):
-                continue
-            col_value = values[cells[r][c][1].id]
-            if any(
-                values[cells[r][alt][1].id] > col_value
-                for alt in range(game.n_cols)
-            ):
-                continue
-            result.add(CellCoord(r, c))
-    return frozenset(result)
+    payoffs = np.array(
+        [
+            [[values[cell[player].id] for cell in row] for row in game.cells]
+            for player in (PLAYER_ROW, PLAYER_COL)
+        ]
+    )
+    rows, cols = np.moveaxis(payoffs, (1, 2), (-2, -1))
+    mask = (rows >= rows.max(axis=-2, keepdims=True)) & (
+        cols >= cols.max(axis=-1, keepdims=True)
+    )
+    if mask.ndim == 2:
+        return frozenset(CellCoord(int(r), int(c)) for r, c in zip(*np.nonzero(mask)))
+    return mask
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,10 @@ def verify_nash_numeric(
     Every realization honors the certain order, so a symbolically decided
     cell must come out the same way numerically: decided equilibria must
     survive the brute-force scan and decided non-equilibria must not appear
-    in it. Undecided cells may fall either way and are skipped. Realization
-    seeds derive deterministically from (seed, trial index).
+    in it. Undecided cells may fall either way and are skipped. Trials run
+    in blocks of ``VERIFY_BLOCK``; block b draws its realizations in one
+    call seeded with (seed, b). Disagreements are listed by trial, then
+    equilibria, then decided non-equilibria, each in cell order.
     """
     check_trials(trials)
     equilibria, undecided = pure_nash(game, constraints)
@@ -167,24 +170,25 @@ def verify_nash_numeric(
         for c in range(game.n_cols)
     }
     decided_out = all_cells - set(equilibria) - set(undecided)
+    checked = sorted(equilibria) + sorted(decided_out)
+    rows, cols = np.array(checked, dtype=np.intp).reshape(-1, 2).T
+    expected = np.arange(len(checked)) < len(equilibria)
 
     found = []
-    for trial in range(trials):
-        values = constraints.sample_realization([seed, trial])
+    for block, first in enumerate(range(0, trials, VERIFY_BLOCK)):
+        size = min(VERIFY_BLOCK, trials - first)
+        values = constraints.sample_realization([seed, block], size=size)
         numeric = numeric_pure_nash(game, values)
-        for cell in equilibria:
-            if cell not in numeric:
-                found.append(Disagreement(trial, cell, "equilibrium_failed"))
-        for cell in decided_out:
-            if cell in numeric:
-                found.append(
-                    Disagreement(trial, cell, "non_equilibrium_appeared")
-                )
+        for trial, k in zip(*np.nonzero(numeric[:, rows, cols] != expected)):
+            kind = (
+                "equilibrium_failed" if expected[k] else "non_equilibrium_appeared"
+            )
+            found.append(Disagreement(first + int(trial), checked[k], kind))
     return NashVerification(
         trials=trials,
         seed=seed,
         symbolic_equilibria=tuple(sorted(equilibria)),
         symbolic_undecided=tuple(sorted(undecided)),
-        checked_cells=(len(equilibria) + len(decided_out)) * trials,
+        checked_cells=len(checked) * trials,
         disagreements=tuple(found),
     )

@@ -1,10 +1,16 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import integrate
 
-from splitgame import ConstraintSet, ipd_scenario
+from splitgame import (
+    CellCoord,
+    ConstraintSet,
+    SamplingExhaustedError,
+    ipd_scenario,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +46,70 @@ def quad_tail(lower: float, variance: float = 10.0) -> float:
         density, lower, upper, epsabs=TAIL_ABS_TOL * 1e-2, limit=200
     )
     return value
+
+
+# rejection-sampling contract: proposals drawn in batches, at most this
+# many per realization
+SAMPLING_ATTEMPT_CAP = 1_000_000
+_SAMPLING_BATCH = 256
+
+
+def rejection_realization(constraints: ConstraintSet, seed) -> dict:
+    """Independent oracle: one realization uniform on the certain order, by
+    rejection.
+
+    Uniform [0, 1] proposals are rejection-sampled until every certain
+    constraint holds strictly. Accepts e(P)/n! of proposals, so it is only
+    usable on small orders. Deterministic for a given seed (numpy PCG64).
+    """
+    names = sorted(constraints.symbols)
+    if not names:
+        return {}
+    index = {name: i for i, name in enumerate(names)}
+    pairs = [
+        (index[c.left], index[c.right])
+        for c in constraints.constraints
+        if c.certain
+    ]
+    rng = np.random.default_rng(seed)
+    attempts = 0
+    while attempts < SAMPLING_ATTEMPT_CAP:
+        batch = min(_SAMPLING_BATCH, SAMPLING_ATTEMPT_CAP - attempts)
+        draws = rng.random((batch, len(names)))
+        keep = np.ones(batch, dtype=bool)
+        for li, ri in pairs:
+            keep &= draws[:, li] > draws[:, ri]
+        hits = np.flatnonzero(keep)
+        if hits.size:
+            row = draws[hits[0]]
+            return {name: float(row[index[name]]) for name in names}
+        attempts += batch
+    raise SamplingExhaustedError(
+        f"no admissible draw within {SAMPLING_ATTEMPT_CAP} attempts"
+    )
+
+
+def loop_pure_nash(game, values) -> frozenset:
+    """Independent oracle: pure Nash cells of one numeric payoff assignment
+    by a Python loop over each cell's unilateral deviations."""
+    cells = game.cells
+    result = set()
+    for r in range(game.n_rows):
+        for c in range(game.n_cols):
+            row_value = values[cells[r][c][0].id]
+            if any(
+                values[cells[alt][c][0].id] > row_value
+                for alt in range(game.n_rows)
+            ):
+                continue
+            col_value = values[cells[r][c][1].id]
+            if any(
+                values[cells[r][alt][1].id] > col_value
+                for alt in range(game.n_cols)
+            ):
+                continue
+            result.add(CellCoord(r, c))
+    return frozenset(result)
 
 
 @pytest.fixture(scope="session")

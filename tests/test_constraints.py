@@ -1,9 +1,16 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import chdtrc
 
+from conftest import rejection_realization
 from splitgame import (
     BOUND_LOWER,
+    SAMPLING_DOWNSET_CAP,
     ConstraintSet,
     DominanceConstraint,
     InconsistentOrderError,
@@ -11,6 +18,7 @@ from splitgame import (
     SamplingExhaustedError,
     UnknownSymbolError,
     ValidationError,
+    ipd_scenario,
 )
 
 
@@ -23,7 +31,7 @@ class TestDominanceConstraint:
         with pytest.raises(ValidationError):
             DominanceConstraint("A", "A", 1.0)
 
-    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf, -math.inf])
     def test_probability_out_of_range(self, p):
         with pytest.raises(ValidationError):
             DominanceConstraint("A", "B", p)
@@ -208,12 +216,122 @@ class TestSampling:
     def test_no_symbols_no_values(self):
         assert ConstraintSet([]).sample_realization(0) == {}
 
+    @staticmethod
+    def assert_valid(constraints, values, rows):
+        assert set(values) == set(constraints.symbols)
+        for column in values.values():
+            assert column.shape == (rows,)
+            assert ((0.0 <= column) & (column <= 1.0)).all()
+        for greater, lesser in constraints.certain_order:
+            assert (values[greater] > values[lesser]).all()
+
     def test_exhaustion_on_long_total_chain(self):
-        # a 16-symbol total order accepts ~1/16! of uniform draws, far
-        # below the attempt cap, so rejection must give up
+        # a 16-symbol total order, which rejection could never sample, has
+        # only 17 downsets
         names = [f"S{i:02d}" for i in range(16)]
         chain = ConstraintSet(
             [certain(names[i], names[i + 1]) for i in range(15)]
         )
-        with pytest.raises(SamplingExhaustedError):
-            chain.sample_realization(7)
+        self.assert_valid(chain, chain.sample_realization(7, size=50), 50)
+        # one symbol above 17 others: the widest component of a 3x3 game,
+        # 2**17 + 1 downsets, still under the cap
+        star = ConstraintSet([certain("T", f"S{i:02d}") for i in range(17)])
+        self.assert_valid(star, star.sample_realization(7, size=50), 50)
+        # one symbol above 19 others: 2**19 + 1 downsets, over the cap
+        wide = ConstraintSet([certain("T", f"S{i:02d}") for i in range(19)])
+        assert 2**19 + 1 > SAMPLING_DOWNSET_CAP
+        with pytest.raises(SamplingExhaustedError, match="of 20 symbols"):
+            wide.sample_realization(7)
+
+    @pytest.mark.parametrize("size", [-1, 2.5, "3"])
+    def test_bad_size_rejected(self, ipd_base_constraints, size):
+        with pytest.raises(ValidationError, match="size"):
+            ipd_base_constraints.sample_realization(0, size=size)
+
+
+def _order(pairs):
+    return ConstraintSet([certain(a, b) for a, b in pairs])
+
+
+# small orders whose linear extensions rejection samples quickly
+RANK_ORDERS = {
+    # two 2+2 crowns: EM11, EM22 > EM12, EM21 and PF11, PF22 > PF12, PF21
+    "ipd": lambda: ipd_scenario().constraints,
+    "N": lambda: _order([("A", "C"), ("B", "C"), ("B", "D")]),
+    # the 2+2 crown: two disjoint 2-chains, so two components interleave
+    "crown_2+2": lambda: _order([("A", "C"), ("B", "D")]),
+}
+
+
+def _homogeneity_pvalue(table):
+    """Pearson chi-square p-value that the rows of a count table share one
+    distribution over its columns."""
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    statistic = ((table - expected) ** 2 / expected).sum()
+    dof = (table.shape[0] - 1) * (table.shape[1] - 1)
+    return chdtrc(dof, statistic)
+
+
+def _rank_counts(names, table):
+    """Per symbol, how often it held each rank (0 = smallest value)."""
+    ranks = np.argsort(np.argsort(table, axis=0), axis=0)
+    n = len(names)
+    return np.array([np.bincount(ranks[i], minlength=n) for i in range(n)])
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ORDERS))
+def test_marginal_ranks_match_rejection(name):
+    # the exact sampler and the rejection oracle draw from one law, so per
+    # symbol their rank histograms pass a chi-square homogeneity test;
+    # 1e-4 per symbol keeps the family-wise false alarm below 0.1 %
+    constraints = RANK_ORDERS[name]()
+    names = sorted(constraints.symbols)
+    trials = 3000
+    exact = constraints.sample_realization(11, size=trials)
+    oracle = [rejection_realization(constraints, [12, t]) for t in range(trials)]
+    exact_counts = _rank_counts(names, np.array([exact[s] for s in names]))
+    oracle_counts = _rank_counts(
+        names, np.array([[row[s] for row in oracle] for s in names])
+    )
+    for i, symbol in enumerate(names):
+        table = np.array([exact_counts[i], oracle_counts[i]])
+        table = table[:, table.sum(axis=0) > 0]
+        if table.shape[1] < 2:
+            assert (exact_counts[i] == oracle_counts[i]).all(), symbol
+            continue
+        assert _homogeneity_pvalue(table) > 1e-4, (symbol, table)
+
+
+@st.composite
+def dag_orders(draw):
+    n = draw(st.integers(1, 10))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda pair: pair[0] < pair[1]
+            ),
+            max_size=20,
+            unique=True,
+        )
+    )
+    names = [f"S{i}" for i in range(n)]
+    return ConstraintSet(
+        [certain(names[a], names[b]) for a, b in pairs], universe=names
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    constraints=dag_orders(),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+)
+def test_every_row_honours_the_certain_order(constraints, seed, rows):
+    TestSampling.assert_valid(
+        constraints, constraints.sample_realization(seed, size=rows), rows
+    )
+    single = constraints.sample_realization(seed)
+    assert single == constraints.sample_realization(seed)
+    assert all(type(v) is float for v in single.values())
+    for greater, lesser in constraints.certain_order:
+        assert single[greater] > single[lesser]

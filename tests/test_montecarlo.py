@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import loop_pure_nash
+from splitgame import montecarlo
 from splitgame import (
     CellCoord,
     ConstraintSet,
@@ -12,6 +14,7 @@ from splitgame import (
     SimulationConfig,
     SimulationDefaults,
     ValidationError,
+    Disagreement,
     ipd_scenario,
     numeric_pure_nash,
     pure_nash,
@@ -204,3 +207,102 @@ class TestVerifyNashNumeric:
         for trial in range(200):
             values = constraints.sample_realization([9, trial])
             assert numeric_pure_nash(game, values) == set(symbolic)
+
+
+def _free_game(n_rows, n_cols):
+    return OrdinalGame.from_ids(
+        [f"r{i}" for i in range(n_rows)],
+        [f"c{j}" for j in range(n_cols)],
+        [
+            [(f"R{i}{j}", f"C{i}{j}") for j in range(n_cols)]
+            for i in range(n_rows)
+        ],
+    )
+
+
+class TestBatchedScan:
+    def test_array_scan_matches_scalar_scan_per_row(self):
+        # small integer payoffs make ties common, where ">=" against the
+        # max must behave exactly like the loop's "no strictly better
+        # deviation"
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            game = _free_game(*rng.integers(1, 4, size=2))
+            size = int(rng.integers(1, 12))
+            values = {
+                sym: rng.integers(0, 3, size=size).astype(float)
+                for sym in game.symbol_ids()
+            }
+            mask = numeric_pure_nash(game, values)
+            assert mask.shape == (size, game.n_rows, game.n_cols)
+            assert mask.dtype == bool
+            for i in range(size):
+                row = {sym: float(v[i]) for sym, v in values.items()}
+                cells = {CellCoord(int(r), int(c)) for r, c in zip(*np.nonzero(mask[i]))}
+                assert cells == numeric_pure_nash(game, row)
+                assert cells == loop_pure_nash(game, row)
+
+    def test_disagreements_match_per_trial_scalar_reference(self, monkeypatch):
+        # a symbolic solver that wrongly claims (0, 0) an equilibrium and
+        # (0, 1), (1, 0) decided non-equilibria; numerically every cell of
+        # an unconstrained game comes and goes, so both kinds appear
+        game = _free_game(2, 2)
+        free = ConstraintSet([], universe=game.symbol_ids())
+        claimed = frozenset({CellCoord(0, 0)})
+        undecided = frozenset({CellCoord(1, 1)})
+        monkeypatch.setattr(
+            montecarlo, "pure_nash", lambda game, order: (claimed, undecided)
+        )
+        trials, seed = 4096 + 300, 5
+        verification = verify_nash_numeric(game, free, trials, seed)
+
+        reference = []
+        for block, first in enumerate((0, 4096)):
+            size = min(4096, trials - first)
+            values = free.sample_realization([seed, block], size=size)
+            for i in range(size):
+                numeric = numeric_pure_nash(
+                    game, {sym: float(v[i]) for sym, v in values.items()}
+                )
+                if CellCoord(0, 0) not in numeric:
+                    reference.append(
+                        Disagreement(first + i, CellCoord(0, 0), "equilibrium_failed")
+                    )
+                for cell in (CellCoord(0, 1), CellCoord(1, 0)):
+                    if cell in numeric:
+                        reference.append(
+                            Disagreement(first + i, cell, "non_equilibrium_appeared")
+                        )
+        assert {d.kind for d in reference} == {
+            "equilibrium_failed",
+            "non_equilibrium_appeared",
+        }
+        assert max(d.trial for d in reference) >= 4096
+        assert verification.disagreements == tuple(reference)
+        assert verification.checked_cells == 3 * trials
+
+    def test_one_sampler_and_scan_call_per_block(
+        self, monkeypatch, ipd_game, ipd_constraints
+    ):
+        sizes, scans = [], []
+        sample = ConstraintSet.sample_realization
+        scan = montecarlo.numeric_pure_nash
+
+        def counting_sample(self, seed, size=None):
+            sizes.append(size)
+            return sample(self, seed, size)
+
+        def counting_scan(game, values):
+            scans.append(1)
+            return scan(game, values)
+
+        monkeypatch.setattr(ConstraintSet, "sample_realization", counting_sample)
+        monkeypatch.setattr(montecarlo, "numeric_pure_nash", counting_scan)
+        trials = 2 * 4096 + 7
+        verification = verify_nash_numeric(
+            ipd_game, ipd_constraints, trials, seed=3
+        )
+        assert sizes == [4096, 4096, 7]
+        assert len(scans) == 3
+        assert verification.ok
+        assert verification.checked_cells == 4 * trials
