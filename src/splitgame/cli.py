@@ -201,6 +201,14 @@ def cmd_score(
     return EXIT_OK
 
 
+# (closed-form key, empirical key, stderr label) for each simulated outcome
+_SIMULATE_OUTCOMES = (
+    ("p_cell_11", "freq_cell_11", "cell (0,0)"),
+    ("p_cell_22", "freq_cell_22", "cell (1,1)"),
+    ("indeterminate", "freq_indeterminate", "indeterminate"),
+)
+
+
 def cmd_simulate(
     scenario_path: str,
     trials: Optional[int] = None,
@@ -219,16 +227,8 @@ def cmd_simulate(
     )
     result = simulate_selection(config)
 
-    closed = {
-        "p_cell_11": report.p_cell_11,
-        "p_cell_22": report.p_cell_22,
-        "indeterminate": report.indeterminate,
-    }
-    empirical = {
-        "freq_cell_11": result.freq_cell_11,
-        "freq_cell_22": result.freq_cell_22,
-        "freq_indeterminate": result.freq_indeterminate,
-    }
+    closed = {key: getattr(report, key) for key, _, _ in _SIMULATE_OUTCOMES}
+    empirical = {key: getattr(result, key) for _, key, _ in _SIMULATE_OUTCOMES}
     payload = {
         "scenario": report.scenario_name,
         "mode": report.mode,
@@ -243,11 +243,7 @@ def cmd_simulate(
         },
         "difference": {
             key: empirical[emp_key] - closed[key]
-            for key, emp_key in (
-                ("p_cell_11", "freq_cell_11"),
-                ("p_cell_22", "freq_cell_22"),
-                ("indeterminate", "freq_indeterminate"),
-            )
+            for key, emp_key, _ in _SIMULATE_OUTCOMES
         },
     }
     _emit(json.dumps(payload, indent=2) + "\n", out_path)
@@ -259,13 +255,9 @@ def cmd_simulate(
         file=err,
     )
     print(f"  {'':<14}{'closed':>12}{'empirical':>12}", file=err)
-    for label, closed_value, emp_value in (
-        ("cell (0,0)", closed["p_cell_11"], empirical["freq_cell_11"]),
-        ("cell (1,1)", closed["p_cell_22"], empirical["freq_cell_22"]),
-        ("indeterminate", closed["indeterminate"], empirical["freq_indeterminate"]),
-    ):
+    for key, emp_key, label in _SIMULATE_OUTCOMES:
         print(
-            f"  {label:<14}{_fmt(closed_value):>12}{_fmt(emp_value):>12}",
+            f"  {label:<14}{_fmt(closed[key]):>12}{_fmt(empirical[emp_key]):>12}",
             file=err,
         )
     return EXIT_OK

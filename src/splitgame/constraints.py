@@ -71,10 +71,10 @@ def _bfs_path(adjacency, start, goal):
     if start == goal:
         return [start]
     seen = {start}
-    queue = deque([(start, None)])
+    queue = deque([start])
     parents = {}
     while queue:
-        node, _ = queue.popleft()
+        node = queue.popleft()
         for nxt in adjacency.get(node, ()):
             if nxt in seen:
                 continue
@@ -86,7 +86,7 @@ def _bfs_path(adjacency, start, goal):
                 path.reverse()
                 return path
             seen.add(nxt)
-            queue.append((nxt, None))
+            queue.append(nxt)
     return None
 
 
@@ -216,8 +216,10 @@ class ConstraintSet:
             self._exact[pair] = c.probability
 
         # grow the certain digraph edge by edge so the first constraint that
-        # closes a directed cycle is the one reported
-        adjacency: Dict[str, set] = {}
+        # closes a directed cycle is the one reported; successors are kept in
+        # insertion order (dict keys), so the path named does not depend on
+        # the string hash seed
+        adjacency: Dict[str, Dict[str, None]] = {}
         for c in self._constraints:
             if not c.certain:
                 continue
@@ -226,7 +228,7 @@ class ConstraintSet:
                 # back runs right -> ... -> left, so prepending left spells
                 # out the full dominance cycle
                 raise InconsistentOrderError([c.left] + back)
-            adjacency.setdefault(c.left, set()).add(c.right)
+            adjacency.setdefault(c.left, {})[c.right] = None
 
         # full reachability over certain edges, frozen
         nodes = set(adjacency)

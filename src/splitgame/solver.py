@@ -88,12 +88,18 @@ class Scenario:
     description: str = ""
     players: Tuple[str, str] = ("row", "column")
 
-    def to_dict(self) -> Dict:
-        """The canonical file-format dictionary for this scenario.
+    def __post_init__(self):
+        # the file format holds one variance for both coefficient parameter
+        # sets, so a scenario with two could not echo its own inputs
+        em, pf = self.em_params.variance, self.pf_params.variance
+        if em != pf:
+            raise ValidationError(
+                f"em_params and pf_params must share one variance, got "
+                f"{em!r} and {pf!r}"
+            )
 
-        The file format shares one variance between both coefficient
-        parameter sets; the row-side variance is the one echoed.
-        """
+    def to_dict(self) -> Dict:
+        """The canonical file-format dictionary for this scenario."""
         game = self.game
         payload: Dict = {
             "name": self.name,

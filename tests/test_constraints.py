@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
-from conftest import rejection_realization
+from conftest import REPO_ROOT, rejection_realization
 from splitgame import (
     BOUND_LOWER,
     SAMPLING_DOWNSET_CAP,
@@ -68,6 +71,37 @@ class TestConstruction:
         with pytest.raises(InconsistentOrderError) as exc:
             base.add_constraint(certain("C", "A"))
         assert "C > A > B > C" in str(exc.value)
+
+    def test_cycle_message_independent_of_hash_seed(self):
+        # two shortest cycles close at C > A; the one through the first
+        # listed successor is named, whatever the string hash seed
+        script = (
+            "from splitgame import ConstraintSet, DominanceConstraint as D,"
+            " InconsistentOrderError\n"
+            "pairs = [('A', 'B1'), ('A', 'B2'), ('B1', 'C'), ('B2', 'C'),"
+            " ('C', 'A')]\n"
+            "try:\n"
+            "    ConstraintSet([D(a, b, 1.0) for a, b in pairs])\n"
+            "except InconsistentOrderError as exc:\n"
+            "    print(exc)\n"
+        )
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={
+                    **os.environ,
+                    "PYTHONPATH": str(REPO_ROOT / "src"),
+                    "PYTHONHASHSEED": str(seed),
+                },
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in range(1, 9)
+        }
+        assert messages == {
+            "inconsistent certain order, cycle: C > A > B1 > C\n"
+        }
 
     def test_cycle_detected_at_batch_construction(self):
         with pytest.raises(InconsistentOrderError):

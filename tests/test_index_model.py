@@ -171,13 +171,15 @@ class TestModes:
         assert reference_score("pf21") == 6.5
 
 
-def test_import_does_not_load_scipy():
-    # the tail is closed-form; scipy is only the test suite's quadrature oracle
+@pytest.mark.parametrize("package", ["scipy", "jsonschema"])
+def test_import_does_not_load(package):
+    # the tail is closed-form and the package reads its scenario schema
+    # itself; scipy and jsonschema are only the test suite's oracles
     result = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import splitgame, sys; assert 'scipy' not in sys.modules",
+            f"import splitgame, sys; assert {package!r} not in sys.modules",
         ],
         cwd=REPO_ROOT,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},

@@ -1,19 +1,31 @@
 import copy
 import json
 import math
+from dataclasses import replace
+from operator import itemgetter
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitgame import (
     Case,
     DomainError,
     InconsistentOrderError,
+    IndexParameters,
     Mode,
     ValidationError,
     ipd_scenario,
     load_scenario,
     scenario_from_dict,
     solve,
+)
+from splitgame.scenario import (
+    _JSON_TYPES,
+    _SCHEMA_KEYWORDS,
+    _schema_errors,
+    scenario_schema,
 )
 
 
@@ -111,7 +123,156 @@ class TestSchemaValidation:
             scenario_from_dict(ipd_dict)
 
 
+# values that break the types, bounds and lengths the schema declares:
+# bools (not numbers), integral floats (integers in draft 2020-12), empty and
+# wrong-arity lists, objects with stray keys
+WRONG_VALUES = (
+    None, True, False, 0, 1, -1, 1.0, 2.0, 2.5, -0.5, 1e300,
+    "", "x", "exact", "weak_evidence",
+    [], ["x"], [1, 2], ["EM11", "PF11", "X"], [["EM11", "PF11"]],
+    {}, {"left": "A"},
+)
+EXTRA_KEYS = ("surprise", "bound", "group", "variance", "description")
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _paths(child, path + (index,))
+
+
+def _at(doc, path):
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+@st.composite
+def mutated_ipd_documents(draw):
+    """The shipped scenario with one to three field-level mutations."""
+    doc = ipd_scenario().to_dict()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        node = _at(doc, path)
+        parent = _at(doc, path[:-1]) if path else None
+        kind = draw(st.sampled_from(("replace", "delete", "extra", "grow", "shrink")))
+        wrong = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+        if kind == "replace":
+            if parent is None:
+                doc = wrong
+            else:
+                parent[path[-1]] = wrong
+        elif kind == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif kind == "extra" and isinstance(node, dict):
+            node[draw(st.sampled_from(EXTRA_KEYS))] = wrong
+        elif kind == "grow" and isinstance(node, list):
+            node.append(copy.deepcopy(node[-1]) if node else wrong)
+        elif kind == "shrink" and isinstance(node, list) and node:
+            node.pop(draw(st.integers(0, len(node) - 1)))
+    return doc
+
+
+def _oracle_errors(doc):
+    validator = jsonschema.Draft202012Validator(scenario_schema())
+    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    return [(tuple(e.absolute_path), e.message) for e in errors]
+
+
+def _reader_errors(doc):
+    return sorted(_schema_errors(doc, scenario_schema()), key=itemgetter(0))
+
+
+def _schema_nodes(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schema_nodes(sub)
+    for sub in schema.get("prefixItems", ()):
+        yield from _schema_nodes(sub)
+    if isinstance(schema.get("items"), dict):
+        yield from _schema_nodes(schema["items"])
+
+
+class TestSchemaReader:
+    """The package's schema reader against jsonschema as an oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_ipd_documents())
+    def test_errors_match_jsonschema(self, doc):
+        assert _reader_errors(doc) == _oracle_errors(doc)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("mc", "trials"), 1.0),
+            (("mc", "trials"), True),
+            (("mc", "seed"), 2.5),
+            (("constraints", 0, "probability"), False),
+            (("constraints", 0, "probability"), -0.5),
+            (("parameters", "variance"), "10"),
+            (("game", "payoffs", 0, 0), ["EM11"]),
+            (("game", "payoffs", 0, 0), ["EM11", "PF11", "X", "Y"]),
+            (("game", "row_strategies"), []),
+            (("name",), ""),
+            (("case",), "weak"),
+        ],
+    )
+    def test_hand_picked_mutations_match_jsonschema(self, path, value):
+        doc = ipd_scenario().to_dict()
+        _at(doc, path[:-1])[path[-1]] = value
+        assert _reader_errors(doc) == _oracle_errors(doc)
+
+    @pytest.mark.parametrize(
+        "schema, value",
+        [
+            ({"type": "object", "additionalProperties": False}, {"a": 1, "b": 2}),
+            ({"prefixItems": [{"type": "string"}], "items": False}, ["a", "b"]),
+            ({"prefixItems": [{"type": "string"}], "items": False}, ["a", 1, 2]),
+            ({"items": False}, [1]),
+            ({"type": "array", "minItems": 2, "maxItems": 0}, [1]),
+            ({"type": "string", "minLength": 2}, "a"),
+            ({"minimum": 0.5, "maximum": 0}, 0.25),
+            ({"type": "number", "maximum": 1}, True),
+        ],
+    )
+    def test_wording_off_the_shipped_schema_matches_jsonschema(self, schema, value):
+        oracle = jsonschema.Draft202012Validator(schema).iter_errors(value)
+        assert list(_schema_errors(value, schema)) == [
+            (tuple(e.absolute_path), e.message) for e in oracle
+        ]
+
+    def test_schema_uses_only_keywords_the_reader_reads(self):
+        annotations = {"$schema", "title", "description"}
+        for node in _schema_nodes(scenario_schema()):
+            assert set(node) <= _SCHEMA_KEYWORDS | annotations, node
+            assert node.get("type", "object") in _JSON_TYPES, node
+            assert node.get("additionalProperties", False) is False, node
+            items = node.get("items", False)
+            assert items is False or isinstance(items, dict), node
+            assert all(isinstance(v, str) for v in node.get("enum", ())), node
+
+
 class TestSemanticValidation:
+    def test_unequal_variances_rejected(self, ipd):
+        with pytest.raises(ValidationError, match="10.0 and 2.0"):
+            replace(
+                ipd,
+                mode=Mode.COMPUTED,
+                pf_params=IndexParameters(score=6.5, weight=0.5, variance=2.0),
+            )
+
+    def test_report_inputs_echo_the_variance_used(self, ipd_dict):
+        ipd_dict["mode"] = "computed"
+        ipd_dict["parameters"]["variance"] = 2.0
+        report = solve(scenario_from_dict(ipd_dict))
+        assert report.inputs["parameters"]["variance"] == 2.0
+        again = solve(scenario_from_dict(report.inputs))
+        assert again.p_pf21 == report.p_pf21
+
     def test_weight_outside_open_interval(self, ipd_dict):
         ipd_dict["parameters"]["r"] = 1.0
         with pytest.raises(DomainError):
