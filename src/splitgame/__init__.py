@@ -4,19 +4,12 @@ Splitgame models 2x2 ordinal games whose payoffs are opaque symbols owned
 by a "split" player: an emotional row self and a professional column self.
 Dominance knowledge between symbols may be certain, merely probable, or
 absent, and every query answers True, False, or None accordingly. On top
-of that three-valued core the package layers Bayesian evidence updates, a
+of that three-valued core the package layers an event-space fixed point, a
 Gaussian-tail misjudgement index, closed-form equilibrium selection
 probabilities, Monte Carlo cross-checks, and scoring for the seven-item
 professionalism survey instrument.
 """
-from .bayes import (
-    ComparisonEvent,
-    EventSpace,
-    fixed_point_posterior,
-    marginal_probability,
-    posterior,
-    posterior_update_map,
-)
+from .bayes import ComparisonEvent, EventSpace, fixed_point_posterior
 from .constraints import (
     BOUND_EXACT,
     BOUND_LOWER,
@@ -32,7 +25,6 @@ from .errors import (
     SplitgameError,
     UnknownSymbolError,
     ValidationError,
-    ZeroEvidenceError,
 )
 from .game import (
     CellCoord,
@@ -52,9 +44,7 @@ from .index_model import (
     PUBLISHED_TABLE,
     gaussian_tail,
     published_coefficient,
-    reference_score,
     score_factor,
-    selection_coefficient,
 )
 from .montecarlo import (
     Disagreement,
@@ -84,7 +74,6 @@ from .survey import (
     SurveyResponse,
     aggregate,
     canonical_instrument,
-    load_instrument,
     read_responses_csv,
     score_response,
 )
@@ -129,7 +118,6 @@ __all__ = [
     "UNDECIDED",
     "UnknownSymbolError",
     "ValidationError",
-    "ZeroEvidenceError",
     "aggregate",
     "best_responses",
     "canonical_instrument",
@@ -138,20 +126,14 @@ __all__ = [
     "fixed_point_posterior",
     "gaussian_tail",
     "ipd_scenario",
-    "load_instrument",
     "load_scenario",
-    "marginal_probability",
     "numeric_pure_nash",
-    "posterior",
-    "posterior_update_map",
     "published_coefficient",
     "pure_nash",
     "read_responses_csv",
-    "reference_score",
     "scenario_from_dict",
     "score_factor",
     "score_response",
-    "selection_coefficient",
     "simulate_selection",
     "solve",
     "sweep",

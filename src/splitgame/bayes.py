@@ -1,17 +1,17 @@
-"""Bayesian machinery over a finite partition of environment events.
+"""Event spaces and the independence fixed point.
 
-The event space is a finite partition with a prior summing to one. Besides
-the plain Bayes update this module houses the independence fixed point: if
-every event but one is uninformative about a comparison event, the remaining
-event's posterior must equal its own prior.
+The event space is a finite partition with a prior summing to one. If every
+event but one is uninformative about a comparison event, the remaining
+event's posterior must equal its own prior; ``fixed_point_posterior``
+returns that prior.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
-from .errors import DomainError, ValidationError, ZeroEvidenceError
+from .errors import DomainError, ValidationError
 
 PRIOR_TOLERANCE = 1e-12
 
@@ -53,12 +53,6 @@ class EventSpace:
     def __len__(self):
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown event label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class ComparisonEvent:
@@ -81,38 +75,6 @@ class ComparisonEvent:
                 f"comparison event {self.label!r} compares "
                 f"{self.left!r} with itself"
             )
-
-
-def posterior(space: EventSpace, likelihoods: Sequence[float]) -> Tuple[float, ...]:
-    """Bayes update: posterior over events given per-event likelihoods."""
-    if len(likelihoods) != len(space):
-        raise ValidationError(
-            f"{len(likelihoods)} likelihoods for {len(space)} events"
-        )
-    for label, lik in zip(space.labels, likelihoods):
-        if not 0.0 <= lik <= 1.0:
-            raise DomainError(
-                f"likelihood given {label} is {lik!r}, outside [0, 1]"
-            )
-    weighted = [p * lik for p, lik in zip(space.prior, likelihoods)]
-    evidence = sum(weighted)
-    if evidence <= 0.0:
-        raise ZeroEvidenceError("evidence has probability zero under the prior")
-    return tuple(w / evidence for w in weighted)
-
-
-def marginal_probability(space: EventSpace, conditionals: Sequence[float]) -> float:
-    """Total probability: sum of prior(event) * p(target | event)."""
-    if len(conditionals) != len(space):
-        raise ValidationError(
-            f"{len(conditionals)} conditionals for {len(space)} events"
-        )
-    for label, cond in zip(space.labels, conditionals):
-        if not 0.0 <= cond <= 1.0:
-            raise DomainError(
-                f"conditional given {label} is {cond!r}, outside [0, 1]"
-            )
-    return sum(p * c for p, c in zip(space.prior, conditionals))
 
 
 def fixed_point_posterior(space: EventSpace, unaffected: Iterable[int]) -> float:
@@ -153,21 +115,3 @@ def fixed_point_posterior(space: EventSpace, unaffected: Iterable[int]) -> float
             "prior strictly inside (0, 1)"
         )
     return q
-
-
-def posterior_update_map(space: EventSpace, star: int, alpha: float) -> float:
-    """One round trip of the fixed-point construction, for residual checks.
-
-    Maps a candidate posterior alpha through the Bayes setup (unaffected
-    conditionals pinned to the marginal) back to the implied posterior of the
-    distinguished event. The fixed point of this map is what
-    ``fixed_point_posterior`` returns.
-    """
-    if not 0 <= star < len(space):
-        raise ValidationError(
-            f"event index {star!r} out of range for {len(space)} events"
-        )
-    q = space.prior[star]
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha = {alpha!r} must lie strictly inside (0, 1)")
-    return alpha * (1.0 - q) / (1.0 - alpha)

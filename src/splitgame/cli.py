@@ -28,7 +28,12 @@ from .index_model import Mode
 from .montecarlo import SimulationConfig, simulate_selection
 from .scenario import load_scenario
 from .solver import solve, sweep
-from .survey import canonical_instrument, read_responses_csv, score_response
+from .survey import (
+    aggregate,
+    canonical_instrument,
+    read_responses_csv,
+    score_response,
+)
 
 EXIT_OK = 0
 EXIT_IO = 3
@@ -47,6 +52,9 @@ _EXIT_CODES = {
 }
 
 _MODE_CHOICES = ("computed", "published", "paper")
+
+# steps per sweep axis; the axis holds at most one point more
+GRID_MAX_STEPS = 100_000
 
 _EXIT_CODE_DOC = """\
 exit codes:
@@ -131,6 +139,8 @@ def _parse_grid_specs(specs: Sequence[str]) -> Dict[str, List[float]]:
             raise ValidationError(
                 f"grid spec {spec!r} has non-numeric bounds"
             ) from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValidationError(f"grid spec {spec!r} has non-finite bounds")
         if step <= 0:
             raise ValidationError(f"grid spec {spec!r}: step must be positive")
         if stop < start:
@@ -138,6 +148,11 @@ def _parse_grid_specs(specs: Sequence[str]) -> Dict[str, List[float]]:
         if name in grid:
             raise ValidationError(f"parameter {name!r} given twice")
         span = (stop - start) / step
+        # checked before rounding, which overflows on an infinite span
+        if span > GRID_MAX_STEPS:
+            raise ValidationError(
+                f"grid spec {spec!r}: more than {GRID_MAX_STEPS} steps"
+            )
         count = int(round(span))
         if abs(span - count) > 1e-9:
             count = int(math.floor(span + 1e-9))
@@ -193,7 +208,7 @@ def cmd_score(
         writer.writerow([respondent, score.raw_sum, repr(score.p_index)])
     _emit(buffer.getvalue(), out_path)
 
-    mean = sum(score.p_index for _, score in scored) / len(scored)
+    mean = aggregate([score for _, score in scored])
     print(
         f"aggregate p-index over {len(scored)} respondents: {_fmt(mean)}",
         file=sys.stderr,

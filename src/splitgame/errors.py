@@ -25,10 +25,6 @@ class DomainError(SplitgameError, ValueError):
     """A numeric argument lies outside the model's domain."""
 
 
-class ZeroEvidenceError(DomainError):
-    """Bayes update impossible: the evidence has probability zero."""
-
-
 class SamplingExhaustedError(DomainError):
     """A component of the certain order is too wide to sample exactly: its
     downset lattice passes ``constraints.SAMPLING_DOWNSET_CAP``."""

@@ -116,11 +116,6 @@ def score_factor(score: float, variance: float = DEFAULT_VARIANCE) -> float:
     return (1.0 - gaussian_tail(math.sqrt(score), variance)) / 3.0
 
 
-def selection_coefficient(params: IndexParameters) -> float:
-    """weight * k(score): the probability assigned to a comparison event."""
-    return params.weight * score_factor(params.score, params.variance)
-
-
 def published_coefficient(event: str, mode: Mode) -> float:
     """The verbatim published constant for one of the two reference scores.
 
@@ -133,17 +128,6 @@ def published_coefficient(event: str, mode: Mode) -> float:
         )
     try:
         return PUBLISHED_TABLE[event][1]
-    except KeyError:
-        raise ValidationError(
-            f"no published coefficient for event {event!r}; "
-            f"known events: {sorted(PUBLISHED_TABLE)}"
-        ) from None
-
-
-def reference_score(event: str) -> float:
-    """The scale score the published coefficient for ``event`` refers to."""
-    try:
-        return PUBLISHED_TABLE[event][0]
     except KeyError:
         raise ValidationError(
             f"no published coefficient for event {event!r}; "

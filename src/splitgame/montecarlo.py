@@ -25,13 +25,22 @@ RNG_ALGORITHM = "pcg64"
 VERIFY_BLOCK = 4096
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    # numpy integers count as integers
+    if not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
+
+
 def check_trials(trials) -> None:
-    """Reject a trial count that is not an integer >= 1 (numpy integers
-    count as integers)."""
-    if not isinstance(trials, numbers.Integral):
-        raise ValidationError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials!r}")
+    """Reject a trial count that is not an integer >= 1."""
+    _check_integer("trials", trials, 1)
+
+
+def check_seed(seed) -> None:
+    """Reject a generator seed that is not an integer >= 0."""
+    _check_integer("seed", seed, 0)
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         check_trials(self.trials)
+        check_seed(self.seed)
         for name in ("p_em12", "p_pf21"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -163,6 +173,7 @@ def verify_nash_numeric(
     equilibria, then decided non-equilibria, each in cell order.
     """
     check_trials(trials)
+    check_seed(seed)
     equilibria, undecided = pure_nash(game, constraints)
     all_cells = {
         CellCoord(r, c)

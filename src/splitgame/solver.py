@@ -27,7 +27,7 @@ from .constraints import BOUND_LOWER, ConstraintSet, DominanceConstraint
 from .errors import ValidationError
 from .game import CellCoord, OrdinalGame, pure_nash
 from .index_model import PUBLISHED_TABLE, IndexParameters, Mode, score_factor
-from .montecarlo import check_trials
+from .montecarlo import check_seed, check_trials
 
 SCORE_MATCH_TOLERANCE = 1e-12
 
@@ -70,6 +70,7 @@ class SimulationDefaults:
 
     def __post_init__(self):
         check_trials(self.trials)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -406,16 +407,22 @@ def solve(scenario: Scenario) -> DecisionReport:
     )
 
 
+def _param_target(name: str) -> Tuple[str, str]:
+    """The (scenario attribute, field) a sweepable parameter lands in."""
+    try:
+        return _PARAM_TARGETS[name]
+    except KeyError:
+        raise ValidationError(
+            f"unknown parameter {name!r}; sweepable parameters: "
+            f"{', '.join(sorted(_PARAM_TARGETS))}"
+        ) from None
+
+
 def with_parameters(scenario: Scenario, overrides: Mapping[str, float]) -> Scenario:
     """A copy of the scenario with some of r, s, C, Q replaced."""
     updates: Dict[str, Dict[str, float]] = {}
     for name, value in overrides.items():
-        if name not in _PARAM_TARGETS:
-            raise ValidationError(
-                f"unknown parameter {name!r}; sweepable parameters: "
-                f"{', '.join(sorted(_PARAM_TARGETS))}"
-            )
-        attr, fieldname = _PARAM_TARGETS[name]
+        attr, fieldname = _param_target(name)
         updates.setdefault(attr, {})[fieldname] = value
     changes: Dict[str, IndexParameters] = {}
     for attr, fields in updates.items():
@@ -436,11 +443,7 @@ def sweep(
         raise ValidationError("sweep grid is empty")
     names = sorted(grid)
     for name in names:
-        if name not in _PARAM_TARGETS:
-            raise ValidationError(
-                f"unknown parameter {name!r}; sweepable parameters: "
-                f"{', '.join(sorted(_PARAM_TARGETS))}"
-            )
+        _param_target(name)
         if not grid[name]:
             raise ValidationError(f"parameter {name!r} has no grid values")
     columns = names + list(SWEEP_METRICS)

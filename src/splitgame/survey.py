@@ -11,7 +11,7 @@ import csv
 import json
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ValidationError
 
@@ -61,14 +61,6 @@ class Instrument:
     def __len__(self):
         return len(self.items)
 
-    @property
-    def min_raw(self) -> int:
-        return len(self.items)
-
-    @property
-    def max_raw(self) -> int:
-        return SCALE_STEPS * len(self.items)
-
 
 _canonical: Optional[Instrument] = None
 
@@ -95,11 +87,6 @@ def instrument_from_dict(data: Mapping) -> Instrument:
         return Instrument(data["version"], data.get("name", "instrument"), items)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed instrument definition: {exc}") from None
-
-
-def load_instrument(path) -> Instrument:
-    with open(path, "r", encoding="utf-8") as handle:
-        return instrument_from_dict(json.load(handle))
 
 
 def _choice_position(choice: Choice) -> int:
@@ -189,15 +176,10 @@ def score_response(
     return PIndexScore(raw_sum=raw, p_index=p_index, n_items=n)
 
 
-def aggregate(
-    responses: Sequence[SurveyResponse],
-    instrument: Optional[Instrument] = None,
-) -> float:
-    """Mean index over a cohort of complete responses."""
-    if not responses:
+def aggregate(scores: Sequence[PIndexScore]) -> float:
+    """Mean index over a cohort of scored responses."""
+    if not scores:
         raise ValidationError("cannot aggregate zero responses")
-    instrument = instrument or canonical_instrument()
-    scores = [score_response(resp, instrument) for resp in responses]
     return sum(score.p_index for score in scores) / len(scores)
 
 

@@ -48,6 +48,17 @@ def quad_tail(lower: float, variance: float = 10.0) -> float:
     return value
 
 
+def posterior_update_map(q: float, alpha: float) -> float:
+    """Independent oracle: one round trip of the fixed-point construction.
+
+    Maps a candidate posterior alpha of an event with prior q through the
+    Bayes setup (every other event's conditional pinned to the marginal)
+    back to the implied posterior, alpha * (1 - q) / (1 - alpha). Its fixed
+    point is what ``fixed_point_posterior`` returns.
+    """
+    return alpha * (1.0 - q) / (1.0 - alpha)
+
+
 # rejection-sampling contract: proposals drawn in batches, at most this
 # many per realization
 SAMPLING_ATTEMPT_CAP = 1_000_000

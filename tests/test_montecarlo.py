@@ -27,24 +27,36 @@ def three_sigma(p: float, trials: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
 
 
-@pytest.mark.parametrize(
+monte_carlo_entry_points = pytest.mark.parametrize(
     "entry",
     [
-        lambda trials: SimulationConfig(
-            trials=trials, seed=1, p_em12=0.5, p_pf21=0.5
+        lambda trials=1, seed=1: SimulationConfig(
+            trials=trials, seed=seed, p_em12=0.5, p_pf21=0.5
         ),
-        lambda trials, ipd=ipd_scenario(): verify_nash_numeric(
-            ipd.game, ipd.constraints, trials, 1
+        lambda trials=1, seed=1, ipd=ipd_scenario(): verify_nash_numeric(
+            ipd.game, ipd.constraints, trials, seed
         ),
-        lambda trials: SimulationDefaults(trials=trials, seed=1),
+        lambda trials=1, seed=1: SimulationDefaults(trials=trials, seed=seed),
     ],
     ids=["SimulationConfig", "verify_nash_numeric", "SimulationDefaults"],
 )
+
+
+@monte_carlo_entry_points
 def test_trials_must_be_a_positive_integer(entry):
     for bad in (2.5, 2.0, 0, -3):
         with pytest.raises(ValidationError, match=repr(bad)):
             entry(bad)
     entry(np.int64(2))
+
+
+@monte_carlo_entry_points
+def test_seed_must_be_a_non_negative_integer(entry):
+    for bad in (2.5, 2.0, -1, "7"):
+        with pytest.raises(ValidationError, match=repr(bad)):
+            entry(seed=bad)
+    entry(seed=0)
+    entry(seed=np.int64(2))
 
 
 class TestSimulateSelection:

@@ -324,3 +324,12 @@ class TestSweep:
     def test_unknown_parameter_rejected(self, ipd):
         with pytest.raises(ValidationError):
             sweep(ipd, {"w": [0.5]})
+
+    def test_parameters_checked_one_at_a_time_in_name_order(self, ipd):
+        # "C" sorts before "x", so its empty grid is reported first
+        with pytest.raises(
+            ValidationError, match="^parameter 'C' has no grid values$"
+        ):
+            sweep(ipd, {"C": [], "x": [1.0]})
+        with pytest.raises(ValidationError, match="^unknown parameter 'a'"):
+            sweep(ipd, {"a": [1.0], "r": []})

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from splitgame import (
     ValidationError,
     aggregate,
     canonical_instrument,
-    load_instrument,
     read_responses_csv,
     score_response,
 )
@@ -44,8 +42,6 @@ class TestInstrument:
         assert polarity == [
             POSITIVE, NEGATIVE, POSITIVE, NEGATIVE, NEGATIVE, NEGATIVE, POSITIVE,
         ]
-        assert inst.min_raw == 7
-        assert inst.max_raw == 42
 
     def test_item_validation(self):
         with pytest.raises(ValidationError):
@@ -60,20 +56,6 @@ class TestInstrument:
         )
         with pytest.raises(ValidationError):
             Instrument(1, "broken", items)
-
-    def test_round_trip_through_file(self, tmp_path):
-        inst = canonical_instrument()
-        payload = {
-            "version": inst.version,
-            "name": inst.name,
-            "items": [
-                {"index": i.index, "text": i.text, "polarity": i.polarity}
-                for i in inst.items
-            ],
-        }
-        path = tmp_path / "instrument.json"
-        path.write_text(json.dumps(payload))
-        assert load_instrument(path) == inst
 
     def test_instrument_from_dict_rejects_bad_polarity(self):
         with pytest.raises(ValidationError):
@@ -165,22 +147,20 @@ class TestScoreResponse:
                 assert stepped >= base_score
 
 
+def scored(*answer_sets):
+    return [score_response(SurveyResponse(answers)) for answers in answer_sets]
+
+
 class TestAggregate:
     def test_singleton(self):
-        response = SurveyResponse(MIXED_ANSWERS)
-        expected = score_response(response).p_index
-        assert aggregate([response]) == expected
+        score = score_response(SurveyResponse(MIXED_ANSWERS))
+        assert aggregate([score]) == score.p_index
 
     def test_extremes_average_to_midpoint(self):
-        cohort = [SurveyResponse(MAX_ANSWERS), SurveyResponse(MIN_ANSWERS)]
-        assert aggregate(cohort) == 5.0
+        assert aggregate(scored(MAX_ANSWERS, MIN_ANSWERS)) == 5.0
 
     def test_three_respondent_cohort(self):
-        cohort = [
-            SurveyResponse(MAX_ANSWERS),
-            SurveyResponse(MIXED_ANSWERS),
-            SurveyResponse(MIN_ANSWERS),
-        ]
+        cohort = scored(MAX_ANSWERS, MIXED_ANSWERS, MIN_ANSWERS)
         assert aggregate(cohort) == pytest.approx(5.619, abs=1e-3)
 
     def test_empty_cohort_rejected(self):
@@ -189,16 +169,15 @@ class TestAggregate:
 
     def test_permutation_invariant_and_bounded(self):
         rng = random.Random(23)
-        cohort = [
-            SurveyResponse({i: rng.choice(CHOICES) for i in range(1, 8)})
-            for _ in range(12)
-        ]
+        cohort = scored(
+            *({i: rng.choice(CHOICES) for i in range(1, 8)} for _ in range(12))
+        )
         mean = aggregate(cohort)
         shuffled = cohort[:]
         rng.shuffle(shuffled)
         assert aggregate(shuffled) == pytest.approx(mean, abs=1e-12)
-        scores = [score_response(r).p_index for r in cohort]
-        assert min(scores) <= mean <= max(scores)
+        indices = [score.p_index for score in cohort]
+        assert min(indices) <= mean <= max(indices)
 
 
 def write_csv(path, lines):
