@@ -31,11 +31,8 @@ from .game import (
     DominanceOracle,
     NumericOrder,
     OrdinalGame,
-    PayoffSymbol,
     PLAYER_COL,
     PLAYER_ROW,
-    UNDECIDED,
-    best_responses,
     pure_nash,
 )
 from .index_model import (
@@ -105,7 +102,6 @@ __all__ = [
     "PLAYER_COL",
     "PLAYER_ROW",
     "PUBLISHED_TABLE",
-    "PayoffSymbol",
     "SAMPLING_DOWNSET_CAP",
     "SamplingExhaustedError",
     "Scenario",
@@ -115,11 +111,9 @@ __all__ = [
     "SplitgameError",
     "SurveyItem",
     "SurveyResponse",
-    "UNDECIDED",
     "UnknownSymbolError",
     "ValidationError",
     "aggregate",
-    "best_responses",
     "canonical_instrument",
     "comparison_events",
     "effective_constraints",

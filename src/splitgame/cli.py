@@ -55,6 +55,8 @@ _MODE_CHOICES = ("computed", "published", "paper")
 
 # steps per sweep axis; the axis holds at most one point more
 GRID_MAX_STEPS = 100_000
+# rows per sweep: the product of the axis point counts
+GRID_MAX_ROWS = 1_000_000
 
 _EXIT_CODE_DOC = """\
 exit codes:
@@ -125,6 +127,7 @@ def cmd_solve(
 
 def _parse_grid_specs(specs: Sequence[str]) -> Dict[str, List[float]]:
     grid: Dict[str, List[float]] = {}
+    rows = 1
     for spec in specs:
         name, sep, rest = spec.partition("=")
         name = name.strip()
@@ -156,6 +159,11 @@ def _parse_grid_specs(specs: Sequence[str]) -> Dict[str, List[float]]:
         count = int(round(span))
         if abs(span - count) > 1e-9:
             count = int(math.floor(span + 1e-9))
+        rows *= count + 1
+        if rows > GRID_MAX_ROWS:
+            raise ValidationError(
+                f"grid spec {spec!r}: grid exceeds {GRID_MAX_ROWS} rows"
+            )
         grid[name] = [start + i * step for i in range(count + 1)]
     return grid
 

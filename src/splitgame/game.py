@@ -1,24 +1,14 @@
-"""Ordinal normal-form games over opaque payoff symbols.
+"""Ordinal normal-form games over opaque payoff ids.
 
-Payoffs carry no numeric values; all the engine may ask is "is this symbol's
-payoff greater than that one's?" through a dominance oracle. Best responses
-and pure Nash cells are therefore three-valued: present, absent, or undecided
-when the oracle lacks a needed comparison.
+Payoffs carry no numeric values; all the engine may ask is "is this payoff
+greater than that one?" through a dominance oracle. Pure Nash cells are
+therefore three-valued: present, absent, or undecided when the oracle lacks
+a needed comparison.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Iterable,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Protocol,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Mapping, NamedTuple, Optional, Protocol, Sequence, Set, Tuple
 
 from .errors import UnknownSymbolError, ValidationError
 
@@ -33,18 +23,6 @@ class DominanceOracle(Protocol):
         """True if left > right, False if that is known false, None if unknown."""
 
 
-class _Undecided:
-    """Singleton marker for 'not enough order information'."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Undecided"
-
-
-UNDECIDED = _Undecided()
-
-
 class CellCoord(NamedTuple):
     """Zero-indexed cell coordinate (row strategy, column strategy)."""
 
@@ -53,33 +31,16 @@ class CellCoord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PayoffSymbol:
-    """An opaque payoff, owned by the row player (0) or column player (1)."""
-
-    id: str
-    owner: int
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValidationError("payoff symbol id must be non-empty")
-        if self.owner not in (PLAYER_ROW, PLAYER_COL):
-            raise ValidationError(
-                f"symbol {self.id!r}: owner must be 0 (row) or 1 (column), "
-                f"got {self.owner!r}"
-            )
-
-
-@dataclass(frozen=True)
 class OrdinalGame:
-    """A two-player game whose cells hold one payoff symbol per player.
+    """A two-player game whose cells hold one payoff id per player.
 
-    ``cells[r][c]`` is the (row symbol, column symbol) pair for row strategy
-    r against column strategy c. Every symbol id is unique across the grid.
+    ``cells[r][c]`` is the (row id, column id) pair for row strategy r
+    against column strategy c. Every id is unique across the grid.
     """
 
     row_strategies: Tuple[str, ...]
     col_strategies: Tuple[str, ...]
-    cells: Tuple[Tuple[Tuple[PayoffSymbol, PayoffSymbol], ...], ...]
+    cells: Tuple[Tuple[Tuple[str, str], ...], ...]
 
     def __post_init__(self):
         if not self.row_strategies or not self.col_strategies:
@@ -100,21 +61,19 @@ class OrdinalGame:
                     f"{len(self.col_strategies)}"
                 )
             for c, pair in enumerate(row):
-                if len(pair) != 2:
+                if len(pair) != 2 or not all(
+                    isinstance(sym, str) and sym for sym in pair
+                ):
                     raise ValidationError(
-                        f"cell ({r}, {c}) must hold exactly two symbols"
-                    )
-                row_sym, col_sym = pair
-                if row_sym.owner != PLAYER_ROW or col_sym.owner != PLAYER_COL:
-                    raise ValidationError(
-                        f"cell ({r}, {c}) owners must be (row, column)"
+                        f"cell ({r}, {c}) must hold exactly two non-empty "
+                        f"string ids, got {pair!r}"
                     )
                 for sym in pair:
-                    if sym.id in seen:
+                    if sym in seen:
                         raise ValidationError(
-                            f"payoff symbol {sym.id!r} appears in two cells"
+                            f"payoff symbol {sym!r} appears in two cells"
                         )
-                    seen.add(sym.id)
+                    seen.add(sym)
 
     @classmethod
     def from_ids(
@@ -124,13 +83,7 @@ class OrdinalGame:
         grid: Sequence[Sequence[Tuple[str, str]]],
     ) -> "OrdinalGame":
         """Build from a grid of (row symbol id, column symbol id) pairs."""
-        cells = tuple(
-            tuple(
-                (PayoffSymbol(pair[0], PLAYER_ROW), PayoffSymbol(pair[1], PLAYER_COL))
-                for pair in row
-            )
-            for row in grid
-        )
+        cells = tuple(tuple(tuple(pair) for pair in row) for row in grid)
         return cls(tuple(row_strategies), tuple(col_strategies), cells)
 
     @property
@@ -141,22 +94,20 @@ class OrdinalGame:
     def n_cols(self) -> int:
         return len(self.col_strategies)
 
-    def payoff(self, row: int, col: int, player: int) -> PayoffSymbol:
+    def payoff(self, row: int, col: int, player: int) -> str:
         if player not in (PLAYER_ROW, PLAYER_COL):
             raise IndexError(f"player must be 0 or 1, got {player!r}")
         return self.cells[row][col][player]
 
     def symbol_ids(self) -> frozenset:
-        return frozenset(
-            sym.id for row in self.cells for pair in row for sym in pair
-        )
+        return frozenset(sym for row in self.cells for pair in row for sym in pair)
 
 
 class NumericOrder:
     """Dominance oracle backed by concrete numeric payoffs.
 
-    Every comparison is decided; equal values answer False both ways, which
-    the best-response logic reads as a tie.
+    Every comparison is decided; equal values answer False both ways, so
+    tied payoffs never beat each other and ``pure_nash`` keeps both cells.
     """
 
     def __init__(self, values: Mapping[str, float]):
@@ -172,75 +123,25 @@ class NumericOrder:
             ) from None
 
 
-_BEST = "best"
-_NOT_BEST = "not_best"
-_UNKNOWN = "unknown"
+def _unbeaten(order: DominanceOracle, axis: Sequence[str], i: int) -> Optional[bool]:
+    """Whether payoff ``axis[i]`` survives its rivals on the same axis.
 
-
-def _own_symbol(game, player, own, opponent):
-    if player == PLAYER_ROW:
-        return game.cells[own][opponent][PLAYER_ROW].id
-    return game.cells[opponent][own][PLAYER_COL].id
-
-
-def _strategy_statuses(game, player, opponent_strategy, order):
-    """Per-strategy best-response status against a fixed opponent strategy.
-
-    A strategy is best when no rival is known strictly better (ties count as
-    best), not best when some rival certainly beats it, unknown otherwise.
-    The player compares its own payoffs along its own axis; the opponent's
-    choice only fixes which slice is compared.
+    ``axis`` holds one player's payoffs across its own strategies, with the
+    opponent's strategy fixed. False when some rival is certainly better
+    (the first one found ends the scan), True when every rival is known not
+    better (ties survive), None when some comparison is unknown.
     """
-    own_count = game.n_rows if player == PLAYER_ROW else game.n_cols
-    statuses = []
-    for i in range(own_count):
-        mine = _own_symbol(game, player, i, opponent_strategy)
-        beaten = False
-        gap = False
-        for j in range(own_count):
-            if j == i:
-                continue
-            rival_better = order.implies(
-                _own_symbol(game, player, j, opponent_strategy), mine
-            )
-            if rival_better is True:
-                beaten = True
-                break
-            if rival_better is None:
-                gap = True
-        if beaten:
-            statuses.append(_NOT_BEST)
-        elif gap:
-            statuses.append(_UNKNOWN)
-        else:
-            statuses.append(_BEST)
-    return statuses
-
-
-def best_responses(
-    game: OrdinalGame,
-    player: int,
-    opponent_strategy: int,
-    order: DominanceOracle,
-) -> Union[Set[int], _Undecided]:
-    """The player's best responses to a fixed opponent strategy.
-
-    Returns the set of strategy indices whose payoff is not beaten by any
-    alternative under ``order``, or UNDECIDED when a needed comparison is
-    unknown.
-    """
-    if player not in (PLAYER_ROW, PLAYER_COL):
-        raise IndexError(f"player must be 0 or 1, got {player!r}")
-    opp_count = game.n_cols if player == PLAYER_ROW else game.n_rows
-    if not 0 <= opponent_strategy < opp_count:
-        raise IndexError(
-            f"opponent strategy {opponent_strategy!r} out of range "
-            f"for {opp_count} strategies"
-        )
-    statuses = _strategy_statuses(game, player, opponent_strategy, order)
-    if _UNKNOWN in statuses:
-        return UNDECIDED
-    return {i for i, status in enumerate(statuses) if status == _BEST}
+    mine = axis[i]
+    gap = False
+    for j, rival in enumerate(axis):
+        if j == i:
+            continue
+        better = order.implies(rival, mine)
+        if better is True:
+            return False
+        if better is None:
+            gap = True
+    return None if gap else True
 
 
 def pure_nash(
@@ -249,27 +150,25 @@ def pure_nash(
     """Pure Nash cells under a (possibly partial) dominance oracle.
 
     Returns (equilibria, undecided_cells), disjoint. A cell is an equilibrium
-    when both players' strategies are decidedly best against each other; it is
-    undecided when no player is decidedly beaten but some needed comparison is
-    missing. A single certain profitable deviation settles a cell as not an
-    equilibrium regardless of other gaps.
+    when neither player's payoff can be beaten by a unilateral deviation;
+    it is undecided when neither is certainly beaten but some needed
+    comparison is missing. A single certain profitable deviation settles a
+    cell as not an equilibrium regardless of other gaps.
     """
-    row_statuses = [
-        _strategy_statuses(game, PLAYER_ROW, c, order) for c in range(game.n_cols)
-    ]
-    col_statuses = [
-        _strategy_statuses(game, PLAYER_COL, r, order) for r in range(game.n_rows)
-    ]
+    # the row player's payoffs down each column; the column player's lie
+    # along each row
+    row_axes = [[pair[PLAYER_ROW] for pair in col] for col in zip(*game.cells)]
     equilibria = set()
     undecided = set()
-    for r in range(game.n_rows):
-        for c in range(game.n_cols):
-            row_status = row_statuses[c][r]
-            col_status = col_statuses[r][c]
-            if row_status == _BEST and col_status == _BEST:
-                equilibria.add(CellCoord(r, c))
-            elif row_status == _NOT_BEST or col_status == _NOT_BEST:
+    for r, row in enumerate(game.cells):
+        col_axis = [pair[PLAYER_COL] for pair in row]
+        for c in range(len(row)):
+            row_ok = _unbeaten(order, row_axes[c], r)
+            col_ok = _unbeaten(order, col_axis, c)
+            if row_ok is False or col_ok is False:
                 continue
+            if row_ok and col_ok:
+                equilibria.add(CellCoord(r, c))
             else:
                 undecided.add(CellCoord(r, c))
     return frozenset(equilibria), frozenset(undecided)

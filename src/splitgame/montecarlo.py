@@ -117,7 +117,7 @@ def numeric_pure_nash(
     """
     payoffs = np.array(
         [
-            [[values[cell[player].id] for cell in row] for row in game.cells]
+            [[values[cell[player]] for cell in row] for row in game.cells]
             for player in (PLAYER_ROW, PLAYER_COL)
         ]
     )

@@ -168,7 +168,7 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
     game = OrdinalGame.from_ids(
         game_data["row_strategies"],
         game_data["col_strategies"],
-        [[tuple(pair) for pair in row] for row in game_data["payoffs"]],
+        game_data["payoffs"],
     )
     constraints = ConstraintSet(
         (

@@ -109,10 +109,7 @@ class Scenario:
                 "col_player": self.players[1],
                 "row_strategies": list(game.row_strategies),
                 "col_strategies": list(game.col_strategies),
-                "payoffs": [
-                    [[pair[0].id, pair[1].id] for pair in row]
-                    for row in game.cells
-                ],
+                "payoffs": [[list(pair) for pair in row] for row in game.cells],
             },
             "constraints": [
                 _constraint_to_dict(c) for c in self.constraints.constraints
@@ -227,16 +224,8 @@ def _require_2x2(game: OrdinalGame):
 def comparison_events(game: OrdinalGame) -> Tuple[ComparisonEvent, ComparisonEvent]:
     """The two diagonal comparison events of a 2x2 game."""
     _require_2x2(game)
-    em12 = ComparisonEvent(
-        "em12",
-        left=game.payoff(0, 0, 0).id,
-        right=game.payoff(1, 1, 0).id,
-    )
-    pf21 = ComparisonEvent(
-        "pf21",
-        left=game.payoff(1, 1, 1).id,
-        right=game.payoff(0, 0, 1).id,
-    )
+    em12 = ComparisonEvent("em12", game.payoff(0, 0, 0), game.payoff(1, 1, 0))
+    pf21 = ComparisonEvent("pf21", game.payoff(1, 1, 1), game.payoff(0, 0, 1))
     return em12, pf21
 
 
@@ -250,8 +239,8 @@ def effective_constraints(scenario: Scenario) -> ConstraintSet:
     the dominance order.
     """
     _require_2x2(scenario.game)
-    pf11 = scenario.game.payoff(0, 0, 1).id
-    pf12 = scenario.game.payoff(0, 1, 1).id
+    pf11 = scenario.game.payoff(0, 0, 1)
+    pf12 = scenario.game.payoff(0, 1, 1)
     base = scenario.constraints
     if scenario.case is Case.STRONG_EVIDENCE:
         kept = [
@@ -294,7 +283,7 @@ def _structure(scenario: Scenario) -> _Structure:
     nash, undecided = pure_nash(scenario.game, order)
 
     pf11 = pf_event.right
-    pf12 = scenario.game.payoff(0, 1, 1).id
+    pf12 = scenario.game.payoff(0, 1, 1)
     if scenario.case is Case.STRONG_EVIDENCE:
         # certainty chain: strict-course payoff beats the lenient one beats
         # the dutiful-cell one, each link independent

@@ -95,7 +95,8 @@ def _choice_position(choice: Choice) -> int:
         token = choice.strip().lower()
         if token in CHOICES:
             return CHOICES.index(token) + 1
-        if token.isdigit():
+        # isdecimal, not isdigit: int() cannot read digits such as '²'
+        if token.isdecimal():
             choice = int(token)
         else:
             raise ValidationError(

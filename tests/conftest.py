@@ -6,6 +6,8 @@ import pytest
 from scipy import integrate
 
 from splitgame import (
+    PLAYER_COL,
+    PLAYER_ROW,
     CellCoord,
     ConstraintSet,
     SamplingExhaustedError,
@@ -107,20 +109,93 @@ def loop_pure_nash(game, values) -> frozenset:
     result = set()
     for r in range(game.n_rows):
         for c in range(game.n_cols):
-            row_value = values[cells[r][c][0].id]
+            row_value = values[cells[r][c][0]]
             if any(
-                values[cells[alt][c][0].id] > row_value
+                values[cells[alt][c][0]] > row_value
                 for alt in range(game.n_rows)
             ):
                 continue
-            col_value = values[cells[r][c][1].id]
+            col_value = values[cells[r][c][1]]
             if any(
-                values[cells[r][alt][1].id] > col_value
+                values[cells[r][alt][1]] > col_value
                 for alt in range(game.n_cols)
             ):
                 continue
             result.add(CellCoord(r, c))
     return frozenset(result)
+
+
+_BEST = "best"
+_NOT_BEST = "not_best"
+_UNKNOWN = "unknown"
+
+
+def _own_symbol(game, player, own, opponent):
+    if player == PLAYER_ROW:
+        return game.cells[own][opponent][PLAYER_ROW]
+    return game.cells[opponent][own][PLAYER_COL]
+
+
+def _strategy_statuses(game, player, opponent_strategy, order):
+    """Per-strategy best-response status against a fixed opponent strategy.
+
+    A strategy is best when no rival is known strictly better (ties count as
+    best), not best when some rival certainly beats it, unknown otherwise.
+    The player compares its own payoffs along its own axis; the opponent's
+    choice only fixes which slice is compared.
+    """
+    own_count = game.n_rows if player == PLAYER_ROW else game.n_cols
+    statuses = []
+    for i in range(own_count):
+        mine = _own_symbol(game, player, i, opponent_strategy)
+        beaten = False
+        gap = False
+        for j in range(own_count):
+            if j == i:
+                continue
+            rival_better = order.implies(
+                _own_symbol(game, player, j, opponent_strategy), mine
+            )
+            if rival_better is True:
+                beaten = True
+                break
+            if rival_better is None:
+                gap = True
+        if beaten:
+            statuses.append(_NOT_BEST)
+        elif gap:
+            statuses.append(_UNKNOWN)
+        else:
+            statuses.append(_BEST)
+    return statuses
+
+
+def reference_pure_nash(game, order):
+    """Reference: the status-based three-valued solver ``pure_nash`` replaced.
+
+    Computes every strategy's best-response status against every opponent
+    strategy first, then combines the two statuses of each cell. Returns
+    (equilibria, undecided_cells) exactly as ``pure_nash`` must.
+    """
+    row_statuses = [
+        _strategy_statuses(game, PLAYER_ROW, c, order) for c in range(game.n_cols)
+    ]
+    col_statuses = [
+        _strategy_statuses(game, PLAYER_COL, r, order) for r in range(game.n_rows)
+    ]
+    equilibria = set()
+    undecided = set()
+    for r in range(game.n_rows):
+        for c in range(game.n_cols):
+            row_status = row_statuses[c][r]
+            col_status = col_statuses[r][c]
+            if row_status == _BEST and col_status == _BEST:
+                equilibria.add(CellCoord(r, c))
+            elif row_status == _NOT_BEST or col_status == _NOT_BEST:
+                continue
+            else:
+                undecided.add(CellCoord(r, c))
+    return frozenset(equilibria), frozenset(undecided)
 
 
 @pytest.fixture(scope="session")

@@ -170,6 +170,24 @@ class TestSweepCommand:
         )
         assert code == 4
 
+    def test_grid_rows_capped(self, ipd_path, capsys):
+        # each axis holds 9801 points, well under the per-axis cap, but
+        # their product is about 9.6e7 rows
+        code = main(
+            [
+                "sweep",
+                "--scenario", ipd_path,
+                "--grid", "r=0.01:0.99:1e-4",
+                "--grid", "s=0.01:0.99:1e-4",
+            ]
+        )
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: grid spec 's=0.01:0.99:1e-4': grid exceeds 1000000 rows\n"
+        )
+
     def test_grid_flag_required(self, ipd_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--scenario", ipd_path])

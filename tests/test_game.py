@@ -2,19 +2,17 @@ import random
 
 import pytest
 
+from conftest import reference_pure_nash
 from splitgame import (
     CellCoord,
     ConstraintSet,
     DominanceConstraint,
     NumericOrder,
     OrdinalGame,
-    PayoffSymbol,
     PLAYER_COL,
     PLAYER_ROW,
-    UNDECIDED,
     UnknownSymbolError,
     ValidationError,
-    best_responses,
     pure_nash,
 )
 
@@ -36,10 +34,6 @@ def random_values(game: OrdinalGame, rng: random.Random) -> dict:
 
 
 class TestStructure:
-    def test_symbol_owner_range(self):
-        with pytest.raises(ValidationError):
-            PayoffSymbol("X", 2)
-
     def test_grid_dimensions_checked(self):
         with pytest.raises(ValidationError):
             OrdinalGame.from_ids(
@@ -57,62 +51,27 @@ class TestStructure:
             grid = [[("R00", "C00"), ("R01", "C01")]]
             OrdinalGame.from_ids(["a"], ["x", "x"], grid)
 
-    def test_cell_owner_sides_enforced(self):
-        row_sym = PayoffSymbol("R", PLAYER_ROW)
-        wrong = PayoffSymbol("W", PLAYER_ROW)
-        with pytest.raises(ValidationError):
-            OrdinalGame(("a",), ("x",), (((row_sym, wrong),),))
+    @pytest.mark.parametrize(
+        "pair", [("R",), ("R", "C", "X"), ("R", 5), ("", "C"), (None, "C")]
+    )
+    def test_cell_must_hold_two_string_ids(self, pair):
+        with pytest.raises(ValidationError, match=r"cell \(0, 0\)"):
+            OrdinalGame.from_ids(["a"], ["x"], [[pair]])
 
     def test_payoff_accessor(self, ipd_game):
-        assert ipd_game.payoff(0, 0, PLAYER_ROW).id == "EM11"
-        assert ipd_game.payoff(1, 0, PLAYER_COL).id == "PF21"
+        assert ipd_game.payoff(0, 0, PLAYER_ROW) == "EM11"
+        assert ipd_game.payoff(1, 0, PLAYER_COL) == "PF21"
+        assert ipd_game.cells[1][0] == ("EM21", "PF21")
         assert ipd_game.n_rows == 2 and ipd_game.n_cols == 2
 
 
-class TestBestResponses:
-    def test_single_strategy_game(self):
-        game = grid_game(1, 1)
-        empty = ConstraintSet([])
-        assert best_responses(game, PLAYER_ROW, 0, empty) == {0}
-        assert best_responses(game, PLAYER_COL, 0, empty) == {0}
-
-    def test_row_player_vs_first_column(self, ipd_game, ipd_base_constraints):
-        result = best_responses(ipd_game, PLAYER_ROW, 0, ipd_base_constraints)
-        assert result == {0}
-
-    def test_column_player_undecided_without_cross_comparison(
-        self, ipd_game, ipd_base_constraints
-    ):
-        result = best_responses(ipd_game, PLAYER_COL, 0, ipd_base_constraints)
-        assert result is UNDECIDED
-
-    def test_column_player_decided_with_assumptions(
-        self, ipd_game, ipd_constraints
-    ):
-        assert best_responses(ipd_game, PLAYER_COL, 0, ipd_constraints) == {0}
-        assert best_responses(ipd_game, PLAYER_COL, 1, ipd_constraints) == {1}
-
-    def test_out_of_range_player(self, ipd_game, ipd_constraints):
-        with pytest.raises(IndexError):
-            best_responses(ipd_game, 2, 0, ipd_constraints)
-
-    def test_out_of_range_opponent_strategy(self, ipd_game, ipd_constraints):
-        with pytest.raises(IndexError):
-            best_responses(ipd_game, PLAYER_ROW, 5, ipd_constraints)
-
-    def test_tie_keeps_both_strategies_best(self):
-        game = grid_game(2, 1)
-        order = NumericOrder(
-            {"R00": 1.0, "R10": 1.0, "C00": 0.0, "C10": 1.0}
-        )
-        assert best_responses(game, PLAYER_ROW, 0, order) == {0, 1}
-
-    def test_numeric_order_unknown_symbol(self):
+class TestNumericOrder:
+    def test_unknown_symbol(self):
         order = NumericOrder({"A": 1.0})
         with pytest.raises(UnknownSymbolError):
             order.implies("A", "B")
 
-    def test_numeric_order_normalizes_numpy_scalars(self):
+    def test_normalizes_numpy_scalars(self):
         # the three-valued protocol is identity-checked, so implies() must
         # hand back plain bools even when the values came from numpy
         import numpy as np
@@ -125,6 +84,23 @@ class TestBestResponses:
 
 
 class TestPureNash:
+    def test_single_strategy_game(self):
+        game = grid_game(1, 1)
+        assert pure_nash(game, ConstraintSet([])) == (
+            frozenset({CellCoord(0, 0)}),
+            frozenset(),
+        )
+
+    def test_tie_keeps_both_cells_equilibria(self):
+        game = grid_game(2, 1)
+        order = NumericOrder(
+            {"R00": 1.0, "R10": 1.0, "C00": 0.0, "C10": 1.0}
+        )
+        assert pure_nash(game, order) == (
+            frozenset({CellCoord(0, 0), CellCoord(1, 0)}),
+            frozenset(),
+        )
+
     def test_shipped_game_equilibria(self, ipd_game, ipd_constraints):
         equilibria, undecided = pure_nash(ipd_game, ipd_constraints)
         assert equilibria == {CellCoord(0, 0), CellCoord(1, 1)}
@@ -226,8 +202,8 @@ class TestPureNash:
                 [
                     [
                         (
-                            game.payoff(sigma[i], tau[j], PLAYER_ROW).id,
-                            game.payoff(sigma[i], tau[j], PLAYER_COL).id,
+                            game.payoff(sigma[i], tau[j], PLAYER_ROW),
+                            game.payoff(sigma[i], tau[j], PLAYER_COL),
                         )
                         for j in range(3)
                     ]
@@ -241,19 +217,57 @@ class TestPureNash:
             }
             assert permuted_eq == expected
 
+    def test_matches_status_reference(self):
+        # open and universe-bound random certain orders leave gaps; integer
+        # numeric payoffs in 0..2 force ties
+        rng = random.Random(707)
+        for _ in range(300):
+            game = grid_game(rng.randint(1, 3), rng.randint(1, 3))
+            ids = sorted(game.symbol_ids())
+            rank = {sym: rng.random() for sym in ids}
+            density = rng.random()
+            certain = [
+                DominanceConstraint(a, b, 1.0)
+                for a in ids
+                for b in ids
+                if rank[a] > rank[b] and rng.random() < density
+            ]
+            orders = (
+                ConstraintSet(certain),
+                ConstraintSet(certain, universe=ids),
+                NumericOrder({sym: rng.randint(0, 2) for sym in ids}),
+            )
+            for order in orders:
+                new, reference = CallLog(order), CallLog(order)
+                assert pure_nash(game, new) == reference_pure_nash(game, reference)
+                # the same queries, early exits included; only the order differs
+                assert sorted(new.calls) == sorted(reference.calls)
+
+
+class CallLog:
+    """Dominance oracle that records every query it forwards."""
+
+    def __init__(self, order):
+        self.order = order
+        self.calls = []
+
+    def implies(self, left, right):
+        self.calls.append((left, right))
+        return self.order.implies(left, right)
+
 
 def comparable_pairs(game: OrdinalGame):
     """Unordered same-owner symbol pairs a best response could compare."""
     pairs = []
     for j in range(game.n_cols):
-        col = [game.payoff(i, j, PLAYER_ROW).id for i in range(game.n_rows)]
+        col = [game.payoff(i, j, PLAYER_ROW) for i in range(game.n_rows)]
         pairs.extend(
             (col[a], col[b])
             for a in range(len(col))
             for b in range(a + 1, len(col))
         )
     for i in range(game.n_rows):
-        row = [game.payoff(i, j, PLAYER_COL).id for j in range(game.n_cols)]
+        row = [game.payoff(i, j, PLAYER_COL) for j in range(game.n_cols)]
         pairs.extend(
             (row[a], row[b])
             for a in range(len(row))

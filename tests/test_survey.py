@@ -87,7 +87,8 @@ class TestScoreItem:
         assert score_item(item, 3) == 3
         assert score_item(item, "F") == 6
 
-    @pytest.mark.parametrize("choice", ["g", "0", "7", "", 0, 7, True])
+    # '²' is a digit to str.isdigit but not to int()
+    @pytest.mark.parametrize("choice", ["g", "0", "7", "", 0, 7, True, "\u00b2"])
     def test_invalid_choice(self, choice):
         item = canonical_instrument().items[0]
         with pytest.raises(ValidationError):
