@@ -178,12 +178,9 @@ def cmd_sweep(
     grid = _parse_grid_specs(grid_specs)
     columns, rows = sweep(scenario, grid)
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(value) for value in row])
-    _emit(buffer.getvalue(), out_path)
+    # column names and float reprs never need csv quoting
+    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
+    _emit("\n".join(lines) + "\n", out_path)
     print(
         f"sweep: {len(rows)} rows over {', '.join(sorted(grid))}",
         file=sys.stderr,

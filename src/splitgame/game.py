@@ -82,8 +82,15 @@ class OrdinalGame:
         col_strategies: Sequence[str],
         grid: Sequence[Sequence[Tuple[str, str]]],
     ) -> "OrdinalGame":
-        """Build from a grid of (row symbol id, column symbol id) pairs."""
-        cells = tuple(tuple(tuple(pair) for pair in row) for row in grid)
+        """Build from a grid of (row symbol id, column symbol id) pairs.
+
+        Each pair must be a list or a tuple: a string such as "RC" is not
+        read as the two ids "R" and "C".
+        """
+        cells = tuple(
+            tuple(_cell_pair(r, c, pair) for c, pair in enumerate(row))
+            for r, row in enumerate(grid)
+        )
         return cls(tuple(row_strategies), tuple(col_strategies), cells)
 
     @property
@@ -101,6 +108,14 @@ class OrdinalGame:
 
     def symbol_ids(self) -> frozenset:
         return frozenset(sym for row in self.cells for pair in row for sym in pair)
+
+
+def _cell_pair(r: int, c: int, pair) -> Tuple:
+    if not isinstance(pair, (list, tuple)):
+        raise ValidationError(
+            f"cell ({r}, {c}) must be a list or tuple of two ids, got {pair!r}"
+        )
+    return tuple(pair)
 
 
 class NumericOrder:

@@ -57,6 +57,31 @@ def _check_variance(variance: float):
         )
 
 
+def check_score(score: float) -> None:
+    """Reject a score off the 10-point scale: not positive, or above it."""
+    if not score > 0.0:
+        raise DomainError(f"score must be positive, got {score!r}")
+    if score > SCALE_MAX:
+        raise DomainError(
+            f"score {score!r} exceeds the {SCALE_MAX:g}-point scale"
+        )
+
+
+def check_weight(weight: float) -> None:
+    """Reject a weight outside the open interval (0, 1)."""
+    if not 0.0 < weight < 1.0:
+        raise DomainError(
+            f"weight must lie strictly inside (0, 1), got {weight!r}; "
+            "boundary values appear only in reported bounds"
+        )
+
+
+def in_scale_interior(score: float) -> bool:
+    """Whether a score lies strictly inside (1, SCALE_MAX), where published
+    scores sit; IndexParameters warns about any other accepted score."""
+    return 1.0 < score < SCALE_MAX
+
+
 @dataclass(frozen=True)
 class IndexParameters:
     """Inputs to one coefficient: a scale score, a weight, and the variance.
@@ -73,19 +98,10 @@ class IndexParameters:
     variance: float = DEFAULT_VARIANCE
 
     def __post_init__(self):
-        if not self.score > 0.0:
-            raise DomainError(f"score must be positive, got {self.score!r}")
-        if self.score > SCALE_MAX:
-            raise DomainError(
-                f"score {self.score!r} exceeds the {SCALE_MAX:g}-point scale"
-            )
-        if not 0.0 < self.weight < 1.0:
-            raise DomainError(
-                f"weight must lie strictly inside (0, 1), got {self.weight!r}; "
-                "boundary values appear only in reported bounds"
-            )
+        check_score(self.score)
+        check_weight(self.weight)
         _check_variance(self.variance)
-        if not 1.0 < self.score < SCALE_MAX:
+        if not in_scale_interior(self.score):
             warnings.warn(
                 f"score {self.score!r} is outside the scale interior "
                 f"(1, {SCALE_MAX:g})",

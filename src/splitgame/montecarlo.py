@@ -23,6 +23,8 @@ from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, pure_nash
 RNG_ALGORITHM = "pcg64"
 # trials per sampler call in verify_nash_numeric; bounds its memory
 VERIFY_BLOCK = 4096
+# draws per event and block in simulate_selection; bounds its memory
+SIMULATE_BLOCK = 1 << 16
 
 
 def _check_integer(name: str, value, low: int) -> None:
@@ -85,14 +87,22 @@ def simulate_selection(config: SimulationConfig) -> SimulationResult:
 
     The top-left cell is selected when em12 fires alone, the bottom-right
     cell when pf21 fires alone; both-or-neither draws are indeterminate.
-    Deterministic for a given seed.
+    Deterministic for a given seed: the em draws are the first ``trials``
+    uniforms of PCG64(seed) and the pf draws the next ``trials``, tallied
+    in blocks of SIMULATE_BLOCK so memory stays bounded.
     """
-    rng = np.random.default_rng(config.seed)
-    em = rng.random(config.trials) < config.p_em12
-    pf = rng.random(config.trials) < config.p_pf21
-    n11 = int(np.count_nonzero(em & ~pf))
-    n22 = int(np.count_nonzero(pf & ~em))
     trials = config.trials
+    em_rng = np.random.Generator(np.random.PCG64(config.seed))
+    pf_bits = np.random.PCG64(config.seed)
+    pf_bits.advance(trials)  # one 64-bit step per uniform double
+    pf_rng = np.random.Generator(pf_bits)
+    n11 = n22 = 0
+    for start in range(0, trials, SIMULATE_BLOCK):
+        size = min(SIMULATE_BLOCK, trials - start)
+        em = em_rng.random(size) < config.p_em12
+        pf = pf_rng.random(size) < config.p_pf21
+        n11 += int(np.count_nonzero(em & ~pf))
+        n22 += int(np.count_nonzero(pf & ~em))
     return SimulationResult(
         freq_cell_11=n11 / trials,
         freq_cell_22=n22 / trials,

@@ -24,9 +24,17 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bayes import ComparisonEvent, EventSpace
 from .constraints import BOUND_LOWER, ConstraintSet, DominanceConstraint
-from .errors import ValidationError
+from .errors import SplitgameError, ValidationError
 from .game import CellCoord, OrdinalGame, pure_nash
-from .index_model import PUBLISHED_TABLE, IndexParameters, Mode, score_factor
+from .index_model import (
+    PUBLISHED_TABLE,
+    IndexParameters,
+    Mode,
+    check_score,
+    check_weight,
+    in_scale_interior,
+    score_factor,
+)
 from .montecarlo import check_seed, check_trials
 
 SCORE_MATCH_TOLERANCE = 1e-12
@@ -41,6 +49,8 @@ _PARAM_TARGETS = {
     "s": ("pf_params", "weight"),
     "Q": ("pf_params", "score"),
 }
+# the sweepable score of each parameter set
+_SCORE_AXES = {"em_params": "C", "pf_params": "Q"}
 
 
 class Case(Enum):
@@ -320,14 +330,30 @@ def _structure(scenario: Scenario) -> _Structure:
     )
 
 
+def _on_reference(label: str, param_name: str, score: float, published: bool) -> bool:
+    """Whether the score is the one the label's published constant refers to.
+
+    This is the published-mode gate: published mode only covers the two
+    reference scores, so there any other score raises.
+    """
+    ref_score = PUBLISHED_TABLE[label][0]
+    on_reference = abs(score - ref_score) <= SCORE_MATCH_TOLERANCE
+    if published and not on_reference:
+        raise ValidationError(
+            f"published mode requires {param_name} = {ref_score:g} "
+            f"(the score the published constant refers to), got "
+            f"{score!r}; use computed mode for other scores"
+        )
+    return on_reference
+
+
 def _point(
     scenario: Scenario, structure: _Structure
 ) -> Tuple[Tuple[float, ...], Dict[str, float], List[str]]:
     """The point stage: runs once per parameter point.
 
     Returns the SWEEP_METRICS values in order, the bounds and the
-    divergence notes. Published mode only covers the two reference scores;
-    any other score fails the gate here.
+    divergence notes. Any score the published-mode gate rejects raises here.
     """
     published = scenario.mode is Mode.PUBLISHED
     caps: Dict[str, float] = {}
@@ -337,13 +363,7 @@ def _point(
         ("pf21", scenario.pf_params, "Q"),
     ):
         ref_score, constant = PUBLISHED_TABLE[label]
-        on_reference = abs(params.score - ref_score) <= SCORE_MATCH_TOLERANCE
-        if published and not on_reference:
-            raise ValidationError(
-                f"published mode requires {param_name} = {ref_score:g} "
-                f"(the score the published constant refers to), got "
-                f"{params.score!r}; use computed mode for other scores"
-            )
+        on_reference = _on_reference(label, param_name, params.score, published)
         # the formula value k(score), one tail evaluation per label, shared
         # by the cap and the divergence note
         factor = score_factor(params.score, params.variance)
@@ -419,6 +439,49 @@ def with_parameters(scenario: Scenario, overrides: Mapping[str, float]) -> Scena
     return replace(scenario, **changes)
 
 
+def _axis_caps(
+    label: str,
+    param_name: str,
+    scores: Sequence[float],
+    variance: float,
+    published: bool,
+) -> List[float]:
+    """The cap of each score on one sweep axis, in axis order.
+
+    Each distinct score passes the published-mode gate once and, in computed
+    mode, has its k(score) evaluated once.
+    """
+    constant = PUBLISHED_TABLE[label][1]
+    caps: Dict[float, float] = {}
+    for score in scores:
+        if score not in caps:
+            _on_reference(label, param_name, score, published)
+            caps[score] = constant if published else score_factor(score, variance)
+    return [caps[score] for score in scores]
+
+
+def _warn_as_points(scenario: Scenario, grid: Mapping[str, Sequence[float]]):
+    """Issue the scale-interior warnings that solving each point would.
+
+    Each point rebuilds, through ``with_parameters``, the parameter sets its
+    swept names land in, in the order of those names, and each rebuild warns
+    about a score outside the scale interior. The first set's score, when
+    swept, is the outermost axis, so in lexicographic order the points first
+    meet the first set's first score, then every score of the second set,
+    then the first set's other scores. Rebuilding in that order shows the
+    default filter's lines in the order a point-by-point sweep shows them.
+    """
+    rebuilds = []
+    for attr in dict.fromkeys(_param_target(name)[0] for name in sorted(grid)):
+        params = getattr(scenario, attr)
+        scores = grid.get(_SCORE_AXES[attr], [params.score])
+        rebuilds.append([(params, score) for score in scores])
+    first, second = rebuilds if len(rebuilds) == 2 else (rebuilds[0], [])
+    for params, score in first[:1] + second + first[1:]:
+        if not in_scale_interior(score):
+            replace(params, score=score)
+
+
 def sweep(
     scenario: Scenario, grid: Mapping[str, Sequence[float]]
 ) -> Tuple[List[str], List[List[float]]]:
@@ -427,6 +490,14 @@ def sweep(
     Returns (columns, rows). Parameters iterate in sorted name order and the
     rows enumerate value combinations lexicographically, so output order is
     reproducible regardless of how the grid was supplied.
+
+    The structural stage runs once per sweep. Each axis value is validated
+    once, and k(C) and k(Q) are evaluated once per distinct score (once in
+    all for a score that is not swept). The points are then a flat float
+    loop over the expressions ``solve`` uses, so each row equals the scalar
+    solution at its point. A grid holding a bad value raises what solving
+    its points one by one raises: the error of the first failing point, after
+    the warnings of the points before it.
     """
     if not grid:
         raise ValidationError("sweep grid is empty")
@@ -437,9 +508,43 @@ def sweep(
             raise ValidationError(f"parameter {name!r} has no grid values")
     columns = names + list(SWEEP_METRICS)
     structure = _structure(scenario)
+    em, pf = scenario.em_params, scenario.pf_params
+    published = scenario.mode is Mode.PUBLISHED
+    # the axes in sorted name order C, Q, r, s; one not swept holds the
+    # scenario's own value, so their product enumerates the grid's points
+    em_scores = grid.get("C", [em.score])
+    pf_scores = grid.get("Q", [pf.score])
+    em_weights = grid.get("r", [em.weight])
+    pf_weights = grid.get("s", [pf.weight])
+    failure: Optional[Exception] = None
+    try:
+        for score in (*em_scores, *pf_scores):
+            check_score(score)
+        for weight in (*em_weights, *pf_weights):
+            check_weight(weight)
+        em_caps = _axis_caps("em12", "C", em_scores, em.variance, published)
+        pf_caps = _axis_caps("pf21", "Q", pf_scores, pf.variance, published)
+    except (SplitgameError, TypeError) as error:  # TypeError: a non-number
+        failure = error
+    if failure is not None:
+        # some point fails: solve the points one by one up to it, so the
+        # error and the warnings shown before it are the scalar path's
+        for combo in itertools.product(*(grid[name] for name in names)):
+            _point(with_parameters(scenario, dict(zip(names, combo))), structure)
+        raise failure
+    _warn_as_points(scenario, grid)
+
+    chain_p_pf21 = structure.chain_p_pf21
     rows: List[List[float]] = []
-    for combo in itertools.product(*(grid[name] for name in names)):
-        point = with_parameters(scenario, dict(zip(names, combo)))
-        values, _, _ = _point(point, structure)
-        rows.append(list(combo) + list(values))
+    combos = itertools.product(*(grid[name] for name in names))
+    factors = itertools.product(em_caps, pf_caps, em_weights, pf_weights)
+    for combo, (em_cap, pf_cap, r, s) in zip(combos, factors):
+        p_em12 = r * em_cap
+        p_pf21 = s * pf_cap if chain_p_pf21 is None else chain_p_pf21
+        p_cell_11 = p_em12 * (1.0 - p_pf21)
+        p_cell_22 = p_pf21 * (1.0 - p_em12)
+        rows.append(
+            [*combo, p_em12, p_pf21, p_cell_11, p_cell_22,
+             1.0 - p_cell_11 - p_cell_22]
+        )
     return columns, rows

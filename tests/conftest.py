@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -11,8 +12,12 @@ from splitgame import (
     CellCoord,
     ConstraintSet,
     SamplingExhaustedError,
+    ValidationError,
     ipd_scenario,
+    with_parameters,
 )
+from splitgame import solver
+from splitgame.solver import SWEEP_METRICS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -196,6 +201,28 @@ def reference_pure_nash(game, order):
             else:
                 undecided.add(CellCoord(r, c))
     return frozenset(equilibria), frozenset(undecided)
+
+
+def reference_sweep(scenario, grid):
+    """The point-by-point sweep ``solver.sweep`` replaced: each point
+    rebuilds the scenario through ``with_parameters`` and runs the scalar
+    point stage, so it validates, gates, warns and raises exactly as
+    solving that point alone would."""
+    if not grid:
+        raise ValidationError("sweep grid is empty")
+    names = sorted(grid)
+    for name in names:
+        solver._param_target(name)
+        if not grid[name]:
+            raise ValidationError(f"parameter {name!r} has no grid values")
+    columns = names + list(SWEEP_METRICS)
+    structure = solver._structure(scenario)
+    rows = []
+    for combo in itertools.product(*(grid[name] for name in names)):
+        point = with_parameters(scenario, dict(zip(names, combo)))
+        values, _, _ = solver._point(point, structure)
+        rows.append(list(combo) + list(values))
+    return columns, rows
 
 
 @pytest.fixture(scope="session")

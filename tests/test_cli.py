@@ -2,13 +2,31 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
-from splitgame import ipd_scenario, solve
+from conftest import REPO_ROOT
+from splitgame import IndexParameters, ipd_scenario, solve
 from splitgame.cli import main
 
 SURVEY_HEADER = "respondent_id,item1,item2,item3,item4,item5,item6,item7"
+
+
+def _warning_line(score):
+    """The stderr line a score outside the scale interior prints; the
+    location is wherever IndexParameters issues the warning from."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        IndexParameters(score=score, weight=0.5)
+    (warning,) = caught
+    return (
+        f"{warning.filename}:{warning.lineno}: UserWarning: "
+        f"score {score!r} is outside the scale interior (1, 10)"
+    )
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -192,6 +210,48 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--scenario", ipd_path])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "grids, code, lines",
+        [
+            # warned in the order the points first meet the scores
+            (
+                ["C=0.5:1.0:0.5", "Q=10:10:1", "r=0.25:0.75:0.25"],
+                0,
+                [_warning_line(0.5), _warning_line(10.0), _warning_line(1.0),
+                 "sweep: 6 rows over C, Q, r"],
+            ),
+            (
+                ["C=0.5:11:0.5"],
+                6,
+                [_warning_line(0.5), _warning_line(1.0), _warning_line(10.0),
+                 "error: score 10.5 exceeds the 10-point scale"],
+            ),
+            # the second point fails on s = 1.0 before C = 1.0 is reached
+            (
+                ["C=0.5:1.0:0.5", "s=0.5:1.5:0.5"],
+                6,
+                [_warning_line(0.5),
+                 "error: weight must lie strictly inside (0, 1), got 1.0; "
+                 "boundary values appear only in reported bounds"],
+            ),
+        ],
+        ids=["warned", "error_after_warnings", "error_on_other_axis"],
+    )
+    def test_stderr_under_default_warning_filter(
+        self, ipd_path, grids, code, lines
+    ):
+        # a fresh interpreter with no -W option or PYTHONWARNINGS shows each
+        # distinct warning once; these bytes are a point-by-point sweep's
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        argv = [sys.executable, "-m", "splitgame", "sweep", "--scenario",
+                ipd_path, "--mode", "computed"]
+        for grid in grids:
+            argv += ["--grid", grid]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert result.returncode == code
+        assert result.stderr == "".join(line + "\n" for line in lines)
 
 
 class TestScoreCommand:

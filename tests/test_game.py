@@ -51,8 +51,11 @@ class TestStructure:
             grid = [[("R00", "C00"), ("R01", "C01")]]
             OrdinalGame.from_ids(["a"], ["x", "x"], grid)
 
+    # "RC" would read as the ids "R" and "C"; 5 and None are not iterable
     @pytest.mark.parametrize(
-        "pair", [("R",), ("R", "C", "X"), ("R", 5), ("", "C"), (None, "C")]
+        "pair",
+        [("R",), ("R", "C", "X"), ("R", 5), ("", "C"), (None, "C"), "RC", 5,
+         None],
     )
     def test_cell_must_hold_two_string_ids(self, pair):
         with pytest.raises(ValidationError, match=r"cell \(0, 0\)"):

@@ -118,6 +118,24 @@ class TestSimulateSelection:
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("trials", [1, 6, 7, 8, 50, 1001])
+    def test_blocks_reproduce_one_stream(self, trials, monkeypatch):
+        # one default_rng(seed) stream: trials em uniforms, then trials pf
+        # uniforms, tallied in a single pass
+        config = SimulationConfig(
+            trials=trials, seed=13, p_em12=0.4, p_pf21=0.3
+        )
+        rng = np.random.default_rng(config.seed)
+        em = rng.random(trials) < config.p_em12
+        pf = rng.random(trials) < config.p_pf21
+        n11 = int(np.count_nonzero(em & ~pf))
+        n22 = int(np.count_nonzero(pf & ~em))
+        monkeypatch.setattr(montecarlo, "SIMULATE_BLOCK", 7)
+        result = simulate_selection(config)
+        assert result.freq_cell_11 == n11 / trials
+        assert result.freq_cell_22 == n22 / trials
+        assert result.freq_indeterminate == (trials - n11 - n22) / trials
+
     def test_result_records_generator_and_error(self):
         config = SimulationConfig(trials=400, seed=0, p_em12=0.5, p_pf21=0.5)
         result = simulate_selection(config)

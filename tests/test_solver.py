@@ -1,7 +1,11 @@
+import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_sweep
 from splitgame import (
     Case,
     CellCoord,
@@ -26,6 +30,59 @@ from splitgame.constraints import BOUND_LOWER
 
 K34 = 0.240028463014  # formula value at score 3.4, frozen from quadrature
 K65 = 0.263314553408  # formula value at score 6.5
+
+# grid values of every kind: valid, on the boundary (warned scores 0.5, 1.0
+# and 10.0; weights 0 and 1) and invalid; off-reference scores also fail the
+# published-mode gate
+_SWEEP_SCORES = (3.4, 6.5, 1.5, 5.0, 9.0, 0.5, 1.0, 10.0, 0.0, -1.0, 10.5)
+_SWEEP_WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.0, 1.0, 1.5)
+_EIGHT_SCORES = [1.5 + k for k in range(8)]
+_EIGHT_WEIGHTS = [0.1 * k for k in range(1, 9)]
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A scenario and a grid on 1-4 of r, s, C, Q, with repeats allowed."""
+    scenario = ipd_scenario(
+        case=draw(st.sampled_from(list(Case))),
+        mode=draw(st.sampled_from(list(Mode))),
+    )
+    # a base score that warns, or fails the published gate when not swept
+    base = draw(st.sampled_from([{}, {"C": 0.8}, {"Q": 5.0}, {"C": 10.0}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scenario = with_parameters(scenario, base)
+    names = draw(
+        st.lists(st.sampled_from("CQrs"), min_size=1, max_size=4, unique=True)
+    )
+    grid = {
+        name: draw(
+            st.lists(
+                st.sampled_from(
+                    _SWEEP_SCORES if name in "CQ" else _SWEEP_WEIGHTS
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        for name in names
+    }
+    return scenario, grid
+
+
+def _sweep_outcome(run, scenario, grid):
+    """The rows or the exception, and the warning lines the default filter
+    would show: each distinct message and location once, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = ("rows", run(scenario, grid))
+        except Exception as error:
+            outcome = ("error", type(error), str(error))
+    shown = dict.fromkeys(
+        (str(w.message), w.category, w.filename, w.lineno) for w in caught
+    )
+    return outcome, list(shown)
 
 
 class TestComparisonEvents:
@@ -314,6 +371,74 @@ class TestSweep:
         columns, rows = sweep(scenario, {"C": [1.5, 3.0, 4.5, 6.0, 7.5]})
         em = [row[columns.index("p_em12")] for row in rows]
         assert all(b > a for a, b in zip(em, em[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_inputs())
+    def test_matches_point_by_point_reference(self, inputs):
+        scenario, grid = inputs
+        assert _sweep_outcome(sweep, scenario, grid) == _sweep_outcome(
+            reference_sweep, scenario, grid
+        )
+
+    def test_warnings_follow_the_rebuild_order(self):
+        # Q sorts before r, so each point rebuilds the pf parameters (score
+        # 0.5, then 1.0) before the em ones (base score 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scenario = with_parameters(
+                ipd_scenario(mode=Mode.COMPUTED), {"C": 0.8}
+            )
+        grid = {"Q": [0.5, 1.0], "r": [0.1, 0.2]}
+        outcome, shown = _sweep_outcome(sweep, scenario, grid)
+        assert [line[0].split(" is ")[0] for line in shown] == [
+            "score 0.5", "score 0.8", "score 1.0",
+        ]
+        assert (outcome, shown) == _sweep_outcome(reference_sweep, scenario, grid)
+
+    def test_two_axis_error_is_the_first_failing_point(self):
+        # checked axis by axis, C = -1.0 would be reported; the first point
+        # (C = 3.0, s = 1.5) fails on its weight before any point reaches it
+        scenario = ipd_scenario(mode=Mode.COMPUTED)
+        with pytest.raises(DomainError) as exc:
+            sweep(scenario, {"C": [3.0, -1.0], "s": [1.5, 0.5]})
+        assert str(exc.value) == (
+            "weight must lie strictly inside (0, 1), got 1.5; boundary "
+            "values appear only in reported bounds"
+        )
+
+    @pytest.mark.parametrize(
+        "grid, calls",
+        [
+            ({"C": _EIGHT_SCORES, "Q": _EIGHT_SCORES}, 16),
+            ({"r": _EIGHT_WEIGHTS, "s": _EIGHT_WEIGHTS}, 2),
+            ({"C": [2.0, 3.0, 2.0], "r": [0.2, 0.4]}, 3),
+        ],
+        ids=["CQ", "rs", "repeated_C"],
+    )
+    def test_score_factor_once_per_distinct_score(
+        self, grid, calls, monkeypatch
+    ):
+        # a point-by-point sweep makes two calls per point: 128 on 8x8
+        count = 0
+        factor = solver.score_factor
+
+        def counting_factor(*args):
+            nonlocal count
+            count += 1
+            return factor(*args)
+
+        monkeypatch.setattr(solver, "score_factor", counting_factor)
+        sweep(ipd_scenario(mode=Mode.COMPUTED), grid)
+        assert count == calls
+
+    def test_out_of_interior_score_axis_still_warns(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep(ipd_scenario(mode=Mode.COMPUTED), {"C": [0.5, 1.0, 1.5]})
+        assert [str(w.message) for w in caught] == [
+            "score 0.5 is outside the scale interior (1, 10)",
+            "score 1.0 is outside the scale interior (1, 10)",
+        ]
 
     def test_empty_grid_rejected(self, ipd):
         with pytest.raises(ValidationError):
