@@ -5,6 +5,10 @@ are exact with probability 1 ("certain") induce a strict partial order used by
 the dominance oracle; everything below probability 1, and every lower-bound
 constraint, is soft information reserved for the probability calculus and
 never answers an order query.
+
+numpy is imported inside the two sampling functions, not at module level:
+only sampling needs it, and the order queries behind ``solve`` and ``sweep``
+would otherwise pay its import, which is most of a cold ``import splitgame``.
 """
 from __future__ import annotations
 
@@ -12,8 +16,6 @@ import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import (
     InconsistentOrderError,
@@ -121,6 +123,8 @@ def _linear_extensions(above, rows, rng) -> np.ndarray:
     rows walk the lattice together, one array step per position. Returns a
     (rows, k) array of symbol positions from the top.
     """
+    import numpy as np
+
     k = len(above)
     symbols = [(j, above[j], above[j] | 1 << j) for j in range(k)]
     downsets, index = [0], {0: 0}
@@ -337,6 +341,8 @@ class ConstraintSet:
         PCG64). Raises SamplingExhaustedError when a component has more
         than ``SAMPLING_DOWNSET_CAP`` downsets.
         """
+        import numpy as np
+
         if size is not None and (
             not isinstance(size, numbers.Integral) or size < 0
         ):

@@ -6,6 +6,10 @@ payoff matrices by brute force, and selection frequencies come from raw
 Bernoulli draws. All randomness flows through numpy's PCG64 generator; the
 algorithm identifier is recorded in every result so runs stay reproducible
 across environments.
+
+numpy is imported inside the three functions that draw or scan, not at
+module level: the CLI imports this module for every command, and ``solve``,
+``sweep`` and ``score``, which never sample, would otherwise pay its import.
 """
 from __future__ import annotations
 
@@ -13,8 +17,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from typing import Mapping, Tuple
-
-import numpy as np
 
 from .constraints import ConstraintSet
 from .errors import ValidationError
@@ -91,6 +93,8 @@ def simulate_selection(config: SimulationConfig) -> SimulationResult:
     uniforms of PCG64(seed) and the pf draws the next ``trials``, tallied
     in blocks of SIMULATE_BLOCK so memory stays bounded.
     """
+    import numpy as np
+
     trials = config.trials
     em_rng = np.random.Generator(np.random.PCG64(config.seed))
     pf_bits = np.random.PCG64(config.seed)
@@ -125,6 +129,8 @@ def numeric_pure_nash(
     values that are arrays of shape (size,) give a (size, n_rows, n_cols)
     bool mask, one scan per row.
     """
+    import numpy as np
+
     payoffs = np.array(
         [
             [[values[cell[player]] for cell in row] for row in game.cells]
@@ -182,6 +188,8 @@ def verify_nash_numeric(
     call seeded with (seed, b). Disagreements are listed by trial, then
     equilibria, then decided non-equilibria, each in cell order.
     """
+    import numpy as np
+
     check_trials(trials)
     check_seed(seed)
     equilibria, undecided = pure_nash(game, constraints)

@@ -1,17 +1,21 @@
 import copy
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
 from splitgame import IndexParameters, ipd_scenario, solve
-from splitgame.cli import main
+from splitgame.cli import GRID_MAX_ROWS, GRID_MAX_STEPS, main
 
 SURVEY_HEADER = "respondent_id,item1,item2,item3,item4,item5,item6,item7"
 
@@ -360,3 +364,288 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: seed must be >= 0, got -1\n"
+
+
+# runs cli.main in a fresh interpreter, since this test process has numpy
+# loaded already (conftest imports it), and prints the exit code and
+# whether numpy was imported
+_NUMPY_PROBE = """\
+import contextlib, io, sys
+from splitgame.cli import main
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+def _python(code, *argv):
+    """stdout of ``python -c code argv...`` run on the source tree."""
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def _probe(argv):
+    code, loaded = _python(_NUMPY_PROBE, *argv).split()
+    return int(code), loaded == "True"
+
+
+class TestNumpyOnlyWhereSampling:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "--scenario", "scenarios/ipd.json"], 0),
+            (["sweep", "--scenario", "scenarios/ipd.json", "--mode",
+              "computed", "--grid", "r=0.1:0.9:0.1", "--grid", "C=2:8:2"], 0),
+            (["score", "tests/golden/cohort.csv", "--lenient"], 0),
+            (["--help"], 0),
+            (["sweep", "--scenario", "scenarios/ipd.json", "--grid",
+              "r=0:1:nan"], 4),
+        ],
+        ids=["solve", "sweep", "score", "help", "validation_error"],
+    )
+    def test_command_does_not_load_numpy(self, argv, code):
+        assert _probe(argv) == (code, False)
+
+    def test_simulate_loads_numpy(self):
+        # the probe can see numpy when a command does draw
+        argv = ["simulate", "--scenario", "scenarios/ipd.json",
+                "--trials", "100", "--seed", "1"]
+        assert _probe(argv) == (0, True)
+
+    def test_cli_import_loads_montecarlo(self):
+        # perfbench/spans.py installs its traced wrappers by importing
+        # splitgame.cli and then reading sys.modules["splitgame.montecarlo"];
+        # a montecarlo loaded only on first use would make every traced
+        # benchmark run fail with a KeyError
+        _python("import splitgame.cli, sys; "
+                "assert 'splitgame.montecarlo' in sys.modules")
+
+
+# ---------------------------------------------------------------------------
+# robustness: random but bounded command lines through cli.main
+# ---------------------------------------------------------------------------
+
+# most trials any run of the property draws
+PROPERTY_TRIALS = 10_000
+
+
+def _property_documents():
+    """Scenario documents the property runs on, by name. Every valid one
+    carries an mc block of at most PROPERTY_TRIALS trials, so simulate
+    without --trials stays small."""
+    base = ipd_scenario().to_dict()
+    base["mc"] = {"trials": 2000, "seed": 5}
+    constraints = base["constraints"]
+
+    def variant(parameters=(), **fields):
+        doc = copy.deepcopy({**base, **fields})
+        doc["parameters"].update(parameters)
+        return doc
+
+    return {
+        "published_weak": base,
+        "published_strong": variant(case="strong_evidence"),
+        "computed_strong": variant(mode="computed", case="strong_evidence"),
+        "computed_edges": variant(mode="computed", parameters={
+            "C": 1.0, "Q": 10.0, "r": 1e-300, "s": 0.9999999999999999,
+            "variance": 1e300,
+        }),
+        "score_off_scale": variant(mode="computed", parameters={"C": 10.5}),
+        "prior_off_one": variant(
+            events={**base["events"], "prior": [0.5, 0.5, 0.5]}
+        ),
+        "huge_mc_seed": variant(mc={"trials": 2000, "seed": 2**100}),
+        "cycle": variant(constraints=constraints + [
+            {"left": "EM21", "right": "EM11", "probability": 1.0}
+        ]),
+        # the strong case's certainty chain has no probability for PF22 > PF12
+        "missing_chain_probability": variant(
+            case="strong_evidence",
+            constraints=[
+                c for c in constraints
+                if (c["left"], c["right"]) != ("PF22", "PF12")
+            ],
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def property_scenarios(tmp_path_factory):
+    """name -> scenario path, including files that cannot be read."""
+    root = tmp_path_factory.mktemp("robustness")
+    paths = {}
+    for name, doc in _property_documents().items():
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    (root / "broken.json").write_text("{oops")
+    paths["broken"] = str(root / "broken.json")
+    (root / "nan.json").write_text(
+        json.dumps(ipd_scenario().to_dict()).replace('"r": 0.5', '"r": NaN')
+    )
+    paths["nan_literal"] = str(root / "nan.json")
+    paths["missing"] = str(root / "missing.json")
+    paths["out"] = str(root / "out.txt")
+    paths["out_in_missing_dir"] = str(root / "nowhere" / "out.txt")
+    return paths
+
+
+_SCENARIO_NAMES = sorted(_property_documents()) + [
+    "broken", "nan_literal", "missing",
+]
+
+# mostly inside the weight domain (0, 1), sometimes off every domain
+_SMALL = st.one_of(st.floats(0.01, 0.5), st.floats(-1.0, 12.0))
+_GRID_KINDS = st.one_of(st.just("small"), st.just("small"), st.sampled_from([
+    "small", "reversed", "non_finite", "bad_step", "long_axis",
+    "too_many_rows", "malformed",
+]))
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999", "NaN"])
+
+
+@st.composite
+def grid_spec_lists(draw):
+    """--grid values. A list whose specs all parse holds at most three axes
+    of at most seven points; every other kind fails while the specs are
+    parsed, before sweep starts."""
+    specs = []
+    axes = draw(st.permutations(["r", "s", "C", "Q"]))
+    # no spec at all is a usage error, so it is drawn least often
+    for axis in axes[:draw(st.sampled_from([1, 2, 3, 1, 2, 3, 0]))]:
+        kind = draw(_GRID_KINDS)
+        name = draw(st.sampled_from([axis, axis, axis, "x", " r", "r"]))
+        start = draw(_SMALL)
+        if kind == "small":
+            step = draw(st.floats(1e-3, 0.1))
+            stop = start + draw(st.integers(0, 5)) * step
+            specs.append(f"{name}={start!r}:{stop!r}:{step!r}")
+        elif kind == "reversed":
+            stop = start - draw(st.floats(1e-9, 10.0))
+            step = draw(st.floats(1e-3, 4.0))
+            specs.append(f"{name}={start!r}:{stop!r}:{step!r}")
+        elif kind == "non_finite":
+            parts = [repr(start), repr(start + 1.0), "0.5"]
+            parts[draw(st.integers(0, 2))] = draw(_NON_FINITE)
+            specs.append(f"{name}={':'.join(parts)}")
+        elif kind == "bad_step":
+            # 5e-324 is positive, but the span it gives overflows
+            step = draw(
+                st.sampled_from(["0", "-0.0", "-0.1", "-1e308", "5e-324"])
+            )
+            specs.append(f"{name}={start!r}:{start + 1.0!r}:{step}")
+        elif kind == "long_axis":
+            length = draw(st.floats(1e-3, 1e300))
+            step = length / (GRID_MAX_STEPS * draw(st.floats(1.01, 1e6)))
+            specs.append(f"{name}={start!r}:{start + length!r}:{step!r}")
+        elif kind == "too_many_rows":
+            # two axes within the step cap whose product exceeds the row cap
+            for other in (name, draw(st.sampled_from(["r", "s", "C", "Q"]))):
+                steps = draw(
+                    st.integers(math.isqrt(GRID_MAX_ROWS) + 1, GRID_MAX_STEPS)
+                )
+                step = draw(st.floats(1e-6, 1.0))
+                stop = start + steps * step
+                specs.append(f"{other}={start!r}:{stop!r}:{step!r}")
+        else:
+            specs.append(draw(st.one_of(
+                st.sampled_from(
+                    ["r=0.1:0.9", "r=a:b:c", "=0:1:1", "r=0:1:1:1"]
+                ),
+                st.text(alphabet="rsCQx=.e-+0123456789 ", max_size=12),
+            )))
+    return specs
+
+
+def _as_int(text):
+    """What argparse's int type makes of ``text``, or None if it fails."""
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        return None
+
+
+_INT_TEXT = st.one_of(
+    st.none(),
+    st.integers(-3, PROPERTY_TRIALS).map(str),
+    st.integers(PROPERTY_TRIALS + 1, 10**30).map(str),
+    st.integers(2**64, 2**300).map(str),
+    st.sampled_from(["2.5", "1e3", "abc", "", "-0", "0x10", "1_000", " 7"]),
+)
+
+
+@st.composite
+def cli_invocations(draw):
+    """(scenario name, out target, argv without --scenario and --out)."""
+    command = draw(st.sampled_from(["solve", "sweep", "simulate"]))
+    argv = [command]
+    mode = draw(st.sampled_from(
+        [None, None, "computed", "published", "paper", "bogus"]
+    ))
+    if mode is not None:
+        argv += ["--mode", mode]
+    if command == "sweep":
+        for spec in draw(grid_spec_lists()):
+            argv += ["--grid", spec]
+    if command == "simulate":
+        trials, seed = draw(_INT_TEXT), draw(_INT_TEXT)
+        count = _as_int(trials)
+        if count is not None and count > PROPERTY_TRIALS:
+            # a valid seed would start the run; a negative one stops it
+            seed = "-1"
+        if trials is not None:
+            argv += ["--trials", trials]
+        if seed is not None:
+            argv += ["--seed", seed]
+    scenario = draw(st.sampled_from(_SCENARIO_NAMES))
+    out = draw(st.sampled_from([None, None, None, "out", "out_in_missing_dir"]))
+    return scenario, out, argv
+
+
+def _run_main(argv):
+    """cli.main in process: (exit code, stdout, stderr). An exception other
+    than SystemExit propagates, so a traceback fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(literal):
+    raise AssertionError(f"non-finite {literal} in machine output")
+
+
+class TestRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(cli_invocations())
+    def test_every_input_ends_in_a_documented_way(
+        self, property_scenarios, invocation
+    ):
+        scenario, out_target, argv = invocation
+        argv = argv + ["--scenario", property_scenarios[scenario]]
+        if out_target is not None:
+            argv += ["--out", property_scenarios[out_target]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = _run_main(argv)
+        assert code in (0, 2, 3, 4, 5, 6), (code, err)
+        assert "Traceback" not in err
+        if code != 0:
+            assert out == ""
+        elif argv[0] == "sweep" and out:
+            for row in out.splitlines()[1:]:
+                assert all(math.isfinite(float(v)) for v in row.split(","))
+        elif out:
+            json.loads(out, parse_constant=_reject_constant)

@@ -155,10 +155,11 @@ class TestModes:
             published_coefficient("xy99", Mode.PUBLISHED)
 
 
-@pytest.mark.parametrize("package", ["scipy", "jsonschema"])
+@pytest.mark.parametrize("package", ["scipy", "jsonschema", "numpy"])
 def test_import_does_not_load(package):
     # the tail is closed-form and the package reads its scenario schema
-    # itself; scipy and jsonschema are only the test suite's oracles
+    # itself; scipy and jsonschema are only the test suite's oracles, and
+    # numpy loads only inside the functions that sample
     result = subprocess.run(
         [
             sys.executable,

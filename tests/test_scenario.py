@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 from dataclasses import replace
 from operator import itemgetter
 
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from splitgame import (
     Case,
+    DecisionReport,
     DomainError,
     InconsistentOrderError,
     IndexParameters,
     Mode,
+    SplitgameError,
     ValidationError,
     ipd_scenario,
     load_scenario,
@@ -64,9 +67,128 @@ class TestShippedFile:
         assert strong.em_params.weight == 0.3
 
 
+_IDS = st.text(min_size=1, max_size=6)
+
+
+@st.composite
+def valid_scenario_documents(draw):
+    """The shipped scenario with valid edits to every field kind: names,
+    symbols, constraints, events, parameters, case, mode and the optional
+    blocks. Published mode keeps the two reference scores it requires."""
+    doc = ipd_scenario().to_dict()
+    doc["name"] = draw(_IDS)
+    doc["case"] = draw(st.sampled_from(["strong_evidence", "weak_evidence"]))
+    doc["mode"] = draw(st.sampled_from(["computed", "published", "paper"]))
+    description = draw(st.one_of(st.none(), st.text(max_size=12)))
+    if description is None:
+        del doc["description"]
+    else:
+        doc["description"] = description
+
+    game = doc["game"]
+    game["row_player"], game["col_player"] = draw(_IDS), draw(_IDS)
+    strategies = st.lists(_IDS, min_size=2, max_size=2, unique=True)
+    game["row_strategies"] = draw(strategies)
+    game["col_strategies"] = draw(strategies)
+    old = sorted(sym for row in game["payoffs"] for pair in row for sym in pair)
+    new = draw(st.lists(_IDS, min_size=8, max_size=8, unique=True))
+    rename = dict(zip(old, new))
+    game["payoffs"] = [
+        [[rename[sym] for sym in pair] for pair in row]
+        for row in game["payoffs"]
+    ]
+
+    constraints = []
+    for entry in doc["constraints"]:
+        if not draw(st.booleans()):
+            continue
+        entry = {
+            **entry,
+            "left": rename[entry["left"]],
+            "right": rename[entry["right"]],
+        }
+        entry["probability"] = draw(st.one_of(
+            st.just(entry["probability"]), st.just(1), st.floats(0.0, 1.0)
+        ))
+        group = draw(st.one_of(st.just(entry.get("group")), st.none(), _IDS))
+        entry.pop("group", None)
+        if group is not None:
+            entry["group"] = group
+        constraints.append(entry)
+    symbols = sorted(rename.values())
+    for _ in range(draw(st.integers(0, 3))):
+        # lower bounds never conflict with an exact probability or the order
+        left, right = draw(st.lists(
+            st.sampled_from(symbols), min_size=2, max_size=2, unique=True
+        ))
+        constraints.append({
+            "left": left, "right": right,
+            "probability": draw(st.floats(0.0, 1.0)), "bound": "lower",
+        })
+    doc["constraints"] = draw(st.permutations(constraints))
+
+    labels = draw(st.lists(_IDS, min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(
+        st.floats(0.01, 1.0), min_size=len(labels), max_size=len(labels)
+    ))
+    doc["events"] = {
+        "labels": labels,
+        "prior": [w / sum(weights) for w in weights],
+    }
+
+    weight = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    params = {"r": draw(weight), "s": draw(weight)}
+    if doc["mode"] == "computed":
+        # scores at or below 1 and exactly 10 are accepted with a warning
+        score = st.floats(0.0, 10.0, exclude_min=True)
+        params["C"], params["Q"] = draw(score), draw(score)
+    else:
+        params["C"], params["Q"] = 3.4, 6.5
+    variance = draw(st.one_of(
+        st.none(), st.floats(0.0, 1e300, exclude_min=True), st.integers(1, 100)
+    ))
+    if variance is not None:
+        params["variance"] = variance
+    doc["parameters"] = params
+
+    if draw(st.booleans()):
+        del doc["mc"]
+    else:
+        doc["mc"] = {
+            "trials": draw(st.integers(1, 2**63)),
+            "seed": draw(st.integers(0, 2**128)),
+        }
+    return doc
+
+
 class TestRoundTrip:
     def test_dict_round_trip(self, ipd, ipd_dict):
         assert scenario_from_dict(copy.deepcopy(ipd_dict)) == ipd
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_scenario_documents())
+    def test_scenario_round_trips_through_its_document(self, doc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scenario = scenario_from_dict(doc)
+            assert scenario_from_dict(scenario.to_dict()) == scenario
+            text = json.dumps(scenario.to_dict(), allow_nan=False)
+            assert scenario_from_dict(json.loads(text)) == scenario
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_scenario_documents())
+    def test_report_round_trips_through_its_document(self, doc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                report = solve(scenario_from_dict(doc))
+            except SplitgameError:
+                # a valid scenario can still fail to solve, e.g. a strong
+                # case without the probabilities its certainty chain needs
+                return
+        assert DecisionReport.from_dict(report.to_dict()) == report
+        text = json.dumps(report.to_dict(), allow_nan=False)
+        assert DecisionReport.from_dict(json.loads(text)) == report
 
     def test_file_round_trip(self, tmp_path, ipd, ipd_dict):
         path = tmp_path / "copy.json"
