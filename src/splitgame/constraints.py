@@ -69,9 +69,8 @@ class DominanceConstraint:
 
 
 def _bfs_path(adjacency, start, goal):
-    """Shortest directed path start -> goal as a node list, or None."""
-    if start == goal:
-        return [start]
+    """Shortest directed path start -> goal (two distinct nodes) as a node
+    list, or None."""
     seen = {start}
     queue = deque([start])
     parents = {}
@@ -219,39 +218,30 @@ class ConstraintSet:
                 )
             self._exact[pair] = c.probability
 
-        # grow the certain digraph edge by edge so the first constraint that
-        # closes a directed cycle is the one reported; successors are kept in
-        # insertion order (dict keys), so the path named does not depend on
-        # the string hash seed
+        # grow the certain order edge by edge with its closure: below[x]
+        # holds every symbol x certainly dominates, so a constraint closes a
+        # directed cycle exactly when its left is below its right, and the
+        # first such constraint is the one reported. The digraph only spells
+        # out that cycle; it keeps successors in insertion order (dict
+        # keys), so the path named does not depend on the string hash seed
         adjacency: Dict[str, Dict[str, None]] = {}
+        below: Dict[str, set] = {sym: set() for sym in self._universe or ()}
         for c in self._constraints:
             if not c.certain:
                 continue
-            back = _bfs_path(adjacency, c.right, c.left)
-            if back is not None:
-                # back runs right -> ... -> left, so prepending left spells
-                # out the full dominance cycle
+            lesser = below.setdefault(c.right, set())
+            if c.left in lesser:
+                # the path right -> ... -> left, with left prepended, is the
+                # full dominance cycle
+                back = _bfs_path(adjacency, c.right, c.left)
                 raise InconsistentOrderError([c.left] + back)
             adjacency.setdefault(c.left, {})[c.right] = None
-
-        # full reachability over certain edges, frozen
-        nodes = set(adjacency)
-        for targets in adjacency.values():
-            nodes.update(targets)
-        if self._universe is not None:
-            nodes.update(self._universe)
-        reach: Dict[str, FrozenSet[str]] = {}
-        for node in nodes:
-            seen: set = set()
-            queue = deque(adjacency.get(node, ()))
-            while queue:
-                nxt = queue.popleft()
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                queue.extend(adjacency.get(nxt, ()))
-            reach[node] = frozenset(seen)
-        self._reach = reach
+            below.setdefault(c.left, set())
+            for greater, dominated in below.items():
+                if greater == c.left or c.left in dominated:
+                    dominated.add(c.right)
+                    dominated |= lesser
+        self._reach = {sym: frozenset(d) for sym, d in below.items()}
 
     @property
     def constraints(self) -> Tuple[DominanceConstraint, ...]:
@@ -344,7 +334,9 @@ class ConstraintSet:
         import numpy as np
 
         if size is not None and (
-            not isinstance(size, numbers.Integral) or size < 0
+            not isinstance(size, numbers.Integral)
+            or isinstance(size, bool)
+            or size < 0
         ):
             raise ValidationError(
                 f"size must be None or an integer >= 0, got {size!r}"

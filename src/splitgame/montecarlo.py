@@ -30,8 +30,8 @@ SIMULATE_BLOCK = 1 << 16
 
 
 def _check_integer(name: str, value, low: int) -> None:
-    # numpy integers count as integers
-    if not isinstance(value, numbers.Integral):
+    # numpy integers count as integers, bools do not
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValidationError(f"{name} must be >= {low}, got {value!r}")

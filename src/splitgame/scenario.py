@@ -148,7 +148,10 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle, parse_constant=reject_non_finite)
-        except json.JSONDecodeError as exc:
+        except ValidationError:
+            raise
+        except ValueError as exc:
+            # malformed JSON, or an integer literal past int()'s digit limit
             raise ValidationError(f"{path}: not valid JSON: {exc}") from None
     return scenario_from_dict(data, source=str(path))
 
@@ -163,6 +166,14 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
         path, message = first
         where = "/".join(str(part) for part in path) or "<root>"
         raise ValidationError(f"{source}: {where}: {message}")
+
+    def number(where: str, value) -> float:
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer too large for a float
+            raise ValidationError(
+                f"{source}: {where}: integer too large for a float"
+            ) from None
 
     game_data = data["game"]
     game = OrdinalGame.from_ids(
@@ -183,17 +194,21 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
         ),
         universe=game.symbol_ids(),
     )
+    prior = data["events"]["prior"]
     events = EventSpace(
         tuple(data["events"]["labels"]),
-        tuple(float(p) for p in data["events"]["prior"]),
+        tuple(number(f"events/prior/{i}", p) for i, p in enumerate(prior)),
     )
-    params = data["parameters"]
-    variance = float(params.get("variance", DEFAULT_VARIANCE))
+    params = {
+        name: number(f"parameters/{name}", value)
+        for name, value in data["parameters"].items()
+    }
+    variance = params.get("variance", DEFAULT_VARIANCE)
     em_params = IndexParameters(
-        score=float(params["C"]), weight=float(params["r"]), variance=variance
+        score=params["C"], weight=params["r"], variance=variance
     )
     pf_params = IndexParameters(
-        score=float(params["Q"]), weight=float(params["s"]), variance=variance
+        score=params["Q"], weight=params["s"], variance=variance
     )
     mc = None
     if "mc" in data:

@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bayes import ComparisonEvent, EventSpace
 from .constraints import BOUND_LOWER, ConstraintSet, DominanceConstraint
-from .errors import SplitgameError, ValidationError
+from .errors import ValidationError
 from .game import CellCoord, OrdinalGame, pure_nash
 from .index_model import (
     PUBLISHED_TABLE,
@@ -49,8 +49,6 @@ _PARAM_TARGETS = {
     "s": ("pf_params", "weight"),
     "Q": ("pf_params", "score"),
 }
-# the sweepable score of each parameter set
-_SCORE_AXES = {"em_params": "C", "pf_params": "Q"}
 
 
 class Case(Enum):
@@ -439,49 +437,6 @@ def with_parameters(scenario: Scenario, overrides: Mapping[str, float]) -> Scena
     return replace(scenario, **changes)
 
 
-def _axis_caps(
-    label: str,
-    param_name: str,
-    scores: Sequence[float],
-    variance: float,
-    published: bool,
-) -> List[float]:
-    """The cap of each score on one sweep axis, in axis order.
-
-    Each distinct score passes the published-mode gate once and, in computed
-    mode, has its k(score) evaluated once.
-    """
-    constant = PUBLISHED_TABLE[label][1]
-    caps: Dict[float, float] = {}
-    for score in scores:
-        if score not in caps:
-            _on_reference(label, param_name, score, published)
-            caps[score] = constant if published else score_factor(score, variance)
-    return [caps[score] for score in scores]
-
-
-def _warn_as_points(scenario: Scenario, grid: Mapping[str, Sequence[float]]):
-    """Issue the scale-interior warnings that solving each point would.
-
-    Each point rebuilds, through ``with_parameters``, the parameter sets its
-    swept names land in, in the order of those names, and each rebuild warns
-    about a score outside the scale interior. The first set's score, when
-    swept, is the outermost axis, so in lexicographic order the points first
-    meet the first set's first score, then every score of the second set,
-    then the first set's other scores. Rebuilding in that order shows the
-    default filter's lines in the order a point-by-point sweep shows them.
-    """
-    rebuilds = []
-    for attr in dict.fromkeys(_param_target(name)[0] for name in sorted(grid)):
-        params = getattr(scenario, attr)
-        scores = grid.get(_SCORE_AXES[attr], [params.score])
-        rebuilds.append([(params, score) for score in scores])
-    first, second = rebuilds if len(rebuilds) == 2 else (rebuilds[0], [])
-    for params, score in first[:1] + second + first[1:]:
-        if not in_scale_interior(score):
-            replace(params, score=score)
-
-
 def sweep(
     scenario: Scenario, grid: Mapping[str, Sequence[float]]
 ) -> Tuple[List[str], List[List[float]]]:
@@ -491,13 +446,20 @@ def sweep(
     rows enumerate value combinations lexicographically, so output order is
     reproducible regardless of how the grid was supplied.
 
-    The structural stage runs once per sweep. Each axis value is validated
-    once, and k(C) and k(Q) are evaluated once per distinct score (once in
-    all for a score that is not swept). The points are then a flat float
-    loop over the expressions ``solve`` uses, so each row equals the scalar
-    solution at its point. A grid holding a bad value raises what solving
-    its points one by one raises: the error of the first failing point, after
-    the warnings of the points before it.
+    The structural stage runs once per sweep, each axis value is checked
+    once, and k(C) and k(Q) are evaluated once per distinct score. The
+    points are then a flat float loop over the expressions ``solve`` uses,
+    so each row equals the scalar solution at its point.
+
+    A bad grid raises what solving its points one by one raises, after the
+    same warnings, from one walk over the axes. The first failing point is
+    the first point or lies on a line through it: it holds the first bad
+    value of the last axis that has one, and every other coordinate at its
+    axis's first value. Every value is first met on one of those lines, and
+    in grid order the lines come last axis first. So the walk checks the
+    first point as ``_point`` after ``with_parameters`` does, then each later
+    value of each axis, last axis first, as its own point does. A repeated
+    value only repeats checks that passed and warnings already shown.
     """
     if not grid:
         raise ValidationError("sweep grid is empty")
@@ -512,32 +474,53 @@ def sweep(
     published = scenario.mode is Mode.PUBLISHED
     # the axes in sorted name order C, Q, r, s; one not swept holds the
     # scenario's own value, so their product enumerates the grid's points
-    em_scores = grid.get("C", [em.score])
-    pf_scores = grid.get("Q", [pf.score])
-    em_weights = grid.get("r", [em.weight])
-    pf_weights = grid.get("s", [pf.weight])
-    failure: Optional[Exception] = None
-    try:
-        for score in (*em_scores, *pf_scores):
-            check_score(score)
-        for weight in (*em_weights, *pf_weights):
-            check_weight(weight)
-        em_caps = _axis_caps("em12", "C", em_scores, em.variance, published)
-        pf_caps = _axis_caps("pf21", "Q", pf_scores, pf.variance, published)
-    except (SplitgameError, TypeError) as error:  # TypeError: a non-number
-        failure = error
-    if failure is not None:
-        # some point fails: solve the points one by one up to it, so the
-        # error and the warnings shown before it are the scalar path's
-        for combo in itertools.product(*(grid[name] for name in names)):
-            _point(with_parameters(scenario, dict(zip(names, combo))), structure)
-        raise failure
-    _warn_as_points(scenario, grid)
+    axes = {
+        "C": grid.get("C", [em.score]),
+        "Q": grid.get("Q", [pf.score]),
+        "r": grid.get("r", [em.weight]),
+        "s": grid.get("s", [pf.weight]),
+    }
+    caps: Dict[str, Dict[float, float]] = {"C": {}, "Q": {}}
+
+    def warn(score: float):
+        # the warning a parameter set rebuilt at this score shows
+        if not in_scale_interior(score):
+            replace(em, score=score)
+
+    def gate_and_cap(name: str, score: float):
+        if score not in caps[name]:
+            label = "em12" if name == "C" else "pf21"
+            _on_reference(label, name, score, published)
+            caps[name][score] = (
+                PUBLISHED_TABLE[label][1]
+                if published
+                else score_factor(score, em.variance)
+            )
+
+    # the first point, as ``_point`` after ``with_parameters`` checks it
+    for attr in dict.fromkeys(_param_target(name)[0] for name in names):
+        score, weight = ("C", "r") if attr == "em_params" else ("Q", "s")
+        check_score(axes[score][0])
+        check_weight(axes[weight][0])
+        warn(axes[score][0])
+    gate_and_cap("C", axes["C"][0])
+    gate_and_cap("Q", axes["Q"][0])
+    # the lines through the first point, in grid order
+    for name in reversed(names):
+        for value in itertools.islice(axes[name], 1, None):
+            if name in caps:
+                check_score(value)
+                warn(value)
+                gate_and_cap(name, value)
+            else:
+                check_weight(value)
 
     chain_p_pf21 = structure.chain_p_pf21
+    em_caps = [caps["C"][score] for score in axes["C"]]
+    pf_caps = [caps["Q"][score] for score in axes["Q"]]
     rows: List[List[float]] = []
     combos = itertools.product(*(grid[name] for name in names))
-    factors = itertools.product(em_caps, pf_caps, em_weights, pf_weights)
+    factors = itertools.product(em_caps, pf_caps, axes["r"], axes["s"])
     for combo, (em_cap, pf_cap, r, s) in zip(combos, factors):
         p_em12 = r * em_cap
         p_pf21 = s * pf_cap if chain_p_pf21 is None else chain_p_pf21

@@ -239,8 +239,16 @@ class TestSweepCommand:
                  "error: weight must lie strictly inside (0, 1), got 1.0; "
                  "boundary values appear only in reported bounds"],
             ),
+            # about 860k points, failing at the last C; checked axis by axis
+            (
+                ["C=0.5:11:0.5", "r=0.001:0.999:0.001", "s=0.1:0.9:0.02"],
+                6,
+                [_warning_line(0.5), _warning_line(1.0), _warning_line(10.0),
+                 "error: score 10.5 exceeds the 10-point scale"],
+            ),
         ],
-        ids=["warned", "error_after_warnings", "error_on_other_axis"],
+        ids=["warned", "error_after_warnings", "error_on_other_axis",
+             "error_on_a_large_grid"],
     )
     def test_stderr_under_default_warning_filter(
         self, ipd_path, grids, code, lines

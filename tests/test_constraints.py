@@ -277,7 +277,7 @@ class TestSampling:
         with pytest.raises(SamplingExhaustedError, match="of 20 symbols"):
             wide.sample_realization(7)
 
-    @pytest.mark.parametrize("size", [-1, 2.5, "3"])
+    @pytest.mark.parametrize("size", [-1, 2.5, "3", True])
     def test_bad_size_rejected(self, ipd_base_constraints, size):
         with pytest.raises(ValidationError, match="size"):
             ipd_base_constraints.sample_realization(0, size=size)

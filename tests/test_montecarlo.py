@@ -44,7 +44,7 @@ monte_carlo_entry_points = pytest.mark.parametrize(
 
 @monte_carlo_entry_points
 def test_trials_must_be_a_positive_integer(entry):
-    for bad in (2.5, 2.0, 0, -3):
+    for bad in (2.5, 2.0, 0, -3, True):
         with pytest.raises(ValidationError, match=repr(bad)):
             entry(bad)
     entry(np.int64(2))
@@ -52,7 +52,7 @@ def test_trials_must_be_a_positive_integer(entry):
 
 @monte_carlo_entry_points
 def test_seed_must_be_a_non_negative_integer(entry):
-    for bad in (2.5, 2.0, -1, "7"):
+    for bad in (2.5, 2.0, -1, "7", True, False):
         with pytest.raises(ValidationError, match=repr(bad)):
             entry(seed=bad)
     entry(seed=0)

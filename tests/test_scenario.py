@@ -430,6 +430,96 @@ class TestSemanticValidation:
             solve(scenario)
 
 
+# what a numeric field is mutated to: any float (NaN and the infinities
+# included), integers past a float's range, boundary values and booleans
+_MUTANT_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([0, -0.0, 5e-324, 1 - 2**-53, 1, 3.4, 6.5, 10, 10**400]),
+    st.booleans(),
+)
+# what an enum field is mutated to: every value of the three enums, and
+# near misses
+_MUTANT_ENUMS = st.sampled_from([
+    "strong_evidence", "weak_evidence", "computed", "published", "paper",
+    "exact", "lower", "", " Paper ", "WEAK_EVIDENCE", "upper",
+])
+
+
+@st.composite
+def mutated_scenario_documents(draw):
+    """A valid scenario document with one to four of its numeric, list and
+    enum fields mutated."""
+    doc = draw(valid_scenario_documents())
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("number", "list", "enum")))
+        if kind == "enum":
+            paths = [("case",), ("mode",)] + [
+                ("constraints", i, "bound")
+                for i in range(len(doc["constraints"]))
+            ]
+        else:
+            paths = [
+                path for path in _paths(doc)
+                if isinstance(_at(doc, path), list if kind == "list" else float)
+                or kind == "number" and type(_at(doc, path)) is int
+            ]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = _at(doc, path[:-1])
+        if kind == "number":
+            parent[path[-1]] = draw(_MUTANT_NUMBERS)
+        elif kind == "enum":
+            parent[path[-1]] = draw(_MUTANT_ENUMS)
+        else:
+            node = _at(doc, path)
+            edit = draw(st.sampled_from(("empty", "drop", "repeat", "shuffle")))
+            if edit == "empty":
+                node.clear()
+            elif edit == "drop" and node:
+                node.pop(draw(st.integers(0, len(node) - 1)))
+            elif edit == "repeat" and node:
+                node.append(copy.deepcopy(draw(st.sampled_from(node))))
+            else:
+                node[:] = draw(st.permutations(node))
+    return doc
+
+
+def _finite(node) -> bool:
+    if isinstance(node, dict):
+        return all(map(_finite, node.values()))
+    if isinstance(node, list):
+        return all(map(_finite, node))
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_scenario_documents())
+    def test_solves_to_a_finite_report_or_raises(self, doc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                report = solve(scenario_from_dict(doc))
+            except SplitgameError:
+                return
+        assert _finite(report.to_dict())
+
+    @pytest.mark.parametrize(
+        "path", [("parameters", "C"), ("parameters", "variance"),
+                 ("events", "prior", 1)],
+    )
+    def test_integer_past_a_float_is_a_validation_error(self, ipd_dict, path):
+        _at(ipd_dict, path[:-1])[path[-1]] = 10**400
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(ipd_dict)
+        where = "/".join(map(str, path))
+        assert str(exc.value) == (
+            f"<scenario>: {where}: integer too large for a float"
+        )
+
+
 class TestLoadErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -454,3 +544,14 @@ class TestLoadErrors:
             load_scenario(path)
         assert str(path) in str(exc.value)
         assert literal in str(exc.value)
+
+    def test_integer_past_the_digit_limit_names_file(self, tmp_path, ipd_dict):
+        # Python's int() refuses a literal of more than 4300 digits
+        text = json.dumps(ipd_dict).replace(
+            '"variance": 10.0', '"variance": 1' + "0" * 5000
+        )
+        path = tmp_path / "long_integer.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(path)
+        assert str(exc.value).startswith(f"{path}: not valid JSON: ")

@@ -2,7 +2,7 @@ import warnings
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_sweep
@@ -38,6 +38,14 @@ _SWEEP_SCORES = (3.4, 6.5, 1.5, 5.0, 9.0, 0.5, 1.0, 10.0, 0.0, -1.0, 10.5)
 _SWEEP_WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.0, 1.0, 1.5)
 _EIGHT_SCORES = [1.5 + k for k in range(8)]
 _EIGHT_WEIGHTS = [0.1 * k for k in range(1, 9)]
+
+
+def _with_base(mode, base, case=Case.WEAK_EVIDENCE):
+    """The IPD scenario in a mode, with some parameters moved off their
+    defaults; a base score that warns is built without showing it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return with_parameters(ipd_scenario(case=case, mode=mode), base)
 
 
 @st.composite
@@ -374,6 +382,24 @@ class TestSweep:
 
     @settings(max_examples=300, deadline=None)
     @given(sweep_inputs())
+    # a bad s after a warned first C
+    @example((_with_base(Mode.COMPUTED, {}), {"C": [0.5, 3.4], "s": [0.5, 1.5]}))
+    # Q sorts before r, so pf (score 10.0) is rebuilt before em (base 0.8)
+    @example((
+        _with_base(Mode.COMPUTED, {"C": 0.8}),
+        {"Q": [10.0, 0.5], "r": [0.5, 0.0]},
+    ))
+    # the first point warns about the base C, then fails its gate
+    @example((_with_base(Mode.PUBLISHED, {"C": 0.8}), {"r": [0.1, 0.5]}))
+    # one bad value on two axes: the last axis's line is met first
+    @example((
+        _with_base(Mode.PUBLISHED, {}, Case.STRONG_EVIDENCE),
+        {"C": [3.4, 5.0, 5.0], "Q": [6.5, 5.0]},
+    ))
+    @example((
+        _with_base(Mode.COMPUTED, {}),
+        {"C": [0.5, 0.0, 10.0], "Q": [1.0, 0.0, 10.0]},
+    ))
     def test_matches_point_by_point_reference(self, inputs):
         scenario, grid = inputs
         assert _sweep_outcome(sweep, scenario, grid) == _sweep_outcome(
@@ -405,6 +431,31 @@ class TestSweep:
             "weight must lie strictly inside (0, 1), got 1.5; boundary "
             "values appear only in reported bounds"
         )
+
+    def test_bad_grid_solves_no_point(self, monkeypatch):
+        # solving the points one by one up to C = -1.0 would rebuild 900
+        grid = {
+            "C": [1.5 + 0.25 * k for k in range(30)] + [-1.0],
+            "s": [0.01 + 0.03 * k for k in range(30)],
+        }
+        scenario = ipd_scenario(mode=Mode.COMPUTED)
+        expected = _sweep_outcome(reference_sweep, scenario, grid)
+        calls = 0
+
+        def counting(function):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            solver, "with_parameters", counting(solver.with_parameters)
+        )
+        monkeypatch.setattr(solver, "_point", counting(solver._point))
+        assert _sweep_outcome(sweep, scenario, grid) == expected
+        assert calls == 0
+        assert expected[0][2] == "score must be positive, got -1.0"
 
     @pytest.mark.parametrize(
         "grid, calls",
