@@ -27,6 +27,9 @@ RNG_ALGORITHM = "pcg64"
 VERIFY_BLOCK = 4096
 # draws per event and block in simulate_selection; bounds its memory
 SIMULATE_BLOCK = 1 << 16
+# most trials one run takes: on a 2-vCPU host about 1 s of simulate_selection
+# and 90 s of verify_nash_numeric on the shipped order (1.1x10^6 trials/s)
+MAX_TRIALS = 10**8
 
 
 def _check_integer(name: str, value, low: int) -> None:
@@ -38,8 +41,11 @@ def _check_integer(name: str, value, low: int) -> None:
 
 
 def check_trials(trials) -> None:
-    """Reject a trial count that is not an integer >= 1."""
+    """Reject a trial count that is not an integer in [1, MAX_TRIALS]."""
     _check_integer("trials", trials, 1)
+    if trials > MAX_TRIALS:
+        # no repr of the count: past 4300 digits it raises
+        raise ValidationError(f"trials must be <= {MAX_TRIALS}")
 
 
 def check_seed(seed) -> None:

@@ -11,11 +11,13 @@ rejected while the file is read.
 """
 from __future__ import annotations
 
+import functools
 import json
 import numbers
-from importlib import resources as importlib_resources
+import os
+import sys
 from operator import itemgetter
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, Mapping, Tuple, Union
 
 from .bayes import EventSpace
 from .constraints import ConstraintSet, DominanceConstraint
@@ -24,20 +26,13 @@ from .game import OrdinalGame
 from .index_model import DEFAULT_VARIANCE, IndexParameters, Mode
 from .solver import Case, Scenario, SimulationDefaults
 
-_schema_cache: Optional[Dict] = None
-
-
+@functools.cache
 def scenario_schema() -> Dict:
     """The published JSON schema for scenario files."""
-    global _schema_cache
-    if _schema_cache is None:
-        payload = (
-            importlib_resources.files("splitgame.resources")
-            .joinpath("scenario.schema.json")
-            .read_text(encoding="utf-8")
-        )
-        _schema_cache = json.loads(payload)
-    return _schema_cache
+    name = os.path.join("resources", "scenario.schema.json")
+    # the loader reads the file from a zipped package too
+    path = os.path.join(os.path.dirname(__file__), name)
+    return json.loads(__loader__.get_data(path))
 
 
 # JSON Schema 2020-12 keywords that _schema_errors reads; annotations
@@ -150,9 +145,13 @@ def load_scenario(path) -> Scenario:
             data = json.load(handle, parse_constant=reject_non_finite)
         except ValidationError:
             raise
-        except ValueError as exc:
-            # malformed JSON, or an integer literal past int()'s digit limit
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+        except ValueError:  # int() refuses a literal past its digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ValidationError(
+                f"{path}: not valid JSON: integer literal longer than {limit} digits"
+            ) from None
     return scenario_from_dict(data, source=str(path))
 
 

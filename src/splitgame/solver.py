@@ -345,61 +345,30 @@ def _on_reference(label: str, param_name: str, score: float, published: bool) ->
     return on_reference
 
 
-def _point(
-    scenario: Scenario, structure: _Structure
-) -> Tuple[Tuple[float, ...], Dict[str, float], List[str]]:
-    """The point stage: runs once per parameter point.
-
-    Returns the SWEEP_METRICS values in order, the bounds and the
-    divergence notes. Any score the published-mode gate rejects raises here.
-    """
+def solve(scenario: Scenario) -> DecisionReport:
+    """Solve one scenario into a decision report: the zero-axis case of the
+    sweep walk, so a sweep row equals ``solve`` at its point."""
+    structure = _structure(scenario)
+    (values,), caps = _grid(scenario, structure, {})
+    em, pf = scenario.em_params, scenario.pf_params
+    em_cap, pf_cap = caps["C"][em.score], caps["Q"][pf.score]
     published = scenario.mode is Mode.PUBLISHED
-    caps: Dict[str, float] = {}
+    sources = ("the formula value", "the published constant")
+    used, other = sources[::-1] if published else sources
     notes: List[str] = []
-    for label, params, param_name in (
-        ("em12", scenario.em_params, "C"),
-        ("pf21", scenario.pf_params, "Q"),
-    ):
-        ref_score, constant = PUBLISHED_TABLE[label]
-        on_reference = _on_reference(label, param_name, params.score, published)
-        # the formula value k(score), one tail evaluation per label, shared
-        # by the cap and the divergence note
-        factor = score_factor(params.score, params.variance)
-        caps[label] = constant if published else factor
-        if on_reference:
+    for label, name, params in (("em12", "C", em), ("pf21", "Q", pf)):
+        if _on_reference(label, name, params.score, published):
+            ref_score, constant = PUBLISHED_TABLE[label]
+            # k(score) is the cap in computed mode; published mode admits
+            # only the reference score, so this is one tail call per label
+            factor = caps[name][params.score]
             if published:
-                used, other = "the published constant", "the formula value"
-            else:
-                used, other = "the formula value", "the published constant"
+                factor = score_factor(params.score, params.variance)
             notes.append(
                 f"{label}: published constant {constant:.6g} at score "
                 f"{ref_score:g} diverges from the formula value "
                 f"{factor:.6g}; this report uses {used}, not {other}"
             )
-
-    em_cap, pf_cap = caps["em12"], caps["pf21"]
-    p_em12 = scenario.em_params.weight * em_cap
-    p_pf21 = structure.chain_p_pf21
-    if p_pf21 is None:
-        p_pf21 = scenario.pf_params.weight * pf_cap
-    p_cell_11 = p_em12 * (1.0 - p_pf21)
-    p_cell_22 = p_pf21 * (1.0 - p_em12)
-    indeterminate = 1.0 - p_cell_11 - p_cell_22
-    bounds = {
-        "p_em12_cap": em_cap,
-        "p_pf21_weak_cap": pf_cap,
-        "p_cell_11_cap": em_cap,
-        "p_cell_22_weak_cap": pf_cap,
-        "p_cell_22_strong_floor": 1.0 - em_cap,
-    }
-    values = (p_em12, p_pf21, p_cell_11, p_cell_22, indeterminate)
-    return values, bounds, notes
-
-
-def solve(scenario: Scenario) -> DecisionReport:
-    """Solve one scenario into a decision report."""
-    structure = _structure(scenario)
-    values, bounds, notes = _point(scenario, structure)
     return DecisionReport(
         scenario_name=scenario.name,
         mode=scenario.mode.value,
@@ -407,7 +376,13 @@ def solve(scenario: Scenario) -> DecisionReport:
         **dict(zip(SWEEP_METRICS, values)),
         nash_cells=structure.nash_cells,
         undecided_cells=structure.undecided_cells,
-        bounds=bounds,
+        bounds={
+            "p_em12_cap": em_cap,
+            "p_pf21_weak_cap": pf_cap,
+            "p_cell_11_cap": em_cap,
+            "p_cell_22_weak_cap": pf_cap,
+            "p_cell_22_strong_floor": 1.0 - em_cap,
+        },
         comparison_events=structure.comparison_events,
         notes=tuple(notes) + structure.notes,
         inputs=scenario.to_dict(),
@@ -447,19 +422,7 @@ def sweep(
     reproducible regardless of how the grid was supplied.
 
     The structural stage runs once per sweep, each axis value is checked
-    once, and k(C) and k(Q) are evaluated once per distinct score. The
-    points are then a flat float loop over the expressions ``solve`` uses,
-    so each row equals the scalar solution at its point.
-
-    A bad grid raises what solving its points one by one raises, after the
-    same warnings, from one walk over the axes. The first failing point is
-    the first point or lies on a line through it: it holds the first bad
-    value of the last axis that has one, and every other coordinate at its
-    axis's first value. Every value is first met on one of those lines, and
-    in grid order the lines come last axis first. So the walk checks the
-    first point as ``_point`` after ``with_parameters`` does, then each later
-    value of each axis, last axis first, as its own point does. A repeated
-    value only repeats checks that passed and warnings already shown.
+    once, and k(C) and k(Q) are evaluated once per distinct score.
     """
     if not grid:
         raise ValidationError("sweep grid is empty")
@@ -468,8 +431,29 @@ def sweep(
         _param_target(name)
         if not grid[name]:
             raise ValidationError(f"parameter {name!r} has no grid values")
-    columns = names + list(SWEEP_METRICS)
-    structure = _structure(scenario)
+    rows, _ = _grid(scenario, _structure(scenario), grid)
+    return names + list(SWEEP_METRICS), rows
+
+
+def _grid(
+    scenario: Scenario,
+    structure: _Structure,
+    grid: Mapping[str, Sequence[float]],
+) -> Tuple[List[List[float]], Dict[str, Dict[float, float]]]:
+    """The point stage: the rows over a grid of checked names, and the caps
+    by "C" or "Q" and score. An empty grid gives the scenario's own point.
+
+    A bad grid raises what solving its points one by one raises, after the
+    same warnings, from one walk over the axes. The first failing point is
+    the first point or lies on a line through it: it holds the first bad
+    value of the last axis that has one, and every other coordinate at its
+    axis's first value. Every value is first met on one of those lines, and
+    in grid order the lines come last axis first. So the walk checks the
+    first point as ``solve`` after ``with_parameters`` does, then each later
+    value of each axis, last axis first, as its own point does. A repeated
+    value only repeats checks that passed and warnings already shown.
+    """
+    names = sorted(grid)
     em, pf = scenario.em_params, scenario.pf_params
     published = scenario.mode is Mode.PUBLISHED
     # the axes in sorted name order C, Q, r, s; one not swept holds the
@@ -497,7 +481,7 @@ def sweep(
                 else score_factor(score, em.variance)
             )
 
-    # the first point, as ``_point`` after ``with_parameters`` checks it
+    # the first point, as ``solve`` after ``with_parameters`` checks it
     for attr in dict.fromkeys(_param_target(name)[0] for name in names):
         score, weight = ("C", "r") if attr == "em_params" else ("Q", "s")
         check_score(axes[score][0])
@@ -530,4 +514,4 @@ def sweep(
             [*combo, p_em12, p_pf21, p_cell_11, p_cell_22,
              1.0 - p_cell_11 - p_cell_22]
         )
-    return columns, rows
+    return rows, caps

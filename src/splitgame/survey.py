@@ -8,9 +8,10 @@ response set maps to 0 and the most professional to 10.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import os
 from dataclasses import dataclass
-from importlib import resources as importlib_resources
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ValidationError
@@ -62,20 +63,13 @@ class Instrument:
         return len(self.items)
 
 
-_canonical: Optional[Instrument] = None
-
-
+@functools.cache
 def canonical_instrument() -> Instrument:
     """The bundled seven-item instrument (items 1, 3, 7 positive)."""
-    global _canonical
-    if _canonical is None:
-        payload = (
-            importlib_resources.files("splitgame.resources")
-            .joinpath("instrument.json")
-            .read_text(encoding="utf-8")
-        )
-        _canonical = instrument_from_dict(json.loads(payload))
-    return _canonical
+    name = os.path.join("resources", "instrument.json")
+    # the loader reads the file from a zipped package too
+    path = os.path.join(os.path.dirname(__file__), name)
+    return instrument_from_dict(json.loads(__loader__.get_data(path)))
 
 
 def instrument_from_dict(data: Mapping) -> Instrument:

@@ -17,7 +17,8 @@ from splitgame import (
     with_parameters,
 )
 from splitgame import solver
-from splitgame.solver import SWEEP_METRICS
+from splitgame.index_model import PUBLISHED_TABLE, Mode, score_factor
+from splitgame.solver import SWEEP_METRICS, _on_reference
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -203,6 +204,54 @@ def reference_pure_nash(game, order):
     return frozenset(equilibria), frozenset(undecided)
 
 
+def reference_point(scenario, structure):
+    """The scalar point stage ``solve`` ran before it became the sweep
+    walk's zero-axis case: the SWEEP_METRICS values in order, the bounds
+    and the divergence notes. Any score the published-mode gate rejects
+    raises here."""
+    published = scenario.mode is Mode.PUBLISHED
+    caps = {}
+    notes = []
+    for label, params, param_name in (
+        ("em12", scenario.em_params, "C"),
+        ("pf21", scenario.pf_params, "Q"),
+    ):
+        ref_score, constant = PUBLISHED_TABLE[label]
+        on_reference = _on_reference(label, param_name, params.score, published)
+        # the formula value k(score), one tail evaluation per label, shared
+        # by the cap and the divergence note
+        factor = score_factor(params.score, params.variance)
+        caps[label] = constant if published else factor
+        if on_reference:
+            if published:
+                used, other = "the published constant", "the formula value"
+            else:
+                used, other = "the formula value", "the published constant"
+            notes.append(
+                f"{label}: published constant {constant:.6g} at score "
+                f"{ref_score:g} diverges from the formula value "
+                f"{factor:.6g}; this report uses {used}, not {other}"
+            )
+
+    em_cap, pf_cap = caps["em12"], caps["pf21"]
+    p_em12 = scenario.em_params.weight * em_cap
+    p_pf21 = structure.chain_p_pf21
+    if p_pf21 is None:
+        p_pf21 = scenario.pf_params.weight * pf_cap
+    p_cell_11 = p_em12 * (1.0 - p_pf21)
+    p_cell_22 = p_pf21 * (1.0 - p_em12)
+    indeterminate = 1.0 - p_cell_11 - p_cell_22
+    bounds = {
+        "p_em12_cap": em_cap,
+        "p_pf21_weak_cap": pf_cap,
+        "p_cell_11_cap": em_cap,
+        "p_cell_22_weak_cap": pf_cap,
+        "p_cell_22_strong_floor": 1.0 - em_cap,
+    }
+    values = (p_em12, p_pf21, p_cell_11, p_cell_22, indeterminate)
+    return values, bounds, notes
+
+
 def reference_sweep(scenario, grid):
     """The point-by-point sweep ``solver.sweep`` replaced: each point
     rebuilds the scenario through ``with_parameters`` and runs the scalar
@@ -220,7 +269,7 @@ def reference_sweep(scenario, grid):
     rows = []
     for combo in itertools.product(*(grid[name] for name in names)):
         point = with_parameters(scenario, dict(zip(names, combo)))
-        values, _, _ = solver._point(point, structure)
+        values, _, _ = reference_point(point, structure)
         rows.append(list(combo) + list(values))
     return columns, rows
 

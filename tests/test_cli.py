@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import REPO_ROOT
 from splitgame import IndexParameters, ipd_scenario, solve
 from splitgame.cli import GRID_MAX_ROWS, GRID_MAX_STEPS, main
+from splitgame.montecarlo import MAX_TRIALS
 
 SURVEY_HEADER = "respondent_id,item1,item2,item3,item4,item5,item6,item7"
 
@@ -367,6 +368,13 @@ class TestSimulateCommand:
     def test_invalid_trials(self, ipd_path, capsys):
         assert main(["simulate", "--scenario", ipd_path, "--trials", "0"]) == 4
 
+    def test_trials_above_the_cap(self, ipd_path, capsys):
+        argv = ["simulate", "--scenario", ipd_path, "--trials", str(10**23)]
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: trials must be <= 100000000\n"
+
     def test_negative_seed(self, ipd_path, capsys):
         assert main(["simulate", "--scenario", ipd_path, "--seed", "-1"]) == 4
         out, err = capsys.readouterr()
@@ -587,6 +595,7 @@ _INT_TEXT = st.one_of(
     st.integers(-3, PROPERTY_TRIALS).map(str),
     st.integers(PROPERTY_TRIALS + 1, 10**30).map(str),
     st.integers(2**64, 2**300).map(str),
+    st.sampled_from([MAX_TRIALS, MAX_TRIALS + 1]).map(str),
     st.sampled_from(["2.5", "1e3", "abc", "", "-0", "0x10", "1_000", " 7"]),
 )
 
@@ -607,8 +616,9 @@ def cli_invocations(draw):
     if command == "simulate":
         trials, seed = draw(_INT_TEXT), draw(_INT_TEXT)
         count = _as_int(trials)
-        if count is not None and count > PROPERTY_TRIALS:
-            # a valid seed would start the run; a negative one stops it
+        if count is not None and PROPERTY_TRIALS < count <= MAX_TRIALS:
+            # a valid seed would start the run; a negative one stops it. A
+            # count above the cap keeps its seed, since the cap must stop it
             seed = "-1"
         if trials is not None:
             argv += ["--trials", trials]
@@ -643,12 +653,24 @@ class TestRobustness:
     ):
         scenario, out_target, argv = invocation
         argv = argv + ["--scenario", property_scenarios[scenario]]
+        # the same command with one trial and no --out
+        one_trial = list(argv)
         if out_target is not None:
             argv += ["--out", property_scenarios[out_target]]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code, out, err = _run_main(argv)
+            over_cap = "--trials" in argv and (
+                _as_int(argv[argv.index("--trials") + 1]) or 0
+            ) > MAX_TRIALS
+            if over_cap:
+                one_trial[one_trial.index("--trials") + 1] = "1"
+                first_code = _run_main(one_trial)[0]
         assert code in (0, 2, 3, 4, 5, 6), (code, err)
+        if over_cap:
+            # what fails before the trial check fails as on one trial; past
+            # it, the cap ends the run with exit 4
+            assert code == (4 if first_code == 0 else first_code), err
         assert "Traceback" not in err
         if code != 0:
             assert out == ""

@@ -155,14 +155,19 @@ class TestModes:
             published_coefficient("xy99", Mode.PUBLISHED)
 
 
-@pytest.mark.parametrize("package", ["scipy", "jsonschema", "numpy"])
+@pytest.mark.parametrize(
+    "package",
+    ["scipy", "jsonschema", "numpy", "importlib.resources", "pathlib"],
+)
 def test_import_does_not_load(package):
     # the tail is closed-form and the package reads its scenario schema
-    # itself; scipy and jsonschema are only the test suite's oracles, and
-    # numpy loads only inside the functions that sample
+    # itself; scipy and jsonschema are only the test suite's oracles, numpy
+    # loads only inside the functions that sample, and package data is read
+    # through the module's loader. -S keeps site's own imports out
     result = subprocess.run(
         [
             sys.executable,
+            "-S",
             "-c",
             f"import splitgame, sys; assert {package!r} not in sys.modules",
         ],

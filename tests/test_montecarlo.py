@@ -51,6 +51,16 @@ def test_trials_must_be_a_positive_integer(entry):
 
 
 @monte_carlo_entry_points
+def test_trials_above_the_cap_are_rejected(entry):
+    # one past the cap, and counts that would run until killed
+    for bad in (montecarlo.MAX_TRIALS + 1, 10**23, 10**30, 10**5000):
+        with pytest.raises(ValidationError) as exc:
+            entry(bad)
+        assert str(exc.value) == "trials must be <= 100000000"
+    montecarlo.check_trials(montecarlo.MAX_TRIALS)
+
+
+@monte_carlo_entry_points
 def test_seed_must_be_a_non_negative_integer(entry):
     for bad in (2.5, 2.0, -1, "7", True, False):
         with pytest.raises(ValidationError, match=repr(bad)):

@@ -24,6 +24,7 @@ from splitgame import (
     scenario_from_dict,
     solve,
 )
+from splitgame.montecarlo import MAX_TRIALS
 from splitgame.scenario import (
     _JSON_TYPES,
     _SCHEMA_KEYWORDS,
@@ -155,7 +156,7 @@ def valid_scenario_documents(draw):
         del doc["mc"]
     else:
         doc["mc"] = {
-            "trials": draw(st.integers(1, 2**63)),
+            "trials": draw(st.integers(1, MAX_TRIALS)),
             "seed": draw(st.integers(0, 2**128)),
         }
     return doc
@@ -519,6 +520,12 @@ class TestMutatedDocuments:
             f"<scenario>: {where}: integer too large for a float"
         )
 
+    def test_mc_trials_above_the_cap_rejected(self, ipd_dict):
+        ipd_dict["mc"]["trials"] = MAX_TRIALS + 1
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(ipd_dict)
+        assert str(exc.value) == "trials must be <= 100000000"
+
 
 class TestLoadErrors:
     def test_missing_file(self, tmp_path):
@@ -554,4 +561,16 @@ class TestLoadErrors:
         path.write_text(text)
         with pytest.raises(ValidationError) as exc:
             load_scenario(path)
-        assert str(exc.value).startswith(f"{path}: not valid JSON: ")
+        assert str(exc.value) == (
+            f"{path}: not valid JSON: integer literal longer than 4300 digits"
+        )
+
+    def test_undecodable_bytes_keep_the_codec_message(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == (
+            f"{path}: not valid JSON: 'utf-8' codec can't decode byte 0xff "
+            "in position 10: invalid start byte"
+        )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_sweep
+from conftest import reference_point, reference_sweep
 from splitgame import (
     Case,
     CellCoord,
@@ -27,6 +27,7 @@ from splitgame import (
 )
 from splitgame import index_model, solver
 from splitgame.constraints import BOUND_LOWER
+from splitgame.solver import SWEEP_METRICS
 
 K34 = 0.240028463014  # formula value at score 3.4, frozen from quadrature
 K65 = 0.263314553408  # formula value at score 6.5
@@ -76,6 +77,59 @@ def sweep_inputs(draw):
         for name in names
     }
     return scenario, grid
+
+
+def _scores(reference):
+    """Scores on, within 1e-12 of, just past and away from a reference."""
+    return st.one_of(
+        st.sampled_from([
+            reference, reference + 1e-12, reference - 1e-12,
+            reference + 2e-12, reference - 2e-12, 3.4, 6.5,
+        ]),
+        st.floats(reference - 1.5e-12, reference + 1.5e-12),
+        st.floats(0.0, 10.0, exclude_min=True),
+    )
+
+
+_WEIGHTS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def point_scenarios(draw):
+    """The IPD scenario in any mode and case at one random valid point."""
+    variance = draw(st.one_of(st.just(10.0), st.floats(1e-3, 1e3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        em, pf = (
+            IndexParameters(draw(_scores(ref)), draw(_WEIGHTS), variance)
+            for ref in (3.4, 6.5)
+        )
+    return replace(
+        ipd_scenario(
+            case=draw(st.sampled_from(list(Case))),
+            mode=draw(st.sampled_from(list(Mode))),
+        ),
+        em_params=em,
+        pf_params=pf,
+    )
+
+
+def _point_outcome(scenario, reference):
+    """The metric values, bounds and notes of one point, or the exception:
+    from ``solve``, or from the reference point stage plus the structure
+    notes."""
+    try:
+        if reference:
+            structure = solver._structure(scenario)
+            values, bounds, notes = reference_point(scenario, structure)
+            notes = tuple(notes) + structure.notes
+        else:
+            report = solve(scenario)
+            values = tuple(getattr(report, m) for m in SWEEP_METRICS)
+            bounds, notes = report.bounds, report.notes
+    except Exception as error:
+        return "error", type(error), str(error)
+    return tuple(values), dict(bounds), notes
 
 
 def _sweep_outcome(run, scenario, grid):
@@ -280,6 +334,22 @@ class TestSolve:
         solve(ipd_scenario(case=case, mode=mode))
         assert 0 < len(calls) <= 2
 
+    @settings(max_examples=300, deadline=None)
+    @given(point_scenarios())
+    @example(replace(ipd_scenario(), em_params=IndexParameters(3.4 + 1e-12, 0.5)))
+    @example(replace(
+        ipd_scenario(mode=Mode.COMPUTED),
+        pf_params=IndexParameters(6.5 - 2e-12, 0.5),
+    ))
+    @example(replace(
+        ipd_scenario(case=Case.STRONG_EVIDENCE),
+        pf_params=IndexParameters(5.0, 0.5),
+    ))
+    def test_matches_reference_point(self, scenario):
+        assert _point_outcome(scenario, False) == _point_outcome(
+            scenario, True
+        )
+
     def test_report_round_trip(self, ipd):
         report = solve(ipd)
         clone = DecisionReport.from_dict(report.to_dict())
@@ -452,7 +522,6 @@ class TestSweep:
         monkeypatch.setattr(
             solver, "with_parameters", counting(solver.with_parameters)
         )
-        monkeypatch.setattr(solver, "_point", counting(solver._point))
         assert _sweep_outcome(sweep, scenario, grid) == expected
         assert calls == 0
         assert expected[0][2] == "score must be positive, got -1.0"
