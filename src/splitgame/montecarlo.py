@@ -14,11 +14,10 @@ module level: the CLI imports this module for every command, and ``solve``,
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
-from .constraints import ConstraintSet
+from .constraints import MAX_TRIALS, ConstraintSet, check_integer
 from .errors import ValidationError
 from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, pure_nash
 
@@ -27,30 +26,16 @@ RNG_ALGORITHM = "pcg64"
 VERIFY_BLOCK = 4096
 # draws per event and block in simulate_selection; bounds its memory
 SIMULATE_BLOCK = 1 << 16
-# most trials one run takes: on a 2-vCPU host about 1 s of simulate_selection
-# and 90 s of verify_nash_numeric on the shipped order (1.1x10^6 trials/s)
-MAX_TRIALS = 10**8
-
-
-def _check_integer(name: str, value, low: int) -> None:
-    # numpy integers count as integers, bools do not
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value!r}")
 
 
 def check_trials(trials) -> None:
     """Reject a trial count that is not an integer in [1, MAX_TRIALS]."""
-    _check_integer("trials", trials, 1)
-    if trials > MAX_TRIALS:
-        # no repr of the count: past 4300 digits it raises
-        raise ValidationError(f"trials must be <= {MAX_TRIALS}")
+    check_integer("trials", trials, 1, MAX_TRIALS)
 
 
 def check_seed(seed) -> None:
     """Reject a generator seed that is not an integer >= 0."""
-    _check_integer("seed", seed, 0)
+    check_integer("seed", seed, 0)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bayes import ComparisonEvent, EventSpace
-from .constraints import BOUND_LOWER, ConstraintSet, DominanceConstraint
+from .constraints import ConstraintSet, DominanceConstraint
 from .errors import ValidationError
 from .game import CellCoord, OrdinalGame, pure_nash
 from .index_model import (
@@ -243,27 +243,25 @@ def effective_constraints(scenario: Scenario) -> ConstraintSet:
     Strong evidence asserts the certain reverse of the top-row column
     assumption (the column player certainly prefers the strict course even
     against the dutiful row), so any certain constraint contradicting it is
-    dropped first. Weak evidence only records a lower bound, invisible to
-    the dominance order.
+    dropped first. Weak evidence leaves the set as it is: its bound
+    p(PF11 > PF12) > 0.5 can never decide an order query, and the report's
+    note states it.
     """
     _require_2x2(scenario.game)
+    base = scenario.constraints
+    if scenario.case is Case.WEAK_EVIDENCE:
+        return base
     pf11 = scenario.game.payoff(0, 0, 1)
     pf12 = scenario.game.payoff(0, 1, 1)
-    base = scenario.constraints
-    if scenario.case is Case.STRONG_EVIDENCE:
-        kept = [
-            c
-            for c in base.constraints
-            if not (c.certain and c.left == pf11 and c.right == pf12)
-        ]
-        kept.append(
-            DominanceConstraint(pf12, pf11, 1.0, group="strong_evidence_case")
-        )
-        return ConstraintSet(kept, universe=base.universe)
-    lower = DominanceConstraint(
-        pf11, pf12, 0.5, bound=BOUND_LOWER, group="weak_evidence_case"
+    kept = [
+        c
+        for c in base.constraints
+        if not (c.certain and c.left == pf11 and c.right == pf12)
+    ]
+    kept.append(
+        DominanceConstraint(pf12, pf11, 1.0, group="strong_evidence_case")
     )
-    return base.add_constraint(lower)
+    return ConstraintSet(kept, universe=base.universe)
 
 
 def _is_uniform_three(space: EventSpace) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -90,12 +91,14 @@ def _choice_position(choice: Choice) -> int:
         if token in CHOICES:
             return CHOICES.index(token) + 1
         # isdecimal, not isdigit: int() cannot read digits such as '²'
-        if token.isdecimal():
-            choice = int(token)
-        else:
+        if not token.isdecimal():
             raise ValidationError(
                 f"invalid choice {choice!r}; expected a-f or 1-6"
             )
+        try:
+            choice = int(token)
+        except ValueError:
+            pass  # past int()'s digit limit: the invalid-choice error below
     if isinstance(choice, int) and not isinstance(choice, bool):
         if 1 <= choice <= SCALE_STEPS:
             return choice
@@ -191,41 +194,64 @@ def read_responses_csv(
     """Parse a respondent CSV into (respondent id, response) pairs.
 
     The header must be respondent_id,item1,...,itemN. Cell values are the
-    choice letters (case-insensitive) or the digits 1-6. A malformed row
-    raises with its line number; under ``lenient`` it is skipped instead and
-    reported in the returned warning list.
+    choice letters (case-insensitive) or the digits 1-6. A malformed row,
+    or one the csv module cannot read (a field longer than
+    ``csv.field_size_limit()``), raises with its line number; under
+    ``lenient`` it is skipped instead and reported in the returned warning
+    list. A file that is not UTF-8 raises whatever ``lenient`` says.
     """
     instrument = instrument or canonical_instrument()
     expected_header = csv_header(instrument)
     rows: List[Tuple[str, SurveyResponse]] = []
     warnings: List[str] = []
 
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8: {exc}") from None
+    records = _records(csv.reader(io.StringIO(text, newline="")))
+    try:
+        header = next(records)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file") from None
+    if isinstance(header, ValidationError):
+        raise ValidationError(f"{path}: line 1: {header}")
+    normalized = [column.strip().lower() for column in header]
+    if normalized != expected_header:
+        raise ValidationError(
+            f"{path}: header must be {','.join(expected_header)}, "
+            f"got {','.join(header)}"
+        )
+    for lineno, row in enumerate(records, start=2):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        normalized = [column.strip().lower() for column in header]
-        if normalized != expected_header:
-            raise ValidationError(
-                f"{path}: header must be {','.join(expected_header)}, "
-                f"got {','.join(header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
+            if isinstance(row, ValidationError):
+                raise row
             if not row or all(not cell.strip() for cell in row):
                 continue
-            try:
-                rows.append((_parse_row(row, lineno, instrument)))
-            except ValidationError as exc:
-                if lenient:
-                    warnings.append(f"line {lineno}: skipped ({exc})")
-                else:
-                    raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+            rows.append((_parse_row(row, lineno, instrument)))
+        except ValidationError as exc:
+            if lenient:
+                warnings.append(f"line {lineno}: skipped ({exc})")
+            else:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
 
     if not rows and not lenient:
         raise ValidationError(f"{path}: no data rows")
     return rows, warnings
+
+
+def _records(reader):
+    """The reader's records; one it cannot read comes out as the
+    ValidationError that says why, and the reader goes on at the next line."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield ValidationError(str(exc))
 
 
 def _parse_row(row, lineno, instrument) -> Tuple[str, SurveyResponse]:

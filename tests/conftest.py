@@ -7,18 +7,22 @@ import pytest
 from scipy import integrate
 
 from splitgame import (
+    BOUND_LOWER,
     PLAYER_COL,
     PLAYER_ROW,
+    Case,
     CellCoord,
     ConstraintSet,
+    DominanceConstraint,
     SamplingExhaustedError,
     ValidationError,
+    Scenario,
     ipd_scenario,
     with_parameters,
 )
 from splitgame import solver
 from splitgame.index_model import PUBLISHED_TABLE, Mode, score_factor
-from splitgame.solver import SWEEP_METRICS, _on_reference
+from splitgame.solver import SWEEP_METRICS, _on_reference, _require_2x2
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -272,6 +276,38 @@ def reference_sweep(scenario, grid):
         values, _, _ = reference_point(point, structure)
         rows.append(list(combo) + list(values))
     return columns, rows
+
+
+def reference_effective_constraints(scenario: Scenario) -> ConstraintSet:
+    """Reference: ``solver.effective_constraints`` as it was when weak
+    evidence still appended its lower bound to a rebuilt set.
+
+    The scenario's constraint set with the evidential case applied.
+
+    Strong evidence asserts the certain reverse of the top-row column
+    assumption (the column player certainly prefers the strict course even
+    against the dutiful row), so any certain constraint contradicting it is
+    dropped first. Weak evidence only records a lower bound, invisible to
+    the dominance order.
+    """
+    _require_2x2(scenario.game)
+    pf11 = scenario.game.payoff(0, 0, 1)
+    pf12 = scenario.game.payoff(0, 1, 1)
+    base = scenario.constraints
+    if scenario.case is Case.STRONG_EVIDENCE:
+        kept = [
+            c
+            for c in base.constraints
+            if not (c.certain and c.left == pf11 and c.right == pf12)
+        ]
+        kept.append(
+            DominanceConstraint(pf12, pf11, 1.0, group="strong_evidence_case")
+        )
+        return ConstraintSet(kept, universe=base.universe)
+    lower = DominanceConstraint(
+        pf11, pf12, 0.5, bound=BOUND_LOWER, group="weak_evidence_case"
+    )
+    return base.add_constraint(lower)
 
 
 @pytest.fixture(scope="session")

@@ -679,3 +679,54 @@ class TestRobustness:
                 assert all(math.isfinite(float(v)) for v in row.split(","))
         elif out:
             json.loads(out, parse_constant=_reject_constant)
+
+
+# survey cells of every kind: valid choices, near misses, text, NUL, stray
+# quotes, bytes that are not UTF-8, and fields past the csv field limit
+_SURVEY_CELLS = st.one_of(
+    st.sampled_from([b"a", b"F", b" c ", b"1", b"6", b"06", b"0", b"7", b""]),
+    st.text(max_size=6).map(str.encode),
+    st.sampled_from([b"\x00", b"a\x00", b'"', b'"a', b'a"b', b'""', b'"\n']),
+    st.sampled_from([b"\xff", b"\xc3", b"\x80a", b"a\xfe"]),
+    st.tuples(
+        st.sampled_from([b"a", b"1", b'"', b"\x00"]),
+        st.integers(131_000, 140_000),
+    ).map(lambda repeat: repeat[0] * repeat[1]),
+)
+
+
+@st.composite
+def survey_files(draw):
+    """The bytes of a survey CSV: the valid header, then random rows."""
+    lines = [SURVEY_HEADER.encode()]
+    for _ in range(draw(st.integers(0, 4))):
+        cells = draw(st.lists(_SURVEY_CELLS, min_size=0, max_size=9))
+        lines.append(b",".join([draw(st.sampled_from([b"r1", b""]))] + cells))
+    newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return newline.join(lines) + draw(st.sampled_from([b"", newline]))
+
+
+@pytest.fixture(scope="module")
+def survey_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("survey_robustness") / "survey.csv"
+
+
+class TestScoreRobustness:
+    @settings(max_examples=150, deadline=None)
+    @given(survey_files(), st.booleans())
+    def test_every_survey_ends_in_a_documented_way(
+        self, survey_path, data, lenient
+    ):
+        survey_path.write_bytes(data)
+        argv = ["score", str(survey_path)] + (["--lenient"] if lenient else [])
+        code, out, err = _run_main(argv)
+        assert code in (0, 4), (code, err[:300])
+        assert "Traceback" not in err
+        if code != 0:
+            # the error names the file, after any skipped-row warnings
+            last = err.splitlines()[-1]
+            assert out == "" and last.startswith(f"error: {survey_path}: ")
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == ["respondent_id", "raw_sum", "p_index"]
+            assert len(rows) > 1

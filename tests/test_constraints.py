@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import chdtrc
 
 from conftest import REPO_ROOT, rejection_realization
+from splitgame.constraints import MAX_TRIALS
 from splitgame import (
     BOUND_LOWER,
     SAMPLING_DOWNSET_CAP,
@@ -125,6 +126,15 @@ class TestConstruction:
         b = ConstraintSet([certain("A", "B")])
         assert a == b
         assert a != a.add_constraint(certain("B", "C"))
+
+    def test_equal_sets_hash_equal(self):
+        a = ConstraintSet([certain("A", "B")], universe={"A", "B", "C"})
+        b = ConstraintSet([certain("A", "B")], universe=["C", "B", "A"])
+        assert hash(a) == hash(b)
+        assert {a, b, ConstraintSet([certain("A", "B")])} == {
+            a,
+            ConstraintSet([certain("A", "B")]),
+        }
 
 
 class TestImplies:
@@ -281,6 +291,25 @@ class TestSampling:
     def test_bad_size_rejected(self, ipd_base_constraints, size):
         with pytest.raises(ValidationError, match="size"):
             ipd_base_constraints.sample_realization(0, size=size)
+
+    @pytest.mark.parametrize(
+        "size",
+        [MAX_TRIALS + 1, 10**20, 10**5000],
+        ids=["cap_plus_one", "1e20", "5001_digits"],
+    )
+    def test_size_above_the_cap_rejected_before_allocating(
+        self, ipd_base_constraints, size
+    ):
+        with pytest.raises(ValidationError) as exc:
+            ipd_base_constraints.sample_realization(0, size=size)
+        assert str(exc.value) == f"size must be <= {MAX_TRIALS}"
+
+    def test_size_past_the_digit_limit_rejected(self, ipd_base_constraints):
+        with pytest.raises(ValidationError) as exc:
+            ipd_base_constraints.sample_realization(0, size=-(10**5000))
+        assert str(exc.value) == (
+            "size must be >= 0, got a number too long to print"
+        )
 
 
 def _order(pairs):

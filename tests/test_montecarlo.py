@@ -61,6 +61,19 @@ def test_trials_above_the_cap_are_rejected(entry):
 
 
 @monte_carlo_entry_points
+def test_integers_past_the_digit_limit_are_rejected(entry):
+    # repr raises on an int of more than 4300 digits, so it is not shown
+    with pytest.raises(ValidationError) as exc:
+        entry(seed=-(10**5000))
+    assert str(exc.value) == "seed must be >= 0, got a number too long to print"
+    with pytest.raises(ValidationError) as exc:
+        entry(-(10**5000))
+    assert str(exc.value) == (
+        "trials must be >= 1, got a number too long to print"
+    )
+
+
+@monte_carlo_entry_points
 def test_seed_must_be_a_non_negative_integer(entry):
     for bad in (2.5, 2.0, -1, "7", True, False):
         with pytest.raises(ValidationError, match=repr(bad)):

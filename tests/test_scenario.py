@@ -176,6 +176,21 @@ class TestRoundTrip:
             text = json.dumps(scenario.to_dict(), allow_nan=False)
             assert scenario_from_dict(json.loads(text)) == scenario
 
+    @settings(max_examples=100, deadline=None)
+    @given(valid_scenario_documents())
+    def test_equal_scenarios_hash_equal(self, doc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scenario = scenario_from_dict(copy.deepcopy(doc))
+            again = scenario_from_dict(doc)
+        assert again == scenario and hash(again) == hash(scenario)
+        assert len({scenario, again}) == 1
+        assert again in {scenario}
+
+    def test_shipped_scenarios_are_set_members(self, ipd):
+        strong = replace(ipd, case=Case.STRONG_EVIDENCE)
+        assert {ipd, ipd_scenario(), strong} == {ipd, strong}
+
     @settings(max_examples=200, deadline=None)
     @given(valid_scenario_documents())
     def test_report_round_trips_through_its_document(self, doc):

@@ -1,21 +1,29 @@
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_point, reference_sweep
+from conftest import (
+    reference_effective_constraints,
+    reference_point,
+    reference_sweep,
+)
 from splitgame import (
+    BOUND_LOWER,
     Case,
     CellCoord,
     ConstraintSet,
     DecisionReport,
+    DominanceConstraint,
     DomainError,
     EventSpace,
     IndexParameters,
     Mode,
     OrdinalGame,
+    UnknownSymbolError,
     ValidationError,
     comparison_events,
     effective_constraints,
@@ -26,7 +34,6 @@ from splitgame import (
     with_parameters,
 )
 from splitgame import index_model, solver
-from splitgame.constraints import BOUND_LOWER
 from splitgame.solver import SWEEP_METRICS
 
 K34 = 0.240028463014  # formula value at score 3.4, frozen from quadrature
@@ -147,6 +154,69 @@ def _sweep_outcome(run, scenario, grid):
     return outcome, list(shown)
 
 
+_IPD_SYMBOLS = sorted(ipd_scenario().constraints.universe)
+# the pairs best responses compare, either way round; the contested
+# assumption PF11 > PF12 and the strong chain's PF22 > PF12 among them
+_CASE_PAIRS = [
+    pair
+    for a, b in [("EM11", "EM21"), ("EM12", "EM22"), ("PF11", "PF12"),
+                 ("PF21", "PF22"), ("PF22", "PF12")]
+    for pair in [(a, b), (b, a)]
+]
+
+
+@st.composite
+def case_scenarios(draw):
+    """The IPD game in either case over a random constraint set: acyclic
+    certain constraints, probable ones and lower bounds over its symbols,
+    with an open universe or the game's symbols."""
+    ranked = draw(st.permutations(_IPD_SYMBOLS))
+    pairs = st.one_of(
+        st.sampled_from(_CASE_PAIRS),
+        st.lists(
+            st.sampled_from(_IPD_SYMBOLS), min_size=2, max_size=2, unique=True
+        ).map(tuple),
+    )
+    constraints, exact = [], set()
+    for left, right in draw(st.lists(pairs, max_size=16)):
+        group = draw(st.sampled_from([None, "g"]))
+        kind = draw(
+            st.sampled_from(["certain", "certain", "probable", "lower"])
+        )
+        if kind == "lower":
+            probability = draw(st.floats(0.0, 1.0))
+            constraints.append(
+                DominanceConstraint(left, right, probability, BOUND_LOWER, group)
+            )
+            continue
+        if kind == "certain":
+            # every certain constraint points down one ranking: no cycle
+            if ranked.index(left) > ranked.index(right):
+                left, right = right, left
+            probability = 1.0
+        else:
+            probability = draw(st.floats(0.0, 1.0, exclude_max=True))
+        if (left, right) in exact:
+            continue  # one exact probability per pair
+        exact.add((left, right))
+        constraints.append(
+            DominanceConstraint(left, right, probability, group=group)
+        )
+    universe = draw(st.sampled_from([None, _IPD_SYMBOLS]))
+    return replace(
+        ipd_scenario(case=draw(st.sampled_from(list(Case)))),
+        constraints=ConstraintSet(constraints, universe=universe),
+    )
+
+
+def _structure_outcome(scenario):
+    """The structural stage's result, or its exception's class and message."""
+    try:
+        return solver._structure(scenario)
+    except Exception as error:
+        return "error", type(error), str(error)
+
+
 class TestComparisonEvents:
     def test_diagonal_events(self, ipd_game):
         em12, pf21 = comparison_events(ipd_game)
@@ -164,13 +234,48 @@ class TestComparisonEvents:
 class TestEffectiveConstraints:
     def test_weak_adds_invisible_lower_bound(self, ipd):
         effective = effective_constraints(ipd)
-        added = [c for c in effective.constraints if c.group == "weak_evidence_case"]
-        assert len(added) == 1
-        assert (added[0].left, added[0].right) == ("PF11", "PF12")
-        assert added[0].bound == BOUND_LOWER and added[0].probability == 0.5
+        assert effective is ipd.constraints
         # the certain order is untouched by the bound
         assert effective.implies("PF11", "PF12") is True  # shipped assumption
         assert effective.certain_order == ipd.constraints.certain_order
+
+    @settings(max_examples=300, deadline=None)
+    @given(case_scenarios())
+    def test_structure_matches_the_lower_bound_rebuild(self, scenario):
+        # the weak bound never entered the order, so dropping it changes
+        # no Nash cell, undecided cell, chain probability, note or error
+        with mock.patch.object(
+            solver, "effective_constraints", reference_effective_constraints
+        ):
+            expected = _structure_outcome(scenario)
+        assert _structure_outcome(scenario) == expected
+
+    def test_weak_universe_without_a_case_symbol(self, ipd):
+        # a set built in Python may leave PF12 out of its universe: solving
+        # fails at the order query, the lower-bound rebuild at its universe
+        # check; both are ValidationErrors (exit 4)
+        kept = [
+            c
+            for c in ipd.constraints.constraints
+            if "PF12" not in (c.left, c.right)
+        ]
+        universe = ipd.constraints.universe - {"PF12"}
+        scenario = replace(
+            ipd, constraints=ConstraintSet(kept, universe=universe)
+        )
+        with pytest.raises(UnknownSymbolError) as exc:
+            solve(scenario)
+        assert str(exc.value) == "unknown payoff symbol 'PF12'"
+        with mock.patch.object(
+            solver, "effective_constraints", reference_effective_constraints
+        ):
+            with pytest.raises(ValidationError) as exc:
+                solve(scenario)
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == (
+            "constraint p(PF11 > PF12) uses symbol 'PF12' outside the bound "
+            "universe"
+        )
 
     def test_strong_swaps_the_contested_assumption(self):
         scenario = ipd_scenario(case=Case.STRONG_EVIDENCE)
@@ -424,7 +529,12 @@ class TestSweep:
         values = [0.1, 0.3, 0.5, 0.7, 0.9]
         _, rows = sweep(ipd, {"r": values, "s": values})
         assert len(rows) == 25
-        assert calls == {"pure_nash": 1, "ConstraintSet": 1}
+        # weak evidence sweeps the scenario's own order
+        assert calls == {"pure_nash": 1, "ConstraintSet": 0}
+        strong = replace(ipd, case=Case.STRONG_EVIDENCE)
+        _, rows = sweep(strong, {"r": values, "s": values})
+        assert len(rows) == 25
+        assert calls == {"pure_nash": 2, "ConstraintSet": 1}
 
     def test_published_gate_fires_at_first_off_reference_point(self, ipd):
         with pytest.raises(ValidationError) as exc:
