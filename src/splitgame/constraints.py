@@ -8,8 +8,13 @@ Lower-bound constraints are stored and echoed back (``constraints``,
 ``Scenario.to_dict``) but never read: no order query, chain probability or
 sample uses them.
 
-numpy is imported inside the two sampling functions, not at module level:
-only sampling needs it, and the order queries behind ``solve`` and ``sweep``
+Sampling builds what depends only on the order, the sorted names and each
+connected component's downset lattice, once per set: on the first
+``sample_realization`` call, kept with the set, so every later call only
+draws. A set from ``add_constraint`` builds its own.
+
+numpy is imported inside the sampling functions, not at module level: only
+sampling needs it, and the order queries behind ``solve`` and ``sweep``
 would otherwise pay its import, which is most of a cold ``import splitgame``.
 """
 from __future__ import annotations
@@ -30,10 +35,10 @@ from .errors import (
 BOUND_EXACT = "exact"
 BOUND_LOWER = "lower"
 
-# most trials one Monte Carlo run takes, and most rows one
-# ``sample_realization`` call draws: on a 2-vCPU host about 1 s of
-# simulate_selection and 90 s of verify_nash_numeric on the shipped order
-# (1.1x10^6 trials/s)
+# most trials one Monte Carlo run takes, and most values (rows times
+# symbols) one ``sample_realization`` call draws, 800 MB of float64: on a
+# 2-vCPU host about 1 s of simulate_selection and 90 s of
+# verify_nash_numeric on the shipped order (1.1x10^6 trials/s)
 MAX_TRIALS = 10**8
 
 # most downsets the exact sampler enumerates for one connected component of
@@ -144,15 +149,16 @@ def _components(names, reach) -> List[List[int]]:
     return list(groups.values())
 
 
-def _linear_extensions(above, rows, rng) -> np.ndarray:
-    """Uniformly random linear extensions of one connected order.
+def _lattice(above):
+    """The downset lattice of one connected order, as sampling tables.
 
     ``above[j]`` is the bitmask of the symbols that must precede symbol j.
     The downsets (bitmasks of the symbols already placed from the top) are
     enumerated breadth first; counting the completions of each one
-    backwards gives the exact probability of every next symbol, and all
-    rows walk the lattice together, one array step per position. Returns a
-    (rows, k) array of symbol positions from the top.
+    backwards gives the exact probability of every next symbol. Returns
+    ``(follow, cumulative)``: per downset but the full one, the downset
+    reached by placing each symbol next, and the cumulative share of each
+    next symbol, ending in exactly 1.
     """
     import numpy as np
 
@@ -178,9 +184,8 @@ def _linear_extensions(above, rows, rng) -> np.ndarray:
                 symbol.append(j)
                 target.append(to)
 
-    # exact completion counts, backwards (Python ints never overflow), then
-    # per downset the cumulative share of each next symbol, ending in
-    # exactly 1; the full downset, the last, has no next symbol
+    # exact completion counts, backwards (Python ints never overflow); the
+    # full downset, the last, has no next symbol
     completions = [0] * (len(downsets) - 1) + [1]
     for at, to in zip(reversed(source), reversed(target)):
         completions[at] += completions[to]
@@ -192,7 +197,19 @@ def _linear_extensions(above, rows, rng) -> np.ndarray:
     ]
     np.cumsum(cumulative, axis=1, out=cumulative)
     cumulative /= cumulative[:, -1:]
+    return follow, cumulative
 
+
+def _linear_extensions(follow, cumulative, rows, rng) -> np.ndarray:
+    """Uniformly random linear extensions of one connected order, from its
+    ``_lattice`` tables.
+
+    All rows walk the lattice together, one array step per position.
+    Returns a (rows, k) array of symbol positions from the top.
+    """
+    import numpy as np
+
+    k = follow.shape[1]
     # u < 1, so the first entry above it is a move with positive share
     u = rng.random((k, rows, 1))
     state = np.zeros(rows, dtype=np.intp)
@@ -274,6 +291,9 @@ class ConstraintSet:
                     dominated.add(c.right)
                     dominated |= lesser
         self._reach = {sym: frozenset(d) for sym, d in below.items()}
+        # built on first use, from the immutable fields above
+        self._plan = None
+        self._hash = None
 
     @property
     def constraints(self) -> Tuple[DominanceConstraint, ...]:
@@ -349,6 +369,32 @@ class ConstraintSet:
                 ) from None
         return product
 
+    def _sampling_plan(self):
+        """What sampling needs of the order, built on first use and kept:
+        the sorted names, the indices of the unconstrained ones, and per
+        connected component of two or more symbols its member indices with
+        its ``_lattice`` tables. A component over ``SAMPLING_DOWNSET_CAP``
+        raises SamplingExhaustedError, and nothing is kept, so every call
+        raises."""
+        if self._plan is None:
+            import numpy as np
+
+            names = sorted(self.symbols)
+            components = _components(names, self._reach)
+            free = [members[0] for members in components if len(members) == 1]
+            walks = []
+            for members in components:
+                if len(members) == 1:
+                    continue
+                local = {names[i]: bit for bit, i in enumerate(members)}
+                above = [0] * len(members)
+                for name, bit in local.items():
+                    for lesser in self._reach[name]:
+                        above[local[lesser]] |= 1 << bit
+                walks.append((np.asarray(members), *_lattice(above)))
+            self._plan = names, free, walks
+        return self._plan
+
     def sample_realization(self, seed, size=None):
         """Numeric realizations of the symbols, uniform on the certain order.
 
@@ -357,36 +403,35 @@ class ConstraintSet:
         each connected component of the order gets a uniformly random linear
         extension from a count over its downset lattice (Brightwell &
         Winkler, Order 8, 1991), then sorted iid uniforms in that order;
-        unconstrained symbols are plain uniforms. ``size=None`` gives one
-        ``{name: float}``; an integer ``size`` up to ``MAX_TRIALS`` gives
-        ``{name: array}`` of that many independent rows. Deterministic for
-        a given seed (numpy PCG64). Raises SamplingExhaustedError when a
-        component has more than ``SAMPLING_DOWNSET_CAP`` downsets.
+        unconstrained symbols are plain uniforms. The lattices are built on
+        the first call and kept with the set. ``size=None`` gives one
+        ``{name: float}``; an integer ``size`` gives ``{name: array}`` of
+        that many independent rows, at most ``MAX_TRIALS`` values in all.
+        Deterministic for a given seed (numpy PCG64). Raises
+        SamplingExhaustedError when a component has more than
+        ``SAMPLING_DOWNSET_CAP`` downsets.
         """
         if size is not None:
             check_integer("size", size, 0, MAX_TRIALS)
+            # checked before anything is built: the values alone take 8
+            # bytes each
+            width = len(self.symbols)
+            if size * width > MAX_TRIALS:
+                raise ValidationError(
+                    f"size * symbols must be <= {MAX_TRIALS}, "
+                    f"got {size} * {width}"
+                )
         import numpy as np
 
+        names, free, walks = self._sampling_plan()
         rows = 1 if size is None else int(size)
-        names = sorted(self.symbols)
         rng = np.random.default_rng(seed)
         values = np.empty((len(names), rows))
-        components = _components(names, self._reach)
-        free = [members[0] for members in components if len(members) == 1]
         values[free] = rng.random((len(free), rows))
-        for members in components:
-            if len(members) == 1:
-                continue
-            local = {names[i]: bit for bit, i in enumerate(members)}
-            above = [0] * len(members)
-            for name, bit in local.items():
-                for lesser in self._reach[name]:
-                    above[local[lesser]] |= 1 << bit
-            order = _linear_extensions(above, rows, rng)
+        for members, follow, cumulative in walks:
+            order = _linear_extensions(follow, cumulative, rows, rng)
             draws = np.sort(rng.random((rows, len(members))), axis=1)
-            values[np.asarray(members)[order], np.arange(rows)[:, None]] = (
-                draws[:, ::-1]
-            )
+            values[members[order], np.arange(rows)[:, None]] = draws[:, ::-1]
         if size is None:
             return {name: float(v[0]) for name, v in zip(names, values)}
         return dict(zip(names, values))
@@ -400,7 +445,9 @@ class ConstraintSet:
         )
 
     def __hash__(self):
-        return hash((self._constraints, self._universe))
+        if self._hash is None:
+            self._hash = hash((self._constraints, self._universe))
+        return self._hash
 
     def __repr__(self):
         scope = "open" if self._universe is None else f"{len(self._universe)} symbols"

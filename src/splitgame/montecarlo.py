@@ -7,12 +7,13 @@ Bernoulli draws. All randomness flows through numpy's PCG64 generator; the
 algorithm identifier is recorded in every result so runs stay reproducible
 across environments.
 
-numpy is imported inside the three functions that draw or scan, not at
-module level: the CLI imports this module for every command, and ``solve``,
+numpy is imported inside the functions that draw or scan, not at module
+level: the CLI imports this module for every command, and ``solve``,
 ``sweep`` and ``score``, which never sample, would otherwise pay its import.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Tuple
@@ -163,6 +164,37 @@ class NashVerification:
         return not self.disagreements
 
 
+@functools.lru_cache(maxsize=32)
+def _check_plan(game: OrdinalGame, constraints: ConstraintSet):
+    """The symbolic side of ``verify_nash_numeric``, once per game and
+    order (equal games and sets have equal Nash sets): the sorted
+    equilibria and undecided cells, the checked cells (equilibria, then
+    decided non-equilibria), and their rows, columns and expected mask as
+    read-only arrays, since every call shares them."""
+    import numpy as np
+
+    equilibria, undecided = pure_nash(game, constraints)
+    all_cells = {
+        CellCoord(r, c)
+        for r in range(game.n_rows)
+        for c in range(game.n_cols)
+    }
+    decided_out = all_cells - set(equilibria) - set(undecided)
+    checked = tuple(sorted(equilibria) + sorted(decided_out))
+    rows, cols = np.array(checked, dtype=np.intp).reshape(-1, 2).T
+    expected = np.arange(len(checked)) < len(equilibria)
+    for array in (rows, cols, expected):
+        array.flags.writeable = False
+    return (
+        tuple(sorted(equilibria)),
+        tuple(sorted(undecided)),
+        checked,
+        rows,
+        cols,
+        expected,
+    )
+
+
 def verify_nash_numeric(
     game: OrdinalGame,
     constraints: ConstraintSet,
@@ -177,23 +209,17 @@ def verify_nash_numeric(
     in it. Undecided cells may fall either way and are skipped. Trials run
     in blocks of ``VERIFY_BLOCK``; block b draws its realizations in one
     call seeded with (seed, b). Disagreements are listed by trial, then
-    equilibria, then decided non-equilibria, each in cell order.
+    equilibria, then decided non-equilibria, each in cell order. The
+    symbolic side is worked out once per game and order and kept, as the
+    order's sampling lattices are kept with its set.
     """
     import numpy as np
 
     check_trials(trials)
     check_seed(seed)
-    equilibria, undecided = pure_nash(game, constraints)
-    all_cells = {
-        CellCoord(r, c)
-        for r in range(game.n_rows)
-        for c in range(game.n_cols)
-    }
-    decided_out = all_cells - set(equilibria) - set(undecided)
-    checked = sorted(equilibria) + sorted(decided_out)
-    rows, cols = np.array(checked, dtype=np.intp).reshape(-1, 2).T
-    expected = np.arange(len(checked)) < len(equilibria)
-
+    equilibria, undecided, checked, rows, cols, expected = _check_plan(
+        game, constraints
+    )
     found = []
     for block, first in enumerate(range(0, trials, VERIFY_BLOCK)):
         size = min(VERIFY_BLOCK, trials - first)
@@ -207,8 +233,8 @@ def verify_nash_numeric(
     return NashVerification(
         trials=trials,
         seed=seed,
-        symbolic_equilibria=tuple(sorted(equilibria)),
-        symbolic_undecided=tuple(sorted(undecided)),
+        symbolic_equilibria=equilibria,
+        symbolic_undecided=undecided,
         checked_cells=len(checked) * trials,
         disagreements=tuple(found),
     )

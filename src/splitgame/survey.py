@@ -198,7 +198,8 @@ def read_responses_csv(
     or one the csv module cannot read (a field longer than
     ``csv.field_size_limit()``), raises with its line number; under
     ``lenient`` it is skipped instead and reported in the returned warning
-    list. A file that is not UTF-8 raises whatever ``lenient`` says.
+    list. A line number is the physical line the row starts on. A file that
+    is not UTF-8 raises whatever ``lenient`` says.
     """
     instrument = instrument or canonical_instrument()
     expected_header = csv_header(instrument)
@@ -213,7 +214,7 @@ def read_responses_csv(
         raise ValidationError(f"{path}: not valid UTF-8: {exc}") from None
     records = _records(csv.reader(io.StringIO(text, newline="")))
     try:
-        header = next(records)
+        _, header = next(records)
     except StopIteration:
         raise ValidationError(f"{path}: empty file") from None
     if isinstance(header, ValidationError):
@@ -224,7 +225,7 @@ def read_responses_csv(
             f"{path}: header must be {','.join(expected_header)}, "
             f"got {','.join(header)}"
         )
-    for lineno, row in enumerate(records, start=2):
+    for lineno, row in records:
         try:
             if isinstance(row, ValidationError):
                 raise row
@@ -243,15 +244,18 @@ def read_responses_csv(
 
 
 def _records(reader):
-    """The reader's records; one it cannot read comes out as the
+    """The reader's records, each with the physical line it starts on (a
+    quoted field may span lines); one it cannot read comes out as the
     ValidationError that says why, and the reader goes on at the next line."""
     while True:
+        start = reader.line_num + 1
         try:
-            yield next(reader)
+            record = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            yield ValidationError(str(exc))
+            record = ValidationError(str(exc))
+        yield start, record
 
 
 def _parse_row(row, lineno, instrument) -> Tuple[str, SurveyResponse]:

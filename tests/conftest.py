@@ -14,6 +14,7 @@ from splitgame import (
     CellCoord,
     ConstraintSet,
     DominanceConstraint,
+    SAMPLING_DOWNSET_CAP,
     SamplingExhaustedError,
     ValidationError,
     Scenario,
@@ -21,6 +22,7 @@ from splitgame import (
     with_parameters,
 )
 from splitgame import solver
+from splitgame.constraints import MAX_TRIALS, _components, check_integer
 from splitgame.index_model import PUBLISHED_TABLE, Mode, score_factor
 from splitgame.solver import SWEEP_METRICS, _on_reference, _require_2x2
 
@@ -110,6 +112,98 @@ def rejection_realization(constraints: ConstraintSet, seed) -> dict:
     raise SamplingExhaustedError(
         f"no admissible draw within {SAMPLING_ATTEMPT_CAP} attempts"
     )
+
+
+def reference_linear_extensions(above, rows, rng) -> np.ndarray:
+    """Reference: the sampler's linear-extension walk as it was when every
+    call enumerated the downset lattice again.
+
+    Uniformly random linear extensions of one connected order.
+
+    ``above[j]`` is the bitmask of the symbols that must precede symbol j.
+    The downsets (bitmasks of the symbols already placed from the top) are
+    enumerated breadth first; counting the completions of each one
+    backwards gives the exact probability of every next symbol, and all
+    rows walk the lattice together, one array step per position. Returns a
+    (rows, k) array of symbol positions from the top.
+    """
+    k = len(above)
+    symbols = [(j, above[j], above[j] | 1 << j) for j in range(k)]
+    downsets, index = [0], {0: 0}
+    source, symbol, target = [], [], []  # the moves, grouped by source
+    for at, placed in enumerate(downsets):  # grows while it is walked
+        for j, before, needs in symbols:
+            if placed & needs == before:
+                grown = placed | 1 << j
+                to = index.get(grown)
+                if to is None:
+                    to = index[grown] = len(downsets)
+                    if to >= SAMPLING_DOWNSET_CAP:
+                        raise SamplingExhaustedError(
+                            f"a connected component of {k} symbols in the "
+                            f"certain order has more than "
+                            f"{SAMPLING_DOWNSET_CAP} downsets"
+                        )
+                    downsets.append(grown)
+                source.append(at)
+                symbol.append(j)
+                target.append(to)
+
+    # exact completion counts, backwards (Python ints never overflow), then
+    # per downset the cumulative share of each next symbol, ending in
+    # exactly 1; the full downset, the last, has no next symbol
+    completions = [0] * (len(downsets) - 1) + [1]
+    for at, to in zip(reversed(source), reversed(target)):
+        completions[at] += completions[to]
+    follow = np.zeros((len(downsets) - 1, k), dtype=np.intp)
+    follow[source, symbol] = target
+    cumulative = np.zeros((len(downsets) - 1, k))
+    cumulative[source, symbol] = [
+        completions[to] / completions[at] for at, to in zip(source, target)
+    ]
+    np.cumsum(cumulative, axis=1, out=cumulative)
+    cumulative /= cumulative[:, -1:]
+
+    # u < 1, so the first entry above it is a move with positive share
+    u = rng.random((k, rows, 1))
+    state = np.zeros(rows, dtype=np.intp)
+    order = np.empty((k, rows), dtype=np.intp)
+    for depth in range(k):
+        order[depth] = pick = (cumulative[state] > u[depth]).argmax(axis=1)
+        state = follow[state, pick]
+    return order.T
+
+
+def reference_sample_realization(constraints: ConstraintSet, seed, size=None):
+    """Reference: ``ConstraintSet.sample_realization`` as it was when every
+    call rebuilt the components and their lattices; the kept plan must draw
+    bit-identical values. Reads the set's closure (``_reach``)."""
+    if size is not None:
+        check_integer("size", size, 0, MAX_TRIALS)
+
+    rows = 1 if size is None else int(size)
+    names = sorted(constraints.symbols)
+    rng = np.random.default_rng(seed)
+    values = np.empty((len(names), rows))
+    components = _components(names, constraints._reach)
+    free = [members[0] for members in components if len(members) == 1]
+    values[free] = rng.random((len(free), rows))
+    for members in components:
+        if len(members) == 1:
+            continue
+        local = {names[i]: bit for bit, i in enumerate(members)}
+        above = [0] * len(members)
+        for name, bit in local.items():
+            for lesser in constraints._reach[name]:
+                above[local[lesser]] |= 1 << bit
+        order = reference_linear_extensions(above, rows, rng)
+        draws = np.sort(rng.random((rows, len(members))), axis=1)
+        values[np.asarray(members)[order], np.arange(rows)[:, None]] = (
+            draws[:, ::-1]
+        )
+    if size is None:
+        return {name: float(v[0]) for name, v in zip(names, values)}
+    return dict(zip(names, values))
 
 
 def loop_pure_nash(game, values) -> frozenset:

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
-from conftest import REPO_ROOT, rejection_realization
+from conftest import (
+    REPO_ROOT,
+    reference_sample_realization,
+    rejection_realization,
+)
+from splitgame import constraints as constraints_module
 from splitgame.constraints import MAX_TRIALS
 from splitgame import (
     BOUND_LOWER,
@@ -23,6 +29,7 @@ from splitgame import (
     UnknownSymbolError,
     ValidationError,
     ipd_scenario,
+    verify_nash_numeric,
 )
 
 
@@ -284,8 +291,10 @@ class TestSampling:
         # one symbol above 19 others: 2**19 + 1 downsets, over the cap
         wide = ConstraintSet([certain("T", f"S{i:02d}") for i in range(19)])
         assert 2**19 + 1 > SAMPLING_DOWNSET_CAP
-        with pytest.raises(SamplingExhaustedError, match="of 20 symbols"):
-            wide.sample_realization(7)
+        # a failed build is not kept, so a repeated call raises too
+        for _ in range(2):
+            with pytest.raises(SamplingExhaustedError, match="of 20 symbols"):
+                wide.sample_realization(7)
 
     @pytest.mark.parametrize("size", [-1, 2.5, "3", True])
     def test_bad_size_rejected(self, ipd_base_constraints, size):
@@ -303,6 +312,24 @@ class TestSampling:
         with pytest.raises(ValidationError) as exc:
             ipd_base_constraints.sample_realization(0, size=size)
         assert str(exc.value) == f"size must be <= {MAX_TRIALS}"
+
+    def test_values_above_the_cap_rejected_before_allocating(
+        self, ipd_base_constraints
+    ):
+        # under the row cap, but 8 symbols times this many rows is over
+        # MAX_TRIALS values (800 MB of float64)
+        size = MAX_TRIALS // 8 + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as exc:
+                ipd_base_constraints.sample_realization(0, size=size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"size * symbols must be <= {MAX_TRIALS}, got {size} * 8"
+        )
+        assert peak < 1 << 20
 
     def test_size_past_the_digit_limit_rejected(self, ipd_base_constraints):
         with pytest.raises(ValidationError) as exc:
@@ -367,6 +394,9 @@ def test_marginal_ranks_match_rejection(name):
 
 @st.composite
 def dag_orders(draw):
+    """Acyclic certain orders over up to 10 symbols whose names sort in
+    any order relative to the order; the set is bound to all of them or
+    open, knowing only the symbols its constraints mention."""
     n = draw(st.integers(1, 10))
     pairs = draw(
         st.lists(
@@ -377,10 +407,11 @@ def dag_orders(draw):
             unique=True,
         )
     )
-    names = [f"S{i}" for i in range(n)]
-    return ConstraintSet(
-        [certain(names[a], names[b]) for a, b in pairs], universe=names
-    )
+    names = draw(st.permutations([f"S{i}" for i in range(n)]))
+    constraints = [certain(names[a], names[b]) for a, b in pairs]
+    if draw(st.booleans()):
+        return ConstraintSet(constraints)
+    return ConstraintSet(constraints, universe=names)
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,3 +429,96 @@ def test_every_row_honours_the_certain_order(constraints, seed, rows):
     assert all(type(v) is float for v in single.values())
     for greater, lesser in constraints.certain_order:
         assert single[greater] > single[lesser]
+
+
+def _bits(values):
+    """Each value's type, shape and bytes: equal only when bit-identical."""
+    return {
+        name: (type(v), np.shape(v), np.asarray(v).tobytes())
+        for name, v in values.items()
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    constraints=dag_orders(),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.sampled_from([None, 0, 1]) | st.integers(2, 40),
+)
+def test_kept_plan_draws_bit_identical_values(constraints, seed, size):
+    # the plan built on the first call and the plan kept for the next both
+    # draw exactly what rebuilding everything on every call drew
+    expected = _bits(reference_sample_realization(constraints, seed, size))
+    assert _bits(constraints.sample_realization(seed, size)) == expected
+    assert _bits(constraints.sample_realization(seed, size)) == expected
+
+
+class TestSamplingPlan:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The component sizes of every lattice build, in order."""
+        sizes = []
+        build = constraints_module._lattice
+
+        def counting(above):
+            sizes.append(len(above))
+            return build(above)
+
+        monkeypatch.setattr(constraints_module, "_lattice", counting)
+        return sizes
+
+    def test_one_lattice_build_per_component(self, builds):
+        scenario = ipd_scenario()
+        order = ConstraintSet(
+            scenario.constraints.constraints,
+            universe=scenario.constraints.universe,
+        )
+        for seed in range(3):
+            order.sample_realization(seed)
+            order.sample_realization(seed, size=5)
+        for seed in range(2):
+            assert verify_nash_numeric(scenario.game, order, 100, seed).ok
+        # two 2+2 crowns
+        assert builds == [4, 4]
+
+    def test_derived_set_builds_its_own_plan(self, builds):
+        base = ConstraintSet([certain("A", "B")], universe=["A", "B", "C"])
+        base.sample_realization(0)
+        derived = base.add_constraint(certain("B", "C"))
+        values = derived.sample_realization(1, size=20)
+        assert builds == [2, 3]
+        assert ((values["A"] > values["B"]) & (values["B"] > values["C"])).all()
+        assert _bits(values) == _bits(
+            reference_sample_realization(derived, 1, 20)
+        )
+        base.sample_realization(2)
+        assert builds == [2, 3]
+
+    def test_plan_stays_out_of_equality_and_hash(self):
+        drawn = ConstraintSet([certain("A", "B")])
+        fresh = ConstraintSet([certain("A", "B")])
+        before = hash(drawn)
+        drawn.sample_realization(0)
+        assert drawn == fresh
+        assert hash(drawn) == hash(fresh) == before
+
+
+def test_building_and_hashing_a_set_loads_no_numpy():
+    # the sampling plan is built on the first draw, not with the set, and
+    # the check plan on the first verification, so importing both modules,
+    # building, hashing and extending a set load no numpy; -S keeps site's
+    # own imports out
+    code = (
+        "import sys, splitgame.montecarlo, splitgame.constraints as c; "
+        "s = c.ConstraintSet([c.DominanceConstraint('a', 'b', 1.0)]); "
+        "hash(s.add_constraint(c.DominanceConstraint('b', 'x', 1.0))); "
+        "assert 'numpy' not in sys.modules"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -82,6 +82,14 @@ def test_seed_must_be_a_non_negative_integer(entry):
     entry(seed=np.int64(2))
 
 
+@pytest.fixture(autouse=True)
+def _cold_check_plans():
+    # verify_nash_numeric keeps its check plans for the whole process; a
+    # test that substitutes pure_nash must not be served a plan an earlier
+    # test built with the real one
+    montecarlo._check_plan.cache_clear()
+
+
 class TestSimulateSelection:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -260,6 +268,31 @@ class TestVerifyNashNumeric:
         for trial in range(200):
             values = constraints.sample_realization([9, trial])
             assert numeric_pure_nash(game, values) == set(symbolic)
+
+
+class TestCheckPlan:
+    def test_one_pure_nash_per_game_and_order(self, monkeypatch, ipd):
+        calls = []
+        solve = montecarlo.pure_nash
+
+        def counting(game, order):
+            calls.append(order)
+            return solve(game, order)
+
+        monkeypatch.setattr(montecarlo, "pure_nash", counting)
+        game, order = ipd.game, ipd.constraints
+        first = verify_nash_numeric(game, order, 200, seed=1)
+        assert verify_nash_numeric(game, order, 200, seed=1) == first
+        # an equal set has the same Nash set, so it shares the plan
+        equal = ConstraintSet(order.constraints, universe=order.universe)
+        assert verify_nash_numeric(game, equal, 200, seed=1) == first
+        assert calls == [order]
+        weaker = ConstraintSet(
+            [c for c in order.constraints if c.group is None],
+            universe=order.universe,
+        )
+        verify_nash_numeric(game, weaker, 200, seed=1)
+        assert calls == [order, weaker]
 
 
 def _free_game(n_rows, n_cols):

@@ -248,6 +248,27 @@ class TestCsvIngestion:
         assert "line 2" in warnings[0]
         assert "line 4" in warnings[1]
 
+    def test_line_numbers_count_physical_lines(self, tmp_path):
+        # the first record's quoted id spans lines 2 and 3, so the bad row
+        # is the third record but starts on line 4
+        path = tmp_path / "multiline.csv"
+        write_csv(
+            path,
+            [
+                "respondent_id,item1,item2,item3,item4,item5,item6,item7",
+                '"r',
+                '1",f,a,f,a,a,a,f',
+                "r2,g,a,a,a,a,a,a",
+            ],
+        )
+        with pytest.raises(ValidationError) as exc:
+            read_responses_csv(path)
+        assert f"{path}: line 4: " in str(exc.value)
+        rows, warnings = read_responses_csv(path, lenient=True)
+        assert [rid for rid, _ in rows] == ["r\n1"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("line 4: skipped (")
+
     def test_wrong_field_count_strict(self, tmp_path):
         path = tmp_path / "short.csv"
         write_csv(
