@@ -28,12 +28,7 @@ from .index_model import Mode
 from .montecarlo import SimulationConfig, simulate_selection
 from .scenario import load_scenario
 from .solver import solve, sweep
-from .survey import (
-    aggregate,
-    canonical_instrument,
-    read_responses_csv,
-    score_response,
-)
+from .survey import aggregate, read_responses_csv, score_response
 
 EXIT_OK = 0
 EXIT_IO = 3
@@ -81,21 +76,16 @@ def _emit(text: str, out_path: Optional[str]):
         sys.stdout.write(text)
 
 
-def _load(scenario_path: str, mode_override: Optional[str]):
-    scenario = load_scenario(scenario_path)
-    if mode_override:
-        scenario = replace(scenario, mode=Mode.parse(mode_override))
+def _load(args: argparse.Namespace):
+    scenario = load_scenario(args.scenario)
+    if args.mode:
+        scenario = replace(scenario, mode=Mode.parse(args.mode))
     return scenario
 
 
-def cmd_solve(
-    scenario_path: str,
-    mode_override: Optional[str] = None,
-    out_path: Optional[str] = None,
-) -> int:
-    scenario = _load(scenario_path, mode_override)
-    report = solve(scenario)
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", out_path)
+def cmd_solve(args: argparse.Namespace) -> int:
+    report = solve(_load(args))
+    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
 
     err = sys.stderr
     print(
@@ -168,19 +158,14 @@ def _parse_grid_specs(specs: Sequence[str]) -> Dict[str, List[float]]:
     return grid
 
 
-def cmd_sweep(
-    scenario_path: str,
-    grid_specs: Sequence[str],
-    mode_override: Optional[str] = None,
-    out_path: Optional[str] = None,
-) -> int:
-    scenario = _load(scenario_path, mode_override)
-    grid = _parse_grid_specs(grid_specs)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    scenario = _load(args)
+    grid = _parse_grid_specs(args.grid)
     columns, rows = sweep(scenario, grid)
 
     # column names and float reprs never need csv quoting
     lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
-    _emit("\n".join(lines) + "\n", out_path)
+    _emit("\n".join(lines) + "\n", args.out)
     print(
         f"sweep: {len(rows)} rows over {', '.join(sorted(grid))}",
         file=sys.stderr,
@@ -188,30 +173,20 @@ def cmd_sweep(
     return EXIT_OK
 
 
-def cmd_score(
-    survey_csv_path: str,
-    out_path: Optional[str] = None,
-    lenient: bool = False,
-) -> int:
-    instrument = canonical_instrument()
-    rows, warnings = read_responses_csv(
-        survey_csv_path, instrument, lenient=lenient
-    )
+def cmd_score(args: argparse.Namespace) -> int:
+    rows, warnings = read_responses_csv(args.survey_csv, lenient=args.lenient)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not rows:
-        raise ValidationError(f"{survey_csv_path}: no valid data rows")
+        raise ValidationError(f"{args.survey_csv}: no valid data rows")
 
-    scored = [
-        (respondent, score_response(response, instrument))
-        for respondent, response in rows
-    ]
+    scored = [(respondent, score_response(response)) for respondent, response in rows]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["respondent_id", "raw_sum", "p_index"])
     for respondent, score in scored:
         writer.writerow([respondent, score.raw_sum, repr(score.p_index)])
-    _emit(buffer.getvalue(), out_path)
+    _emit(buffer.getvalue(), args.out)
 
     mean = aggregate([score for _, score in scored])
     print(
@@ -229,15 +204,10 @@ _SIMULATE_OUTCOMES = (
 )
 
 
-def cmd_simulate(
-    scenario_path: str,
-    trials: Optional[int] = None,
-    seed: Optional[int] = None,
-    mode_override: Optional[str] = None,
-    out_path: Optional[str] = None,
-) -> int:
-    scenario = _load(scenario_path, mode_override)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    scenario = _load(args)
     report = solve(scenario)
+    trials, seed = args.trials, args.seed
     if trials is None:
         trials = scenario.mc.trials if scenario.mc else 100_000
     if seed is None:
@@ -266,7 +236,7 @@ def cmd_simulate(
             for key, emp_key, _ in _SIMULATE_OUTCOMES
         },
     }
-    _emit(json.dumps(payload, indent=2) + "\n", out_path)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
     err = sys.stderr
     print(
@@ -308,6 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(paper is an alias for published)",
     )
     solve_p.add_argument("--out", help="write the report here instead of stdout")
+    solve_p.set_defaults(run=cmd_solve)
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -328,6 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument("--mode", choices=_MODE_CHOICES, help="mode override")
     sweep_p.add_argument("--out", help="write the CSV here instead of stdout")
+    sweep_p.set_defaults(run=cmd_sweep)
 
     score_p = sub.add_parser(
         "score",
@@ -341,6 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip malformed rows (reported with line numbers) "
         "instead of failing",
     )
+    score_p.set_defaults(run=cmd_score)
 
     sim_p = sub.add_parser(
         "simulate",
@@ -352,6 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--seed", type=int, help="generator seed")
     sim_p.add_argument("--mode", choices=_MODE_CHOICES, help="mode override")
     sim_p.add_argument("--out", help="write the JSON here instead of stdout")
+    sim_p.set_defaults(run=cmd_simulate)
 
     return parser
 
@@ -359,17 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(args.scenario, args.mode, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(args.scenario, args.grid, args.mode, args.out)
-        if args.command == "score":
-            return cmd_score(args.survey_csv, args.out, args.lenient)
-        if args.command == "simulate":
-            return cmd_simulate(
-                args.scenario, args.trials, args.seed, args.mode, args.out
-            )
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(

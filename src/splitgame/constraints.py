@@ -105,6 +105,16 @@ def check_integer(
         raise ValidationError(f"{name} must be <= {high}")
 
 
+def check_trials(trials) -> None:
+    """Reject a trial count that is not an integer in [1, MAX_TRIALS]."""
+    check_integer("trials", trials, 1, MAX_TRIALS)
+
+
+def check_seed(seed) -> None:
+    """Reject a generator seed that is not an integer >= 0."""
+    check_integer("seed", seed, 0)
+
+
 def _bfs_path(adjacency, start, goal):
     """Shortest directed path start -> goal (two distinct nodes) as a node
     list, or None."""

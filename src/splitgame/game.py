@@ -7,6 +7,7 @@ a needed comparison.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Protocol, Sequence, Set, Tuple
 
@@ -123,11 +124,15 @@ class NumericOrder:
 
     Every comparison is decided; equal values answer False both ways, so
     tied payoffs never beat each other and ``pure_nash`` keeps both cells.
+    A NaN value, which compares False both ways too, raises ValidationError.
     """
 
     def __init__(self, values: Mapping[str, float]):
         # coerce so numpy scalars cannot leak np.bool_ out of implies()
         self._values = {key: float(value) for key, value in values.items()}
+        for key, value in self._values.items():
+            if math.isnan(value):
+                raise ValidationError(f"numeric value for symbol {key!r} is NaN")
 
     def implies(self, left: str, right: str) -> Optional[bool]:
         try:

@@ -113,9 +113,12 @@ def gaussian_tail(lower: float, variance: float = DEFAULT_VARIANCE) -> float:
     """P(X > lower) for X ~ Normal(0, variance), in closed form.
 
     Accurate to a few ulp. lower = +inf gives exactly 0 and lower = -inf
-    exactly 1; for lower >= 0 the result lies in [0, 0.5].
+    exactly 1; for lower >= 0 the result lies in [0, 0.5]. A NaN bound
+    raises DomainError.
     """
     _check_variance(variance)
+    if math.isnan(lower):
+        raise DomainError("tail bound must be a number, got nan")
     return 0.5 * math.erfc(lower / math.sqrt(2.0 * variance))
 
 

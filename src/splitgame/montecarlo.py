@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
-from .constraints import MAX_TRIALS, ConstraintSet, check_integer
+from .constraints import MAX_TRIALS  # noqa: F401  (re-exported)
+from .constraints import ConstraintSet, check_seed, check_trials
 from .errors import ValidationError
 from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, pure_nash
 
@@ -27,16 +28,6 @@ RNG_ALGORITHM = "pcg64"
 VERIFY_BLOCK = 4096
 # draws per event and block in simulate_selection; bounds its memory
 SIMULATE_BLOCK = 1 << 16
-
-
-def check_trials(trials) -> None:
-    """Reject a trial count that is not an integer in [1, MAX_TRIALS]."""
-    check_integer("trials", trials, 1, MAX_TRIALS)
-
-
-def check_seed(seed) -> None:
-    """Reject a generator seed that is not an integer >= 0."""
-    check_integer("seed", seed, 0)
 
 
 @dataclass(frozen=True)
@@ -119,7 +110,8 @@ def numeric_pure_nash(
     column payoff is >= the max of its row, i.e. no player has a strictly
     better unilateral deviation. Scalar values give a frozenset of cells;
     values that are arrays of shape (size,) give a (size, n_rows, n_cols)
-    bool mask, one scan per row.
+    bool mask, one scan per row. A NaN value raises ValidationError, as
+    ``NumericOrder`` does.
     """
     import numpy as np
 
@@ -129,6 +121,9 @@ def numeric_pure_nash(
             for player in (PLAYER_ROW, PLAYER_COL)
         ]
     )
+    if np.isnan(payoffs).any():
+        symbol = min(s for s in game.symbol_ids() if np.isnan(values[s]).any())
+        raise ValidationError(f"numeric value for symbol {symbol!r} is NaN")
     rows, cols = np.moveaxis(payoffs, (1, 2), (-2, -1))
     mask = (rows >= rows.max(axis=-2, keepdims=True)) & (
         cols >= cols.max(axis=-1, keepdims=True)

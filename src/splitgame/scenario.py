@@ -17,7 +17,7 @@ import numbers
 import os
 import sys
 from operator import itemgetter
-from typing import Dict, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterator, Mapping, Tuple
 
 from .bayes import EventSpace
 from .constraints import ConstraintSet, DominanceConstraint
@@ -136,11 +136,12 @@ def _schema_errors(
 
 
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario file."""
+    """Read and validate a scenario file; a leading UTF-8 byte order mark
+    is dropped, as RFC 8259 lets a parser do."""
     def reject_non_finite(literal: str):
         raise ValidationError(f"{path}: {literal} is not a finite number")
 
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle, parse_constant=reject_non_finite)
         except ValidationError:
@@ -221,7 +222,7 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
         events=events,
         em_params=em_params,
         pf_params=pf_params,
-        case=Case.parse(data["case"]),
+        case=Case(data["case"]),
         mode=Mode.parse(data["mode"]),
         mc=mc,
         description=data.get("description", ""),
@@ -261,8 +262,8 @@ IPD_MC_DEFAULTS = SimulationDefaults(trials=1_000_000, seed=123456)
 
 
 def ipd_scenario(
-    case: Union[Case, str] = Case.WEAK_EVIDENCE,
-    mode: Union[Mode, str] = Mode.PUBLISHED,
+    case: Case = Case.WEAK_EVIDENCE,
+    mode: Mode = Mode.PUBLISHED,
     r: float = 0.5,
     s: float = 0.5,
 ) -> Scenario:
@@ -273,10 +274,6 @@ def ipd_scenario(
     ship as explicit, separately grouped assumptions rather than silent
     engine behavior.
     """
-    if isinstance(case, str):
-        case = Case.parse(case)
-    if isinstance(mode, str):
-        mode = Mode.parse(mode)
     game = OrdinalGame.from_ids(
         ("Fatherhood", "Promotion"),
         ("L1", "L2"),

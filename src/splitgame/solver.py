@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bayes import ComparisonEvent, EventSpace
-from .constraints import ConstraintSet, DominanceConstraint
+from .constraints import ConstraintSet, DominanceConstraint, check_seed, check_trials
 from .errors import ValidationError
 from .game import CellCoord, OrdinalGame, pure_nash
 from .index_model import (
@@ -35,7 +35,6 @@ from .index_model import (
     in_scale_interior,
     score_factor,
 )
-from .montecarlo import check_seed, check_trials
 
 SCORE_MATCH_TOLERANCE = 1e-12
 
@@ -56,17 +55,6 @@ class Case(Enum):
 
     STRONG_EVIDENCE = "strong_evidence"
     WEAK_EVIDENCE = "weak_evidence"
-
-    @classmethod
-    def parse(cls, text: str) -> "Case":
-        normalized = str(text).strip().lower()
-        for case in cls:
-            if case.value == normalized:
-                return case
-        raise ValidationError(
-            f"unknown case {text!r}; expected 'strong_evidence' or "
-            "'weak_evidence'"
-        )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ValidationError
 
@@ -147,16 +147,14 @@ class PIndexScore:
             )
 
 
-def score_response(
-    response: SurveyResponse, instrument: Optional[Instrument] = None
-) -> PIndexScore:
-    """Score a complete response.
+def score_response(response: SurveyResponse) -> PIndexScore:
+    """Score a complete response to the canonical instrument.
 
     Every instrument item must be answered, with no extras. The index is
     10 * (raw - n) / (5 * n), so the all-minimum response maps to 0 and the
     all-maximum response to 10 exactly.
     """
-    instrument = instrument or canonical_instrument()
+    instrument = canonical_instrument()
     expected = {item.index for item in instrument.items}
     answered = set(response.answers)
     missing = sorted(expected - answered)
@@ -181,35 +179,34 @@ def aggregate(scores: Sequence[PIndexScore]) -> float:
     return sum(score.p_index for score in scores) / len(scores)
 
 
-def csv_header(instrument: Optional[Instrument] = None) -> List[str]:
-    instrument = instrument or canonical_instrument()
-    return ["respondent_id"] + [f"item{item.index}" for item in instrument.items]
+def csv_header() -> List[str]:
+    items = canonical_instrument().items
+    return ["respondent_id"] + [f"item{item.index}" for item in items]
 
 
 def read_responses_csv(
-    path,
-    instrument: Optional[Instrument] = None,
-    lenient: bool = False,
+    path, lenient: bool = False
 ) -> Tuple[List[Tuple[str, SurveyResponse]], List[str]]:
     """Parse a respondent CSV into (respondent id, response) pairs.
 
-    The header must be respondent_id,item1,...,itemN. Cell values are the
-    choice letters (case-insensitive) or the digits 1-6. A malformed row,
-    or one the csv module cannot read (a field longer than
-    ``csv.field_size_limit()``), raises with its line number; under
-    ``lenient`` it is skipped instead and reported in the returned warning
-    list. A line number is the physical line the row starts on. A file that
-    is not UTF-8 raises whatever ``lenient`` says.
+    The header must be respondent_id,item1,...,item7, the canonical
+    instrument's items; a leading UTF-8 byte order mark, which spreadsheet
+    exports write, is dropped. Cell values are the choice letters
+    (case-insensitive) or the digits 1-6. A malformed row, or one the csv
+    module cannot read (a field longer than ``csv.field_size_limit()``),
+    raises with its line number; under ``lenient`` it is skipped instead
+    and reported in the returned warning list. A line number is the
+    physical line the row starts on. A file that is not UTF-8 raises
+    whatever ``lenient`` says.
     """
-    instrument = instrument or canonical_instrument()
-    expected_header = csv_header(instrument)
+    expected_header = csv_header()
     rows: List[Tuple[str, SurveyResponse]] = []
     warnings: List[str] = []
 
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8: {exc}") from None
     records = _records(csv.reader(io.StringIO(text, newline="")))
@@ -231,7 +228,7 @@ def read_responses_csv(
                 raise row
             if not row or all(not cell.strip() for cell in row):
                 continue
-            rows.append((_parse_row(row, lineno, instrument)))
+            rows.append(_parse_row(row))
         except ValidationError as exc:
             if lenient:
                 warnings.append(f"line {lineno}: skipped ({exc})")
@@ -258,7 +255,8 @@ def _records(reader):
         yield start, record
 
 
-def _parse_row(row, lineno, instrument) -> Tuple[str, SurveyResponse]:
+def _parse_row(row) -> Tuple[str, SurveyResponse]:
+    instrument = canonical_instrument()
     expected_len = len(instrument) + 1
     if len(row) != expected_len:
         raise ValidationError(

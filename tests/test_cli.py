@@ -1,3 +1,4 @@
+import codecs
 import copy
 import contextlib
 import csv
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from splitgame.cli import GRID_MAX_ROWS, GRID_MAX_STEPS, main
 from splitgame.montecarlo import MAX_TRIALS
 
 SURVEY_HEADER = "respondent_id,item1,item2,item3,item4,item5,item6,item7"
+GOLDEN = REPO_ROOT / "tests" / "golden"
 
 
 def _warning_line(score):
@@ -121,6 +124,14 @@ class TestSolveCommand:
         assert code in (4, 6)
         assert out == ""
         assert "error:" in err
+
+    def test_byte_order_mark_solves_like_the_plain_file(self, ipd_path, tmp_path):
+        # RFC 8259 lets a parser ignore a leading byte order mark
+        path = tmp_path / "bom.json"
+        path.write_bytes(codecs.BOM_UTF8 + Path(ipd_path).read_bytes())
+        out = tmp_path / "report.json"
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "solve_published.json").read_bytes()
 
     def test_usage_error_without_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -320,6 +331,15 @@ class TestScoreCommand:
         assert main(["score", str(data), "--out", str(out_path)]) == 0
         rows = list(csv.reader(io.StringIO(out_path.read_text())))
         assert rows[1] == ["r1", "7", "0.0"]
+
+
+    def test_byte_order_mark_scores_like_the_plain_file(self, tmp_path):
+        # spreadsheet exports start the file with one
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + (GOLDEN / "cohort.csv").read_bytes())
+        out = tmp_path / "scores.csv"
+        assert main(["score", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "score.csv").read_bytes()
 
 
 class TestSimulateCommand:

@@ -28,6 +28,10 @@ class TestGaussianTail:
         assert gaussian_tail(math.inf, 10.0) == 0.0
         assert gaussian_tail(-math.inf, 10.0) == 1.0
 
+    def test_nan_lower_bound_is_domain_error(self):
+        with pytest.raises(DomainError, match="nan"):
+            gaussian_tail(math.nan, 10.0)
+
     def test_reference_point(self):
         tail = gaussian_tail(math.sqrt(3.4), 10.0)
         assert tail == pytest.approx(0.279914610959, abs=1e-9)

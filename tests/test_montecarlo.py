@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import loop_pure_nash
 from splitgame import montecarlo
@@ -21,6 +23,25 @@ from splitgame import (
     simulate_selection,
     verify_nash_numeric,
 )
+
+
+@st.composite
+def tied_numeric_games(draw):
+    """A 2x2, 2x3, 3x2 or 3x3 game with 1-3 rows of payoff values per
+    symbol, drawn from a small set so ties and infinities are common."""
+    n_rows, n_cols = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    game = OrdinalGame.from_ids(
+        [f"r{i}" for i in range(n_rows)],
+        [f"c{j}" for j in range(n_cols)],
+        [[(f"R{i}{j}", f"C{i}{j}") for j in range(n_cols)] for i in range(n_rows)],
+    )
+    size = draw(st.integers(1, 3))
+    value = st.sampled_from([-math.inf, -1.0, 0.0, 1.0, math.inf])
+    values = {
+        sym: draw(st.lists(value, min_size=size, max_size=size))
+        for sym in sorted(game.symbol_ids())
+    }
+    return game, values, size
 
 
 def three_sigma(p: float, trials: int) -> float:
@@ -218,6 +239,37 @@ class TestNumericPureNash:
             symbolic, undecided = pure_nash(game, NumericOrder(values))
             assert undecided == frozenset()
             assert set(symbolic) == numeric_pure_nash(game, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_numeric_games())
+    def test_paths_agree_on_ties_and_infinities(self, drawn):
+        game, values, size = drawn
+        rows = [{sym: draws[t] for sym, draws in values.items()} for t in range(size)]
+        mask = numeric_pure_nash(
+            game, {sym: np.array(draws) for sym, draws in values.items()}
+        )
+        for row, row_mask in zip(rows, mask):
+            symbolic, undecided = pure_nash(game, NumericOrder(row))
+            assert undecided == frozenset()
+            assert numeric_pure_nash(game, row) == set(symbolic)
+            cells = {CellCoord(int(r), int(c)) for r, c in zip(*np.nonzero(row_mask))}
+            assert cells == set(symbolic)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_numeric_games(), st.data())
+    def test_nan_raises_on_both_paths(self, drawn, data):
+        game, values, _ = drawn
+        symbol = data.draw(st.sampled_from(sorted(values)))
+        values[symbol][-1] = math.nan
+        row = {sym: draws[-1] for sym, draws in values.items()}
+        arrays = {sym: np.array(draws) for sym, draws in values.items()}
+        for check in (
+            lambda: NumericOrder(row),
+            lambda: numeric_pure_nash(game, row),
+            lambda: numeric_pure_nash(game, arrays),
+        ):
+            with pytest.raises(ValidationError, match=f"symbol {symbol!r} is NaN"):
+                check()
 
 
 class TestVerifyNashNumeric:

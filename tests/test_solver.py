@@ -1,3 +1,5 @@
+import ast
+import importlib
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -688,3 +690,29 @@ class TestSweep:
             sweep(ipd, {"C": [], "x": [1.0]})
         with pytest.raises(ValidationError, match="^unknown parameter 'a'"):
             sweep(ipd, {"a": [1.0], "r": []})
+
+
+def _imported_modules(name):
+    """Every module name an import statement in module ``name``'s source
+    names, with ``from a import b`` counted as both ``a`` and ``a.b``."""
+    with open(importlib.import_module(name).__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["splitgame.solver", "splitgame.scenario"])
+def test_solving_imports_nothing_from_montecarlo(module):
+    # solve and sweep never sample, so the modules behind them must load
+    # without the Monte Carlo layer
+    assert not [
+        name for name in _imported_modules(module)
+        if "montecarlo" in name.split(".")
+    ]
