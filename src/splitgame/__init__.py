@@ -52,12 +52,10 @@ from .montecarlo import (
     simulate_selection,
     verify_nash_numeric,
 )
+from .scenario import Case, Scenario, SimulationDefaults
 from .scenario import ipd_scenario, load_scenario, scenario_from_dict
 from .solver import (
-    Case,
     DecisionReport,
-    Scenario,
-    SimulationDefaults,
     comparison_events,
     effective_constraints,
     solve,

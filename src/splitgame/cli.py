@@ -24,7 +24,7 @@ from .errors import (
     SplitgameError,
     ValidationError,
 )
-from .index_model import Mode
+from .index_model import MODE_ALIASES, Mode
 from .montecarlo import SimulationConfig, simulate_selection
 from .scenario import load_scenario
 from .solver import solve, sweep
@@ -46,7 +46,7 @@ _EXIT_CODES = {
     OSError: EXIT_IO,
 }
 
-_MODE_CHOICES = ("computed", "published", "paper")
+_MODE_CHOICES = (*(mode.value for mode in Mode), *MODE_ALIASES)
 
 # steps per sweep axis; the axis holds at most one point more
 GRID_MAX_STEPS = 100_000

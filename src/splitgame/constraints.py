@@ -417,10 +417,12 @@ class ConstraintSet:
         the first call and kept with the set. ``size=None`` gives one
         ``{name: float}``; an integer ``size`` gives ``{name: array}`` of
         that many independent rows, at most ``MAX_TRIALS`` values in all.
-        Deterministic for a given seed (numpy PCG64). Raises
-        SamplingExhaustedError when a component has more than
-        ``SAMPLING_DOWNSET_CAP`` downsets.
+        Deterministic for a given seed, an integer >= 0 or a list or tuple
+        of them (numpy PCG64). Raises SamplingExhaustedError when a
+        component has more than ``SAMPLING_DOWNSET_CAP`` downsets.
         """
+        for part in seed if isinstance(seed, (list, tuple)) else (seed,):
+            check_seed(part)
         if size is not None:
             check_integer("size", size, 0, MAX_TRIALS)
             # checked before anything is built: the values alone take 8

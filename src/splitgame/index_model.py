@@ -38,16 +38,17 @@ class Mode(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Mode":
-        """Accepts "computed", "published", and the alias "paper"."""
-        normalized = str(text).strip().lower()
-        if normalized == "paper":
-            normalized = "published"
-        for mode in cls:
-            if mode.value == normalized:
-                return mode
-        raise ValidationError(
-            f"unknown mode {text!r}; expected 'computed' or 'published'"
-        )
+        """The mode whose value or alias (``MODE_ALIASES``) is exactly ``text``."""
+        try:
+            return cls(MODE_ALIASES.get(text, text))
+        except ValueError:
+            raise ValidationError(
+                f"unknown mode {text!r}; expected 'computed' or 'published'"
+            ) from None
+
+
+# other names a scenario file or the command line may give a mode
+MODE_ALIASES = {"paper": Mode.PUBLISHED.value}
 
 
 def _check_variance(variance: float):

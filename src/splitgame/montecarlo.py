@@ -20,7 +20,7 @@ from typing import Mapping, Tuple
 
 from .constraints import MAX_TRIALS  # noqa: F401  (re-exported)
 from .constraints import ConstraintSet, check_seed, check_trials
-from .errors import ValidationError
+from .errors import UnknownSymbolError, ValidationError
 from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, pure_nash
 
 RNG_ALGORITHM = "pcg64"
@@ -110,17 +110,22 @@ def numeric_pure_nash(
     column payoff is >= the max of its row, i.e. no player has a strictly
     better unilateral deviation. Scalar values give a frozenset of cells;
     values that are arrays of shape (size,) give a (size, n_rows, n_cols)
-    bool mask, one scan per row. A NaN value raises ValidationError, as
-    ``NumericOrder`` does.
+    bool mask, one scan per row. A NaN value raises ValidationError and a
+    missing symbol UnknownSymbolError, as ``NumericOrder`` does.
     """
     import numpy as np
 
-    payoffs = np.array(
-        [
-            [[values[cell[player]] for cell in row] for row in game.cells]
-            for player in (PLAYER_ROW, PLAYER_COL)
-        ]
-    )
+    try:
+        payoffs = np.array(
+            [
+                [[values[cell[player]] for cell in row] for row in game.cells]
+                for player in (PLAYER_ROW, PLAYER_COL)
+            ]
+        )
+    except KeyError as missing:
+        raise UnknownSymbolError(
+            f"no numeric value for symbol {missing.args[0]!r}"
+        ) from None
     if np.isnan(payoffs).any():
         symbol = min(s for s in game.symbol_ids() if np.isnan(values[s]).any())
         raise ValidationError(f"numeric value for symbol {symbol!r} is NaN")

@@ -1,13 +1,14 @@
-"""Scenario files: schema validation, parsing, and the bundled dilemma.
+"""The scenario: its model, its JSON file format, and the bundled dilemma.
 
-Scenario files are JSON documents validated against the schema shipped at
+A scenario bundles a 2x2 ordinal game, its dominance constraints, the event
+environment, the two coefficient parameter sets, the evidential case and the
+mode. ``Scenario.to_dict`` writes the file format; ``load_scenario`` reads
+it and validates it against the schema shipped at
 ``splitgame/resources/scenario.schema.json`` (unknown fields are rejected
-with the offending path named). The package reads the few JSON Schema
-keywords that file uses itself, with jsonschema's error wording. Documents
-are then checked semantically: symbols must be unique and covered by the
-game, priors must be finite and sum to one, weights must sit strictly inside
-(0, 1). The non-standard JSON literals NaN, Infinity and -Infinity are
-rejected while the file is read.
+with the offending path named), then semantically: symbols must be unique
+and covered by the game, priors must be finite and sum to one, weights must
+sit strictly inside (0, 1). The non-standard JSON literals NaN, Infinity
+and -Infinity are rejected while the file is read.
 """
 from __future__ import annotations
 
@@ -16,15 +17,108 @@ import json
 import numbers
 import os
 import sys
+from dataclasses import dataclass
+from enum import Enum
 from operator import itemgetter
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from .bayes import EventSpace
-from .constraints import ConstraintSet, DominanceConstraint
+from .constraints import BOUND_EXACT, ConstraintSet, DominanceConstraint
+from .constraints import check_seed, check_trials
 from .errors import ValidationError
 from .game import OrdinalGame
 from .index_model import DEFAULT_VARIANCE, IndexParameters, Mode
-from .solver import Case, Scenario, SimulationDefaults
+
+
+class Case(Enum):
+    """Evidential regime for the column player's strict course."""
+
+    STRONG_EVIDENCE = "strong_evidence"
+    WEAK_EVIDENCE = "weak_evidence"
+
+
+@dataclass(frozen=True)
+class SimulationDefaults:
+    """Scenario-level Monte Carlo defaults."""
+
+    trials: int
+    seed: int
+
+    def __post_init__(self):
+        check_trials(self.trials)
+        check_seed(self.seed)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything needed to solve one decision problem."""
+
+    name: str
+    game: OrdinalGame
+    constraints: ConstraintSet
+    events: EventSpace
+    em_params: IndexParameters
+    pf_params: IndexParameters
+    case: Case
+    mode: Mode
+    mc: Optional[SimulationDefaults] = None
+    description: str = ""
+    players: Tuple[str, str] = ("row", "column")
+
+    def __post_init__(self):
+        # the file format holds one variance for both coefficient parameter
+        # sets, so a scenario with two could not echo its own inputs
+        em, pf = self.em_params.variance, self.pf_params.variance
+        if em != pf:
+            raise ValidationError(
+                f"em_params and pf_params must share one variance, got "
+                f"{em!r} and {pf!r}"
+            )
+
+    def to_dict(self) -> Dict:
+        """The canonical file-format dictionary for this scenario."""
+        game = self.game
+        payload: Dict = {
+            "name": self.name,
+            "game": {
+                "row_player": self.players[0],
+                "col_player": self.players[1],
+                "row_strategies": list(game.row_strategies),
+                "col_strategies": list(game.col_strategies),
+                "payoffs": [[list(pair) for pair in row] for row in game.cells],
+            },
+            "constraints": [
+                _constraint_to_dict(c) for c in self.constraints.constraints
+            ],
+            "events": {
+                "labels": list(self.events.labels),
+                "prior": list(self.events.prior),
+            },
+            "parameters": {
+                "r": self.em_params.weight,
+                "C": self.em_params.score,
+                "s": self.pf_params.weight,
+                "Q": self.pf_params.score,
+                "variance": self.em_params.variance,
+            },
+            "case": self.case.value,
+            "mode": self.mode.value,
+        }
+        if self.description:
+            payload["description"] = self.description
+        if self.mc is not None:
+            payload["mc"] = {"trials": self.mc.trials, "seed": self.mc.seed}
+        return payload
+
+
+def _constraint_to_dict(c: DominanceConstraint) -> Dict:
+    entry: Dict = {"left": c.left, "right": c.right, "probability": c.probability}
+    if c.bound != BOUND_EXACT:
+        entry["bound"] = c.bound
+    if c.group:
+        entry["group"] = c.group
+    return entry
+
 
 @functools.cache
 def scenario_schema() -> Dict:
@@ -187,7 +281,7 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
                 entry["left"],
                 entry["right"],
                 entry["probability"],
-                bound=entry.get("bound", "exact"),
+                bound=entry.get("bound", BOUND_EXACT),
                 group=entry.get("group"),
             )
             for entry in data["constraints"]
@@ -210,11 +304,9 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
     pf_params = IndexParameters(
         score=params["Q"], weight=params["s"], variance=variance
     )
-    mc = None
-    if "mc" in data:
-        mc = SimulationDefaults(
-            trials=int(data["mc"]["trials"]), seed=int(data["mc"]["seed"])
-        )
+    mc = data.get("mc")
+    if mc is not None:
+        mc = SimulationDefaults(trials=int(mc["trials"]), seed=int(mc["seed"]))
     return Scenario(
         name=data["name"],
         game=game,

@@ -1,11 +1,10 @@
 """Scenario solving: equilibrium sets, selection probabilities, and bounds.
 
-A scenario bundles a 2x2 ordinal game, its dominance constraints, the event
-environment, and the two coefficient parameter sets. Solving yields a
-decision report: which cells are pure Nash under the case-adjusted order,
-the probabilities that each diagonal equilibrium guides the decision, the
-leftover indeterminate mass, and the closed-form bounds those probabilities
-can never cross.
+Solving a scenario (see ``scenario``) yields a decision report: which cells
+are pure Nash under the case-adjusted order, the probabilities that each
+diagonal equilibrium guides the decision, the leftover indeterminate mass,
+and the closed-form bounds those probabilities can never cross. A sweep
+solves the same scenario across a parameter grid.
 
 Two comparison events drive everything. "em12" is the event that the row
 player's temptation payoff (top-left) outranks its dutiful payoff
@@ -19,11 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .bayes import ComparisonEvent, EventSpace
-from .constraints import ConstraintSet, DominanceConstraint, check_seed, check_trials
+from .constraints import ConstraintSet, DominanceConstraint
 from .errors import ValidationError
 from .game import CellCoord, OrdinalGame, pure_nash
 from .index_model import (
@@ -35,6 +33,7 @@ from .index_model import (
     in_scale_interior,
     score_factor,
 )
+from .scenario import Case, Scenario
 
 SCORE_MATCH_TOLERANCE = 1e-12
 
@@ -48,96 +47,6 @@ _PARAM_TARGETS = {
     "s": ("pf_params", "weight"),
     "Q": ("pf_params", "score"),
 }
-
-
-class Case(Enum):
-    """Evidential regime for the column player's strict course."""
-
-    STRONG_EVIDENCE = "strong_evidence"
-    WEAK_EVIDENCE = "weak_evidence"
-
-
-@dataclass(frozen=True)
-class SimulationDefaults:
-    """Scenario-level Monte Carlo defaults."""
-
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        check_trials(self.trials)
-        check_seed(self.seed)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Everything needed to solve one decision problem."""
-
-    name: str
-    game: OrdinalGame
-    constraints: ConstraintSet
-    events: EventSpace
-    em_params: IndexParameters
-    pf_params: IndexParameters
-    case: Case
-    mode: Mode
-    mc: Optional[SimulationDefaults] = None
-    description: str = ""
-    players: Tuple[str, str] = ("row", "column")
-
-    def __post_init__(self):
-        # the file format holds one variance for both coefficient parameter
-        # sets, so a scenario with two could not echo its own inputs
-        em, pf = self.em_params.variance, self.pf_params.variance
-        if em != pf:
-            raise ValidationError(
-                f"em_params and pf_params must share one variance, got "
-                f"{em!r} and {pf!r}"
-            )
-
-    def to_dict(self) -> Dict:
-        """The canonical file-format dictionary for this scenario."""
-        game = self.game
-        payload: Dict = {
-            "name": self.name,
-            "game": {
-                "row_player": self.players[0],
-                "col_player": self.players[1],
-                "row_strategies": list(game.row_strategies),
-                "col_strategies": list(game.col_strategies),
-                "payoffs": [[list(pair) for pair in row] for row in game.cells],
-            },
-            "constraints": [
-                _constraint_to_dict(c) for c in self.constraints.constraints
-            ],
-            "events": {
-                "labels": list(self.events.labels),
-                "prior": list(self.events.prior),
-            },
-            "parameters": {
-                "r": self.em_params.weight,
-                "C": self.em_params.score,
-                "s": self.pf_params.weight,
-                "Q": self.pf_params.score,
-                "variance": self.em_params.variance,
-            },
-            "case": self.case.value,
-            "mode": self.mode.value,
-        }
-        if self.description:
-            payload["description"] = self.description
-        if self.mc is not None:
-            payload["mc"] = {"trials": self.mc.trials, "seed": self.mc.seed}
-        return payload
-
-
-def _constraint_to_dict(c: DominanceConstraint) -> Dict:
-    entry: Dict = {"left": c.left, "right": c.right, "probability": c.probability}
-    if c.bound != "exact":
-        entry["bound"] = c.bound
-    if c.group:
-        entry["group"] = c.group
-    return entry
 
 
 @dataclass(frozen=True)
@@ -165,11 +74,7 @@ class DecisionReport:
             "mode": self.mode,
             "case": self.case,
             "results": {
-                "p_em12": self.p_em12,
-                "p_pf21": self.p_pf21,
-                "p_cell_11": self.p_cell_11,
-                "p_cell_22": self.p_cell_22,
-                "indeterminate": self.indeterminate,
+                **{name: getattr(self, name) for name in SWEEP_METRICS},
                 "nash_cells": [list(cell) for cell in self.nash_cells],
                 "undecided_cells": [list(cell) for cell in self.undecided_cells],
             },
@@ -188,11 +93,7 @@ class DecisionReport:
             scenario_name=data["scenario"].get("name", ""),
             mode=data["mode"],
             case=data["case"],
-            p_em12=results["p_em12"],
-            p_pf21=results["p_pf21"],
-            p_cell_11=results["p_cell_11"],
-            p_cell_22=results["p_cell_22"],
-            indeterminate=results["indeterminate"],
+            **{name: results[name] for name in SWEEP_METRICS},
             nash_cells=tuple(
                 CellCoord(*cell) for cell in results["nash_cells"]
             ),

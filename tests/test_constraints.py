@@ -522,3 +522,28 @@ def test_building_and_hashing_a_set_loads_no_numpy():
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+class TestSamplingSeed:
+    @pytest.fixture
+    def fresh_order(self):
+        """The shipped order in a new set, so no sampling plan is kept yet."""
+        constraints = ipd_scenario().constraints
+        return ConstraintSet(constraints.constraints, universe=constraints.universe)
+
+    @pytest.mark.parametrize("size", [None, 3])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, [1, -2], (0, 2.0), [False]])
+    def test_bad_seed_is_a_validation_error(self, fresh_order, seed, size):
+        with pytest.raises(ValidationError, match="^seed must be"):
+            fresh_order.sample_realization(seed, size=size)
+        # rejected before anything is drawn or built
+        assert fresh_order._plan is None
+
+    def test_seed_sequences_draw_as_numpy_does(self, ipd_base_constraints):
+        drawn = ipd_base_constraints.sample_realization([1, 2], size=4)
+        assert _bits(drawn) == _bits(
+            reference_sample_realization(ipd_base_constraints, [1, 2], 4)
+        )
+        assert _bits(drawn) == _bits(
+            ipd_base_constraints.sample_realization((1, np.int64(2)), size=4)
+        )

@@ -181,3 +181,21 @@ def test_import_does_not_load(package):
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+class TestModeNames:
+    @pytest.mark.parametrize("text", [" Paper ", "paper ", "PUBLISHED", "Computed"])
+    def test_parse_reads_exact_text_only(self, text):
+        with pytest.raises(ValidationError, match="^unknown mode"):
+            Mode.parse(text)
+
+    def test_schema_and_cli_name_what_parse_reads(self):
+        from splitgame.cli import _MODE_CHOICES
+        from splitgame.scenario import scenario_schema
+
+        names = ["computed", "published", "paper"]
+        assert list(_MODE_CHOICES) == names
+        assert scenario_schema()["properties"]["mode"]["enum"] == names
+        assert [Mode.parse(name).value for name in names] == [
+            "computed", "published", "published"
+        ]

@@ -1,0 +1,66 @@
+"""The package's layers: which package modules each module may import.
+
+The core (errors, the game, the constraint order, the event space and the
+index model) knows nothing above it. The scenario model and its file format
+rest on the core alone. Solving, Monte Carlo checks and survey scoring each
+rest on the core and the scenario, never on each other or on the CLI.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+import splitgame
+
+PACKAGE = "splitgame"
+SOURCE = Path(splitgame.__file__).parent
+
+CORE = frozenset({"errors", "game", "constraints", "bayes", "index_model"})
+ANALYSES = frozenset({"solver", "montecarlo", "survey"})
+
+# module -> the package modules it may import
+ALLOWED = {
+    **dict.fromkeys(CORE, CORE),
+    "scenario": CORE,
+    **dict.fromkeys(ANALYSES, CORE | {"scenario"}),
+    "cli": CORE | {"scenario"} | ANALYSES,
+    "__init__": CORE | {"scenario"} | ANALYSES,
+    "__main__": frozenset({"cli"}),
+}
+
+
+def package_imports(module: str) -> set:
+    """The package modules that import statements anywhere in ``module``'s
+    source name, relative or absolute."""
+    modules = {path.stem for path in SOURCE.glob("*.py")}
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == PACKAGE and rest:
+                    found.add(rest.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level <= 1, "the package is flat"
+            base = node.module or ""
+            if node.level == 0:
+                if base != PACKAGE and not base.startswith(PACKAGE + "."):
+                    continue
+                base = base[len(PACKAGE) + 1:]
+            if base:
+                found.add(base.split(".")[0])
+            else:
+                found.update(a.name for a in node.names if a.name in modules)
+    found.discard(module)
+    return found
+
+
+def test_table_covers_every_module():
+    assert {path.stem for path in SOURCE.glob("*.py")} == set(ALLOWED)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_module_imports_only_its_layers(module):
+    assert package_imports(module) <= ALLOWED[module]
+

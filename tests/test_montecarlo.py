@@ -15,6 +15,7 @@ from splitgame import (
     OrdinalGame,
     SimulationConfig,
     SimulationDefaults,
+    UnknownSymbolError,
     ValidationError,
     Disagreement,
     ipd_scenario,
@@ -444,3 +445,33 @@ class TestBatchedScan:
         assert len(scans) == 3
         assert verification.ok
         assert verification.checked_cells == 4 * trials
+
+
+class TestMissingSymbol:
+    """A value map that lacks a game symbol raises what ``NumericOrder``
+    raises for it, on every path that scans one."""
+
+    def test_scalar_values(self, ipd_game):
+        values = {symbol: 1.0 for symbol in ipd_game.symbol_ids()}
+        del values["EM11"]
+        with pytest.raises(UnknownSymbolError) as symbolic:
+            pure_nash(ipd_game, NumericOrder(values))
+        for partial in (values, {}):
+            with pytest.raises(UnknownSymbolError) as numeric:
+                numeric_pure_nash(ipd_game, partial)
+            assert str(numeric.value) == str(symbolic.value)
+            assert str(numeric.value) == "no numeric value for symbol 'EM11'"
+
+    def test_array_values(self, ipd_game):
+        values = {symbol: np.zeros(3) for symbol in ipd_game.symbol_ids()}
+        del values["PF22"]
+        with pytest.raises(
+            UnknownSymbolError, match="^no numeric value for symbol 'PF22'$"
+        ):
+            numeric_pure_nash(ipd_game, values)
+
+    def test_order_not_covering_the_game(self, ipd_game):
+        with pytest.raises(
+            UnknownSymbolError, match="^no numeric value for symbol 'EM11'$"
+        ):
+            verify_nash_numeric(ipd_game, ConstraintSet([]), 10, 0)
