@@ -11,7 +11,8 @@ sample uses them.
 Sampling builds what depends only on the order, the sorted names and each
 connected component's downset lattice, once per set: on the first
 ``sample_realization`` call, kept with the set, so every later call only
-draws. A set from ``add_constraint`` builds its own.
+draws. A component that is a chain keeps only its one linear extension,
+so it is never walked. A set from ``add_constraint`` builds its own.
 
 numpy is imported inside the sampling functions, not at module level: only
 sampling needs it, and the order queries behind ``solve`` and ``sweep``
@@ -210,18 +211,17 @@ def _lattice(above):
     return follow, cumulative
 
 
-def _linear_extensions(follow, cumulative, rows, rng) -> np.ndarray:
+def _linear_extensions(follow, cumulative, u) -> np.ndarray:
     """Uniformly random linear extensions of one connected order, from its
-    ``_lattice`` tables.
+    ``_lattice`` tables and a (k, rows, 1) array of uniforms.
 
     All rows walk the lattice together, one array step per position.
     Returns a (rows, k) array of symbol positions from the top.
     """
     import numpy as np
 
-    k = follow.shape[1]
+    k, rows = u.shape[:2]
     # u < 1, so the first entry above it is a move with positive share
-    u = rng.random((k, rows, 1))
     state = np.zeros(rows, dtype=np.intp)
     order = np.empty((k, rows), dtype=np.intp)
     for depth in range(k):
@@ -383,9 +383,10 @@ class ConstraintSet:
         """What sampling needs of the order, built on first use and kept:
         the sorted names, the indices of the unconstrained ones, and per
         connected component of two or more symbols its member indices with
-        its ``_lattice`` tables. A component over ``SAMPLING_DOWNSET_CAP``
-        raises SamplingExhaustedError, and nothing is kept, so every call
-        raises."""
+        its ``_lattice`` tables; a chain (k + 1 downsets) keeps its members
+        in its one linear extension, from the top, and None. A component
+        over ``SAMPLING_DOWNSET_CAP`` raises SamplingExhaustedError, and
+        nothing is kept, so every call raises."""
         if self._plan is None:
             import numpy as np
 
@@ -401,7 +402,15 @@ class ConstraintSet:
                 for name, bit in local.items():
                     for lesser in self._reach[name]:
                         above[local[lesser]] |= 1 << bit
-                walks.append((np.asarray(members), *_lattice(above)))
+                follow, cumulative = _lattice(above)
+                lattice = follow, cumulative
+                if len(follow) == len(members):  # a chain: one path
+                    state, ranked = 0, []
+                    for _ in members:  # each downset's one move of share 1
+                        ranked.append(int(cumulative[state].argmax()))
+                        state = follow[state, ranked[-1]]
+                    members, lattice = [members[i] for i in ranked], None
+                walks.append((np.asarray(members), lattice))
             self._plan = names, free, walks
         return self._plan
 
@@ -414,7 +423,9 @@ class ConstraintSet:
         extension from a count over its downset lattice (Brightwell &
         Winkler, Order 8, 1991), then sorted iid uniforms in that order;
         unconstrained symbols are plain uniforms. The lattices are built on
-        the first call and kept with the set. ``size=None`` gives one
+        the first call and kept with the set; a chain, whose one extension
+        is read off its lattice then, is never walked. Each call draws all
+        its uniforms at once. ``size=None`` gives one
         ``{name: float}``; an integer ``size`` gives ``{name: array}`` of
         that many independent rows, at most ``MAX_TRIALS`` values in all.
         Deterministic for a given seed, an integer >= 0 or a list or tuple
@@ -437,13 +448,26 @@ class ConstraintSet:
 
         names, free, walks = self._sampling_plan()
         rows = 1 if size is None else int(size)
-        rng = np.random.default_rng(seed)
+        # the stream is read in this order: the free symbols' values, then
+        # per component k x rows walk uniforms, which a chain skips, and
+        # rows x k values
+        per_row = len(free) + 2 * sum(len(members) for members, _ in walks)
+        stream = np.random.default_rng(seed).random(per_row * rows)
+        at = len(free) * rows
         values = np.empty((len(names), rows))
-        values[free] = rng.random((len(free), rows))
-        for members, follow, cumulative in walks:
-            order = _linear_extensions(follow, cumulative, rows, rng)
-            draws = np.sort(rng.random((rows, len(members))), axis=1)
-            values[members[order], np.arange(rows)[:, None]] = draws[:, ::-1]
+        values[free] = stream[:at].reshape(len(free), rows)
+        for members, lattice in walks:
+            k = len(members)
+            step = k * rows
+            draws = stream[at + step : at + 2 * step].reshape(rows, k)
+            draws = np.sort(draws, axis=1)[:, ::-1]
+            if lattice is None:
+                values[members] = draws.T
+            else:
+                u = stream[at : at + step].reshape(k, rows, 1)
+                order = _linear_extensions(*lattice, u)
+                values[members[order], np.arange(rows)[:, None]] = draws
+            at += 2 * step
         if size is None:
             return {name: float(v[0]) for name, v in zip(names, values)}
         return dict(zip(names, values))

@@ -104,7 +104,7 @@ class OrdinalGame:
 
     def payoff(self, row: int, col: int, player: int) -> str:
         if player not in (PLAYER_ROW, PLAYER_COL):
-            raise IndexError(f"player must be 0 or 1, got {player!r}")
+            raise ValidationError(f"player must be 0 or 1, got {player!r}")
         return self.cells[row][col][player]
 
     def symbol_ids(self) -> frozenset:

@@ -154,6 +154,15 @@ class TestSweepCommand:
         cell22 = [float(row[4]) for row in rows[1:]]
         assert all(b < a for a, b in zip(cell22, cell22[1:]))
 
+    def test_step_that_overshoots_the_stop_ends_below_it(self, ipd_path, capsys):
+        # 0.1:0.95 is 8.5 steps of 0.1; the grid stops at the last whole step
+        code = main(["sweep", "--scenario", ipd_path, "--grid", "r=0.1:0.95:0.1"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        r = [float(row[0]) for row in rows[1:]]
+        assert len(r) == 9
+        assert r[0] == 0.1 and r[-1] == pytest.approx(0.9, abs=1e-12)
+
     def test_values_full_precision(self, ipd_path, capsys):
         main(["sweep", "--scenario", ipd_path, "--grid", "r=0.5:0.5:0.1"])
         out = capsys.readouterr().out
@@ -323,6 +332,20 @@ class TestScoreCommand:
         path = tmp_path / "allbad.csv"
         path.write_text(f"{SURVEY_HEADER}\nr1,g,a,a,a,a,a,a\n")
         assert main(["score", str(path), "--lenient"]) == 4
+
+    def test_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        assert main(["score", str(path)]) == 4
+        assert capsys.readouterr().err == f"error: {path}: empty file\n"
+
+    def test_header_field_over_the_csv_limit(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("respondent_id," + "x" * 131073 + "\n")
+        assert main(["score", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: field larger than field limit (131072)\n"
+        )
 
     def test_out_file(self, tmp_path, capsys):
         data = tmp_path / "one.csv"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -547,3 +548,183 @@ class TestSamplingSeed:
         assert _bits(drawn) == _bits(
             ipd_base_constraints.sample_realization((1, np.int64(2)), size=4)
         )
+
+
+def _order_masks(constraints):
+    """The sorted names and, per symbol, the bitmask of the symbols that
+    must precede it, over the whole set."""
+    names = sorted(constraints.symbols)
+    bit = {name: i for i, name in enumerate(names)}
+    above = [0] * len(names)
+    for name in names:
+        for lesser in constraints._reach[name]:
+            above[bit[lesser]] |= 1 << bit[name]
+    return names, above
+
+
+def _brute_extensions(above, symbols):
+    """Every ordering of ``symbols`` (indices into ``above``), from the top,
+    in which each symbol comes after all of its ``above`` among them."""
+    among = sum(1 << j for j in symbols)
+    extensions = []
+    for perm in itertools.permutations(symbols):
+        placed = 0
+        for j in perm:
+            if above[j] & among & ~placed:
+                break
+            placed |= 1 << j
+        else:
+            extensions.append(perm)
+    return extensions
+
+
+def _walk_law(follow, cumulative):
+    """The exact probability of every sequence the lattice walk can produce:
+    from each downset, u uniform on [0, 1) picks the first entry of
+    ``cumulative`` above u, so entry j is picked with probability
+    cumulative[j] - cumulative[j - 1]."""
+    k = follow.shape[1]
+    law = {}
+    stack = [(0, (), 1.0)]
+    while stack:
+        state, prefix, p = stack.pop()
+        if len(prefix) == k:
+            law[prefix] = law.get(prefix, 0.0) + p
+            continue
+        below = 0.0
+        for j, reached in enumerate(cumulative[state].tolist()):
+            if reached > below:
+                stack.append((follow[state, j], prefix + (j,), p * (reached - below)))
+            below = reached
+    return law
+
+
+def _all_small_dags():
+    """Every labelled DAG on 1 to 4 symbols, as an open set bound to all
+    of them."""
+    for n in range(1, 5):
+        names = [f"S{i}" for i in range(n)]
+        arcs = list(itertools.permutations(range(n), 2))
+        for chosen in itertools.product((False, True), repeat=len(arcs)):
+            edges = [arc for arc, on in zip(arcs, chosen) if on]
+            try:
+                yield ConstraintSet(
+                    [certain(names[a], names[b]) for a, b in edges],
+                    universe=names,
+                )
+            except InconsistentOrderError:
+                continue
+
+
+class TestSamplerLaw:
+    """The sampler's law, computed exactly from its tables: no draws, so no
+    variance and no tolerance beyond float rounding."""
+
+    @staticmethod
+    def assert_exact_law(constraints):
+        names, above = _order_masks(constraints)
+        k = len(names)
+        extensions = set(_brute_extensions(above, range(k)))
+        law = _walk_law(*constraints_module._lattice(above))
+        for perm in itertools.permutations(range(k)):
+            want = 1.0 / len(extensions) if perm in extensions else 0.0
+            assert abs(law.get(perm, 0.0) - want) <= 1e-12, (perm, want)
+        # so nothing but a permutation is ever produced
+        assert abs(sum(law.values()) - 1.0) <= 1e-12
+
+    @staticmethod
+    def assert_plan_classifies_chains(constraints):
+        names, above = _order_masks(constraints)
+        _, _, walks = constraints._sampling_plan()
+        for members, lattice in walks:
+            extensions = _brute_extensions(above, members.tolist())
+            if lattice is None:
+                assert extensions == [tuple(members.tolist())]
+            else:
+                assert len(extensions) > 1
+
+    def test_every_dag_up_to_four_symbols(self):
+        count = 0
+        for constraints in _all_small_dags():
+            self.assert_exact_law(constraints)
+            self.assert_plan_classifies_chains(constraints)
+            count += 1
+        # labelled DAGs on 1, 2, 3 and 4 nodes (OEIS A003024)
+        assert count == 1 + 3 + 25 + 543
+
+    @settings(max_examples=25, deadline=None)
+    @given(constraints=dag_orders().filter(lambda c: len(c.symbols) <= 7))
+    def test_drawn_orders_up_to_seven_symbols(self, constraints):
+        self.assert_exact_law(constraints)
+        self.assert_plan_classifies_chains(constraints)
+
+
+@st.composite
+def chain_and_crown_orders(draw):
+    """Disjoint chains of 2 to 9 symbols, 2+2 crowns (two symbols each
+    above the same two) and free symbols, under shuffled names."""
+    chains = draw(st.lists(st.integers(2, 9), max_size=3))
+    crowns = draw(st.integers(0, 2))
+    free = draw(st.integers(0, 4))
+    n = sum(chains) + 4 * crowns + free
+    if n == 0:
+        return ConstraintSet([])
+    names = draw(st.permutations([f"S{i}" for i in range(n)]))
+    pairs, at = [], 0
+    for length in chains:
+        pairs += [(at + i, at + i + 1) for i in range(length - 1)]
+        at += length
+    for _ in range(crowns):
+        pairs += [(at + top, at + bottom) for top in (0, 1) for bottom in (2, 3)]
+        at += 4
+    draw(st.randoms()).shuffle(pairs)
+    return ConstraintSet(
+        [certain(names[a], names[b]) for a, b in pairs], universe=names
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    constraints=chain_and_crown_orders(),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(0, 2**16),
+    size=st.sampled_from([None, 0, 1]) | st.integers(2, 40),
+)
+def test_chains_and_crowns_draw_bit_identical_values(
+    constraints, seed, block, size
+):
+    expected = _bits(reference_sample_realization(constraints, [seed, block], size))
+    assert _bits(constraints.sample_realization([seed, block], size)) == expected
+    assert _bits(constraints.sample_realization([seed, block], size)) == expected
+
+
+class TestChainsAreNotWalked:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The number of lattice walks so far, in a one-item list."""
+        calls = [0]
+        walk = constraints_module._linear_extensions
+
+        def counting(*args):
+            calls[0] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(constraints_module, "_linear_extensions", counting)
+        return calls
+
+    def test_tight_shaped_order_walks_nothing(self, walks):
+        row = [f"R{i}" for i in range(7)]
+        col = [f"K{i}" for i in range(3)]
+        order = ConstraintSet(
+            [certain(a, b) for chain in (row, col) for a, b in zip(chain, chain[1:])],
+            universe=row + col + [f"F{i}" for i in range(8)],
+        )
+        for seed in range(3):
+            order.sample_realization([seed, 0], size=4)
+            order.sample_realization(seed)
+        assert walks == [0]
+
+    def test_each_crown_is_walked_once_per_call(self, walks, ipd_constraints):
+        for calls, seed in enumerate(range(3), start=1):
+            ipd_constraints.sample_realization([seed, 0], size=4)
+            assert walks == [2 * calls]

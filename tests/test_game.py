@@ -67,6 +67,12 @@ class TestStructure:
         assert ipd_game.cells[1][0] == ("EM21", "PF21")
         assert ipd_game.n_rows == 2 and ipd_game.n_cols == 2
 
+    @pytest.mark.parametrize("player", [2, -1, "0"])
+    def test_bad_player_is_a_validation_error(self, ipd_game, player):
+        message = f"^player must be 0 or 1, got {player!r}$"
+        with pytest.raises(ValidationError, match=message):
+            ipd_game.payoff(0, 0, player)
+
 
 class TestNumericOrder:
     def test_unknown_symbol(self):
