@@ -46,8 +46,6 @@ class EventSpace:
     @classmethod
     def uniform(cls, labels: Iterable[str]) -> "EventSpace":
         names = tuple(labels)
-        if not names:
-            raise ValidationError("event space needs at least one event")
         return cls(names, tuple(1.0 / len(names) for _ in names))
 
     def __len__(self):

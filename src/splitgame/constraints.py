@@ -216,7 +216,7 @@ def _linear_extensions(follow, cumulative, u) -> np.ndarray:
     ``_lattice`` tables and a (k, rows, 1) array of uniforms.
 
     All rows walk the lattice together, one array step per position.
-    Returns a (rows, k) array of symbol positions from the top.
+    Returns a (k, rows) array: each row's symbol at each depth from the top.
     """
     import numpy as np
 
@@ -227,7 +227,7 @@ def _linear_extensions(follow, cumulative, u) -> np.ndarray:
     for depth in range(k):
         order[depth] = pick = (cumulative[state] > u[depth]).argmax(axis=1)
         state = follow[state, pick]
-    return order.T
+    return order
 
 
 class ConstraintSet:
@@ -369,7 +369,6 @@ class ConstraintSet:
         for left, right in chain:
             self._check_known(left, right)
             if right in self._reach.get(left, ()):
-                product *= 1.0
                 continue
             try:
                 product *= self._exact[(left, right)]
@@ -424,10 +423,11 @@ class ConstraintSet:
         Winkler, Order 8, 1991), then sorted iid uniforms in that order;
         unconstrained symbols are plain uniforms. The lattices are built on
         the first call and kept with the set; a chain, whose one extension
-        is read off its lattice then, is never walked. Each call draws all
-        its uniforms at once. ``size=None`` gives one
-        ``{name: float}``; an integer ``size`` gives ``{name: array}`` of
-        that many independent rows, at most ``MAX_TRIALS`` values in all.
+        is read off its lattice then, is never walked. Each call reads one
+        generator part by part; a chain advances it past its walk uniforms.
+        ``size=None`` gives one ``{name: float}``; an integer ``size`` gives
+        ``{name: array}`` of that many independent rows, at most
+        ``MAX_TRIALS`` values in all.
         Deterministic for a given seed, an integer >= 0 or a list or tuple
         of them (numpy PCG64). Raises SamplingExhaustedError when a
         component has more than ``SAMPLING_DOWNSET_CAP`` downsets.
@@ -448,26 +448,18 @@ class ConstraintSet:
 
         names, free, walks = self._sampling_plan()
         rows = 1 if size is None else int(size)
-        # the stream is read in this order: the free symbols' values, then
-        # per component k x rows walk uniforms, which a chain skips, and
-        # rows x k values
-        per_row = len(free) + 2 * sum(len(members) for members, _ in walks)
-        stream = np.random.default_rng(seed).random(per_row * rows)
-        at = len(free) * rows
+        rng = np.random.default_rng(seed)
         values = np.empty((len(names), rows))
-        values[free] = stream[:at].reshape(len(free), rows)
+        values[free] = rng.random((len(free), rows))
         for members, lattice in walks:
             k = len(members)
-            step = k * rows
-            draws = stream[at + step : at + 2 * step].reshape(rows, k)
-            draws = np.sort(draws, axis=1)[:, ::-1]
-            if lattice is None:
-                values[members] = draws.T
+            if lattice is None:  # a chain skips its walk uniforms unallocated
+                rng.bit_generator.advance(k * rows)
+                target = members
             else:
-                u = stream[at : at + step].reshape(k, rows, 1)
-                order = _linear_extensions(*lattice, u)
-                values[members[order], np.arange(rows)[:, None]] = draws
-            at += 2 * step
+                order = _linear_extensions(*lattice, rng.random((k, rows, 1)))
+                target = members[order], np.arange(rows)
+            values[target] = np.sort(rng.random((rows, k)), axis=1).T[::-1]
         if size is None:
             return {name: float(v[0]) for name, v in zip(names, values)}
         return dict(zip(names, values))

@@ -173,26 +173,19 @@ def _check_plan(game: OrdinalGame, constraints: ConstraintSet):
     read-only arrays, since every call shares them."""
     import numpy as np
 
-    equilibria, undecided = pure_nash(game, constraints)
+    found, undecided = pure_nash(game, constraints)
     all_cells = {
         CellCoord(r, c)
         for r in range(game.n_rows)
         for c in range(game.n_cols)
     }
-    decided_out = all_cells - set(equilibria) - set(undecided)
-    checked = tuple(sorted(equilibria) + sorted(decided_out))
+    equilibria = tuple(sorted(found))
+    checked = equilibria + tuple(sorted(all_cells - found - undecided))
     rows, cols = np.array(checked, dtype=np.intp).reshape(-1, 2).T
     expected = np.arange(len(checked)) < len(equilibria)
     for array in (rows, cols, expected):
         array.flags.writeable = False
-    return (
-        tuple(sorted(equilibria)),
-        tuple(sorted(undecided)),
-        checked,
-        rows,
-        cols,
-        expected,
-    )
+    return equilibria, tuple(sorted(undecided)), checked, rows, cols, expected
 
 
 def verify_nash_numeric(

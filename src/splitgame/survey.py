@@ -13,7 +13,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 from .errors import ValidationError
 
@@ -265,8 +265,8 @@ def _parse_row(row) -> Tuple[str, SurveyResponse]:
     respondent = row[0].strip()
     if not respondent:
         raise ValidationError("empty respondent_id")
-    answers: Dict[int, Choice] = {}
-    for item, cell in zip(instrument.items, row[1:]):
-        _choice_position(cell)  # raises on malformed cells
-        answers[item.index] = cell.strip().lower()
+    answers = {
+        item.index: _choice_position(cell)
+        for item, cell in zip(instrument.items, row[1:])
+    }
     return respondent, SurveyResponse(answers)

@@ -29,6 +29,11 @@ class TestEventSpace:
         assert UNIFORM3.labels == ("e1", "e2", "e3")
         assert sum(UNIFORM3.prior) == pytest.approx(1.0, abs=1e-12)
 
+    def test_uniform_over_no_labels_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            EventSpace.uniform([])
+        assert str(exc.value) == "event space needs at least one event"
+
     def test_negative_prior_rejected(self):
         with pytest.raises(DomainError):
             EventSpace(("a", "b"), (1.2, -0.2))

@@ -728,3 +728,31 @@ class TestChainsAreNotWalked:
         for calls, seed in enumerate(range(3), start=1):
             ipd_constraints.sample_realization([seed, 0], size=4)
             assert walks == [2 * calls]
+
+
+class TestSamplingMemory:
+    """One call of 10^6 values holds little beyond the values it returns:
+    the generator is read part by part, so no part's uniforms outlive it."""
+
+    def _peak_share(self, order):
+        size = 10**6 // len(order.symbols)
+        order.sample_realization(0, size=2)  # builds and keeps the plan
+        tracemalloc.start()
+        try:
+            values = order.sample_realization(0, size=size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / sum(column.nbytes for column in values.values())
+
+    def test_ipd_order(self, ipd_constraints):
+        assert self._peak_share(ipd_constraints) <= 4.5
+
+    def test_chains_and_free_symbols(self):
+        row = [f"R{i}" for i in range(7)]
+        col = [f"K{i}" for i in range(3)]
+        order = ConstraintSet(
+            [certain(a, b) for chain in (row, col) for a, b in zip(chain, chain[1:])],
+            universe=row + col + [f"F{i}" for i in range(8)],
+        )
+        assert self._peak_share(order) <= 2.5

@@ -13,6 +13,8 @@ from splitgame import (
     read_responses_csv,
     score_response,
 )
+from splitgame import survey as survey_module
+from splitgame.cli import main
 from splitgame.survey import (
     CHOICES,
     NEGATIVE,
@@ -302,3 +304,30 @@ class TestCsvIngestion:
         )
         with pytest.raises(ValidationError):
             read_responses_csv(path)
+
+
+class TestParsedOnce:
+    def test_answers_hold_positions(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        write_csv(path, [",".join(csv_header()), "r1, E ,2,d,3,1,6,F"])
+        rows, _ = read_responses_csv(path)
+        assert rows[0][1].answers == {1: 5, 2: 2, 3: 4, 4: 3, 5: 1, 6: 6, 7: 6}
+
+    def test_score_parses_each_cell_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "cohort.csv"
+        write_csv(
+            path,
+            [",".join(csv_header())]
+            + [f"r{i},f,a,E,2,d,3,1" for i in range(5)],
+        )
+        parse = survey_module._choice_position
+        texts = []
+
+        def counting(choice):
+            if isinstance(choice, str):
+                texts.append(choice)
+            return parse(choice)
+
+        monkeypatch.setattr(survey_module, "_choice_position", counting)
+        assert main(["score", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(texts) == 7 * 5
