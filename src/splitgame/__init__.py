@@ -8,127 +8,85 @@ of that three-valued core the package layers an event-space fixed point, a
 Gaussian-tail misjudgement index, closed-form equilibrium selection
 probabilities, Monte Carlo cross-checks, and scoring for the seven-item
 professionalism survey instrument.
+
+Importing the package loads none of its modules: each public name is
+imported from the module ``_EXPORTS`` names on first use (PEP 562).
 """
-from .bayes import ComparisonEvent, EventSpace, fixed_point_posterior
-from .constraints import (
-    BOUND_EXACT,
-    BOUND_LOWER,
-    ConstraintSet,
-    DominanceConstraint,
-    SAMPLING_DOWNSET_CAP,
-)
-from .errors import (
-    DomainError,
-    InconsistentOrderError,
-    MissingProbabilityError,
-    SamplingExhaustedError,
-    SplitgameError,
-    UnknownSymbolError,
-    ValidationError,
-)
-from .game import (
-    CellCoord,
-    DominanceOracle,
-    NumericOrder,
-    OrdinalGame,
-    PLAYER_COL,
-    PLAYER_ROW,
-    pure_nash,
-)
-from .index_model import (
-    IndexParameters,
-    Mode,
-    PUBLISHED_TABLE,
-    gaussian_tail,
-    published_coefficient,
-    score_factor,
-)
-from .montecarlo import (
-    Disagreement,
-    NashVerification,
-    SimulationConfig,
-    SimulationResult,
-    numeric_pure_nash,
-    simulate_selection,
-    verify_nash_numeric,
-)
-from .scenario import Case, Scenario, SimulationDefaults
-from .scenario import ipd_scenario, load_scenario, scenario_from_dict
-from .solver import (
-    DecisionReport,
-    comparison_events,
-    effective_constraints,
-    solve,
-    sweep,
-    with_parameters,
-)
-from .survey import (
-    Instrument,
-    PIndexScore,
-    SurveyItem,
-    SurveyResponse,
-    aggregate,
-    canonical_instrument,
-    read_responses_csv,
-    score_response,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUND_EXACT",
-    "BOUND_LOWER",
-    "Case",
-    "CellCoord",
-    "ComparisonEvent",
-    "ConstraintSet",
-    "DecisionReport",
-    "Disagreement",
-    "DominanceConstraint",
-    "DominanceOracle",
-    "DomainError",
-    "EventSpace",
-    "IndexParameters",
-    "InconsistentOrderError",
-    "Instrument",
-    "MissingProbabilityError",
-    "Mode",
-    "NashVerification",
-    "NumericOrder",
-    "OrdinalGame",
-    "PIndexScore",
-    "PLAYER_COL",
-    "PLAYER_ROW",
-    "PUBLISHED_TABLE",
-    "SAMPLING_DOWNSET_CAP",
-    "SamplingExhaustedError",
-    "Scenario",
-    "SimulationConfig",
-    "SimulationDefaults",
-    "SimulationResult",
-    "SplitgameError",
-    "SurveyItem",
-    "SurveyResponse",
-    "UnknownSymbolError",
-    "ValidationError",
-    "aggregate",
-    "canonical_instrument",
-    "comparison_events",
-    "effective_constraints",
-    "fixed_point_posterior",
-    "gaussian_tail",
-    "ipd_scenario",
-    "load_scenario",
-    "numeric_pure_nash",
-    "published_coefficient",
-    "pure_nash",
-    "read_responses_csv",
-    "scenario_from_dict",
-    "score_factor",
-    "score_response",
-    "simulate_selection",
-    "solve",
-    "sweep",
-    "verify_nash_numeric",
-    "with_parameters",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "ComparisonEvent": "bayes",
+    "EventSpace": "bayes",
+    "fixed_point_posterior": "bayes",
+    "BOUND_EXACT": "constraints",
+    "BOUND_LOWER": "constraints",
+    "ConstraintSet": "constraints",
+    "DominanceConstraint": "constraints",
+    "SAMPLING_DOWNSET_CAP": "constraints",
+    "DomainError": "errors",
+    "InconsistentOrderError": "errors",
+    "MissingProbabilityError": "errors",
+    "SamplingExhaustedError": "errors",
+    "SplitgameError": "errors",
+    "UnknownSymbolError": "errors",
+    "ValidationError": "errors",
+    "CellCoord": "game",
+    "DominanceOracle": "game",
+    "NumericOrder": "game",
+    "OrdinalGame": "game",
+    "PLAYER_COL": "game",
+    "PLAYER_ROW": "game",
+    "pure_nash": "game",
+    "IndexParameters": "index_model",
+    "Mode": "index_model",
+    "PUBLISHED_TABLE": "index_model",
+    "gaussian_tail": "index_model",
+    "published_coefficient": "index_model",
+    "score_factor": "index_model",
+    "Disagreement": "montecarlo",
+    "NashVerification": "montecarlo",
+    "SimulationConfig": "montecarlo",
+    "SimulationResult": "montecarlo",
+    "numeric_pure_nash": "montecarlo",
+    "simulate_selection": "montecarlo",
+    "verify_nash_numeric": "montecarlo",
+    "Case": "scenario",
+    "Scenario": "scenario",
+    "SimulationDefaults": "scenario",
+    "ipd_scenario": "scenario",
+    "load_scenario": "scenario",
+    "scenario_from_dict": "scenario",
+    "DecisionReport": "solver",
+    "comparison_events": "solver",
+    "effective_constraints": "solver",
+    "solve": "solver",
+    "sweep": "solver",
+    "with_parameters": "solver",
+    "Instrument": "survey",
+    "PIndexScore": "survey",
+    "SurveyItem": "survey",
+    "SurveyResponse": "survey",
+    "aggregate": "survey",
+    "canonical_instrument": "survey",
+    "read_responses_csv": "survey",
+    "score_response": "survey",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import ``name`` from its module and keep it, so later lookups do not
+    come here."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

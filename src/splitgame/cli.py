@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
@@ -174,9 +175,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    rows, warnings = read_responses_csv(args.survey_csv, lenient=args.lenient)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    rows, skipped = read_responses_csv(args.survey_csv, lenient=args.lenient)
+    for note in skipped:
+        print(f"warning: {note}", file=sys.stderr)
     if not rows:
         raise ValidationError(f"{args.survey_csv}: no valid data rows")
 
@@ -330,12 +331,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # a warning names the library line that issued it, which tells a CLI
+    # user nothing; the filters still decide which warnings show
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.run(args)
-    except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(
-            code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)
-        )
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.run(args)
+        except tuple(_EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(
+                code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)
+            )

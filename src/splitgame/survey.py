@@ -86,22 +86,20 @@ def instrument_from_dict(data: Mapping) -> Instrument:
 
 def _choice_position(choice: Choice) -> int:
     """Normalize a choice (letter a-f, or 1-6 numeric) to position 1..6."""
+    position = choice
     if isinstance(choice, str):
         token = choice.strip().lower()
         if token in CHOICES:
             return CHOICES.index(token) + 1
         # isdecimal, not isdigit: int() cannot read digits such as '²'
-        if not token.isdecimal():
-            raise ValidationError(
-                f"invalid choice {choice!r}; expected a-f or 1-6"
-            )
-        try:
-            choice = int(token)
-        except ValueError:
-            pass  # past int()'s digit limit: the invalid-choice error below
-    if isinstance(choice, int) and not isinstance(choice, bool):
-        if 1 <= choice <= SCALE_STEPS:
-            return choice
+        if token.isdecimal():
+            try:
+                position = int(token)
+            except ValueError:
+                pass  # past int()'s digit limit: the invalid-choice error below
+    if isinstance(position, int) and not isinstance(position, bool):
+        if 1 <= position <= SCALE_STEPS:
+            return position
     raise ValidationError(f"invalid choice {choice!r}; expected a-f or 1-6")
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
-from splitgame import IndexParameters, ipd_scenario, solve
+from splitgame import ipd_scenario, solve
 from splitgame.cli import GRID_MAX_ROWS, GRID_MAX_STEPS, main
 from splitgame.montecarlo import MAX_TRIALS
 
@@ -25,16 +25,9 @@ GOLDEN = REPO_ROOT / "tests" / "golden"
 
 
 def _warning_line(score):
-    """The stderr line a score outside the scale interior prints; the
-    location is wherever IndexParameters issues the warning from."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        IndexParameters(score=score, weight=0.5)
-    (warning,) = caught
-    return (
-        f"{warning.filename}:{warning.lineno}: UserWarning: "
-        f"score {score!r} is outside the scale interior (1, 10)"
-    )
+    """The stderr line the CLI prints for a score outside the scale
+    interior."""
+    return f"warning: score {score!r} is outside the scale interior (1, 10)"
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):

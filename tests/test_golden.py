@@ -11,7 +11,7 @@ its change notes.
 ``CORPUS``, run from the repo root with repo-relative paths, its exit code
 and its stdout and stderr, as text when short and as a sha256 otherwise.
 Every case runs in process; one case per exit code, and every case whose
-stderr carries a Python warning, also runs as a fresh ``python -m
+stderr carries a ``warning:`` line, also runs as a fresh ``python -m
 splitgame`` process.
 """
 import contextlib
@@ -107,7 +107,7 @@ CORPUS = {
 }
 # longer streams are pinned by their sha256
 SHORT_STREAM = 256
-PYTHON_WARNING = re.compile(r"^\S+:\d+: \w*Warning: ", re.MULTILINE)
+PYTHON_WARNING = re.compile(r"^warning: ", re.MULTILINE)
 
 
 def _help_text(argv):
@@ -127,19 +127,14 @@ def _outcome(code, out: bytes, err: bytes) -> dict:
     return {"exit": code, "stdout": _stream(out), "stderr": _stream(err)}
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
-
 def _in_process(argv):
-    """``argv`` through ``cli.main``: exit code, stdout and stderr, with
-    warnings shown on stderr as a fresh interpreter shows them (once per
-    location)."""
+    """``argv`` through ``cli.main``: exit code, stdout and stderr, under
+    the warning filter a fresh interpreter starts with (each warning once
+    per location)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            warnings.showwarning = _show_warning
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse's usage errors
@@ -181,8 +176,8 @@ def test_corpus_in_process(name, monkeypatch):
 
 
 def test_corpus_in_subprocess():
-    """The first case per exit code, and every case that shows a Python
-    warning, as a fresh process."""
+    """The first case per exit code, and every case that shows a warning,
+    as a fresh process."""
     corpus = _corpus()
     first = {}
     for name, entry in corpus.items():

@@ -93,8 +93,10 @@ class TestScoreItem:
     @pytest.mark.parametrize("choice", ["g", "0", "7", "", 0, 7, True, "\u00b2"])
     def test_invalid_choice(self, choice):
         item = canonical_instrument().items[0]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as caught:
             score_item(item, choice)
+        # named as given: the text '7' is not the number 7
+        assert str(caught.value) == f"invalid choice {choice!r}; expected a-f or 1-6"
 
 
 class TestScoreResponse:
