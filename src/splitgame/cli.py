@@ -142,14 +142,12 @@ def _parse_grid_specs(specs: Sequence[str]) -> Dict[str, List[float]]:
         if name in grid:
             raise ValidationError(f"parameter {name!r} given twice")
         span = (stop - start) / step
-        # checked before rounding, which overflows on an infinite span
+        # checked before the floor, which overflows on an infinite span
         if span > GRID_MAX_STEPS:
             raise ValidationError(
                 f"grid spec {spec!r}: more than {GRID_MAX_STEPS} steps"
             )
-        count = int(round(span))
-        if abs(span - count) > 1e-9:
-            count = int(math.floor(span + 1e-9))
+        count = math.floor(span + 1e-9)
         rows *= count + 1
         if rows > GRID_MAX_ROWS:
             raise ValidationError(

@@ -77,10 +77,13 @@ def check_weight(weight: float) -> None:
         )
 
 
-def in_scale_interior(score: float) -> bool:
-    """Whether a score lies strictly inside (1, SCALE_MAX), where published
-    scores sit; IndexParameters warns about any other accepted score."""
-    return 1.0 < score < SCALE_MAX
+def warn_outside_interior(score: float) -> None:
+    """Warn about a score outside (1, SCALE_MAX), where published scores
+    sit; IndexParameters accepts such a score with this warning."""
+    if not 1.0 < score < SCALE_MAX:
+        warnings.warn(
+            f"score {score!r} is outside the scale interior (1, {SCALE_MAX:g})"
+        )
 
 
 @dataclass(frozen=True)
@@ -102,12 +105,7 @@ class IndexParameters:
         check_score(self.score)
         check_weight(self.weight)
         _check_variance(self.variance)
-        if not in_scale_interior(self.score):
-            warnings.warn(
-                f"score {self.score!r} is outside the scale interior "
-                f"(1, {SCALE_MAX:g})",
-                stacklevel=2,
-            )
+        warn_outside_interior(self.score)
 
 
 def gaussian_tail(lower: float, variance: float = DEFAULT_VARIANCE) -> float:

@@ -17,7 +17,7 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
 from typing import Dict, Iterator, Mapping, Optional, Tuple
@@ -121,12 +121,17 @@ def _constraint_to_dict(c: DominanceConstraint) -> Dict:
 
 
 @functools.cache
+def _resource(name: str) -> Dict:
+    """A JSON document shipped under ``splitgame/resources``, parsed once;
+    callers must not mutate it."""
+    # the loader reads the file from a zipped package too
+    path = os.path.join(os.path.dirname(__file__), "resources", name)
+    return json.loads(__loader__.get_data(path))
+
+
 def scenario_schema() -> Dict:
     """The published JSON schema for scenario files."""
-    name = os.path.join("resources", "scenario.schema.json")
-    # the loader reads the file from a zipped package too
-    path = os.path.join(os.path.dirname(__file__), name)
-    return json.loads(__loader__.get_data(path))
+    return _resource("scenario.schema.json")
 
 
 # JSON Schema 2020-12 keywords that _schema_errors reads; annotations
@@ -322,86 +327,29 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
     )
 
 
-# ---------------------------------------------------------------------------
-# the bundled dilemma: an officer weighing a bribe for leniency (row side,
-# family payoffs) against booking the offender on the strict course (column
-# side, professional payoffs)
-# ---------------------------------------------------------------------------
-
-IPD_BASE_RELATIONS = (
-    ("EM11", "EM21"),
-    ("EM11", "EM12"),
-    ("EM22", "EM12"),
-    ("PF11", "PF21"),
-    ("EM22", "EM21"),
-    ("PF22", "PF12"),
-)
-
-IPD_COLUMN_ASSUMPTIONS = (
-    ("PF11", "PF12"),
-    ("PF22", "PF21"),
-)
-
-COLUMN_ASSUMPTION_GROUP = "column_best_response_assumptions"
-
-IPD_EVENT_LABELS = (
-    "scholarship_offer",
-    "desired_promotion",
-    "undesired_promotion",
-)
-
-IPD_MC_DEFAULTS = SimulationDefaults(trials=1_000_000, seed=123456)
-
-
 def ipd_scenario(
     case: Case = Case.WEAK_EVIDENCE,
     mode: Mode = Mode.PUBLISHED,
     r: float = 0.5,
     s: float = 0.5,
 ) -> Scenario:
-    """The bundled dilemma, identical to ``scenarios/ipd.json``.
+    """The bundled dilemma, read from the packaged ``resources/ipd.json``
+    (which ``scenarios/ipd.json`` links to) with the given case, mode and
+    weights.
 
-    The six base relations leave the column player's own-axis comparisons
-    open, so the two comparisons needed for the intended equilibrium pair
-    ship as explicit, separately grouped assumptions rather than silent
-    engine behavior.
+    An officer weighs a bribe for leniency (row side, family payoffs)
+    against booking the offender on the strict course (column side,
+    professional payoffs). The six base relations leave the column player's
+    own-axis comparisons open, so the two comparisons needed for the
+    intended equilibrium pair ship as explicit, separately grouped
+    assumptions rather than silent engine behavior.
     """
-    game = OrdinalGame.from_ids(
-        ("Fatherhood", "Promotion"),
-        ("L1", "L2"),
-        [
-            [("EM11", "PF11"), ("EM12", "PF12")],
-            [("EM21", "PF21"), ("EM22", "PF22")],
-        ],
-    )
-    constraints = ConstraintSet(
-        tuple(
-            DominanceConstraint(left, right, 1.0)
-            for left, right in IPD_BASE_RELATIONS
-        )
-        + tuple(
-            DominanceConstraint(
-                left, right, 1.0, group=COLUMN_ASSUMPTION_GROUP
-            )
-            for left, right in IPD_COLUMN_ASSUMPTIONS
-        ),
-        universe=game.symbol_ids(),
-    )
-    return Scenario(
-        name="ipd",
-        game=game,
-        constraints=constraints,
-        events=EventSpace.uniform(IPD_EVENT_LABELS),
-        em_params=IndexParameters(score=3.4, weight=r),
-        pf_params=IndexParameters(score=6.5, weight=s),
+    # a fresh build per call: a ConstraintSet keeps its own sampling plan
+    shipped = scenario_from_dict(_resource("ipd.json"), source="ipd.json")
+    return replace(
+        shipped,
         case=case,
         mode=mode,
-        mc=IPD_MC_DEFAULTS,
-        description=(
-            "An officer torn between a bribe that funds his son's studies "
-            "and booking the offender under the stricter law. Family payoffs "
-            "sit on the row side, professional payoffs on the column side; "
-            "only ordinal relations between payoffs are known."
-        ),
-        players=("Emotion", "Profession"),
+        em_params=replace(shipped.em_params, weight=r),
+        pf_params=replace(shipped.pf_params, weight=s),
     )

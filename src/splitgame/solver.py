@@ -30,8 +30,8 @@ from .index_model import (
     Mode,
     check_score,
     check_weight,
-    in_scale_interior,
     score_factor,
+    warn_outside_interior,
 )
 from .scenario import Case, Scenario
 
@@ -353,11 +353,6 @@ def _grid(
     }
     caps: Dict[str, Dict[float, float]] = {"C": {}, "Q": {}}
 
-    def warn(score: float):
-        # the warning a parameter set rebuilt at this score shows
-        if not in_scale_interior(score):
-            replace(em, score=score)
-
     def gate_and_cap(name: str, score: float):
         if score not in caps[name]:
             label = "em12" if name == "C" else "pf21"
@@ -373,7 +368,7 @@ def _grid(
         score, weight = ("C", "r") if attr == "em_params" else ("Q", "s")
         check_score(axes[score][0])
         check_weight(axes[weight][0])
-        warn(axes[score][0])
+        warn_outside_interior(axes[score][0])
     gate_and_cap("C", axes["C"][0])
     gate_and_cap("Q", axes["Q"][0])
     # the lines through the first point, in grid order
@@ -381,7 +376,7 @@ def _grid(
         for value in itertools.islice(axes[name], 1, None):
             if name in caps:
                 check_score(value)
-                warn(value)
+                warn_outside_interior(value)
                 gate_and_cap(name, value)
             else:
                 check_weight(value)

@@ -1,15 +1,18 @@
 import copy
 import json
 import math
+import os
 import warnings
 from dataclasses import replace
 from operator import itemgetter
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitgame
 from splitgame import (
     Case,
     DecisionReport,
@@ -66,6 +69,25 @@ class TestShippedFile:
         assert strong.case is Case.STRONG_EVIDENCE
         assert strong.mode is Mode.COMPUTED
         assert strong.em_params.weight == 0.3
+
+    def test_example_links_to_the_packaged_file(self, ipd_path):
+        packaged = Path(splitgame.__file__).parent / "resources" / "ipd.json"
+        assert Path(ipd_path).resolve() == packaged.resolve()
+        assert not os.path.isabs(os.readlink(ipd_path))
+
+    @pytest.mark.parametrize("name, value", [("r", 1.5), ("s", 0.0)])
+    def test_builder_rejects_a_boundary_weight(self, name, value):
+        with pytest.raises(DomainError) as exc:
+            ipd_scenario(**{name: value})
+        assert str(exc.value) == (
+            f"weight must lie strictly inside (0, 1), got {value!r}; "
+            "boundary values appear only in reported bounds"
+        )
+
+    def test_each_call_builds_its_own_constraint_set(self):
+        first, second = ipd_scenario(), ipd_scenario()
+        assert first.constraints == second.constraints
+        assert first.constraints is not second.constraints
 
 
 _IDS = st.text(min_size=1, max_size=6)
