@@ -10,7 +10,8 @@ probabilities, Monte Carlo cross-checks, and scoring for the seven-item
 professionalism survey instrument.
 
 Importing the package loads none of its modules: each public name is
-imported from the module ``_EXPORTS`` names on first use (PEP 562).
+imported from the module ``_EXPORTS`` names on first use (PEP 562). The
+package data under ``resources/`` is read through ``_resource``.
 """
 from importlib import import_module
 
@@ -90,3 +91,20 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+# file name -> parsed document, filled by _resource
+_RESOURCES = {}
+
+
+def _resource(name: str):
+    """A JSON document shipped under ``splitgame/resources``, parsed once;
+    callers must not mutate it."""
+    if name not in _RESOURCES:
+        # imported on first use, so that ``import splitgame`` loads neither
+        import json
+        import os
+        # the loader reads the file from a zipped package too
+        path = os.path.join(os.path.dirname(__file__), "resources", name)
+        _RESOURCES[name] = json.loads(__loader__.get_data(path))
+    return _RESOURCES[name]

@@ -5,7 +5,7 @@ at full float precision; human-readable summaries go to stderr rounded to
 six significant digits.
 
 Exit codes are stable; ``_EXIT_CODE_DOC``, the epilog of ``--help``,
-lists them.
+lists them, and each library error class carries its own as ``exit_code``.
 """
 from __future__ import annotations
 
@@ -19,12 +19,7 @@ import warnings
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
-from .errors import (
-    DomainError,
-    InconsistentOrderError,
-    SplitgameError,
-    ValidationError,
-)
+from .errors import SplitgameError, ValidationError
 from .index_model import MODE_ALIASES, Mode
 from .montecarlo import SimulationConfig, simulate_selection
 from .scenario import load_scenario
@@ -33,19 +28,6 @@ from .survey import aggregate, read_responses_csv, score_response
 
 EXIT_OK = 0
 EXIT_IO = 3
-EXIT_VALIDATION = 4
-EXIT_INCONSISTENT = 5
-EXIT_DOMAIN = 6
-
-# exception class -> exit code; the first class an error is an instance of
-# decides, so subclasses come before their bases
-_EXIT_CODES = {
-    InconsistentOrderError: EXIT_INCONSISTENT,
-    DomainError: EXIT_DOMAIN,
-    ValidationError: EXIT_VALIDATION,
-    SplitgameError: 1,
-    OSError: EXIT_IO,
-}
 
 _MODE_CHOICES = (*(mode.value for mode in Mode), *MODE_ALIASES)
 
@@ -341,8 +323,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         warnings.showwarning = _show_warning
         try:
             return args.run(args)
-        except tuple(_EXIT_CODES) as exc:
+        except (SplitgameError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return next(
-                code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)
-            )
+            return EXIT_IO if isinstance(exc, OSError) else exc.exit_code

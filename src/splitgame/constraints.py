@@ -118,7 +118,7 @@ def check_seed(seed) -> None:
 
 def _bfs_path(adjacency, start, goal):
     """Shortest directed path start -> goal (two distinct nodes) as a node
-    list, or None."""
+    list; the caller knows one exists."""
     seen = {start}
     queue = deque([start])
     parents = {}
@@ -136,7 +136,6 @@ def _bfs_path(adjacency, start, goal):
                 return path
             seen.add(nxt)
             queue.append(nxt)
-    return None
 
 
 def _components(names, reach) -> List[List[int]]:

@@ -1,16 +1,21 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes, so new error conditions should
-subclass one of the four buckets below rather than raising bare exceptions.
+New error conditions should subclass one of the four buckets below rather
+than raise bare exceptions. Each bucket carries the stable exit code the CLI
+returns for it as ``exit_code``; a subclass inherits its bucket's code.
 """
 
 
 class SplitgameError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 1
+
 
 class ValidationError(SplitgameError, ValueError):
     """Malformed input: scenario files, survey files, grids, game definitions."""
+
+    exit_code = 4
 
 
 class UnknownSymbolError(ValidationError):
@@ -24,6 +29,8 @@ class MissingProbabilityError(ValidationError):
 class DomainError(SplitgameError, ValueError):
     """A numeric argument lies outside the model's domain."""
 
+    exit_code = 6
+
 
 class SamplingExhaustedError(DomainError):
     """A component of the certain order is too wide to sample exactly: its
@@ -32,6 +39,8 @@ class SamplingExhaustedError(DomainError):
 
 class InconsistentOrderError(SplitgameError):
     """The certain dominance constraints contain a directed cycle."""
+
+    exit_code = 5
 
     def __init__(self, cycle):
         self.cycle = tuple(cycle)

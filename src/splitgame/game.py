@@ -2,8 +2,8 @@
 
 Payoffs carry no numeric values; all the engine may ask is "is this payoff
 greater than that one?" through a dominance oracle. Pure Nash cells are
-therefore three-valued: present, absent, or undecided when the oracle lacks
-a needed comparison.
+therefore three-valued: present, absent, or undecided when the cell is an
+equilibrium in some but not all orders the oracle's answers allow.
 """
 from __future__ import annotations
 
@@ -164,16 +164,34 @@ def _unbeaten(order: DominanceOracle, axis: Sequence[str], i: int) -> Optional[b
     return None if gap else True
 
 
+def _crossed(order: DominanceOracle, row_axis, r: int, col_axis, c: int) -> bool:
+    """Whether some row rival of cell (r, c) is certainly above the cell's
+    column payoff and some column rival certainly above its row payoff.
+
+    With x, u the cell's payoffs and x', u' those rivals, the cell needs
+    x > x' and u > u', which close the cycle x > x' > u > u' > x: no order
+    the oracle allows makes it an equilibrium.
+    """
+    return any(
+        order.implies(rival, col_axis[c]) is True
+        for j, rival in enumerate(row_axis) if j != r
+    ) and any(
+        order.implies(rival, row_axis[r]) is True
+        for k, rival in enumerate(col_axis) if k != c
+    )
+
+
 def pure_nash(
     game: OrdinalGame, order: DominanceOracle
 ) -> Tuple[frozenset, frozenset]:
     """Pure Nash cells under a (possibly partial) dominance oracle.
 
     Returns (equilibria, undecided_cells), disjoint. A cell is an equilibrium
-    when neither player's payoff can be beaten by a unilateral deviation;
-    it is undecided when neither is certainly beaten but some needed
-    comparison is missing. A single certain profitable deviation settles a
-    cell as not an equilibrium regardless of other gaps.
+    when neither player's payoff can be beaten by a unilateral deviation in
+    any order the oracle allows, and undecided when it is an equilibrium in
+    some but not all of those orders. A single certain profitable deviation
+    settles a cell as not an equilibrium regardless of other gaps, and so
+    do needed comparisons that cannot all hold together.
     """
     # the row player's payoffs down each column; the column player's lie
     # along each row
@@ -189,6 +207,6 @@ def pure_nash(
                 continue
             if row_ok and col_ok:
                 equilibria.add(CellCoord(r, c))
-            else:
+            elif not _crossed(order, row_axes[c], r, col_axis, c):
                 undecided.add(CellCoord(r, c))
     return frozenset(equilibria), frozenset(undecided)

@@ -12,16 +12,15 @@ and -Infinity are rejected while the file is read.
 """
 from __future__ import annotations
 
-import functools
 import json
 import numbers
-import os
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
+from . import _resource
 from .bayes import EventSpace
 from .constraints import BOUND_EXACT, ConstraintSet, DominanceConstraint
 from .constraints import check_seed, check_trials
@@ -118,15 +117,6 @@ def _constraint_to_dict(c: DominanceConstraint) -> Dict:
     if c.group:
         entry["group"] = c.group
     return entry
-
-
-@functools.cache
-def _resource(name: str) -> Dict:
-    """A JSON document shipped under ``splitgame/resources``, parsed once;
-    callers must not mutate it."""
-    # the loader reads the file from a zipped package too
-    path = os.path.join(os.path.dirname(__file__), "resources", name)
-    return json.loads(__loader__.get_data(path))
 
 
 def scenario_schema() -> Dict:
@@ -251,6 +241,10 @@ def load_scenario(path) -> Scenario:
             limit = sys.get_int_max_str_digits()
             raise ValidationError(
                 f"{path}: not valid JSON: integer literal longer than {limit} digits"
+            ) from None
+        except RecursionError:
+            raise ValidationError(
+                f"{path}: not valid JSON: nested too deeply"
             ) from None
     return scenario_from_dict(data, source=str(path))
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
-import os
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple, Union
 
+from . import _resource
 from .errors import ValidationError
 
 POSITIVE = "positive"
@@ -67,10 +66,7 @@ class Instrument:
 @functools.cache
 def canonical_instrument() -> Instrument:
     """The bundled seven-item instrument (items 1, 3, 7 positive)."""
-    name = os.path.join("resources", "instrument.json")
-    # the loader reads the file from a zipped package too
-    path = os.path.join(os.path.dirname(__file__), name)
-    return instrument_from_dict(json.loads(__loader__.get_data(path)))
+    return instrument_from_dict(_resource("instrument.json"))
 
 
 def instrument_from_dict(data: Mapping) -> Instrument:

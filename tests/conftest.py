@@ -278,8 +278,10 @@ def reference_pure_nash(game, order):
     """Reference: the status-based three-valued solver ``pure_nash`` replaced.
 
     Computes every strategy's best-response status against every opponent
-    strategy first, then combines the two statuses of each cell. Returns
-    (equilibria, undecided_cells) exactly as ``pure_nash`` must.
+    strategy first, then combines the two statuses of each cell; a cell
+    neither status rules out is undecided unless its needed comparisons
+    close a cycle. Returns (equilibria, undecided_cells) exactly as
+    ``pure_nash`` must.
     """
     row_statuses = [
         _strategy_statuses(game, PLAYER_ROW, c, order) for c in range(game.n_cols)
@@ -297,9 +299,28 @@ def reference_pure_nash(game, order):
                 equilibria.add(CellCoord(r, c))
             elif row_status == _NOT_BEST or col_status == _NOT_BEST:
                 continue
-            else:
+            elif not _needs_a_cycle(game, r, c, order):
                 undecided.add(CellCoord(r, c))
     return frozenset(equilibria), frozenset(undecided)
+
+
+def _needs_a_cycle(game, r, c, order):
+    """Whether cell (r, c), with payoffs x and u, has a row rival x'
+    certainly above u and a column rival u' certainly above x: it needs
+    x > x' and u > u', so no order makes it an equilibrium. Each scan stops
+    at its first certain answer, and the column scan runs only after one."""
+    x, u = game.cells[r][c]
+    row_rivals = [game.cells[i][c][PLAYER_ROW] for i in range(game.n_rows) if i != r]
+    col_rivals = [game.cells[r][j][PLAYER_COL] for j in range(game.n_cols) if j != c]
+    for rival in row_rivals:
+        if order.implies(rival, u) is True:
+            break
+    else:
+        return False
+    for rival in col_rivals:
+        if order.implies(rival, x) is True:
+            return True
+    return False
 
 
 def reference_point(scenario, structure):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,8 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
-from splitgame import ipd_scenario, solve
-from splitgame.cli import GRID_MAX_ROWS, GRID_MAX_STEPS, main
+from splitgame import (
+    DomainError,
+    InconsistentOrderError,
+    ValidationError,
+    ipd_scenario,
+    solve,
+)
+from splitgame.cli import _EXIT_CODE_DOC, GRID_MAX_ROWS, GRID_MAX_STEPS, main
 from splitgame.montecarlo import MAX_TRIALS
 
 SURVEY_HEADER = "respondent_id,item1,item2,item3,item4,item5,item6,item7"
@@ -39,6 +46,21 @@ def write_scenario(tmp_path, data, name="scenario.json"):
 @pytest.fixture
 def ipd_dict(ipd):
     return ipd.to_dict()
+
+
+def test_each_bucket_exit_code_is_documented():
+    buckets = {
+        cls.exit_code
+        for cls in (ValidationError, InconsistentOrderError, DomainError)
+    }
+    assert buckets == {4, 5, 6}
+    epilog = {int(line.split()[0]) for line in _EXIT_CODE_DOC.splitlines()[1:]}
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Exit codes\n", 1)[1].split("\n#", 1)[0]
+    listed = {int(code) for code in re.findall(r"^\| (\d+) \|", table, re.M)}
+    for codes in (epilog, listed):
+        # every bucket's code is listed, and every listed 4-6 is a bucket's
+        assert {code for code in codes if 4 <= code <= 6} == buckets
 
 
 class TestSolveCommand:
@@ -715,6 +737,19 @@ class TestRobustness:
                 assert all(math.isfinite(float(v)) for v in row.split(","))
         elif out:
             json.loads(out, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["sweep", "--grid", "r=0.1:0.9:0.1"], ["simulate"]],
+        ids=["solve", "sweep", "simulate"],
+    )
+    def test_a_deeply_nested_file_is_a_validation_error(self, tmp_path, argv):
+        # 2 KB nested deeper than json.load can recurse
+        path = tmp_path / "deep.json"
+        path.write_text('{"name": ' + "[" * 1000 + "]" * 1000 + "}")
+        code, out, err = _run_main(argv + ["--scenario", str(path)])
+        assert (code, out) == (4, "")
+        assert err == f"error: {path}: not valid JSON: nested too deeply\n"
 
 
 # survey cells of every kind: valid choices, near misses, text, NUL, stray

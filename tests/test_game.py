@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -252,6 +254,54 @@ class TestPureNash:
                 # the same queries, early exits included; only the order differs
                 assert sorted(new.calls) == sorted(reference.calls)
 
+    def test_needed_comparisons_that_close_a_cycle_rule_a_cell_out(self):
+        # (0,0) needs R00 > R10 and C00 > C01, which with the certain
+        # C01 > R00 and R10 > C00 close R00 > R10 > C00 > C01 > R00; no
+        # comparison it needs is certainly lost, yet no order makes it one
+        game = grid_game(2, 2)
+        names = sorted(game.symbol_ids())
+        edges = [("C01", "R00"), ("R10", "C00")]
+        order = ConstraintSet(
+            [DominanceConstraint(a, b, 1.0) for a, b in edges], universe=names
+        )
+        assert count_extensions(names, edges) == math.factorial(8) // 4
+        assert count_extensions(names, edges + needed_comparisons(game, 0, 0)) == 0
+        assert pure_nash(game, order) == (
+            frozenset(),
+            frozenset({CellCoord(0, 1), CellCoord(1, 0), CellCoord(1, 1)}),
+        )
+
+    def test_undecided_means_an_equilibrium_in_some_orders_only(self):
+        # exact: among the linear extensions of a random certain order over
+        # a 2x2 game's 8 symbols, a cell is an equilibrium in those that
+        # also extend the comparisons it needs; an equilibrium must be one
+        # in all of them, an undecided cell in some but not all
+        game = grid_game(2, 2)
+        names = sorted(game.symbol_ids())
+        rng = random.Random(2121)
+        for _ in range(300):
+            rank = {name: rng.random() for name in names}
+            density = rng.choice((0.1, 0.2, 0.3))
+            edges = [
+                (a, b)
+                for a in names
+                for b in names
+                if rank[a] > rank[b] and rng.random() < density
+            ]
+            order = ConstraintSet(
+                [DominanceConstraint(a, b, 1.0) for a, b in edges],
+                universe=names,
+            )
+            equilibria, undecided = pure_nash(game, order)
+            total = count_extensions(names, edges)
+            for r, c in itertools.product(range(2), repeat=2):
+                held = count_extensions(
+                    names, edges + needed_comparisons(game, r, c)
+                )
+                cell = CellCoord(r, c)
+                assert (cell in equilibria) == (held == total), (edges, cell)
+                assert (cell in undecided) == (0 < held < total), (edges, cell)
+
 
 class CallLog:
     """Dominance oracle that records every query it forwards."""
@@ -283,3 +333,41 @@ def comparable_pairs(game: OrdinalGame):
             for b in range(a + 1, len(row))
         )
     return pairs
+
+
+def needed_comparisons(game: OrdinalGame, r: int, c: int):
+    """The (greater, lesser) pairs that make cell (r, c) an equilibrium of
+    a linear order: each player's payoff above its rivals on its own axis."""
+    row_payoff, col_payoff = game.cells[r][c]
+    return [
+        (row_payoff, game.payoff(i, c, PLAYER_ROW))
+        for i in range(game.n_rows)
+        if i != r
+    ] + [
+        (col_payoff, game.payoff(r, j, PLAYER_COL))
+        for j in range(game.n_cols)
+        if j != c
+    ]
+
+
+def count_extensions(names, edges) -> int:
+    """The number of linear orders of ``names`` that put each (greater,
+    lesser) pair of ``edges`` in that order, 0 when the edges close a
+    cycle. Places symbols from the top, counting the ways on from every
+    set already placed instead of listing each order."""
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    above = dict.fromkeys(bit.values(), 0)
+    for greater, lesser in edges:
+        above[bit[lesser]] |= bit[greater]
+    full = (1 << len(names)) - 1
+    # ways[placed]: the orders of the rest below the set ``placed``; a
+    # superset is a larger integer, so it is filled first
+    ways = [0] * (full + 1)
+    ways[full] = 1
+    for placed in range(full - 1, -1, -1):
+        ways[placed] = sum(
+            ways[placed | one]
+            for one, need in above.items()
+            if not placed & one and not need & ~placed
+        )
+    return ways[0]

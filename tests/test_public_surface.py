@@ -64,6 +64,12 @@ def test_import_loads_no_package_module():
     ]
 
 
+def test_import_loads_neither_json_nor_functools():
+    # the package data loader imports json on first use
+    loaded = _loaded_after("import splitgame")
+    assert not loaded & {"json", "functools"}
+
+
 def test_a_name_loads_only_its_module():
     loaded = _loaded_after("from splitgame import score_response")
     package = {name for name in loaded if name.startswith("splitgame.")}
