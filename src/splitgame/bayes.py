@@ -8,20 +8,19 @@ returns that prior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from collections.abc import Iterable
 
+from ._record import Record
 from .errors import DomainError, ValidationError
 
 PRIOR_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class EventSpace:
+class EventSpace(Record):
     """A finite partition of mutually exclusive events with a prior."""
 
-    labels: Tuple[str, ...]
-    prior: Tuple[float, ...]
+    labels: tuple[str, ...]
+    prior: tuple[float, ...]
 
     def __post_init__(self):
         if not self.labels:
@@ -52,8 +51,7 @@ class EventSpace:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class ComparisonEvent:
+class ComparisonEvent(Record):
     """The event that one payoff symbol outranks another.
 
     The two canonical labels are "em12" (the row player's temptation payoff

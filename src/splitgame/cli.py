@@ -16,9 +16,9 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from collections.abc import Sequence
 
+from ._record import replace
 from .errors import SplitgameError, ValidationError
 from .index_model import MODE_ALIASES, Mode
 from .montecarlo import SimulationConfig, simulate_selection
@@ -51,7 +51,7 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _emit(text: str, out_path: Optional[str]):
+def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -98,8 +98,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_grid_specs(specs: Sequence[str]) -> Dict[str, List[float]]:
-    grid: Dict[str, List[float]] = {}
+def _parse_grid_specs(specs: Sequence[str]) -> dict[str, list[float]]:
+    grid: dict[str, list[float]] = {}
     rows = 1
     for spec in specs:
         name, sep, rest = spec.partition("=")
@@ -317,7 +317,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numbers
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
+from ._record import Record
 from .errors import (
     InconsistentOrderError,
     MissingProbabilityError,
@@ -48,8 +48,7 @@ MAX_TRIALS = 10**8
 SAMPLING_DOWNSET_CAP = 1 << 18
 
 
-@dataclass(frozen=True)
-class DominanceConstraint:
+class DominanceConstraint(Record):
     """One assertion about payoff order: p(left > right) = probability.
 
     ``bound`` distinguishes a point probability ("exact") from an exclusive
@@ -60,7 +59,7 @@ class DominanceConstraint:
     right: str
     probability: float
     bound: str = BOUND_EXACT
-    group: Optional[str] = None
+    group: str | None = None
 
     def __post_init__(self):
         if not self.left or not self.right:
@@ -91,9 +90,7 @@ def _shown(value) -> str:
         return "a number too long to print"
 
 
-def check_integer(
-    name: str, value, low: int, high: Optional[int] = None
-) -> None:
+def check_integer(name: str, value, low: int, high: int | None = None) -> None:
     """Reject a value that is not an integer in [low, high]; numpy integers
     count as integers, bools do not."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -138,7 +135,7 @@ def _bfs_path(adjacency, start, goal):
             queue.append(nxt)
 
 
-def _components(names, reach) -> List[List[int]]:
+def _components(names, reach) -> list[list[int]]:
     """Connected components of the certain order over ``names``, as lists of
     indices, ordered by their smallest index."""
     index = {name: i for i, name in enumerate(names)}
@@ -153,7 +150,7 @@ def _components(names, reach) -> List[List[int]]:
     for name in names:
         for lesser in reach[name]:
             root[find(index[lesser])] = find(index[name])
-    groups: Dict[int, List[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(len(names)):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
@@ -245,10 +242,10 @@ class ConstraintSet:
     def __init__(
         self,
         constraints: Iterable[DominanceConstraint] = (),
-        universe: Optional[Iterable[str]] = None,
+        universe: Iterable[str] | None = None,
     ):
-        self._constraints: Tuple[DominanceConstraint, ...] = tuple(constraints)
-        self._universe: Optional[FrozenSet[str]] = (
+        self._constraints: tuple[DominanceConstraint, ...] = tuple(constraints)
+        self._universe: frozenset[str] | None = (
             frozenset(universe) if universe is not None else None
         )
 
@@ -263,7 +260,7 @@ class ConstraintSet:
 
         # exact probabilities per ordered pair; conflicting duplicates are
         # ambiguous input and rejected outright
-        self._exact: Dict[Tuple[str, str], float] = {}
+        self._exact: dict[tuple[str, str], float] = {}
         for c in self._constraints:
             if c.bound != BOUND_EXACT:
                 continue
@@ -282,8 +279,8 @@ class ConstraintSet:
         # first such constraint is the one reported. The digraph only spells
         # out that cycle; it keeps successors in insertion order (dict
         # keys), so the path named does not depend on the string hash seed
-        adjacency: Dict[str, Dict[str, None]] = {}
-        below: Dict[str, set] = {sym: set() for sym in self._universe or ()}
+        adjacency: dict[str, dict[str, None]] = {}
+        below: dict[str, set] = {sym: set() for sym in self._universe or ()}
         for c in self._constraints:
             if not c.certain:
                 continue
@@ -305,22 +302,22 @@ class ConstraintSet:
         self._hash = None
 
     @property
-    def constraints(self) -> Tuple[DominanceConstraint, ...]:
+    def constraints(self) -> tuple[DominanceConstraint, ...]:
         return self._constraints
 
     @property
-    def universe(self) -> Optional[FrozenSet[str]]:
+    def universe(self) -> frozenset[str] | None:
         return self._universe
 
     @property
-    def symbols(self) -> FrozenSet[str]:
+    def symbols(self) -> frozenset[str]:
         """Every id the set knows about (universe, or mentioned symbols)."""
         if self._universe is not None:
             return self._universe
         return frozenset(self._reach)
 
     @property
-    def certain_order(self) -> FrozenSet[Tuple[str, str]]:
+    def certain_order(self) -> frozenset[tuple[str, str]]:
         """The induced strict partial order as closed (greater, lesser) pairs."""
         return frozenset(
             (a, b) for a, descendants in self._reach.items() for b in descendants
@@ -340,7 +337,7 @@ class ConstraintSet:
             if sym not in self._universe:
                 raise UnknownSymbolError(f"unknown payoff symbol {sym!r}")
 
-    def implies(self, left: str, right: str) -> Optional[bool]:
+    def implies(self, left: str, right: str) -> bool | None:
         """Does the certain order decide left > right?
 
         True when the closure contains left > right, False when it contains
@@ -357,7 +354,7 @@ class ConstraintSet:
         return None
 
     def independent_chain_probability(
-        self, chain: Sequence[Tuple[str, str]]
+        self, chain: Sequence[tuple[str, str]]
     ) -> float:
         """Product of p(a > b) over the chain, assuming independence.
 

@@ -8,40 +8,39 @@ equilibrium in some but not all orders the oracle's answers allow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Protocol, Sequence, Set, Tuple
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
+from ._record import Record
 from .errors import UnknownSymbolError, ValidationError
 
 PLAYER_ROW = 0
 PLAYER_COL = 1
 
 
-class DominanceOracle(Protocol):
-    """Answers strict-order queries over payoff symbol ids."""
+class DominanceOracle:
+    """Answers strict-order queries over payoff symbol ids: the one method
+    ``pure_nash`` calls. Any object that has it will do, so ``NumericOrder``
+    and ``ConstraintSet`` need not subclass this class."""
 
-    def implies(self, left: str, right: str) -> Optional[bool]:
+    def implies(self, left: str, right: str) -> bool | None:
         """True if left > right, False if that is known false, None if unknown."""
 
 
-class CellCoord(NamedTuple):
-    """Zero-indexed cell coordinate (row strategy, column strategy)."""
-
-    row: int
-    col: int
+CellCoord = namedtuple("CellCoord", "row col")
+CellCoord.__doc__ = "Zero-indexed cell coordinate (row strategy, column strategy)."
 
 
-@dataclass(frozen=True)
-class OrdinalGame:
+class OrdinalGame(Record):
     """A two-player game whose cells hold one payoff id per player.
 
     ``cells[r][c]`` is the (row id, column id) pair for row strategy r
     against column strategy c. Every id is unique across the grid.
     """
 
-    row_strategies: Tuple[str, ...]
-    col_strategies: Tuple[str, ...]
-    cells: Tuple[Tuple[Tuple[str, str], ...], ...]
+    row_strategies: tuple[str, ...]
+    col_strategies: tuple[str, ...]
+    cells: tuple[tuple[tuple[str, str], ...], ...]
 
     def __post_init__(self):
         if not self.row_strategies or not self.col_strategies:
@@ -54,7 +53,7 @@ class OrdinalGame:
                 f"payoff grid has {len(self.cells)} rows, expected "
                 f"{len(self.row_strategies)}"
             )
-        seen: Set[str] = set()
+        seen: set[str] = set()
         for r, row in enumerate(self.cells):
             if len(row) != len(self.col_strategies):
                 raise ValidationError(
@@ -81,7 +80,7 @@ class OrdinalGame:
         cls,
         row_strategies: Sequence[str],
         col_strategies: Sequence[str],
-        grid: Sequence[Sequence[Tuple[str, str]]],
+        grid: Sequence[Sequence[tuple[str, str]]],
     ) -> "OrdinalGame":
         """Build from a grid of (row symbol id, column symbol id) pairs.
 
@@ -111,7 +110,7 @@ class OrdinalGame:
         return frozenset(sym for row in self.cells for pair in row for sym in pair)
 
 
-def _cell_pair(r: int, c: int, pair) -> Tuple:
+def _cell_pair(r: int, c: int, pair) -> tuple:
     if not isinstance(pair, (list, tuple)):
         raise ValidationError(
             f"cell ({r}, {c}) must be a list or tuple of two ids, got {pair!r}"
@@ -134,7 +133,7 @@ class NumericOrder:
             if math.isnan(value):
                 raise ValidationError(f"numeric value for symbol {key!r} is NaN")
 
-    def implies(self, left: str, right: str) -> Optional[bool]:
+    def implies(self, left: str, right: str) -> bool | None:
         try:
             return self._values[left] > self._values[right]
         except KeyError as missing:
@@ -143,7 +142,7 @@ class NumericOrder:
             ) from None
 
 
-def _unbeaten(order: DominanceOracle, axis: Sequence[str], i: int) -> Optional[bool]:
+def _unbeaten(order: DominanceOracle, axis: Sequence[str], i: int) -> bool | None:
     """Whether payoff ``axis[i]`` survives its rivals on the same axis.
 
     ``axis`` holds one player's payoffs across its own strategies, with the
@@ -183,7 +182,7 @@ def _crossed(order: DominanceOracle, row_axis, r: int, col_axis, c: int) -> bool
 
 def pure_nash(
     game: OrdinalGame, order: DominanceOracle
-) -> Tuple[frozenset, frozenset]:
+) -> tuple[frozenset, frozenset]:
     """Pure Nash cells under a (possibly partial) dominance oracle.
 
     Returns (equilibria, undecided_cells), disjoint. A cell is an equilibrium

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record
 from .errors import DomainError, ValidationError
 
 DEFAULT_VARIANCE = 10.0
@@ -86,8 +86,7 @@ def warn_outside_interior(score: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class IndexParameters:
+class IndexParameters(Record):
     """Inputs to one coefficient: a scale score, a weight, and the variance.
 
     The weight is the prior probability mass the coefficient scales (strictly

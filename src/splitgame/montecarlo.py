@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Tuple
+from collections.abc import Mapping
 
+from ._record import Record
 from .constraints import MAX_TRIALS  # noqa: F401  (re-exported)
 from .constraints import ConstraintSet, check_seed, check_trials
 from .errors import UnknownSymbolError, ValidationError
@@ -30,8 +30,7 @@ VERIFY_BLOCK = 4096
 SIMULATE_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Record):
     """Inputs for a selection-frequency run."""
 
     trials: int
@@ -50,8 +49,7 @@ class SimulationConfig:
                 )
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Record):
     """Empirical selection frequencies; they sum to one exactly.
 
     ``standard_error`` is the worst-case binomial standard error
@@ -138,8 +136,7 @@ def numeric_pure_nash(
     return mask
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(Record):
     """One symbolic claim a numeric realization contradicted."""
 
     trial: int
@@ -147,16 +144,15 @@ class Disagreement:
     kind: str  # "equilibrium_failed" or "non_equilibrium_appeared"
 
 
-@dataclass(frozen=True)
-class NashVerification:
+class NashVerification(Record):
     """Outcome of cross-checking symbolic Nash cells against realizations."""
 
     trials: int
     seed: int
-    symbolic_equilibria: Tuple[CellCoord, ...]
-    symbolic_undecided: Tuple[CellCoord, ...]
+    symbolic_equilibria: tuple[CellCoord, ...]
+    symbolic_undecided: tuple[CellCoord, ...]
     checked_cells: int
-    disagreements: Tuple[Disagreement, ...]
+    disagreements: tuple[Disagreement, ...]
     algorithm: str = RNG_ALGORITHM
 
     @property
@@ -223,11 +219,8 @@ def verify_nash_numeric(
                 "equilibrium_failed" if expected[k] else "non_equilibrium_appeared"
             )
             found.append(Disagreement(first + int(trial), checked[k], kind))
+    # every field by position: a record's keyword path costs microseconds
     return NashVerification(
-        trials=trials,
-        seed=seed,
-        symbolic_equilibria=equilibria,
-        symbolic_undecided=undecided,
-        checked_cells=len(checked) * trials,
-        disagreements=tuple(found),
+        trials, seed, equilibria, undecided, len(checked) * trials,
+        tuple(found), RNG_ALGORITHM,
     )

@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Iterator, Mapping
 from enum import Enum
 from operator import itemgetter
-from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from . import _resource
+from ._record import Record, replace
 from .bayes import EventSpace
 from .constraints import BOUND_EXACT, ConstraintSet, DominanceConstraint
 from .constraints import check_seed, check_trials
@@ -36,8 +36,7 @@ class Case(Enum):
     WEAK_EVIDENCE = "weak_evidence"
 
 
-@dataclass(frozen=True)
-class SimulationDefaults:
+class SimulationDefaults(Record):
     """Scenario-level Monte Carlo defaults."""
 
     trials: int
@@ -48,8 +47,7 @@ class SimulationDefaults:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Everything needed to solve one decision problem."""
 
     name: str
@@ -60,9 +58,9 @@ class Scenario:
     pf_params: IndexParameters
     case: Case
     mode: Mode
-    mc: Optional[SimulationDefaults] = None
+    mc: SimulationDefaults | None = None
     description: str = ""
-    players: Tuple[str, str] = ("row", "column")
+    players: tuple[str, str] = ("row", "column")
 
     def __post_init__(self):
         # the file format holds one variance for both coefficient parameter
@@ -74,10 +72,10 @@ class Scenario:
                 f"{em!r} and {pf!r}"
             )
 
-    def to_dict(self) -> Dict:
+    def to_dict(self) -> dict:
         """The canonical file-format dictionary for this scenario."""
         game = self.game
-        payload: Dict = {
+        payload: dict = {
             "name": self.name,
             "game": {
                 "row_player": self.players[0],
@@ -110,8 +108,8 @@ class Scenario:
         return payload
 
 
-def _constraint_to_dict(c: DominanceConstraint) -> Dict:
-    entry: Dict = {"left": c.left, "right": c.right, "probability": c.probability}
+def _constraint_to_dict(c: DominanceConstraint) -> dict:
+    entry: dict = {"left": c.left, "right": c.right, "probability": c.probability}
     if c.bound != BOUND_EXACT:
         entry["bound"] = c.bound
     if c.group:
@@ -119,7 +117,7 @@ def _constraint_to_dict(c: DominanceConstraint) -> Dict:
     return entry
 
 
-def scenario_schema() -> Dict:
+def scenario_schema() -> dict:
     """The published JSON schema for scenario files."""
     return _resource("scenario.schema.json")
 
@@ -151,8 +149,8 @@ _JSON_TYPES = {
 
 
 def _schema_errors(
-    value, schema: Mapping, path: Tuple = ()
-) -> Iterator[Tuple[Tuple, str]]:
+    value, schema: Mapping, path: tuple = ()
+) -> Iterator[tuple[tuple, str]]:
     """Yield ``(path, message)`` for each way ``value`` breaks ``schema``.
 
     Keywords are read in the schema's own order and worded as jsonschema's

@@ -17,9 +17,9 @@ remaining mass is indeterminate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping, Sequence
 
+from ._record import Record, replace
 from .bayes import ComparisonEvent, EventSpace
 from .constraints import ConstraintSet, DominanceConstraint
 from .errors import ValidationError
@@ -49,8 +49,7 @@ _PARAM_TARGETS = {
 }
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(Record):
     """The solver's structured output; serializes losslessly to a dict."""
 
     scenario_name: str
@@ -61,14 +60,18 @@ class DecisionReport:
     p_cell_11: float
     p_cell_22: float
     indeterminate: float
-    nash_cells: Tuple[CellCoord, ...]
-    undecided_cells: Tuple[CellCoord, ...]
+    nash_cells: tuple[CellCoord, ...]
+    undecided_cells: tuple[CellCoord, ...]
     bounds: Mapping[str, float]
-    comparison_events: Tuple[ComparisonEvent, ...]
-    notes: Tuple[str, ...]
-    inputs: Mapping = field(default_factory=dict)
+    comparison_events: tuple[ComparisonEvent, ...]
+    notes: tuple[str, ...]
+    inputs: Mapping = None  # None: a fresh {} per report
 
-    def to_dict(self) -> Dict:
+    def __post_init__(self):
+        if self.inputs is None:
+            object.__setattr__(self, "inputs", {})
+
+    def to_dict(self) -> dict:
         return {
             "scenario": dict(self.inputs),
             "mode": self.mode,
@@ -118,7 +121,7 @@ def _require_2x2(game: OrdinalGame):
         )
 
 
-def comparison_events(game: OrdinalGame) -> Tuple[ComparisonEvent, ComparisonEvent]:
+def comparison_events(game: OrdinalGame) -> tuple[ComparisonEvent, ComparisonEvent]:
     """The two diagonal comparison events of a 2x2 game."""
     _require_2x2(game)
     em12 = ComparisonEvent("em12", game.payoff(0, 0, 0), game.payoff(1, 1, 0))
@@ -157,18 +160,17 @@ def _is_uniform_three(space: EventSpace) -> bool:
     return len(space) == 3 and all(p == space.prior[0] for p in space.prior)
 
 
-@dataclass(frozen=True)
-class _Structure:
+class _Structure(Record):
     """The part of a solution fixed by the game, the constraints and the
     case; the parameters r, s, C, Q and the mode never change it."""
 
-    comparison_events: Tuple[ComparisonEvent, ComparisonEvent]
-    nash_cells: Tuple[CellCoord, ...]
-    undecided_cells: Tuple[CellCoord, ...]
+    comparison_events: tuple[ComparisonEvent, ComparisonEvent]
+    nash_cells: tuple[CellCoord, ...]
+    undecided_cells: tuple[CellCoord, ...]
     # under strong evidence the certainty chain fixes p_pf21; under weak
     # evidence it is None and the weight times the cap sets it
-    chain_p_pf21: Optional[float]
-    notes: Tuple[str, ...]
+    chain_p_pf21: float | None
+    notes: tuple[str, ...]
 
 
 def _structure(scenario: Scenario) -> _Structure:
@@ -206,12 +208,10 @@ def _structure(scenario: Scenario) -> _Structure:
             f"(1,1); this order's equilibrium set is "
             f"{sorted(tuple(c) for c in nash)}"
         )
+    # by position, as in ``verify_nash_numeric``: sweeps build one per call
     return _Structure(
-        comparison_events=(em_event, pf_event),
-        nash_cells=tuple(sorted(nash)),
-        undecided_cells=tuple(sorted(undecided)),
-        chain_p_pf21=chain_p_pf21,
-        notes=tuple(notes),
+        (em_event, pf_event), tuple(sorted(nash)), tuple(sorted(undecided)),
+        chain_p_pf21, tuple(notes),
     )
 
 
@@ -242,7 +242,7 @@ def solve(scenario: Scenario) -> DecisionReport:
     published = scenario.mode is Mode.PUBLISHED
     sources = ("the formula value", "the published constant")
     used, other = sources[::-1] if published else sources
-    notes: List[str] = []
+    notes: list[str] = []
     for label, name, params in (("em12", "C", em), ("pf21", "Q", pf)):
         if _on_reference(label, name, params.score, published):
             ref_score, constant = PUBLISHED_TABLE[label]
@@ -276,7 +276,7 @@ def solve(scenario: Scenario) -> DecisionReport:
     )
 
 
-def _param_target(name: str) -> Tuple[str, str]:
+def _param_target(name: str) -> tuple[str, str]:
     """The (scenario attribute, field) a sweepable parameter lands in."""
     try:
         return _PARAM_TARGETS[name]
@@ -289,11 +289,11 @@ def _param_target(name: str) -> Tuple[str, str]:
 
 def with_parameters(scenario: Scenario, overrides: Mapping[str, float]) -> Scenario:
     """A copy of the scenario with some of r, s, C, Q replaced."""
-    updates: Dict[str, Dict[str, float]] = {}
+    updates: dict[str, dict[str, float]] = {}
     for name, value in overrides.items():
         attr, fieldname = _param_target(name)
         updates.setdefault(attr, {})[fieldname] = value
-    changes: Dict[str, IndexParameters] = {}
+    changes: dict[str, IndexParameters] = {}
     for attr, fields in updates.items():
         changes[attr] = replace(getattr(scenario, attr), **fields)
     return replace(scenario, **changes)
@@ -301,7 +301,7 @@ def with_parameters(scenario: Scenario, overrides: Mapping[str, float]) -> Scena
 
 def sweep(
     scenario: Scenario, grid: Mapping[str, Sequence[float]]
-) -> Tuple[List[str], List[List[float]]]:
+) -> tuple[list[str], list[list[float]]]:
     """Solve the scenario across a parameter grid.
 
     Returns (columns, rows). Parameters iterate in sorted name order and the
@@ -326,7 +326,7 @@ def _grid(
     scenario: Scenario,
     structure: _Structure,
     grid: Mapping[str, Sequence[float]],
-) -> Tuple[List[List[float]], Dict[str, Dict[float, float]]]:
+) -> tuple[list[list[float]], dict[str, dict[float, float]]]:
     """The point stage: the rows over a grid of checked names, and the caps
     by "C" or "Q" and score. An empty grid gives the scenario's own point.
 
@@ -351,7 +351,7 @@ def _grid(
         "r": grid.get("r", [em.weight]),
         "s": grid.get("s", [pf.weight]),
     }
-    caps: Dict[str, Dict[float, float]] = {"C": {}, "Q": {}}
+    caps: dict[str, dict[float, float]] = {"C": {}, "Q": {}}
 
     def gate_and_cap(name: str, score: float):
         if score not in caps[name]:
@@ -384,7 +384,7 @@ def _grid(
     chain_p_pf21 = structure.chain_p_pf21
     em_caps = [caps["C"][score] for score in axes["C"]]
     pf_caps = [caps["Q"][score] for score in axes["Q"]]
-    rows: List[List[float]] = []
+    rows: list[list[float]] = []
     combos = itertools.product(*(grid[name] for name in names))
     factors = itertools.product(em_caps, pf_caps, axes["r"], axes["s"])
     for combo, (em_cap, pf_cap, r, s) in zip(combos, factors):

@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 import functools
 import io
-from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple, Union
+from collections.abc import Mapping, Sequence
 
 from . import _resource
+from ._record import Record
 from .errors import ValidationError
 
 POSITIVE = "positive"
@@ -23,11 +23,7 @@ CHOICES = ("a", "b", "c", "d", "e", "f")
 SCALE_STEPS = len(CHOICES)
 INDEX_MAX = 10.0
 
-Choice = Union[str, int]
-
-
-@dataclass(frozen=True)
-class SurveyItem:
+class SurveyItem(Record):
     index: int
     text: str
     polarity: str
@@ -42,13 +38,12 @@ class SurveyItem:
             )
 
 
-@dataclass(frozen=True)
-class Instrument:
+class Instrument(Record):
     """A versioned set of survey items with fixed indices 1..n."""
 
     version: int
     name: str
-    items: Tuple[SurveyItem, ...]
+    items: tuple[SurveyItem, ...]
 
     def __post_init__(self):
         if not self.items:
@@ -80,7 +75,7 @@ def instrument_from_dict(data: Mapping) -> Instrument:
         raise ValidationError(f"malformed instrument definition: {exc}") from None
 
 
-def _choice_position(choice: Choice) -> int:
+def _choice_position(choice: str | int) -> int:
     """Normalize a choice (letter a-f, or 1-6 numeric) to position 1..6."""
     position = choice
     if isinstance(choice, str):
@@ -99,7 +94,7 @@ def _choice_position(choice: Choice) -> int:
     raise ValidationError(f"invalid choice {choice!r}; expected a-f or 1-6")
 
 
-def score_item(item: SurveyItem, choice: Choice) -> int:
+def score_item(item: SurveyItem, choice: str | int) -> int:
     """Points for one answered item: position for positive, reversed otherwise."""
     position = _choice_position(choice)
     if item.polarity == POSITIVE:
@@ -107,12 +102,11 @@ def score_item(item: SurveyItem, choice: Choice) -> int:
     return SCALE_STEPS + 1 - position
 
 
-@dataclass(frozen=True)
-class SurveyResponse:
+class SurveyResponse(Record):
     """Answers keyed by item index; completeness is checked against an
     instrument at scoring time, missing answers are never imputed."""
 
-    answers: Mapping[int, Choice]
+    answers: Mapping[int, str | int]
 
     def __post_init__(self):
         object.__setattr__(self, "answers", dict(self.answers))
@@ -121,8 +115,7 @@ class SurveyResponse:
                 raise ValidationError(f"item index {key!r} must be an integer")
 
 
-@dataclass(frozen=True)
-class PIndexScore:
+class PIndexScore(Record):
     """A scored response: integer raw sum and the 10-point index."""
 
     raw_sum: int
@@ -163,7 +156,7 @@ def score_response(response: SurveyResponse) -> PIndexScore:
     )
     n = len(instrument)
     p_index = INDEX_MAX * (raw - n) / ((SCALE_STEPS - 1) * n)
-    return PIndexScore(raw_sum=raw, p_index=p_index, n_items=n)
+    return PIndexScore(raw, p_index, n)
 
 
 def aggregate(scores: Sequence[PIndexScore]) -> float:
@@ -173,14 +166,14 @@ def aggregate(scores: Sequence[PIndexScore]) -> float:
     return sum(score.p_index for score in scores) / len(scores)
 
 
-def csv_header() -> List[str]:
+def csv_header() -> list[str]:
     items = canonical_instrument().items
     return ["respondent_id"] + [f"item{item.index}" for item in items]
 
 
 def read_responses_csv(
     path, lenient: bool = False
-) -> Tuple[List[Tuple[str, SurveyResponse]], List[str]]:
+) -> tuple[list[tuple[str, SurveyResponse]], list[str]]:
     """Parse a respondent CSV into (respondent id, response) pairs.
 
     The header must be respondent_id,item1,...,item7, the canonical
@@ -194,8 +187,8 @@ def read_responses_csv(
     whatever ``lenient`` says.
     """
     expected_header = csv_header()
-    rows: List[Tuple[str, SurveyResponse]] = []
-    warnings: List[str] = []
+    rows: list[tuple[str, SurveyResponse]] = []
+    warnings: list[str] = []
 
     with open(path, "rb") as handle:
         data = handle.read()
@@ -249,7 +242,7 @@ def _records(reader):
         yield start, record
 
 
-def _parse_row(row) -> Tuple[str, SurveyResponse]:
+def _parse_row(row) -> tuple[str, SurveyResponse]:
     instrument = canonical_instrument()
     expected_len = len(instrument) + 1
     if len(row) != expected_len:

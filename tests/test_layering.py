@@ -1,9 +1,11 @@
 """The package's layers: which package modules each module may import.
 
-The core (errors, the game, the constraint order, the event space and the
-index model) knows nothing above it. The scenario model and its file format
-rest on the core alone. Solving, Monte Carlo checks and survey scoring each
-rest on the core and the scenario, never on each other or on the CLI.
+The frozen record base imports nothing of the package, and every layer may
+build on it. The core (errors, the game, the constraint order, the event
+space and the index model) knows nothing above it. The scenario model and
+its file format rest on the core alone. Solving, Monte Carlo checks and
+survey scoring each rest on the core and the scenario, never on each other
+or on the CLI.
 """
 import ast
 from pathlib import Path
@@ -15,12 +17,14 @@ import splitgame
 PACKAGE = "splitgame"
 SOURCE = Path(splitgame.__file__).parent
 
-CORE = frozenset({"errors", "game", "constraints", "bayes", "index_model"})
+BASE = frozenset({"_record"})
+CORE = BASE | {"errors", "game", "constraints", "bayes", "index_model"}
 ANALYSES = frozenset({"solver", "montecarlo", "survey"})
 
 # module -> the package modules it may import
 ALLOWED = {
-    **dict.fromkeys(CORE, CORE),
+    "_record": frozenset(),
+    **dict.fromkeys(CORE - BASE, CORE),
     "scenario": CORE,
     **dict.fromkeys(ANALYSES, CORE | {"scenario"}),
     "cli": CORE | {"scenario"} | ANALYSES,

@@ -70,10 +70,17 @@ def test_import_loads_neither_json_nor_functools():
     assert not loaded & {"json", "functools"}
 
 
+def test_cli_loads_no_dataclasses_inspect_or_typing():
+    # each would add milliseconds to every command's start
+    loaded = _loaded_after("import splitgame.cli")
+    assert "splitgame.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}
+
+
 def test_a_name_loads_only_its_module():
     loaded = _loaded_after("from splitgame import score_response")
     package = {name for name in loaded if name.startswith("splitgame.")}
-    assert package == {"splitgame.errors", "splitgame.survey"}
+    assert package == {"splitgame._record", "splitgame.errors", "splitgame.survey"}
 
 
 def test_each_name_is_its_modules_object():

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import warnings
-from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from splitgame import (
     scenario_from_dict,
     solve,
 )
+from splitgame._record import replace
 from splitgame.montecarlo import MAX_TRIALS
 from splitgame.scenario import (
     _JSON_TYPES,

@@ -1,7 +1,6 @@
 import ast
 import importlib
 import warnings
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -36,6 +35,7 @@ from splitgame import (
     with_parameters,
 )
 from splitgame import index_model, solver
+from splitgame._record import replace
 from splitgame.solver import SWEEP_METRICS
 
 K34 = 0.240028463014  # formula value at score 3.4, frozen from quadrature
