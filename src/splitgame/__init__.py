@@ -35,7 +35,6 @@ _EXPORTS = {
     "UnknownSymbolError": "errors",
     "ValidationError": "errors",
     "CellCoord": "game",
-    "DominanceOracle": "game",
     "NumericOrder": "game",
     "OrdinalGame": "game",
     "PLAYER_COL": "game",

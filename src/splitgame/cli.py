@@ -31,6 +31,11 @@ EXIT_IO = 3
 
 _MODE_CHOICES = (*(mode.value for mode in Mode), *MODE_ALIASES)
 
+# most characters in one error: or warning: line; a message quoting a huge
+# input value keeps its start and its end, which says what was expected
+_LINE_MAX = 1000
+_CUT = " [...] "
+
 # steps per sweep axis; the axis holds at most one point more
 GRID_MAX_STEPS = 100_000
 # rows per sweep: the product of the axis point counts
@@ -49,6 +54,17 @@ exit codes:
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
+
+
+def _say(kind: str, message) -> None:
+    """Print ``kind: message`` to stderr, cut to ``_LINE_MAX`` characters
+    around ``_CUT`` when longer."""
+    line = f"{kind}: {message}"
+    if len(line) > _LINE_MAX:
+        head = (_LINE_MAX - len(_CUT)) // 2
+        tail = _LINE_MAX - len(_CUT) - head
+        line = line[:head] + _CUT + line[-tail:]
+    print(line, file=sys.stderr)
 
 
 def _emit(text: str, out_path: str | None):
@@ -157,7 +173,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     rows, skipped = read_responses_csv(args.survey_csv, lenient=args.lenient)
     for note in skipped:
-        print(f"warning: {note}", file=sys.stderr)
+        _say("warning", note)
     if not rows:
         raise ValidationError(f"{args.survey_csv}: no valid data rows")
 
@@ -314,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _show_warning(message, category, filename, lineno, file=None, line=None):
     # a warning names the library line that issued it, which tells a CLI
     # user nothing; the filters still decide which warnings show
-    print(f"warning: {message}", file=sys.stderr)
+    _say("warning", message)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -324,5 +340,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             return args.run(args)
         except (SplitgameError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _say("error", exc)
             return EXIT_IO if isinstance(exc, OSError) else exc.exit_code

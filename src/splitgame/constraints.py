@@ -44,7 +44,8 @@ MAX_TRIALS = 10**8
 
 # most downsets the exact sampler enumerates for one connected component of
 # the certain order; every component of a game up to 3x3 (18 symbols) fits,
-# the widest (one symbol above 17 others) having 2**17 + 1 downsets
+# the widest (one symbol above 17 others) having 2**17 + 1 downsets; a chain
+# builds no lattice, so no chain reaches the cap
 SAMPLING_DOWNSET_CAP = 1 << 18
 
 
@@ -378,10 +379,10 @@ class ConstraintSet:
         """What sampling needs of the order, built on first use and kept:
         the sorted names, the indices of the unconstrained ones, and per
         connected component of two or more symbols its member indices with
-        its ``_lattice`` tables; a chain (k + 1 downsets) keeps its members
-        in its one linear extension, from the top, and None. A component
-        over ``SAMPLING_DOWNSET_CAP`` raises SamplingExhaustedError, and
-        nothing is kept, so every call raises."""
+        its ``_lattice`` tables; a chain, read off the closure, keeps its
+        members in its one linear extension, from the top, and None, and
+        builds no lattice. A component over ``SAMPLING_DOWNSET_CAP`` raises
+        SamplingExhaustedError, and nothing is kept, so every call raises."""
         if self._plan is None:
             import numpy as np
 
@@ -392,20 +393,21 @@ class ConstraintSet:
             for members in components:
                 if len(members) == 1:
                     continue
+                # a component's symbols dominate only one another, so it is
+                # a chain exactly when all k(k - 1)/2 of its pairs are
+                # ordered, and the more a symbol dominates the higher it is
+                below = {i: len(self._reach[names[i]]) for i in members}
+                k = len(members)
+                if sum(below.values()) == k * (k - 1) // 2:
+                    ranked = sorted(members, key=below.__getitem__, reverse=True)
+                    walks.append((np.asarray(ranked), None))
+                    continue
                 local = {names[i]: bit for bit, i in enumerate(members)}
-                above = [0] * len(members)
+                above = [0] * k
                 for name, bit in local.items():
                     for lesser in self._reach[name]:
                         above[local[lesser]] |= 1 << bit
-                follow, cumulative = _lattice(above)
-                lattice = follow, cumulative
-                if len(follow) == len(members):  # a chain: one path
-                    state, ranked = 0, []
-                    for _ in members:  # each downset's one move of share 1
-                        ranked.append(int(cumulative[state].argmax()))
-                        state = follow[state, ranked[-1]]
-                    members, lattice = [members[i] for i in ranked], None
-                walks.append((np.asarray(members), lattice))
+                walks.append((np.asarray(members), _lattice(above)))
             self._plan = names, free, walks
         return self._plan
 
@@ -419,8 +421,9 @@ class ConstraintSet:
         Winkler, Order 8, 1991), then sorted iid uniforms in that order;
         unconstrained symbols are plain uniforms. The lattices are built on
         the first call and kept with the set; a chain, whose one extension
-        is read off its lattice then, is never walked. Each call reads one
-        generator part by part; a chain advances it past its walk uniforms.
+        is read off the closure, builds none and is never walked. Each call
+        reads one generator part by part; a chain advances it past its walk
+        uniforms.
         ``size=None`` gives one ``{name: float}``; an integer ``size`` gives
         ``{name: array}`` of that many independent rows, at most
         ``MAX_TRIALS`` values in all.

@@ -18,15 +18,6 @@ PLAYER_ROW = 0
 PLAYER_COL = 1
 
 
-class DominanceOracle:
-    """Answers strict-order queries over payoff symbol ids: the one method
-    ``pure_nash`` calls. Any object that has it will do, so ``NumericOrder``
-    and ``ConstraintSet`` need not subclass this class."""
-
-    def implies(self, left: str, right: str) -> bool | None:
-        """True if left > right, False if that is known false, None if unknown."""
-
-
 CellCoord = namedtuple("CellCoord", "row col")
 CellCoord.__doc__ = "Zero-indexed cell coordinate (row strategy, column strategy)."
 
@@ -43,6 +34,15 @@ class OrdinalGame(Record):
     cells: tuple[tuple[tuple[str, str], ...], ...]
 
     def __post_init__(self):
+        # one pass ahead of the other checks, so a malformed pair is named
+        # first; the stored tuples make every game hashable
+        cells = tuple(
+            tuple(_cell_pair(r, c, pair) for c, pair in enumerate(row))
+            for r, row in enumerate(self.cells)
+        )
+        object.__setattr__(self, "row_strategies", tuple(self.row_strategies))
+        object.__setattr__(self, "col_strategies", tuple(self.col_strategies))
+        object.__setattr__(self, "cells", cells)
         if not self.row_strategies or not self.col_strategies:
             raise ValidationError("both players need at least one strategy")
         for names, side in ((self.row_strategies, "row"), (self.col_strategies, "column")):
@@ -82,16 +82,11 @@ class OrdinalGame(Record):
         col_strategies: Sequence[str],
         grid: Sequence[Sequence[tuple[str, str]]],
     ) -> "OrdinalGame":
-        """Build from a grid of (row symbol id, column symbol id) pairs.
-
-        Each pair must be a list or a tuple: a string such as "RC" is not
-        read as the two ids "R" and "C".
+        """Build from a grid of (row symbol id, column symbol id) pairs, as
+        the constructor does: names and grid in any sequences, each pair a
+        list or a tuple, so a string such as "RC" is not read as two ids.
         """
-        cells = tuple(
-            tuple(_cell_pair(r, c, pair) for c, pair in enumerate(row))
-            for r, row in enumerate(grid)
-        )
-        return cls(tuple(row_strategies), tuple(col_strategies), cells)
+        return cls(row_strategies, col_strategies, grid)
 
     @property
     def n_rows(self) -> int:
@@ -142,7 +137,7 @@ class NumericOrder:
             ) from None
 
 
-def _unbeaten(order: DominanceOracle, axis: Sequence[str], i: int) -> bool | None:
+def _unbeaten(order, axis: Sequence[str], i: int) -> bool | None:
     """Whether payoff ``axis[i]`` survives its rivals on the same axis.
 
     ``axis`` holds one player's payoffs across its own strategies, with the
@@ -163,7 +158,7 @@ def _unbeaten(order: DominanceOracle, axis: Sequence[str], i: int) -> bool | Non
     return None if gap else True
 
 
-def _crossed(order: DominanceOracle, row_axis, r: int, col_axis, c: int) -> bool:
+def _crossed(order, row_axis, r: int, col_axis, c: int) -> bool:
     """Whether some row rival of cell (r, c) is certainly above the cell's
     column payoff and some column rival certainly above its row payoff.
 
@@ -180,10 +175,12 @@ def _crossed(order: DominanceOracle, row_axis, r: int, col_axis, c: int) -> bool
     )
 
 
-def pure_nash(
-    game: OrdinalGame, order: DominanceOracle
-) -> tuple[frozenset, frozenset]:
+def pure_nash(game: OrdinalGame, order) -> tuple[frozenset, frozenset]:
     """Pure Nash cells under a (possibly partial) dominance oracle.
+
+    ``order`` answers ``order.implies(left, right)``: True if payoff id
+    ``left`` is certainly above ``right``, False if that is known false,
+    None if unknown. ``NumericOrder`` and ``ConstraintSet`` both do.
 
     Returns (equilibria, undecided_cells), disjoint. A cell is an equilibrium
     when neither player's payoff can be beaten by a unilateral deviation in

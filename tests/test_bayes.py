@@ -55,6 +55,12 @@ class TestEventSpace:
         with pytest.raises(ValidationError):
             EventSpace(("a", "a"), (0.5, 0.5))
 
+    def test_comparison_event_needs_a_label(self):
+        with pytest.raises(
+            ValidationError, match="^comparison event label must be non-empty$"
+        ):
+            ComparisonEvent("", "EM11", "EM22")
+
     def test_comparison_event_distinct_sides(self):
         ComparisonEvent("em12", "EM11", "EM22")
         with pytest.raises(ValidationError):

@@ -24,7 +24,14 @@ from splitgame import (
     ipd_scenario,
     solve,
 )
-from splitgame.cli import _EXIT_CODE_DOC, GRID_MAX_ROWS, GRID_MAX_STEPS, main
+from splitgame.cli import (
+    _EXIT_CODE_DOC,
+    _LINE_MAX,
+    GRID_MAX_ROWS,
+    GRID_MAX_STEPS,
+    _show_warning,
+    main,
+)
 from splitgame.montecarlo import MAX_TRIALS
 
 SURVEY_HEADER = "respondent_id,item1,item2,item3,item4,item5,item6,item7"
@@ -801,3 +808,58 @@ class TestScoreRobustness:
             rows = list(csv.reader(io.StringIO(out)))
             assert rows[0] == ["respondent_id", "raw_sum", "p_index"]
             assert len(rows) > 1
+
+
+class TestLongMessages:
+    """A message that quotes a huge input value prints as one error: or
+    warning: line of at most _LINE_MAX characters that keeps its end, which
+    says what was expected."""
+
+    @staticmethod
+    def only_line(err, prefix):
+        lines = [line for line in err.splitlines() if line.startswith(prefix)]
+        assert len(lines) == 1
+        assert len(lines[0]) <= _LINE_MAX
+        return lines[0]
+
+    @pytest.fixture
+    def long_cell_survey(self, tmp_path):
+        path = tmp_path / "survey.csv"
+        path.write_text(
+            f"{SURVEY_HEADER}\nr1,{'x' * 10**5},a,a,a,a,a,a\nr2,a,a,a,a,a,a,a\n"
+        )
+        return str(path)
+
+    def test_scenario_value(self, tmp_path, ipd_dict):
+        path = write_scenario(tmp_path, {**ipd_dict, "name": list(range(10**5))})
+        code, out, err = _run_main(["solve", "--scenario", path])
+        assert (code, out) == (4, "")
+        line = self.only_line(err, "error: ")
+        assert err == line + "\n"
+        assert line.startswith(f"error: {path}: name: [0, 1, 2, ")
+        assert line.endswith(", 99999] is not of type 'string'")
+
+    def test_survey_cell_strict(self, long_cell_survey):
+        code, out, err = _run_main(["score", long_cell_survey])
+        assert (code, out) == (4, "")
+        line = self.only_line(err, "error: ")
+        assert err == line + "\n"
+        assert line.startswith(f"error: {long_cell_survey}: line 2: invalid choice 'xxx")
+        assert line.endswith("xxx'; expected a-f or 1-6")
+
+    def test_survey_cell_lenient(self, long_cell_survey):
+        code, out, err = _run_main(["score", long_cell_survey, "--lenient"])
+        assert code == 0
+        # the other row is scored
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["r2"]
+        line = self.only_line(err, "warning: ")
+        assert line.startswith("warning: line 2: skipped (invalid choice 'xxx")
+        assert line.endswith("xxx'; expected a-f or 1-6)")
+
+    def test_only_a_line_over_the_cap_is_cut(self, capsys):
+        for size in (_LINE_MAX, _LINE_MAX + 1):
+            message = "w" * (size - len("warning: ") - 3) + "end"
+            _show_warning(message, UserWarning, "library.py", 1)
+            line = self.only_line(capsys.readouterr().err, "warning: ")
+            assert len(line) == _LINE_MAX and line.endswith("end")
+            assert (line == f"warning: {message}") == (size == _LINE_MAX)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conftest import (
     rejection_realization,
 )
 from splitgame import constraints as constraints_module
-from splitgame.constraints import MAX_TRIALS
+from splitgame.constraints import MAX_TRIALS, _components
 from splitgame import (
     BOUND_LOWER,
     SAMPLING_DOWNSET_CAP,
@@ -39,6 +40,13 @@ def certain(left, right):
 
 
 class TestDominanceConstraint:
+    @pytest.mark.parametrize("left, right", [("", "B"), ("A", "")])
+    def test_empty_symbol_rejected(self, left, right):
+        with pytest.raises(
+            ValidationError, match="^constraint symbols must be non-empty ids$"
+        ):
+            DominanceConstraint(left, right, 1.0)
+
     def test_self_comparison_rejected(self):
         with pytest.raises(ValidationError):
             DominanceConstraint("A", "A", 1.0)
@@ -134,6 +142,13 @@ class TestConstruction:
         b = ConstraintSet([certain("A", "B")])
         assert a == b
         assert a != a.add_constraint(certain("B", "C"))
+
+    def test_never_equal_to_another_type(self):
+        order = ConstraintSet([certain("A", "B")])
+        # the other operand decides, so a tuple of the same constraints is
+        # not the set
+        assert order.__eq__(order.constraints) is NotImplemented
+        assert order != order.constraints
 
     def test_equal_sets_hash_equal(self):
         a = ConstraintSet([certain("A", "B")], universe={"A", "B", "C"})
@@ -483,17 +498,32 @@ class TestSamplingPlan:
         assert builds == [4, 4]
 
     def test_derived_set_builds_its_own_plan(self, builds):
-        base = ConstraintSet([certain("A", "B")], universe=["A", "B", "C"])
+        # A above B and C: two linear extensions, so a walked lattice
+        base = ConstraintSet(
+            [certain("A", "B"), certain("A", "C")], universe=["A", "B", "C", "D"]
+        )
         base.sample_realization(0)
-        derived = base.add_constraint(certain("B", "C"))
+        derived = base.add_constraint(certain("C", "D"))
         values = derived.sample_realization(1, size=20)
-        assert builds == [2, 3]
-        assert ((values["A"] > values["B"]) & (values["B"] > values["C"])).all()
+        assert builds == [3, 4]
+        for greater, lesser in derived.certain_order:
+            assert (values[greater] > values[lesser]).all()
         assert _bits(values) == _bits(
             reference_sample_realization(derived, 1, 20)
         )
         base.sample_realization(2)
-        assert builds == [2, 3]
+        assert builds == [3, 4]
+
+    def test_chains_build_no_lattice(self, builds):
+        base = ConstraintSet([certain("A", "B")], universe=["A", "B", "C"])
+        base.sample_realization(0)
+        derived = base.add_constraint(certain("B", "C"))
+        values = derived.sample_realization(1, size=20)
+        assert builds == []
+        assert ((values["A"] > values["B"]) & (values["B"] > values["C"])).all()
+        assert _bits(values) == _bits(
+            reference_sample_realization(derived, 1, 20)
+        )
 
     def test_plan_stays_out_of_equality_and_hash(self):
         drawn = ConstraintSet([certain("A", "B")])
@@ -502,6 +532,41 @@ class TestSamplingPlan:
         drawn.sample_realization(0)
         assert drawn == fresh
         assert hash(drawn) == hash(fresh) == before
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_components_match_a_breadth_first_search(seed):
+    # the bit-identity properties take _components from the code they check
+    rng = random.Random(seed)
+    names = [f"S{i:02d}" for i in range(rng.randint(1, 14))]
+    ranked = rng.sample(names, len(names))  # a random topological order
+    density = rng.choice([0.05, 0.15, 0.3])
+    order = ConstraintSet(
+        [
+            certain(ranked[i], ranked[j])
+            for i, j in itertools.combinations(range(len(names)), 2)
+            if rng.random() < density
+        ],
+        universe=names,
+    )
+    neighbours = {name: set() for name in names}
+    for greater, lesser in order.certain_order:
+        neighbours[greater].add(lesser)
+        neighbours[lesser].add(greater)
+    expected, seen = [], set()
+    for start in names:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, found = deque([start]), []
+        while queue:
+            node = queue.popleft()
+            found.append(names.index(node))
+            for near in neighbours[node] - seen:
+                seen.add(near)
+                queue.append(near)
+        expected.append(sorted(found))
+    assert _components(names, order._reach) == expected
 
 
 def test_building_and_hashing_a_set_loads_no_numpy():

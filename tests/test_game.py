@@ -16,6 +16,7 @@ from splitgame import (
     UnknownSymbolError,
     ValidationError,
     pure_nash,
+    verify_nash_numeric,
 )
 
 
@@ -60,8 +61,29 @@ class TestStructure:
          None],
     )
     def test_cell_must_hold_two_string_ids(self, pair):
-        with pytest.raises(ValidationError, match=r"cell \(0, 0\)"):
-            OrdinalGame.from_ids(["a"], ["x"], [[pair]])
+        messages = set()
+        for build in (OrdinalGame, OrdinalGame.from_ids):
+            with pytest.raises(ValidationError, match=r"cell \(0, 0\)") as caught:
+                build(["a"], ["x"], [[pair]])
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("rows, cols", [((), ("x",)), (("a",), ())])
+    def test_each_player_needs_a_strategy(self, rows, cols):
+        with pytest.raises(
+            ValidationError, match="^both players need at least one strategy$"
+        ):
+            OrdinalGame(rows, cols, [])
+
+    def test_a_grid_of_lists_is_stored_as_tuples(self, ipd_game, ipd_constraints):
+        lists = OrdinalGame(
+            list(ipd_game.row_strategies),
+            list(ipd_game.col_strategies),
+            [[list(pair) for pair in row] for row in ipd_game.cells],
+        )
+        assert lists == ipd_game
+        assert hash(lists) == hash(ipd_game)
+        assert verify_nash_numeric(lists, ipd_constraints, 200, 0).ok
 
     def test_payoff_accessor(self, ipd_game):
         assert ipd_game.payoff(0, 0, PLAYER_ROW) == "EM11"

@@ -27,6 +27,12 @@ def test_package_data_globs_cover_every_resource():
     assert resources <= shipped
 
 
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    config = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
+    assert splitgame.__version__ == config["project"]["version"]
+
+
 # check -> the interpreter's arguments, run from the repository root
 _ZIPPED_RUNS = {
     "solve": ["-m", "splitgame", "solve", "--scenario", "scenarios/ipd.json"],

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +61,25 @@ class TestInstrument:
         with pytest.raises(ValidationError):
             Instrument(1, "broken", items)
 
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            ({"version": 1}, "'items'"),
+            ({"version": 1, "items": [5]}, "'int' object is not subscriptable"),
+        ],
+    )
+    def test_instrument_from_dict_rejects_a_malformed_document(self, data, reason):
+        with pytest.raises(ValidationError) as caught:
+            instrument_from_dict(data)
+        assert str(caught.value) == f"malformed instrument definition: {reason}"
+
+    def test_choices_match_the_shipped_scale(self):
+        # the letters are written both here and in the instrument file
+        path = Path(survey_module.__file__).parent / "resources" / "instrument.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert tuple(data["scale"]) == CHOICES
+        assert len(data["scale_meaning"]) == len(CHOICES)
+
     def test_instrument_from_dict_rejects_bad_polarity(self):
         with pytest.raises(ValidationError):
             instrument_from_dict(
@@ -89,8 +110,13 @@ class TestScoreItem:
         assert score_item(item, 3) == 3
         assert score_item(item, "F") == 6
 
-    # '²' is a digit to str.isdigit but not to int()
-    @pytest.mark.parametrize("choice", ["g", "0", "7", "", 0, 7, True, "\u00b2"])
+    # '²' is a digit to str.isdigit but not to int(); int() refuses to read
+    # more than 4300 digits
+    @pytest.mark.parametrize(
+        "choice",
+        ["g", "0", "7", "", 0, 7, True, "\u00b2",
+         pytest.param("9" * 5000, id="past-the-digit-limit")],
+    )
     def test_invalid_choice(self, choice):
         item = canonical_instrument().items[0]
         with pytest.raises(ValidationError) as caught:
