@@ -34,15 +34,25 @@ class OrdinalGame(Record):
     cells: tuple[tuple[tuple[str, str], ...], ...]
 
     def __post_init__(self):
-        # one pass ahead of the other checks, so a malformed pair is named
-        # first; the stored tuples make every game hashable
+        # one pass ahead of the other checks, so a malformed grid, row or
+        # pair is named first; the stored tuples make every game hashable
+        rows = _sequence("payoff grid", self.cells, "rows")
         cells = tuple(
-            tuple(_cell_pair(r, c, pair) for c, pair in enumerate(row))
-            for r, row in enumerate(self.cells)
+            tuple(
+                tuple(_sequence(f"cell ({r}, {c})", pair, "two ids"))
+                for c, pair in enumerate(_sequence(f"payoff row {r}", row, "cells"))
+            )
+            for r, row in enumerate(rows)
         )
-        object.__setattr__(self, "row_strategies", tuple(self.row_strategies))
-        object.__setattr__(self, "col_strategies", tuple(self.col_strategies))
         object.__setattr__(self, "cells", cells)
+        for attr, side in (("row_strategies", "row"), ("col_strategies", "column")):
+            names = _sequence(f"{side} strategies", getattr(self, attr), "names")
+            bad = [name for name in names if not (isinstance(name, str) and name)]
+            if bad:
+                raise ValidationError(
+                    f"{side} strategy names must be non-empty strings, got {bad[0]!r}"
+                )
+            object.__setattr__(self, attr, tuple(names))
         if not self.row_strategies or not self.col_strategies:
             raise ValidationError("both players need at least one strategy")
         for names, side in ((self.row_strategies, "row"), (self.col_strategies, "column")):
@@ -83,8 +93,8 @@ class OrdinalGame(Record):
         grid: Sequence[Sequence[tuple[str, str]]],
     ) -> "OrdinalGame":
         """Build from a grid of (row symbol id, column symbol id) pairs, as
-        the constructor does: names and grid in any sequences, each pair a
-        list or a tuple, so a string such as "RC" is not read as two ids.
+        the constructor does: names, grid, rows and pairs each a list or a
+        tuple, so a string such as "RC" is not read as two ids.
         """
         return cls(row_strategies, col_strategies, grid)
 
@@ -105,12 +115,14 @@ class OrdinalGame(Record):
         return frozenset(sym for row in self.cells for pair in row for sym in pair)
 
 
-def _cell_pair(r: int, c: int, pair) -> tuple:
-    if not isinstance(pair, (list, tuple)):
+def _sequence(what: str, value, of: str):
+    """``value`` if it is a list or tuple; anything else, a string such as
+    "RC" above all, which would read as its characters, is refused."""
+    if not isinstance(value, (list, tuple)):
         raise ValidationError(
-            f"cell ({r}, {c}) must be a list or tuple of two ids, got {pair!r}"
+            f"{what} must be a list or tuple of {of}, got {value!r}"
         )
-    return tuple(pair)
+    return value
 
 
 class NumericOrder:

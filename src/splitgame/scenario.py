@@ -24,7 +24,7 @@ from ._record import Record, replace
 from .bayes import EventSpace
 from .constraints import BOUND_EXACT, ConstraintSet, DominanceConstraint
 from .constraints import check_seed, check_trials
-from .errors import ValidationError
+from .errors import UnknownSymbolError, ValidationError
 from .game import OrdinalGame
 from .index_model import DEFAULT_VARIANCE, IndexParameters, Mode
 
@@ -48,7 +48,10 @@ class SimulationDefaults(Record):
 
 
 class Scenario(Record):
-    """Everything needed to solve one decision problem."""
+    """Everything needed to solve one decision problem.
+
+    The order must know every game symbol unless it is open
+    (``universe=None``); a loaded scenario's order knows exactly those."""
 
     name: str
     game: OrdinalGame
@@ -71,6 +74,10 @@ class Scenario(Record):
                 f"em_params and pf_params must share one variance, got "
                 f"{em!r} and {pf!r}"
             )
+        universe = self.constraints.universe
+        missing = () if universe is None else self.game.symbol_ids() - universe
+        if missing:
+            raise UnknownSymbolError(f"unknown payoff symbol {min(missing)!r}")
 
     def to_dict(self) -> dict:
         """The canonical file-format dictionary for this scenario."""
@@ -122,15 +129,6 @@ def scenario_schema() -> dict:
     return _resource("scenario.schema.json")
 
 
-# JSON Schema 2020-12 keywords that _schema_errors reads; annotations
-# ("$schema", "title", "description") carry no constraint
-_SCHEMA_KEYWORDS = frozenset({
-    "type", "enum", "required", "additionalProperties", "properties",
-    "items", "prefixItems", "minItems", "maxItems",
-    "minLength", "minimum", "maximum",
-})
-
-
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Number) and not isinstance(value, bool)
 
@@ -155,8 +153,9 @@ def _schema_errors(
 
     Keywords are read in the schema's own order and worded as jsonschema's
     ``Draft202012Validator`` words them, so sorting the errors by path gives
-    the same list as that validator. Only ``_SCHEMA_KEYWORDS`` are read;
-    ``enum`` values must be strings.
+    the same list as that validator. Only the keywords it names are read
+    (annotations such as "title" carry no constraint); ``enum`` values must
+    be strings.
     """
     for keyword, rule in schema.items():
         if keyword == "type":

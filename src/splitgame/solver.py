@@ -4,7 +4,8 @@ Solving a scenario (see ``scenario``) yields a decision report: which cells
 are pure Nash under the case-adjusted order, the probabilities that each
 diagonal equilibrium guides the decision, the leftover indeterminate mass,
 and the closed-form bounds those probabilities can never cross. A sweep
-solves the same scenario across a parameter grid.
+computes only the selection probabilities across a parameter grid: the Nash
+set and the notes belong to the report alone.
 
 Two comparison events drive everything. "em12" is the event that the row
 player's temptation payoff (top-left) outranks its dutiful payoff
@@ -20,7 +21,7 @@ import itertools
 from collections.abc import Mapping, Sequence
 
 from ._record import Record, replace
-from .bayes import ComparisonEvent, EventSpace
+from .bayes import ComparisonEvent
 from .constraints import ConstraintSet, DominanceConstraint
 from .errors import ValidationError
 from .game import CellCoord, OrdinalGame, pure_nash
@@ -156,65 +157,6 @@ def effective_constraints(scenario: Scenario) -> ConstraintSet:
     return ConstraintSet(kept, universe=base.universe)
 
 
-def _is_uniform_three(space: EventSpace) -> bool:
-    return len(space) == 3 and all(p == space.prior[0] for p in space.prior)
-
-
-class _Structure(Record):
-    """The part of a solution fixed by the game, the constraints and the
-    case; the parameters r, s, C, Q and the mode never change it."""
-
-    comparison_events: tuple[ComparisonEvent, ComparisonEvent]
-    nash_cells: tuple[CellCoord, ...]
-    undecided_cells: tuple[CellCoord, ...]
-    # under strong evidence the certainty chain fixes p_pf21; under weak
-    # evidence it is None and the weight times the cap sets it
-    chain_p_pf21: float | None
-    notes: tuple[str, ...]
-
-
-def _structure(scenario: Scenario) -> _Structure:
-    """The structural stage: runs once per scenario and case."""
-    em_event, pf_event = comparison_events(scenario.game)
-    order = effective_constraints(scenario)
-    nash, undecided = pure_nash(scenario.game, order)
-
-    pf11 = pf_event.right
-    pf12 = scenario.game.payoff(0, 1, 1)
-    if scenario.case is Case.STRONG_EVIDENCE:
-        # certainty chain: strict-course payoff beats the lenient one beats
-        # the dutiful-cell one, each link independent
-        chain = [(pf_event.left, pf12), (pf12, pf11)]
-        chain_p_pf21 = order.independent_chain_probability(chain)
-        notes = [
-            f"strong evidence: certain {pf12} > {pf11} applied; any certain "
-            f"{pf11} > {pf12} assumption is dropped for consistency"
-        ]
-    else:
-        chain_p_pf21 = None
-        notes = [
-            f"weak evidence: p({pf11} > {pf12}) > 0.5 recorded as a lower "
-            "bound; lower bounds never enter the dominance order"
-        ]
-    if not _is_uniform_three(scenario.events):
-        notes.append(
-            "selection coefficients assume a uniform three-event "
-            "environment; this scenario's event space deviates from it"
-        )
-    diagonal = {CellCoord(0, 0), CellCoord(1, 1)}
-    if set(nash) != diagonal:
-        notes.append(
-            "p_cell_11 and p_cell_22 refer to the diagonal cells (0,0) and "
-            f"(1,1); this order's equilibrium set is "
-            f"{sorted(tuple(c) for c in nash)}"
-        )
-    # by position, as in ``verify_nash_numeric``: sweeps build one per call
-    return _Structure(
-        (em_event, pf_event), tuple(sorted(nash)), tuple(sorted(undecided)),
-        chain_p_pf21, tuple(notes),
-    )
-
-
 def _on_reference(label: str, param_name: str, score: float, published: bool) -> bool:
     """Whether the score is the one the label's published constant refers to.
 
@@ -233,10 +175,16 @@ def _on_reference(label: str, param_name: str, score: float, published: bool) ->
 
 
 def solve(scenario: Scenario) -> DecisionReport:
-    """Solve one scenario into a decision report: the zero-axis case of the
-    sweep walk, so a sweep row equals ``solve`` at its point."""
-    structure = _structure(scenario)
-    (values,), caps = _grid(scenario, structure, {})
+    """Solve one scenario into a decision report.
+
+    The numbers are the zero-axis case of the sweep walk, so a sweep row
+    equals ``solve`` at its point. The comparison events, the Nash set under
+    the case-adjusted order and the notes are the report's alone.
+    """
+    events = comparison_events(scenario.game)
+    order = effective_constraints(scenario)
+    nash, undecided = pure_nash(scenario.game, order)
+    (values,), caps = _grid(scenario, order, {})
     em, pf = scenario.em_params, scenario.pf_params
     em_cap, pf_cap = caps["C"][em.score], caps["Q"][pf.score]
     published = scenario.mode is Mode.PUBLISHED
@@ -256,13 +204,37 @@ def solve(scenario: Scenario) -> DecisionReport:
                 f"{ref_score:g} diverges from the formula value "
                 f"{factor:.6g}; this report uses {used}, not {other}"
             )
+    pf11 = scenario.game.payoff(0, 0, 1)
+    pf12 = scenario.game.payoff(0, 1, 1)
+    if scenario.case is Case.STRONG_EVIDENCE:
+        notes.append(
+            f"strong evidence: certain {pf12} > {pf11} applied; any certain "
+            f"{pf11} > {pf12} assumption is dropped for consistency"
+        )
+    else:
+        notes.append(
+            f"weak evidence: p({pf11} > {pf12}) > 0.5 recorded as a lower "
+            "bound; lower bounds never enter the dominance order"
+        )
+    prior = scenario.events.prior
+    if len(prior) != 3 or any(p != prior[0] for p in prior):
+        notes.append(
+            "selection coefficients assume a uniform three-event "
+            "environment; this scenario's event space deviates from it"
+        )
+    if set(nash) != {CellCoord(0, 0), CellCoord(1, 1)}:
+        notes.append(
+            "p_cell_11 and p_cell_22 refer to the diagonal cells (0,0) and "
+            f"(1,1); this order's equilibrium set is "
+            f"{sorted(tuple(c) for c in nash)}"
+        )
     return DecisionReport(
         scenario_name=scenario.name,
         mode=scenario.mode.value,
         case=scenario.case.value,
         **dict(zip(SWEEP_METRICS, values)),
-        nash_cells=structure.nash_cells,
-        undecided_cells=structure.undecided_cells,
+        nash_cells=tuple(sorted(nash)),
+        undecided_cells=tuple(sorted(undecided)),
         bounds={
             "p_em12_cap": em_cap,
             "p_pf21_weak_cap": pf_cap,
@@ -270,8 +242,8 @@ def solve(scenario: Scenario) -> DecisionReport:
             "p_cell_22_weak_cap": pf_cap,
             "p_cell_22_strong_floor": 1.0 - em_cap,
         },
-        comparison_events=structure.comparison_events,
-        notes=tuple(notes) + structure.notes,
+        comparison_events=events,
+        notes=tuple(notes),
         inputs=scenario.to_dict(),
     )
 
@@ -308,8 +280,10 @@ def sweep(
     rows enumerate value combinations lexicographically, so output order is
     reproducible regardless of how the grid was supplied.
 
-    The structural stage runs once per sweep, each axis value is checked
-    once, and k(C) and k(Q) are evaluated once per distinct score.
+    A row needs only p(em12) and p(pf21), so a sweep finds no Nash set and
+    writes no notes. It builds the case-adjusted order at most once, checks
+    each axis value once, and evaluates k(C) and k(Q) once per distinct
+    score.
     """
     if not grid:
         raise ValidationError("sweep grid is empty")
@@ -318,17 +292,19 @@ def sweep(
         _param_target(name)
         if not grid[name]:
             raise ValidationError(f"parameter {name!r} has no grid values")
-    rows, _ = _grid(scenario, _structure(scenario), grid)
+    rows, _ = _grid(scenario, effective_constraints(scenario), grid)
     return names + list(SWEEP_METRICS), rows
 
 
 def _grid(
     scenario: Scenario,
-    structure: _Structure,
+    order: ConstraintSet,
     grid: Mapping[str, Sequence[float]],
 ) -> tuple[list[list[float]], dict[str, dict[float, float]]]:
-    """The point stage: the rows over a grid of checked names, and the caps
-    by "C" or "Q" and score. An empty grid gives the scenario's own point.
+    """The rows over a grid of checked names, and the caps by "C" or "Q"
+    and score. An empty grid gives the scenario's own point. ``order`` is
+    the case-adjusted order; under strong evidence its certainty chain
+    fixes p(pf21), computed first, so its error precedes any axis check.
 
     A bad grid raises what solving its points one by one raises, after the
     same warnings, from one walk over the axes. The first failing point is
@@ -340,6 +316,15 @@ def _grid(
     value of each axis, last axis first, as its own point does. A repeated
     value only repeats checks that passed and warnings already shown.
     """
+    game = scenario.game
+    chain_p_pf21 = None  # under weak evidence the weight times the cap
+    if scenario.case is Case.STRONG_EVIDENCE:
+        # certainty chain: strict-course payoff beats the lenient one beats
+        # the dutiful-cell one, each link independent
+        pf12 = game.payoff(0, 1, 1)
+        chain_p_pf21 = order.independent_chain_probability(
+            [(game.payoff(1, 1, 1), pf12), (pf12, game.payoff(0, 0, 1))]
+        )
     names = sorted(grid)
     em, pf = scenario.em_params, scenario.pf_params
     published = scenario.mode is Mode.PUBLISHED
@@ -381,7 +366,6 @@ def _grid(
             else:
                 check_weight(value)
 
-    chain_p_pf21 = structure.chain_p_pf21
     em_caps = [caps["C"][score] for score in axes["C"]]
     pf_caps = [caps["Q"][score] for score in axes["Q"]]
     rows: list[list[float]] = []

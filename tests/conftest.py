@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from splitgame import (
+    BOUND_EXACT,
     BOUND_LOWER,
     PLAYER_COL,
     PLAYER_ROW,
@@ -14,6 +15,7 @@ from splitgame import (
     CellCoord,
     ConstraintSet,
     DominanceConstraint,
+    MissingProbabilityError,
     SAMPLING_DOWNSET_CAP,
     SamplingExhaustedError,
     ValidationError,
@@ -323,11 +325,73 @@ def _needs_a_cycle(game, r, c, order):
     return False
 
 
-def reference_point(scenario, structure):
+def reference_chain_p_pf21(scenario):
+    """p(pf21) as the strong-evidence certainty chain PF22 > PF12 > PF11
+    fixes it over ``reference_effective_constraints``, or None under weak
+    evidence, where the weight times the cap sets it. Each link counts 1
+    when the certain order decides it and its stored exact probability
+    otherwise; a link with neither raises."""
+    order = reference_effective_constraints(scenario)
+    if scenario.case is not Case.STRONG_EVIDENCE:
+        return None
+    game = scenario.game
+    pf11, pf12, pf22 = (
+        game.payoff(r, c, PLAYER_COL) for r, c in ((0, 0), (0, 1), (1, 1))
+    )
+    exact = {
+        (c.left, c.right): c.probability
+        for c in order.constraints
+        if c.bound == BOUND_EXACT
+    }
+    product = 1.0
+    for left, right in ((pf22, pf12), (pf12, pf11)):
+        if order.implies(left, right) is True:
+            continue
+        if (left, right) not in exact:
+            raise MissingProbabilityError(
+                f"no stored probability for {left} > {right}"
+            )
+        product *= exact[(left, right)]
+    return product
+
+
+def reference_structure_notes(scenario):
+    """The notes a report adds after the divergence notes: the case, a
+    non-uniform event space, and an equilibrium set other than the
+    diagonal under ``reference_effective_constraints``."""
+    game = scenario.game
+    pf11, pf12 = game.payoff(0, 0, PLAYER_COL), game.payoff(0, 1, PLAYER_COL)
+    if scenario.case is Case.STRONG_EVIDENCE:
+        notes = [
+            f"strong evidence: certain {pf12} > {pf11} applied; any certain "
+            f"{pf11} > {pf12} assumption is dropped for consistency"
+        ]
+    else:
+        notes = [
+            f"weak evidence: p({pf11} > {pf12}) > 0.5 recorded as a lower "
+            "bound; lower bounds never enter the dominance order"
+        ]
+    prior = scenario.events.prior
+    if len(prior) != 3 or len(set(prior)) != 1:
+        notes.append(
+            "selection coefficients assume a uniform three-event "
+            "environment; this scenario's event space deviates from it"
+        )
+    nash, _ = reference_pure_nash(game, reference_effective_constraints(scenario))
+    if nash != {CellCoord(0, 0), CellCoord(1, 1)}:
+        notes.append(
+            "p_cell_11 and p_cell_22 refer to the diagonal cells (0,0) and "
+            f"(1,1); this order's equilibrium set is {sorted(map(tuple, nash))}"
+        )
+    return tuple(notes)
+
+
+def reference_point(scenario, chain_p_pf21):
     """The scalar point stage ``solve`` ran before it became the sweep
     walk's zero-axis case: the SWEEP_METRICS values in order, the bounds
-    and the divergence notes. Any score the published-mode gate rejects
-    raises here."""
+    and the divergence notes. ``chain_p_pf21`` is
+    ``reference_chain_p_pf21`` of the scenario. Any score the
+    published-mode gate rejects raises here."""
     published = scenario.mode is Mode.PUBLISHED
     caps = {}
     notes = []
@@ -354,7 +418,7 @@ def reference_point(scenario, structure):
 
     em_cap, pf_cap = caps["em12"], caps["pf21"]
     p_em12 = scenario.em_params.weight * em_cap
-    p_pf21 = structure.chain_p_pf21
+    p_pf21 = chain_p_pf21
     if p_pf21 is None:
         p_pf21 = scenario.pf_params.weight * pf_cap
     p_cell_11 = p_em12 * (1.0 - p_pf21)
@@ -384,11 +448,11 @@ def reference_sweep(scenario, grid):
         if not grid[name]:
             raise ValidationError(f"parameter {name!r} has no grid values")
     columns = names + list(SWEEP_METRICS)
-    structure = solver._structure(scenario)
+    chain_p_pf21 = reference_chain_p_pf21(scenario)
     rows = []
     for combo in itertools.product(*(grid[name] for name in names)):
         point = with_parameters(scenario, dict(zip(names, combo)))
-        values, _, _ = reference_point(point, structure)
+        values, _, _ = reference_point(point, chain_p_pf21)
         rows.append(list(combo) + list(values))
     return columns, rows
 

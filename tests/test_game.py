@@ -68,6 +68,37 @@ class TestStructure:
             messages.add(str(caught.value))
         assert len(messages) == 1
 
+    @pytest.mark.parametrize(
+        "rows, cols, grid, message",
+        [
+            (["a"], ["x"], None,
+             "payoff grid must be a list or tuple of rows, got None"),
+            (["a"], ["x"], "RC",
+             "payoff grid must be a list or tuple of rows, got 'RC'"),
+            (["a"], ["x"], [5],
+             "payoff row 0 must be a list or tuple of cells, got 5"),
+            (["a"], ["x"], [[("R0", "C0")], "RC"],
+             "payoff row 1 must be a list or tuple of cells, got 'RC'"),
+            ("ab", ["x"], [[("R0", "C0")], [("R1", "C1")]],
+             "row strategies must be a list or tuple of names, got 'ab'"),
+            (["a"], {"x"}, [[("R0", "C0")]],
+             "column strategies must be a list or tuple of names, got {'x'}"),
+            ([1], ["x"], [[("R0", "C0")]],
+             "row strategy names must be non-empty strings, got 1"),
+            (["a"], [""], [[("R0", "C0")]],
+             "column strategy names must be non-empty strings, got ''"),
+        ],
+        ids=["grid-none", "grid-str", "row-int", "row-str", "names-str",
+             "names-set", "name-int", "name-empty"],
+    )
+    def test_grid_rows_and_names_must_be_lists_of_the_right_kind(
+        self, rows, cols, grid, message
+    ):
+        for build in (OrdinalGame, OrdinalGame.from_ids):
+            with pytest.raises(ValidationError) as caught:
+                build(rows, cols, grid)
+            assert str(caught.value) == message
+
     @pytest.mark.parametrize("rows, cols", [((), ("x",)), (("a",), ())])
     def test_each_player_needs_a_strategy(self, rows, cols):
         with pytest.raises(

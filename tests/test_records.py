@@ -19,7 +19,7 @@ from splitgame.montecarlo import (
     SimulationResult,
 )
 from splitgame.scenario import Case, Scenario, SimulationDefaults
-from splitgame.solver import DecisionReport, _Structure
+from splitgame.solver import DecisionReport
 from splitgame.survey import Instrument, PIndexScore, SurveyItem, SurveyResponse
 
 # cls: the record type; fields: its field names in order; values: one value
@@ -143,16 +143,6 @@ ROWS = [
         {"notes": ()},
     ),
     Row(
-        _Structure,
-        ("comparison_events", "nash_cells", "undecided_cells",
-         "chain_p_pf21", "notes"),
-        ((EVENT,), (CellCoord(0, 0),), (), None, ()), 5,
-        "_Structure(comparison_events=(ComparisonEvent(label='em12', "
-        "left='a', right='b'),), nash_cells=(CellCoord(row=0, col=0),), "
-        "undecided_cells=(), chain_p_pf21=None, notes=())",
-        {"chain_p_pf21": 0.5},
-    ),
-    Row(
         SurveyItem, ("index", "text", "polarity"), (1, "t", "positive"), 3,
         "SurveyItem(index=1, text='t', polarity='positive')",
         {"text": "u"}, {"polarity": "neutral"}, ValidationError,
@@ -188,7 +178,7 @@ def build(row):
 
 
 def test_table_covers_every_record_type():
-    assert len({row.cls for row in ROWS}) == len(ROWS) == 17
+    assert len({row.cls for row in ROWS}) == len(ROWS) == 16
 
 
 @by_type

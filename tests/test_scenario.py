@@ -1,4 +1,6 @@
+import ast
 import copy
+import inspect
 import json
 import math
 import os
@@ -14,12 +16,14 @@ from hypothesis import strategies as st
 import splitgame
 from splitgame import (
     Case,
+    ConstraintSet,
     DecisionReport,
     DomainError,
     InconsistentOrderError,
     IndexParameters,
     Mode,
     SplitgameError,
+    UnknownSymbolError,
     ValidationError,
     ipd_scenario,
     load_scenario,
@@ -30,7 +34,6 @@ from splitgame._record import replace
 from splitgame.montecarlo import MAX_TRIALS
 from splitgame.scenario import (
     _JSON_TYPES,
-    _SCHEMA_KEYWORDS,
     _schema_errors,
     scenario_schema,
 )
@@ -347,6 +350,20 @@ def _reader_errors(doc):
     return sorted(_schema_errors(doc, scenario_schema()), key=itemgetter(0))
 
 
+def _reader_keywords():
+    """The keywords ``_schema_errors`` compares ``keyword`` against, read
+    off its source, so a keyword the reader would skip is never listed."""
+    tree = ast.parse(inspect.getsource(_schema_errors))
+    return {
+        node.comparators[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name)
+        and node.left.id == "keyword"
+        and isinstance(node.comparators[0], ast.Constant)
+    }
+
+
 def _schema_nodes(schema):
     yield schema
     for sub in schema.get("properties", {}).values():
@@ -407,8 +424,13 @@ class TestSchemaReader:
 
     def test_schema_uses_only_keywords_the_reader_reads(self):
         annotations = {"$schema", "title", "description"}
+        handled = _reader_keywords()
+        # the source scan finds the reader's keywords, and a keyword such
+        # as "pattern", which it skips, would fail the walk below
+        assert {"type", "enum", "properties", "minimum"} <= handled
+        assert "pattern" not in handled
         for node in _schema_nodes(scenario_schema()):
-            assert set(node) <= _SCHEMA_KEYWORDS | annotations, node
+            assert set(node) <= handled | annotations, node
             assert node.get("type", "object") in _JSON_TYPES, node
             assert node.get("additionalProperties", False) is False, node
             items = node.get("items", False)
@@ -424,6 +446,22 @@ class TestSemanticValidation:
                 mode=Mode.COMPUTED,
                 pf_params=IndexParameters(score=6.5, weight=0.5, variance=2.0),
             )
+
+    def test_order_must_know_every_game_symbol(self, ipd):
+        # the first missing symbol in sorted order is named
+        universe = ipd.constraints.universe - {"PF22", "EM12", "PF11"}
+        kept = [
+            c
+            for c in ipd.constraints.constraints
+            if {c.left, c.right} <= universe
+        ]
+        with pytest.raises(UnknownSymbolError) as exc:
+            replace(ipd, constraints=ConstraintSet(kept, universe=universe))
+        assert str(exc.value) == "unknown payoff symbol 'EM12'"
+        assert exc.value.exit_code == 4
+        # a universe wider than the game passes
+        wider = ConstraintSet(kept, universe=ipd.constraints.universe | {"X"})
+        assert replace(ipd, constraints=wider).constraints is wider
 
     def test_report_inputs_echo_the_variance_used(self, ipd_dict):
         ipd_dict["mode"] = "computed"

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    reference_chain_p_pf21,
     reference_effective_constraints,
     reference_point,
+    reference_structure_notes,
     reference_sweep,
 )
 from splitgame import (
@@ -24,6 +26,7 @@ from splitgame import (
     IndexParameters,
     Mode,
     OrdinalGame,
+    SplitgameError,
     UnknownSymbolError,
     ValidationError,
     comparison_events,
@@ -125,13 +128,12 @@ def point_scenarios(draw):
 
 def _point_outcome(scenario, reference):
     """The metric values, bounds and notes of one point, or the exception:
-    from ``solve``, or from the reference point stage plus the structure
-    notes."""
+    from ``solve``, or from the reference chain, point stage and notes."""
     try:
         if reference:
-            structure = solver._structure(scenario)
-            values, bounds, notes = reference_point(scenario, structure)
-            notes = tuple(notes) + structure.notes
+            chain_p_pf21 = reference_chain_p_pf21(scenario)
+            values, bounds, notes = reference_point(scenario, chain_p_pf21)
+            notes = tuple(notes) + reference_structure_notes(scenario)
         else:
             report = solve(scenario)
             values = tuple(getattr(report, m) for m in SWEEP_METRICS)
@@ -211,11 +213,12 @@ def case_scenarios(draw):
     )
 
 
-def _structure_outcome(scenario):
-    """The structural stage's result, or its exception's class and message."""
+def _solve_outcome(scenario):
+    """The report, or the exception's class and message; only the
+    package's own errors are expected."""
     try:
-        return solver._structure(scenario)
-    except Exception as error:
+        return solve(scenario)
+    except SplitgameError as error:
         return "error", type(error), str(error)
 
 
@@ -249,35 +252,26 @@ class TestEffectiveConstraints:
         with mock.patch.object(
             solver, "effective_constraints", reference_effective_constraints
         ):
-            expected = _structure_outcome(scenario)
-        assert _structure_outcome(scenario) == expected
+            expected = _solve_outcome(scenario)
+        assert _solve_outcome(scenario) == expected
 
     def test_weak_universe_without_a_case_symbol(self, ipd):
-        # a set built in Python may leave PF12 out of its universe: solving
-        # fails at the order query, the lower-bound rebuild at its universe
-        # check; both are ValidationErrors (exit 4)
+        # a set built in Python may leave PF12 out of its universe; the
+        # scenario refuses it at construction, before any order query
         kept = [
             c
             for c in ipd.constraints.constraints
             if "PF12" not in (c.left, c.right)
         ]
         universe = ipd.constraints.universe - {"PF12"}
-        scenario = replace(
-            ipd, constraints=ConstraintSet(kept, universe=universe)
-        )
+        order = ConstraintSet(kept, universe=universe)
         with pytest.raises(UnknownSymbolError) as exc:
-            solve(scenario)
+            replace(ipd, constraints=order)
         assert str(exc.value) == "unknown payoff symbol 'PF12'"
-        with mock.patch.object(
-            solver, "effective_constraints", reference_effective_constraints
-        ):
-            with pytest.raises(ValidationError) as exc:
-                solve(scenario)
-        assert type(exc.value) is ValidationError
-        assert str(exc.value) == (
-            "constraint p(PF11 > PF12) uses symbol 'PF12' outside the bound "
-            "universe"
-        )
+        # an open set is not checked, and solves; without the contested
+        # assumption the top-left cell is no longer a certain equilibrium
+        report = solve(replace(ipd, constraints=ConstraintSet(kept)))
+        assert report.nash_cells == (CellCoord(1, 1),)
 
     def test_strong_swaps_the_contested_assumption(self):
         scenario = ipd_scenario(case=Case.STRONG_EVIDENCE)
@@ -531,12 +525,16 @@ class TestSweep:
         values = [0.1, 0.3, 0.5, 0.7, 0.9]
         _, rows = sweep(ipd, {"r": values, "s": values})
         assert len(rows) == 25
-        # weak evidence sweeps the scenario's own order
-        assert calls == {"pure_nash": 1, "ConstraintSet": 0}
+        # weak evidence sweeps the scenario's own order; no sweep finds a
+        # Nash set, which only the report shows
+        assert calls == {"pure_nash": 0, "ConstraintSet": 0}
         strong = replace(ipd, case=Case.STRONG_EVIDENCE)
         _, rows = sweep(strong, {"r": values, "s": values})
         assert len(rows) == 25
-        assert calls == {"pure_nash": 2, "ConstraintSet": 1}
+        assert calls == {"pure_nash": 0, "ConstraintSet": 1}
+        # the counter sees the calls ``solve`` makes
+        solve(strong)
+        assert calls == {"pure_nash": 1, "ConstraintSet": 2}
 
     def test_published_gate_fires_at_first_off_reference_point(self, ipd):
         with pytest.raises(ValidationError) as exc:
