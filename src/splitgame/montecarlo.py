@@ -50,7 +50,7 @@ class SimulationConfig(Record):
 
 
 class SimulationResult(Record):
-    """Empirical selection frequencies; they sum to one exactly.
+    """Empirical selection frequencies; they sum to one to within rounding.
 
     ``standard_error`` is the worst-case binomial standard error
     0.5 / sqrt(trials); per-cell errors are at most this.

@@ -125,8 +125,11 @@ def _constraint_to_dict(c: DominanceConstraint) -> dict:
 
 
 def scenario_schema() -> dict:
-    """The published JSON schema for scenario files."""
-    return _resource("scenario.schema.json")
+    """The published JSON schema for scenario files, as a copy the caller
+    may change without changing how files are checked."""
+    import copy  # only callers of this function need it
+
+    return copy.deepcopy(_resource("scenario.schema.json"))
 
 
 def _is_number(value) -> bool:
@@ -248,10 +251,9 @@ def load_scenario(path) -> Scenario:
 
 def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
     """Build a scenario from an already-parsed document."""
+    schema = _resource("scenario.schema.json")
     # the first error in path order; min keeps the earliest of equal paths
-    first = min(
-        _schema_errors(data, scenario_schema()), key=itemgetter(0), default=None
-    )
+    first = min(_schema_errors(data, schema), key=itemgetter(0), default=None)
     if first is not None:
         path, message = first
         where = "/".join(str(part) for part in path) or "<root>"

@@ -94,6 +94,17 @@ def _choice_position(choice: str | int) -> int:
     raise ValidationError(f"invalid choice {choice!r}; expected a-f or 1-6")
 
 
+# exact cell text -> position, for every spelling the scale names; keyed by
+# str only, since an int key would also match True and 1.0, which
+# _choice_position rejects. A miss (' E ', '06', a bad cell) goes through
+# _choice_position, which reads it or words the error.
+_POSITIONS = {
+    text: position
+    for position, letter in enumerate(CHOICES, 1)
+    for text in (letter, letter.upper(), str(position))
+}
+
+
 def score_item(item: SurveyItem, choice: str | int) -> int:
     """Points for one answered item: position for positive, reversed otherwise."""
     position = _choice_position(choice)
@@ -134,29 +145,44 @@ class PIndexScore(Record):
             )
 
 
+@functools.cache
+def _score_plan():
+    """What ``score_response`` reads of the canonical instrument, built
+    once: the set of item indices, each (index, is positive) in item order,
+    and the one score record for each possible raw sum."""
+    instrument = canonical_instrument()
+    n = len(instrument)
+    scores = {
+        raw: PIndexScore(raw, INDEX_MAX * (raw - n) / ((SCALE_STEPS - 1) * n), n)
+        for raw in range(n, SCALE_STEPS * n + 1)
+    }
+    polarity = tuple((item.index, item.polarity == POSITIVE) for item in instrument.items)
+    return {index for index, _ in polarity}, polarity, scores
+
+
 def score_response(response: SurveyResponse) -> PIndexScore:
     """Score a complete response to the canonical instrument.
 
     Every instrument item must be answered, with no extras. The index is
     10 * (raw - n) / (5 * n), so the all-minimum response maps to 0 and the
-    all-maximum response to 10 exactly.
+    all-maximum response to 10 exactly. Responses with the same raw sum
+    share one score record.
     """
-    instrument = canonical_instrument()
-    expected = {item.index for item in instrument.items}
-    answered = set(response.answers)
-    missing = sorted(expected - answered)
-    if missing:
-        raise ValidationError(f"unanswered items: {missing}")
-    extra = sorted(answered - expected)
-    if extra:
-        raise ValidationError(f"answers for unknown items: {extra}")
-    raw = sum(
-        score_item(item, response.answers[item.index])
-        for item in instrument.items
-    )
-    n = len(instrument)
-    p_index = INDEX_MAX * (raw - n) / ((SCALE_STEPS - 1) * n)
-    return PIndexScore(raw, p_index, n)
+    expected, polarity, scores = _score_plan()
+    answers = response.answers
+    if answers.keys() != expected:
+        answered = set(answers)
+        missing = sorted(expected - answered)
+        if missing:
+            raise ValidationError(f"unanswered items: {missing}")
+        raise ValidationError(f"answers for unknown items: {sorted(answered - expected)}")
+    raw = 0
+    for index, positive in polarity:
+        position = answers[index]
+        if type(position) is not int or not 1 <= position <= SCALE_STEPS:
+            position = _choice_position(position)
+        raw += position if positive else SCALE_STEPS + 1 - position
+    return scores[raw]
 
 
 def aggregate(scores: Sequence[PIndexScore]) -> float:
@@ -213,9 +239,9 @@ def read_responses_csv(
         try:
             if isinstance(row, ValidationError):
                 raise row
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():  # no cells, or only blank ones
                 continue
-            rows.append(_parse_row(row))
+            rows.append(_parse_row(row, len(expected_header)))
         except ValidationError as exc:
             if lenient:
                 warnings.append(f"line {lineno}: skipped ({exc})")
@@ -242,18 +268,17 @@ def _records(reader):
         yield start, record
 
 
-def _parse_row(row) -> tuple[str, SurveyResponse]:
-    instrument = canonical_instrument()
-    expected_len = len(instrument) + 1
-    if len(row) != expected_len:
-        raise ValidationError(
-            f"{len(row)} fields, expected {expected_len}"
-        )
+def _parse_row(row, width: int) -> tuple[str, SurveyResponse]:
+    """One record of ``width`` fields, the header's: an id, then one cell
+    per item, numbered from 1 as the instrument's items are."""
+    if len(row) != width:
+        raise ValidationError(f"{len(row)} fields, expected {width}")
     respondent = row[0].strip()
     if not respondent:
         raise ValidationError("empty respondent_id")
+    lookup = _POSITIONS.get
     answers = {
-        item.index: _choice_position(cell)
-        for item, cell in zip(instrument.items, row[1:])
+        index: lookup(row[index]) or _choice_position(row[index])
+        for index in range(1, width)
     }
     return respondent, SurveyResponse(answers)

@@ -27,6 +27,13 @@ from splitgame import solver
 from splitgame.constraints import MAX_TRIALS, _components, check_integer
 from splitgame.index_model import PUBLISHED_TABLE, Mode, score_factor
 from splitgame.solver import SWEEP_METRICS, _on_reference, _require_2x2
+from splitgame.survey import (
+    INDEX_MAX,
+    SCALE_STEPS,
+    PIndexScore,
+    canonical_instrument,
+    score_item,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -487,6 +494,27 @@ def reference_effective_constraints(scenario: Scenario) -> ConstraintSet:
         pf11, pf12, 0.5, bound=BOUND_LOWER, group="weak_evidence_case"
     )
     return base.add_constraint(lower)
+
+
+def reference_score(response):
+    """``score_response`` as it was before its per-instrument plan: one
+    ``score_item`` per item and a new record per response."""
+    instrument = canonical_instrument()
+    expected = {item.index for item in instrument.items}
+    answered = set(response.answers)
+    missing = sorted(expected - answered)
+    if missing:
+        raise ValidationError(f"unanswered items: {missing}")
+    extra = sorted(answered - expected)
+    if extra:
+        raise ValidationError(f"answers for unknown items: {extra}")
+    raw = sum(
+        score_item(item, response.answers[item.index])
+        for item in instrument.items
+    )
+    n = len(instrument)
+    p_index = INDEX_MAX * (raw - n) / ((SCALE_STEPS - 1) * n)
+    return PIndexScore(raw, p_index, n)
 
 
 @pytest.fixture(scope="session")

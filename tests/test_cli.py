@@ -513,6 +513,39 @@ class TestNumpyOnlyWhereSampling:
                 "assert 'splitgame.montecarlo' in sys.modules")
 
 
+# installs perfbench's span wrappers the way a traced benchmark run does,
+# without writing bytecode under perfbench/, runs cli.main and prints the
+# exit code and the span count of each name given after "--"
+_SPAN_PROBE = """\
+import contextlib, io, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "perfbench")
+import splitgame.cli
+import spans
+recorder = spans.Recorder()
+spans.install(recorder)
+split = sys.argv.index("--")
+with contextlib.redirect_stderr(io.StringIO()):
+    code = splitgame.cli.main(sys.argv[1:split])
+names = [row[0] for row in recorder.rows()]
+print(code, *(names.count(name) for name in sys.argv[split + 1:]))
+"""
+
+
+def test_traced_score_records_both_survey_spans(tmp_path):
+    """A traced ``cli_cold`` run fails when ``score`` records no span for
+    either survey layer, so ``cmd_score`` must call ``read_responses_csv``
+    and then ``score_response`` through the names ``perfbench/spans.py``
+    wraps. This test goes with ``spans.py``, once the benchmark reads the
+    package's own stage timer instead."""
+    out = tmp_path / "scored.csv"
+    argv = ["score", "tests/golden/cohort.csv", "--lenient", "--out", str(out)]
+    names = ["survey.read_responses_csv", "survey.score_response"]
+    code, *counts = _python(_SPAN_PROBE, *argv, "--", *names).split()
+    assert code == "0"
+    assert all(int(count) >= 1 for count in counts), dict(zip(names, counts))
+
+
 # ---------------------------------------------------------------------------
 # robustness: random but bounded command lines through cli.main
 # ---------------------------------------------------------------------------

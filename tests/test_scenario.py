@@ -438,6 +438,13 @@ class TestSchemaReader:
             assert all(isinstance(v, str) for v in node.get("enum", ())), node
 
 
+    def test_changing_the_returned_schema_changes_no_check(self, ipd_path):
+        schema = scenario_schema()
+        schema["properties"]["name"] = {"type": "number"}
+        assert load_scenario(ipd_path).name == "ipd"
+        assert scenario_schema()["properties"]["name"] == {"type": "string", "minLength": 1}
+
+
 class TestSemanticValidation:
     def test_unequal_variances_rejected(self, ipd):
         with pytest.raises(ValidationError, match="10.0 and 2.0"):

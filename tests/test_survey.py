@@ -3,7 +3,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from conftest import reference_score
 from splitgame import (
     Instrument,
     PIndexScore,
@@ -21,6 +24,9 @@ from splitgame.survey import (
     CHOICES,
     NEGATIVE,
     POSITIVE,
+    _POSITIONS,
+    _choice_position,
+    _parse_row,
     csv_header,
     instrument_from_dict,
     score_item,
@@ -29,6 +35,29 @@ from splitgame.survey import (
 MAX_ANSWERS = {1: "f", 2: "a", 3: "f", 4: "a", 5: "a", 6: "a", 7: "f"}
 MIN_ANSWERS = {1: "a", 2: "f", 3: "a", 4: "f", 5: "f", 6: "f", 7: "a"}
 MIXED_ANSWERS = {1: "e", 2: "b", 3: "d", 4: "c", 5: "a", 6: "f", 7: "f"}
+
+
+def outcome(function, *args):
+    """What a call gives: ("value", its result) or ("error", the
+    ValidationError message)."""
+    try:
+        return "value", function(*args)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+# cells of every kind: each spelling the position table holds, padded,
+# zero-padded and full-width digits it does not, invalid text, and values no
+# CSV holds (ints, bools, floats)
+CELLS = st.one_of(
+    st.sampled_from(sorted(_POSITIONS)),
+    st.sampled_from([" e ", "06", "\uff16", "", "g", "0", "7", "\u00b2"]),
+    st.text(max_size=3),
+    st.integers(-1, 8),
+    st.sampled_from([True, False, 1.0, 6.0, None]),
+)
+# an answer as the reader stores it (a position), or any cell
+ANSWERS = st.integers(1, 6) | CELLS
 
 
 def professional_position(item, response, index):
@@ -176,6 +205,24 @@ class TestScoreResponse:
                 raised[item.index] = CHOICES[offset]
                 stepped = score_response(SurveyResponse(raised)).p_index
                 assert stepped >= base_score
+
+    def test_equal_raw_sums_share_one_record(self):
+        score = score_response(SurveyResponse(MIXED_ANSWERS))
+        # items 1 and 3 are both positive: trading their answers, or
+        # spelling them as digits, keeps the raw sum
+        traded = {**MIXED_ANSWERS, 1: "d", 3: "e"}
+        digits = {**MIXED_ANSWERS, 1: 5, 3: "4"}
+        assert score_response(SurveyResponse(traded)) is score
+        assert score_response(SurveyResponse(digits)) is score
+        assert score_response(SurveyResponse(MAX_ANSWERS)) is not score
+
+    @given(
+        st.fixed_dictionaries(dict.fromkeys(range(1, 8), ANSWERS))
+        | st.dictionaries(st.integers(0, 9), ANSWERS)
+    )
+    def test_matches_the_score_item_loop(self, answers):
+        response = SurveyResponse(answers)
+        assert outcome(score_response, response) == outcome(reference_score, response)
 
 
 def scored(*answer_sets):
@@ -342,20 +389,49 @@ class TestParsedOnce:
         assert rows[0][1].answers == {1: 5, 2: 2, 3: 4, 4: 3, 5: 1, 6: 6, 7: 6}
 
     def test_score_parses_each_cell_once(self, tmp_path, monkeypatch):
-        path = tmp_path / "cohort.csv"
-        write_csv(
-            path,
-            [",".join(csv_header())]
-            + [f"r{i},f,a,E,2,d,3,1" for i in range(5)],
-        )
+        # a cell the position table holds is never parsed; any other cell is
+        # parsed once, by the reader, and scoring parses nothing again
         parse = survey_module._choice_position
-        texts = []
+        calls = []
 
         def counting(choice):
-            if isinstance(choice, str):
-                texts.append(choice)
+            calls.append(choice)
             return parse(choice)
 
         monkeypatch.setattr(survey_module, "_choice_position", counting)
-        assert main(["score", str(path), "--out", str(tmp_path / "out.csv")]) == 0
-        assert len(texts) == 7 * 5
+        cells = ["f", "a", "E", "2", "d", "3", "1"]
+        for padded, parsed in ((False, 0), (True, 7 * 5)):
+            calls.clear()
+            row = [f" {cell} " if padded else cell for cell in cells]
+            path = tmp_path / "cohort.csv"
+            write_csv(
+                path,
+                [",".join(csv_header())]
+                + [f"r{i}," + ",".join(row) for i in range(5)],
+            )
+            assert main(["score", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+            assert len(calls) == parsed
+
+
+class TestPositionTable:
+    def test_holds_each_spelling_of_the_scale(self):
+        assert _POSITIONS == {
+            spelling: _choice_position(spelling) for spelling in _POSITIONS
+        }
+        assert sorted(_POSITIONS) == sorted(
+            [str(p) for p in range(1, 7)] + list(CHOICES) + [c.upper() for c in CHOICES]
+        )
+
+    @given(cell=CELLS, item=st.integers(1, 7))
+    @example(cell="c", item=1)
+    @example(cell=3, item=1)
+    @example(cell=True, item=1)
+    @example(cell=1.0, item=1)
+    @example(cell="\uff16", item=1)
+    @example(cell=" e ", item=1)
+    @example(cell="", item=1)
+    def test_reads_a_cell_as_choice_position_does(self, cell, item):
+        row = ["r1", "a", "b", "c", "d", "e", "f", "1"]
+        row[item] = cell
+        read = outcome(lambda: _parse_row(row, len(row))[1].answers[item])
+        assert read == outcome(_choice_position, cell)
