@@ -36,10 +36,8 @@ from .errors import (
 BOUND_EXACT = "exact"
 BOUND_LOWER = "lower"
 
-# most trials one Monte Carlo run takes, and most values (rows times
-# symbols) one ``sample_realization`` call draws, 800 MB of float64: on a
-# 2-vCPU host about 1 s of simulate_selection and 90 s of
-# verify_nash_numeric on the shipped order (1.1x10^6 trials/s)
+# most trials one Monte Carlo run takes (10^8), and most values (rows
+# times symbols) one ``sample_realization`` call draws: 800 MB of float64
 MAX_TRIALS = 10**8
 
 # most downsets the exact sampler enumerates for one connected component of
@@ -94,7 +92,9 @@ def _shown(value) -> str:
 def check_integer(name: str, value, low: int, high: int | None = None) -> None:
     """Reject a value that is not an integer in [low, high]; numpy integers
     count as integers, bools do not."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    if type(value) is not int and (
+        not isinstance(value, numbers.Integral) or isinstance(value, bool)
+    ):
         raise ValidationError(
             f"{name} must be an integer, got {_shown(value)}"
         )
@@ -218,12 +218,17 @@ def _linear_extensions(follow, cumulative, u) -> np.ndarray:
     import numpy as np
 
     k, rows = u.shape[:2]
+    moves = follow.ravel()
     # u < 1, so the first entry above it is a move with positive share
     state = np.zeros(rows, dtype=np.intp)
     order = np.empty((k, rows), dtype=np.intp)
-    for depth in range(k):
-        order[depth] = pick = (cumulative[state] > u[depth]).argmax(axis=1)
-        state = follow[state, pick]
+    for depth in range(k - 1):
+        shares = cumulative.take(state, axis=0)
+        order[depth] = pick = (shares > u[depth]).argmax(axis=1)
+        state = moves.take(state * k + pick)
+    # one symbol is left: its row is 0...0, 1...1, and its first 1 is the
+    # pick of every u < 1, so the last uniform, though drawn, is not compared
+    order[-1] = cumulative.take(state, axis=0).argmax(axis=1)
     return order
 
 
@@ -454,11 +459,14 @@ class ConstraintSet:
             k = len(members)
             if lattice is None:  # a chain skips its walk uniforms unallocated
                 rng.bit_generator.advance(k * rows)
-                target = members
             else:
                 order = _linear_extensions(*lattice, rng.random((k, rows, 1)))
-                target = members[order], np.arange(rows)
-            values[target] = np.sort(rng.random((rows, k)), axis=1).T[::-1]
+            draws = rng.random((rows, k))
+            draws.sort(axis=1)
+            if lattice is None:
+                values[members] = draws.T[::-1]
+            else:  # values[members[order], trial], by flat index
+                values.put(members[order] * rows + np.arange(rows), draws.T[::-1])
         if size is None:
             return {name: float(v[0]) for name, v in zip(names, values)}
         return dict(zip(names, values))

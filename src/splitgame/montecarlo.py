@@ -116,8 +116,10 @@ def numeric_pure_nash(
     try:
         payoffs = np.array(
             [
-                [[values[cell[player]] for cell in row] for row in game.cells]
+                values[cell[player]]
                 for player in (PLAYER_ROW, PLAYER_COL)
+                for row in game.cells
+                for cell in row
             ]
         )
     except KeyError as missing:
@@ -127,13 +129,13 @@ def numeric_pure_nash(
     if np.isnan(payoffs).any():
         symbol = min(s for s in game.symbol_ids() if np.isnan(values[s]).any())
         raise ValidationError(f"numeric value for symbol {symbol!r} is NaN")
-    rows, cols = np.moveaxis(payoffs, (1, 2), (-2, -1))
-    mask = (rows >= rows.max(axis=-2, keepdims=True)) & (
-        cols >= cols.max(axis=-1, keepdims=True)
-    )
+    # read flat in (player, row, col) order, any trial axis last; the mask
+    # is scanned on that layout and returned as a view, trial axis first
+    rows, cols = payoffs.reshape((2, game.n_rows, game.n_cols) + payoffs.shape[1:])
+    mask = (rows >= rows.max(axis=0)) & (cols >= cols.max(axis=1, keepdims=True))
     if mask.ndim == 2:
         return frozenset(CellCoord(int(r), int(c)) for r, c in zip(*np.nonzero(mask)))
-    return mask
+    return mask.transpose(*range(2, mask.ndim), 0, 1)
 
 
 class Disagreement(Record):

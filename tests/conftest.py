@@ -18,6 +18,7 @@ from splitgame import (
     MissingProbabilityError,
     SAMPLING_DOWNSET_CAP,
     SamplingExhaustedError,
+    UnknownSymbolError,
     ValidationError,
     Scenario,
     ipd_scenario,
@@ -183,6 +184,24 @@ def reference_linear_extensions(above, rows, rng) -> np.ndarray:
     return order.T
 
 
+def python_walk(follow, cumulative, u) -> np.ndarray:
+    """Reference: ``_linear_extensions`` one row at a time in pure Python,
+    over the same ``_lattice`` tables and (k, rows, 1) uniforms. At every
+    depth, the last included, a row places the first symbol whose
+    cumulative share is above its uniform, then moves to the downset that
+    placing it reaches."""
+    k, rows = u.shape[:2]
+    order = np.empty((k, rows), dtype=np.intp)
+    for r in range(rows):
+        state = 0
+        for depth in range(k):
+            shares = cumulative[state].tolist()
+            pick = next(j for j, share in enumerate(shares) if share > u[depth, r, 0])
+            order[depth, r] = pick
+            state = int(follow[state, pick])
+    return order
+
+
 def reference_sample_realization(constraints: ConstraintSet, seed, size=None):
     """Reference: ``ConstraintSet.sample_realization`` as it was when every
     call rebuilt the components and their lattices; the kept plan must draw
@@ -236,6 +255,32 @@ def loop_pure_nash(game, values) -> frozenset:
                 continue
             result.add(CellCoord(r, c))
     return frozenset(result)
+
+
+def reference_numeric_pure_nash(game, values):
+    """Reference: ``numeric_pure_nash`` as it was when it built a nested
+    list per player and moved the grid axes last with ``np.moveaxis``."""
+    try:
+        payoffs = np.array(
+            [
+                [[values[cell[player]] for cell in row] for row in game.cells]
+                for player in (PLAYER_ROW, PLAYER_COL)
+            ]
+        )
+    except KeyError as missing:
+        raise UnknownSymbolError(
+            f"no numeric value for symbol {missing.args[0]!r}"
+        ) from None
+    if np.isnan(payoffs).any():
+        symbol = min(s for s in game.symbol_ids() if np.isnan(values[s]).any())
+        raise ValidationError(f"numeric value for symbol {symbol!r} is NaN")
+    rows, cols = np.moveaxis(payoffs, (1, 2), (-2, -1))
+    mask = (rows >= rows.max(axis=-2, keepdims=True)) & (
+        cols >= cols.max(axis=-1, keepdims=True)
+    )
+    if mask.ndim == 2:
+        return frozenset(CellCoord(int(r), int(c)) for r, c in zip(*np.nonzero(mask)))
+    return mask
 
 
 _BEST = "best"

@@ -514,9 +514,8 @@ class TestNumpyOnlyWhereSampling:
 
 
 # installs perfbench's span wrappers the way a traced benchmark run does,
-# without writing bytecode under perfbench/, runs cli.main and prints the
-# exit code and the span count of each name given after "--"
-_SPAN_PROBE = """\
+# after ``import splitgame.cli``, without writing bytecode under perfbench/
+_SPANS_INSTALLED = """\
 import contextlib, io, sys
 sys.dont_write_bytecode = True
 sys.path.insert(0, "perfbench")
@@ -524,6 +523,10 @@ import splitgame.cli
 import spans
 recorder = spans.Recorder()
 spans.install(recorder)
+"""
+# runs cli.main and prints the exit code and the span count of each name
+# given after "--"
+_SPAN_PROBE = _SPANS_INSTALLED + """\
 split = sys.argv.index("--")
 with contextlib.redirect_stderr(io.StringIO()):
     code = splitgame.cli.main(sys.argv[1:split])
@@ -544,6 +547,37 @@ def test_traced_score_records_both_survey_spans(tmp_path):
     code, *counts = _python(_SPAN_PROBE, *argv, "--", *names).split()
     assert code == "0"
     assert all(int(count) >= 1 for count in counts), dict(zip(names, counts))
+
+
+# verifies the shipped game over two blocks and prints the span count of
+# each name given
+_VERIFY_SPAN_PROBE = _SPANS_INSTALLED + """\
+from splitgame import ipd_scenario, montecarlo
+ipd = ipd_scenario()
+trials = montecarlo.VERIFY_BLOCK + 10
+montecarlo.verify_nash_numeric(ipd.game, ipd.constraints, trials, 0)
+names = [row[0] for row in recorder.rows()]
+print(*(names.count(name) for name in sys.argv[1:]))
+"""
+
+
+def test_traced_verify_records_each_block_span():
+    """A traced ``verify_*`` run fails when the sampler, the numeric scan
+    or the symbolic solver records no span, so ``verify_nash_numeric``
+    must call ``sample_realization`` and the module-level
+    ``numeric_pure_nash`` once per block, and ``pure_nash`` at least once,
+    through the names ``perfbench/spans.py`` wraps. This test goes with
+    ``spans.py``, once the benchmark reads the package's own stage timer
+    instead."""
+    names = [
+        "constraints.sample_realization",
+        "montecarlo.numeric_pure_nash",
+        "game.pure_nash",
+    ]
+    counts = dict(zip(names, map(int, _python(_VERIFY_SPAN_PROBE, *names).split())))
+    assert counts["constraints.sample_realization"] == 2, counts
+    assert counts["montecarlo.numeric_pure_nash"] == 2, counts
+    assert counts["game.pure_nash"] >= 1, counts
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import math
 import os
@@ -15,11 +16,18 @@ from scipy.special import chdtrc
 
 from conftest import (
     REPO_ROOT,
+    python_walk,
     reference_sample_realization,
     rejection_realization,
 )
 from splitgame import constraints as constraints_module
-from splitgame.constraints import MAX_TRIALS, _components
+from splitgame.constraints import (
+    MAX_TRIALS,
+    _components,
+    _lattice,
+    _linear_extensions,
+    check_integer,
+)
 from splitgame import (
     BOUND_LOWER,
     SAMPLING_DOWNSET_CAP,
@@ -793,6 +801,86 @@ class TestChainsAreNotWalked:
         for calls, seed in enumerate(range(3), start=1):
             ipd_constraints.sample_realization([seed, 0], size=4)
             assert walks == [2 * calls]
+
+
+@st.composite
+def walked_lattices(draw):
+    """The ``_lattice`` tables of a random order on up to 8 symbols, and
+    (k, rows, 1) uniforms mixing the tables' own shares below 1 (exact
+    ties with a cumulative entry), 0.0, the largest double below 1 and
+    plain uniforms."""
+    k = draw(st.integers(1, 8))
+    rank = draw(st.permutations(range(k)))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    # above[j]: every symbol that must precede j, closed transitively
+    above = [0] * k
+    for i, j in sorted(edges):
+        above[rank[j]] |= 1 << rank[i] | above[rank[i]]
+    follow, cumulative = _lattice(above)
+    ties = {float(x) for x in cumulative.ravel() if x < 1.0}
+    uniform = st.one_of(
+        st.sampled_from(sorted(ties | {0.0})),
+        st.just(float(np.nextafter(1.0, 0.0))),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    rows = draw(st.integers(1, 6))
+    u = np.array(draw(st.lists(uniform, min_size=k * rows, max_size=k * rows)))
+    return above, follow, cumulative, u.reshape(k, rows, 1)
+
+
+class TestWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(walked_lattices())
+    def test_matches_the_row_by_row_walk(self, drawn):
+        above, follow, cumulative, u = drawn
+        order = _linear_extensions(follow, cumulative, u)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, python_walk(follow, cumulative, u))
+        for extension in order.T.tolist():
+            assert sorted(extension) == list(range(len(above)))
+            placed = 0
+            for symbol in extension:
+                assert above[symbol] & ~placed == 0
+                placed |= 1 << symbol
+
+
+class TestCheckInteger:
+    """Plain ints take a fast path; every other value is judged, and
+    named in its message, as before."""
+
+    class Count(int):
+        pass
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (0, None),
+            (2**70, None),
+            (np.int64(3), None),
+            (np.uint8(3), None),
+            (Count(3), None),
+            (Level.HIGH, None),
+            (True, "n must be an integer, got True"),
+            (np.bool_(True), f"n must be an integer, got {np.bool_(True)!r}"),
+            (1.0, "n must be an integer, got 1.0"),
+            ("1", "n must be an integer, got '1'"),
+            (-1, "n must be >= 0, got -1"),
+            (Count(-1), "n must be >= 0, got -1"),
+            (2**70 + 1, "n must be <= 1180591620717411303424"),
+        ],
+        ids=repr,
+    )
+    def test_table(self, value, message):
+        if message is None:
+            check_integer("n", value, 0, 2**70)
+            return
+        with pytest.raises(ValidationError) as error:
+            check_integer("n", value, 0, 2**70)
+        assert str(error.value) == message
 
 
 class TestSamplingMemory:

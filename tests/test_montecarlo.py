@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_pure_nash
+from conftest import loop_pure_nash, reference_numeric_pure_nash
 from splitgame import montecarlo
 from splitgame import (
     CellCoord,
@@ -445,6 +445,65 @@ class TestBatchedScan:
         assert len(scans) == 3
         assert verification.ok
         assert verification.checked_cells == 4 * trials
+
+
+_SCAN_VALUES = [-math.inf, -1.0, 0.0, 1, 2, math.inf]
+
+
+@st.composite
+def scan_inputs(draw):
+    """A 1-3 x 1-3 game and its values, each a Python number, a numpy
+    scalar or a 1-D array of 0-3 rows, drawn from a small set with ints,
+    ties and infinities; some symbols may then be missing or NaN."""
+    game = _free_game(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    symbols = sorted(game.symbol_ids())
+    kind = draw(st.sampled_from(["python", "numpy", "array"]))
+    size = draw(st.integers(0, 3))
+    values = {}
+    for symbol in symbols:
+        if kind == "array":
+            row = st.sampled_from(_SCAN_VALUES)
+            values[symbol] = np.array(
+                draw(st.lists(row, min_size=size, max_size=size))
+            )
+        else:
+            value = draw(st.sampled_from(_SCAN_VALUES))
+            if kind == "numpy":
+                value = (np.float64 if isinstance(value, float) else np.int64)(value)
+            values[symbol] = value
+    damage = draw(st.sampled_from([None, "missing", "nan"]))
+    hit = draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))
+    for symbol in hit if damage else ():
+        if damage == "missing":
+            del values[symbol]
+        elif kind == "array":
+            values[symbol] = values[symbol].astype(float)
+            values[symbol][-1:] = math.nan
+        else:
+            values[symbol] = math.nan if kind == "python" else np.float64(math.nan)
+    return game, values
+
+
+def _scan_outcome(scan, game, values):
+    try:
+        return scan(game, values)
+    except (UnknownSymbolError, ValidationError) as error:
+        return type(error), str(error)
+
+
+class TestScanMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(scan_inputs())
+    def test_same_cells_mask_or_error(self, drawn):
+        game, values = drawn
+        got = _scan_outcome(numeric_pure_nash, game, values)
+        want = _scan_outcome(reference_numeric_pure_nash, game, values)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
 
 
 class TestMissingSymbol:
