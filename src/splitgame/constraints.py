@@ -21,7 +21,6 @@ would otherwise pay its import, which is most of a cold ``import splitgame``.
 from __future__ import annotations
 
 import numbers
-from collections import deque
 from collections.abc import Iterable, Sequence
 
 from ._record import Record
@@ -114,47 +113,35 @@ def check_seed(seed) -> None:
     check_integer("seed", seed, 0)
 
 
-def _bfs_path(adjacency, start, goal):
-    """Shortest directed path start -> goal (two distinct nodes) as a node
-    list; the caller knows one exists."""
-    seen = {start}
-    queue = deque([start])
-    parents = {}
-    while queue:
-        node = queue.popleft()
-        for nxt in adjacency.get(node, ()):
-            if nxt in seen:
-                continue
-            parents[nxt] = node
-            if nxt == goal:
-                path = [goal]
-                while path[-1] != start:
-                    path.append(parents[path[-1]])
-                path.reverse()
-                return path
-            seen.add(nxt)
-            queue.append(nxt)
+def _search(edges, start) -> dict:
+    """Breadth first over ``edges`` (node -> successors, in insertion
+    order) from ``start``: every node reached, ``start`` included, mapped to
+    the node it was first reached from (``start`` to None)."""
+    parent = {start: None}
+    queue = [start]
+    for node in queue:  # grows while it is walked
+        for nxt in edges.get(node, ()):
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return parent
 
 
 def _components(names, reach) -> list[list[int]]:
-    """Connected components of the certain order over ``names``, as lists of
-    indices, ordered by their smallest index."""
+    """Connected components of the certain order over ``names``, as sorted
+    lists of indices, ordered by their smallest index."""
     index = {name: i for i, name in enumerate(names)}
-    root = list(range(len(names)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
+    links = {name: set(reach[name]) for name in names}
     for name in names:
         for lesser in reach[name]:
-            root[find(index[lesser])] = find(index[name])
-    groups: dict[int, list[int]] = {}
-    for i in range(len(names)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+            links[lesser].add(name)
+    groups, seen = [], set()
+    for name in names:
+        if name not in seen:
+            found = _search(links, name)
+            seen.update(found)
+            groups.append(sorted(map(index.__getitem__, found)))
+    return groups
 
 
 def _lattice(above):
@@ -279,30 +266,29 @@ class ConstraintSet:
                 )
             self._exact[pair] = c.probability
 
-        # grow the certain order edge by edge with its closure: below[x]
-        # holds every symbol x certainly dominates, so a constraint closes a
-        # directed cycle exactly when its left is below its right, and the
-        # first such constraint is the one reported. The digraph only spells
-        # out that cycle; it keeps successors in insertion order (dict
-        # keys), so the path named does not depend on the string hash seed
-        adjacency: dict[str, dict[str, None]] = {}
-        below: dict[str, set] = {sym: set() for sym in self._universe or ()}
+        # the certain edges, successors in insertion order (dict keys), so no
+        # search depends on the string hash seed. A constraint closes a cycle
+        # when its right reaches its left (so has successors, and its left
+        # predecessors); the first is reported, with the shortest path back
+        edges: dict[str, dict[str, None]] = {}
+        targets = set()
         for c in self._constraints:
             if not c.certain:
                 continue
-            lesser = below.setdefault(c.right, set())
-            if c.left in lesser:
-                # the path right -> ... -> left, with left prepended, is the
-                # full dominance cycle
-                back = _bfs_path(adjacency, c.right, c.left)
-                raise InconsistentOrderError([c.left] + back)
-            adjacency.setdefault(c.left, {})[c.right] = None
-            below.setdefault(c.left, set())
-            for greater, dominated in below.items():
-                if greater == c.left or c.left in dominated:
-                    dominated.add(c.right)
-                    dominated |= lesser
-        self._reach = {sym: frozenset(d) for sym, d in below.items()}
+            if c.right in edges and c.left in targets:
+                parent = _search(edges, c.right)
+                if c.left in parent:
+                    path = [c.left]
+                    while path[-1] != c.right:
+                        path.append(parent[path[-1]])
+                    raise InconsistentOrderError([c.left] + path[::-1])
+            edges.setdefault(c.left, {})[c.right] = None
+            targets.add(c.right)
+        # the closure: a symbol with successors dominates all it reaches
+        reach = dict.fromkeys(targets.union(edges, self._universe or ()), frozenset())
+        for sym in edges:
+            reach[sym] = frozenset(_search(edges, sym)) - {sym}
+        self._reach = reach
         # built on first use, from the immutable fields above
         self._plan = None
         self._hash = None
@@ -317,7 +303,8 @@ class ConstraintSet:
 
     @property
     def symbols(self) -> frozenset[str]:
-        """Every id the set knows about (universe, or mentioned symbols)."""
+        """Every id the set knows about: its universe when bound; an open
+        set knows only the symbols of its certain constraints."""
         if self._universe is not None:
             return self._universe
         return frozenset(self._reach)

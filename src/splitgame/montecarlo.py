@@ -109,7 +109,8 @@ def numeric_pure_nash(
     better unilateral deviation. Scalar values give a frozenset of cells;
     values that are arrays of shape (size,) give a (size, n_rows, n_cols)
     bool mask, one scan per row. A NaN value raises ValidationError and a
-    missing symbol UnknownSymbolError, as ``NumericOrder`` does.
+    missing symbol UnknownSymbolError, as ``NumericOrder`` does; values of
+    mixed shapes raise ValidationError.
     """
     import numpy as np
 
@@ -125,6 +126,10 @@ def numeric_pure_nash(
     except KeyError as missing:
         raise UnknownSymbolError(
             f"no numeric value for symbol {missing.args[0]!r}"
+        ) from None
+    except ValueError:  # numpy refuses values of mixed shapes
+        raise ValidationError(
+            "numeric values must be all scalars or all arrays of one shape"
         ) from None
     if np.isnan(payoffs).any():
         symbol = min(s for s in game.symbol_ids() if np.isnan(values[s]).any())

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from splitgame import (
     CellCoord,
     ConstraintSet,
     DominanceConstraint,
+    InconsistentOrderError,
     MissingProbabilityError,
     SAMPLING_DOWNSET_CAP,
     SamplingExhaustedError,
@@ -122,6 +124,84 @@ def rejection_realization(constraints: ConstraintSet, seed) -> dict:
     raise SamplingExhaustedError(
         f"no admissible draw within {SAMPLING_ATTEMPT_CAP} attempts"
     )
+
+
+def reference_bfs_path(adjacency, start, goal):
+    """Reference: the path search ``ConstraintSet`` named a cycle with
+    before one breadth-first search served the whole certain order.
+
+    Shortest directed path start -> goal (two distinct nodes) as a node
+    list; the caller knows one exists."""
+    seen = {start}
+    queue = deque([start])
+    parents = {}
+    while queue:
+        node = queue.popleft()
+        for nxt in adjacency.get(node, ()):
+            if nxt in seen:
+                continue
+            parents[nxt] = node
+            if nxt == goal:
+                path = [goal]
+                while path[-1] != start:
+                    path.append(parents[path[-1]])
+                path.reverse()
+                return path
+            seen.add(nxt)
+            queue.append(nxt)
+
+
+def reference_reach(constraints, universe=None) -> dict:
+    """Reference: the closure ``ConstraintSet`` kept as ``_reach`` when it
+    grew the certain order edge by edge, or the InconsistentOrderError it
+    raised.
+
+    below[x] holds every symbol x certainly dominates, so a constraint
+    closes a directed cycle exactly when its left is below its right, and
+    the first such constraint is the one reported. The digraph only spells
+    out that cycle; it keeps successors in insertion order (dict keys), so
+    the path named does not depend on the string hash seed."""
+    adjacency: dict[str, dict[str, None]] = {}
+    below: dict[str, set] = {sym: set() for sym in universe or ()}
+    for c in constraints:
+        if not c.certain:
+            continue
+        lesser = below.setdefault(c.right, set())
+        if c.left in lesser:
+            # the path right -> ... -> left, with left prepended, is the
+            # full dominance cycle
+            back = reference_bfs_path(adjacency, c.right, c.left)
+            raise InconsistentOrderError([c.left] + back)
+        adjacency.setdefault(c.left, {})[c.right] = None
+        below.setdefault(c.left, set())
+        for greater, dominated in below.items():
+            if greater == c.left or c.left in dominated:
+                dominated.add(c.right)
+                dominated |= lesser
+    return {sym: frozenset(d) for sym, d in below.items()}
+
+
+def reference_components(names, reach) -> list[list[int]]:
+    """Reference: ``_components`` as a union-find with path halving.
+
+    Connected components of the certain order over ``names``, as lists of
+    indices, ordered by their smallest index."""
+    index = {name: i for i, name in enumerate(names)}
+    root = list(range(len(names)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for name in names:
+        for lesser in reach[name]:
+            root[find(index[lesser])] = find(index[name])
+    groups: dict[int, list[int]] = {}
+    for i in range(len(names)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 def reference_linear_extensions(above, rows, rng) -> np.ndarray:

@@ -17,6 +17,8 @@ from scipy.special import chdtrc
 from conftest import (
     REPO_ROOT,
     python_walk,
+    reference_components,
+    reference_reach,
     reference_sample_realization,
     rejection_realization,
 )
@@ -290,6 +292,18 @@ class TestSampling:
 
     def test_no_symbols_no_values(self):
         assert ConstraintSet([]).sample_realization(0) == {}
+
+    def test_open_set_knows_only_its_certain_symbols(self):
+        soft = DominanceConstraint("a", "b", 0.7)
+        lower = DominanceConstraint("c", "d", 0.5, bound=BOUND_LOWER)
+        assert ConstraintSet([soft]).symbols == frozenset()
+        assert ConstraintSet([soft]).sample_realization(0) == {}
+        mixed = ConstraintSet([soft, lower, certain("b", "e")])
+        assert mixed.symbols == {"b", "e"}
+        assert set(mixed.sample_realization(0)) == {"b", "e"}
+        # a bound set knows its whole universe
+        bound = ConstraintSet([soft], universe=["a", "b", "z"])
+        assert bound.symbols == {"a", "b", "z"}
 
     @staticmethod
     def assert_valid(constraints, values, rows):
@@ -575,6 +589,70 @@ def test_components_match_a_breadth_first_search(seed):
                 queue.append(near)
         expected.append(sorted(found))
     assert _components(names, order._reach) == expected
+
+
+@st.composite
+def constraint_lists(draw):
+    """Constraints over up to 9 symbols whose names sort in any order:
+    certain, soft and lower-bound entries down one random ranking, with up
+    to three certain back edges up it, each of which may close a cycle,
+    inserted anywhere; the set is open or bound to the symbols and one
+    spare."""
+    n = draw(st.integers(2, 9))
+    names = draw(st.permutations([f"S{i}" for i in range(n)]))
+    down = list(itertools.combinations(range(n), 2))
+    entries = []
+    for a, b in draw(
+        st.lists(st.sampled_from(down), min_size=n - 1, max_size=20, unique=True)
+    ):
+        kind = draw(st.sampled_from(["certain", "certain", "soft", "lower"]))
+        if kind == "certain":
+            entries.append(certain(names[a], names[b]))
+        elif kind == "soft":
+            p = draw(st.sampled_from([0.0, 0.3, 0.7, 0.99]))
+            entries.append(DominanceConstraint(names[a], names[b], p))
+        else:
+            entries.append(
+                DominanceConstraint(names[a], names[b], 1.0, bound=BOUND_LOWER)
+            )
+    backs = min(3, len(down))
+    for a, b in draw(
+        st.lists(
+            st.sampled_from(down),
+            min_size=draw(st.integers(0, backs)),
+            max_size=backs,
+            unique=True,
+        )
+    ):
+        # counted from the end, so a back edge lands after most of the
+        # order rather than ahead of it
+        at = len(entries) - draw(st.integers(0, len(entries)))
+        entries.insert(at, certain(names[b], names[a]))
+    universe = draw(st.sampled_from([None, names + ["spare"]]))
+    return entries, universe
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=constraint_lists())
+def test_order_matches_the_edge_by_edge_closure(drawn):
+    # one breadth-first search gives the closure, the components and the
+    # cycle named that the incremental closure, the path search and the
+    # union-find gave
+    entries, universe = drawn
+    try:
+        expected = reference_reach(entries, universe)
+    except InconsistentOrderError as reference:
+        with pytest.raises(InconsistentOrderError) as raised:
+            ConstraintSet(entries, universe=universe)
+        assert raised.value.cycle == reference.cycle
+        assert str(raised.value) == str(reference)
+        return
+    order = ConstraintSet(entries, universe=universe)
+    assert order._reach == expected
+    names = sorted(order.symbols)
+    assert _components(names, order._reach) == reference_components(
+        names, expected
+    )
 
 
 def test_building_and_hashing_a_set_loads_no_numpy():

@@ -447,6 +447,24 @@ class TestBatchedScan:
         assert verification.checked_cells == 4 * trials
 
 
+    @pytest.mark.parametrize("odd", ["EM11", "PF22"])  # read first, last
+    @pytest.mark.parametrize(
+        "odd_value, value",
+        [(np.zeros(2), np.zeros(3)), (1.0, np.zeros(3)), (np.zeros(3), 1.0)],
+        ids=["ragged", "scalar_beside_arrays", "array_beside_scalars"],
+    )
+    def test_mixed_value_shapes_are_a_validation_error(
+        self, ipd_game, odd, odd_value, value
+    ):
+        values = {symbol: value for symbol in ipd_game.symbol_ids()}
+        values[odd] = odd_value
+        with pytest.raises(
+            ValidationError,
+            match="^numeric values must be all scalars or all arrays of one shape$",
+        ):
+            numeric_pure_nash(ipd_game, values)
+
+
 _SCAN_VALUES = [-math.inf, -1.0, 0.0, 1, 2, math.inf]
 
 
