@@ -8,11 +8,12 @@ Lower-bound constraints are stored and echoed back (``constraints``,
 ``Scenario.to_dict``) but never read: no order query, chain probability or
 sample uses them.
 
-Sampling builds what depends only on the order, the sorted names and each
-connected component's downset lattice, once per set: on the first
-``sample_realization`` call, kept with the set, so every later call only
-draws. A component that is a chain keeps only its one linear extension,
-so it is never walked. A set from ``add_constraint`` builds its own.
+What is derived from the order is built on first use, kept on the set and
+dropped with it; a set from ``add_constraint`` builds its own. Sampling
+keeps the sorted names and each component's downset lattice, so later
+``sample_realization`` calls only draw, and a chain keeps only its one
+linear extension, never walked; a build that raises keeps its error.
+``montecarlo.verify_nash_numeric`` keeps its check plans per game there.
 
 numpy is imported inside the sampling functions, not at module level: only
 sampling needs it, and the order queries behind ``solve`` and ``sweep``
@@ -289,9 +290,10 @@ class ConstraintSet:
         for sym in edges:
             reach[sym] = frozenset(_search(edges, sym)) - {sym}
         self._reach = reach
-        # built on first use, from the immutable fields above
+        # built on first use, from the immutable fields above: the sampling
+        # plan (or the error its build raised) and the check plans per game
         self._plan = None
-        self._hash = None
+        self._checks = {}
 
     @property
     def constraints(self) -> tuple[DominanceConstraint, ...]:
@@ -374,7 +376,8 @@ class ConstraintSet:
         its ``_lattice`` tables; a chain, read off the closure, keeps its
         members in its one linear extension, from the top, and None, and
         builds no lattice. A component over ``SAMPLING_DOWNSET_CAP`` raises
-        SamplingExhaustedError, and nothing is kept, so every call raises."""
+        SamplingExhaustedError; the error is kept, so every later call
+        raises the same class and message without building again."""
         if self._plan is None:
             import numpy as np
 
@@ -382,25 +385,31 @@ class ConstraintSet:
             components = _components(names, self._reach)
             free = [members[0] for members in components if len(members) == 1]
             walks = []
-            for members in components:
-                if len(members) == 1:
-                    continue
-                # a component's symbols dominate only one another, so it is
-                # a chain exactly when all k(k - 1)/2 of its pairs are
-                # ordered, and the more a symbol dominates the higher it is
-                below = {i: len(self._reach[names[i]]) for i in members}
-                k = len(members)
-                if sum(below.values()) == k * (k - 1) // 2:
-                    ranked = sorted(members, key=below.__getitem__, reverse=True)
-                    walks.append((np.asarray(ranked), None))
-                    continue
-                local = {names[i]: bit for bit, i in enumerate(members)}
-                above = [0] * k
-                for name, bit in local.items():
-                    for lesser in self._reach[name]:
-                        above[local[lesser]] |= 1 << bit
-                walks.append((np.asarray(members), _lattice(above)))
-            self._plan = names, free, walks
+            try:
+                for members in components:
+                    if len(members) == 1:
+                        continue
+                    # a component's symbols dominate only one another, so it
+                    # is a chain exactly when all k(k - 1)/2 of its pairs are
+                    # ordered, and the more a symbol dominates the higher it is
+                    below = {i: len(self._reach[names[i]]) for i in members}
+                    k = len(members)
+                    if sum(below.values()) == k * (k - 1) // 2:
+                        ranked = sorted(members, key=below.__getitem__, reverse=True)
+                        walks.append((np.asarray(ranked), None))
+                        continue
+                    local = {names[i]: bit for bit, i in enumerate(members)}
+                    above = [0] * k
+                    for name, bit in local.items():
+                        for lesser in self._reach[name]:
+                            above[local[lesser]] |= 1 << bit
+                    walks.append((np.asarray(members), _lattice(above)))
+                self._plan = names, free, walks
+            except SamplingExhaustedError as failed:
+                # no traceback: its frames hold the enumeration's lists
+                self._plan = failed.with_traceback(None)
+        if isinstance(self._plan, SamplingExhaustedError):
+            raise SamplingExhaustedError(*self._plan.args)
         return self._plan
 
     def sample_realization(self, seed, size=None):
@@ -467,9 +476,7 @@ class ConstraintSet:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._constraints, self._universe))
-        return self._hash
+        return hash((self._constraints, self._universe))
 
     def __repr__(self):
         scope = "open" if self._universe is None else f"{len(self._universe)} symbols"

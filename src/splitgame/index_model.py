@@ -52,29 +52,40 @@ MODE_ALIASES = {"paper": Mode.PUBLISHED.value}
 
 
 def _check_variance(variance: float):
-    if not (math.isfinite(variance) and variance > 0.0):
-        raise DomainError(
-            f"variance must be finite and positive, got {variance!r}"
-        )
+    try:
+        if not (math.isfinite(variance) and variance > 0.0):
+            raise DomainError(
+                f"variance must be finite and positive, got {variance!r}"
+            )
+    except TypeError:
+        raise ValidationError(f"variance must be a number, got {variance!r}") from None
 
 
 def check_score(score: float) -> None:
-    """Reject a score off the 10-point scale: not positive, or above it."""
-    if not score > 0.0:
-        raise DomainError(f"score must be positive, got {score!r}")
-    if score > SCALE_MAX:
-        raise DomainError(
-            f"score {score!r} exceeds the {SCALE_MAX:g}-point scale"
-        )
+    """Reject a score that is not a number, or off the 10-point scale: not
+    positive, or above it."""
+    try:
+        if not score > 0.0:
+            raise DomainError(f"score must be positive, got {score!r}")
+        if score > SCALE_MAX:
+            raise DomainError(
+                f"score {score!r} exceeds the {SCALE_MAX:g}-point scale"
+            )
+    except TypeError:
+        raise ValidationError(f"score must be a number, got {score!r}") from None
 
 
 def check_weight(weight: float) -> None:
-    """Reject a weight outside the open interval (0, 1)."""
-    if not 0.0 < weight < 1.0:
-        raise DomainError(
-            f"weight must lie strictly inside (0, 1), got {weight!r}; "
-            "boundary values appear only in reported bounds"
-        )
+    """Reject a weight that is not a number, or outside the open interval
+    (0, 1)."""
+    try:
+        if not 0.0 < weight < 1.0:
+            raise DomainError(
+                f"weight must lie strictly inside (0, 1), got {weight!r}; "
+                "boundary values appear only in reported bounds"
+            )
+    except TypeError:
+        raise ValidationError(f"weight must be a number, got {weight!r}") from None
 
 
 def warn_outside_interior(score: float) -> None:

@@ -13,7 +13,6 @@ level: the CLI imports this module for every command, and ``solve``,
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Mapping
 
@@ -110,7 +109,7 @@ def numeric_pure_nash(
     values that are arrays of shape (size,) give a (size, n_rows, n_cols)
     bool mask, one scan per row. A NaN value raises ValidationError and a
     missing symbol UnknownSymbolError, as ``NumericOrder`` does; values of
-    mixed shapes raise ValidationError.
+    mixed shapes, or not bool, integer or float, raise ValidationError.
     """
     import numpy as np
 
@@ -131,9 +130,14 @@ def numeric_pure_nash(
         raise ValidationError(
             "numeric values must be all scalars or all arrays of one shape"
         ) from None
-    if np.isnan(payoffs).any():
-        symbol = min(s for s in game.symbol_ids() if np.isnan(values[s]).any())
-        raise ValidationError(f"numeric value for symbol {symbol!r} is NaN")
+    if payoffs.dtype.kind not in "biuf" or np.isnan(payoffs).any():
+        for fault, bad in (
+            ("is not a real number", lambda v: np.asarray(v).dtype.kind not in "biuf"),
+            ("is NaN", lambda v: np.isnan(v).any()),
+        ):
+            odd = [s for s in game.symbol_ids() if bad(values[s])]
+            if odd:
+                raise ValidationError(f"numeric value for symbol {min(odd)!r} {fault}")
     # read flat in (player, row, col) order, any trial axis last; the mask
     # is scanned on that layout and returned as a view, trial axis first
     rows, cols = payoffs.reshape((2, game.n_rows, game.n_cols) + payoffs.shape[1:])
@@ -167,30 +171,6 @@ class NashVerification(Record):
         return not self.disagreements
 
 
-@functools.lru_cache(maxsize=32)
-def _check_plan(game: OrdinalGame, constraints: ConstraintSet):
-    """The symbolic side of ``verify_nash_numeric``, once per game and
-    order (equal games and sets have equal Nash sets): the sorted
-    equilibria and undecided cells, the checked cells (equilibria, then
-    decided non-equilibria), and their rows, columns and expected mask as
-    read-only arrays, since every call shares them."""
-    import numpy as np
-
-    found, undecided = pure_nash(game, constraints)
-    all_cells = {
-        CellCoord(r, c)
-        for r in range(game.n_rows)
-        for c in range(game.n_cols)
-    }
-    equilibria = tuple(sorted(found))
-    checked = equilibria + tuple(sorted(all_cells - found - undecided))
-    rows, cols = np.array(checked, dtype=np.intp).reshape(-1, 2).T
-    expected = np.arange(len(checked)) < len(equilibria)
-    for array in (rows, cols, expected):
-        array.flags.writeable = False
-    return equilibria, tuple(sorted(undecided)), checked, rows, cols, expected
-
-
 def verify_nash_numeric(
     game: OrdinalGame,
     constraints: ConstraintSet,
@@ -206,16 +186,28 @@ def verify_nash_numeric(
     in blocks of ``VERIFY_BLOCK``; block b draws its realizations in one
     call seeded with (seed, b). Disagreements are listed by trial, then
     equilibria, then decided non-equilibria, each in cell order. The
-    symbolic side is worked out once per game and order and kept, as the
-    order's sampling lattices are kept with its set.
+    symbolic side (Nash sets, checked cells, their rows, columns and
+    expected mask) is worked out once per game and kept on the set, beside
+    its sampling lattices, until the set is dropped.
     """
     import numpy as np
 
     check_trials(trials)
     check_seed(seed)
-    equilibria, undecided, checked, rows, cols, expected = _check_plan(
-        game, constraints
-    )
+    plan = constraints._checks.get(game)
+    if plan is None:
+        found, undecided = pure_nash(game, constraints)
+        all_cells = {
+            CellCoord(r, c) for r in range(game.n_rows) for c in range(game.n_cols)
+        }
+        equilibria = tuple(sorted(found))
+        checked = equilibria + tuple(sorted(all_cells - found - undecided))
+        rows, cols = np.array(checked, dtype=np.intp).reshape(-1, 2).T
+        expected = np.arange(len(checked)) < len(equilibria)
+        plan = constraints._checks[game] = (
+            equilibria, tuple(sorted(undecided)), checked, rows, cols, expected
+        )
+    equilibria, undecided, checked, rows, cols, expected = plan
     found = []
     for block, first in enumerate(range(0, trials, VERIFY_BLOCK)):
         size = min(VERIFY_BLOCK, trials - first)

@@ -329,7 +329,7 @@ class TestSampling:
         # one symbol above 19 others: 2**19 + 1 downsets, over the cap
         wide = ConstraintSet([certain("T", f"S{i:02d}") for i in range(19)])
         assert 2**19 + 1 > SAMPLING_DOWNSET_CAP
-        # a failed build is not kept, so a repeated call raises too
+        # a failed build is kept, so a repeated call raises it again
         for _ in range(2):
             with pytest.raises(SamplingExhaustedError, match="of 20 symbols"):
                 wide.sample_realization(7)
@@ -546,6 +546,24 @@ class TestSamplingPlan:
         assert _bits(values) == _bits(
             reference_sample_realization(derived, 1, 20)
         )
+
+    def test_a_failed_build_is_kept(self, builds, monkeypatch):
+        # one symbol above three others: 2**3 + 1 downsets, over a cap of 4
+        monkeypatch.setattr(constraints_module, "SAMPLING_DOWNSET_CAP", 4)
+        star = ConstraintSet([certain("T", lesser) for lesser in "ABC"])
+        raised = []
+        for size in (None, 5):
+            with pytest.raises(SamplingExhaustedError) as error:
+                star.sample_realization(0, size=size)
+            raised.append((type(error.value), str(error.value)))
+        assert raised == [(
+            SamplingExhaustedError,
+            "a connected component of 4 symbols in the certain order has "
+            "more than 4 downsets",
+        )] * 2
+        assert builds == [4]
+        # kept without the frames of the build that raised
+        assert star._plan.__traceback__ is None
 
     def test_plan_stays_out_of_equality_and_hash(self):
         drawn = ConstraintSet([certain("A", "B")])

@@ -117,6 +117,25 @@ class TestIndexParameters:
         with pytest.raises(DomainError):
             IndexParameters(score=3.4, weight=0.5, variance=variance)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: IndexParameters("3", 0.5), "score must be a number, got '3'"),
+            (lambda: IndexParameters(3.4, None), "weight must be a number, got None"),
+            (
+                lambda: IndexParameters(3.4, 0.5, variance="10"),
+                "variance must be a number, got '10'",
+            ),
+            (lambda: IndexParameters(1j, 0.5), "score must be a number, got 1j"),
+            (lambda: gaussian_tail(1.0, [10]), "variance must be a number, got [10]"),
+        ],
+        ids=["score", "weight", "variance", "complex_score", "tail_variance"],
+    )
+    def test_non_numbers_are_validation_errors(self, make, message):
+        with pytest.raises(ValidationError) as error:
+            make()
+        assert str(error.value) == message
+
     @pytest.mark.parametrize("score", [0.5, 1.0, 10.0])
     def test_unusual_scores_warn(self, score):
         with pytest.warns(UserWarning):

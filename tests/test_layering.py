@@ -68,3 +68,30 @@ def test_table_covers_every_module():
 def test_module_imports_only_its_layers(module):
     assert package_imports(module) <= ALLOWED[module]
 
+
+def cached_functions_with_parameters(module: str) -> list[str]:
+    """The functions in ``module`` decorated with ``functools.lru_cache``
+    or ``functools.cache`` (called or not, by attribute or by name) that
+    take a parameter."""
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            if isinstance(decorator, ast.Call):
+                decorator = decorator.func
+            name = getattr(decorator, "attr", getattr(decorator, "id", None))
+            if name in ("lru_cache", "cache"):
+                args = node.args
+                if (args.posonlyargs or args.args or args.vararg
+                        or args.kwonlyargs or args.kwarg):
+                    found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_no_process_wide_cache_keyed_by_arguments(module):
+    # a cache keyed by arguments keeps every argument it saw alive for the
+    # whole process; what is derived from an object is kept on the object
+    assert cached_functions_with_parameters(module) == []

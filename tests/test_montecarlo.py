@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -102,14 +104,6 @@ def test_seed_must_be_a_non_negative_integer(entry):
             entry(seed=bad)
     entry(seed=0)
     entry(seed=np.int64(2))
-
-
-@pytest.fixture(autouse=True)
-def _cold_check_plans():
-    # verify_nash_numeric keeps its check plans for the whole process; a
-    # test that substitutes pure_nash must not be served a plan an earlier
-    # test built with the real one
-    montecarlo._check_plan.cache_clear()
 
 
 class TestSimulateSelection:
@@ -272,6 +266,32 @@ class TestNumericPureNash:
             with pytest.raises(ValidationError, match=f"symbol {symbol!r} is NaN"):
                 check()
 
+    @pytest.mark.parametrize(
+        "value", ["1", None, object(), 1 + 0j, np.array([1.0, 2j])],
+        ids=["str", "None", "object", "complex", "complex_array"],
+    )
+    @pytest.mark.parametrize("odd", [None, "EM21", "PF22"])
+    def test_non_real_values_are_a_validation_error(self, ipd_game, odd, value):
+        # every value odd, or one odd symbol among floats of the same shape:
+        # the smallest odd symbol is named, as a NaN one is
+        shape = np.shape(value)
+        values = {s: np.zeros(shape) for s in ipd_game.symbol_ids()}
+        if odd is None:
+            values = dict.fromkeys(values, value)
+        else:
+            values[odd] = value
+        with pytest.raises(ValidationError) as error:
+            numeric_pure_nash(ipd_game, values)
+        symbol = odd or min(ipd_game.symbol_ids())
+        assert str(error.value) == (
+            f"numeric value for symbol {symbol!r} is not a real number"
+        )
+
+    @pytest.mark.parametrize("value", [True, 3, np.uint8(3), np.float32(0.5)])
+    def test_bool_integer_and_float_values_are_scanned(self, ipd_game, value):
+        values = dict.fromkeys(ipd_game.symbol_ids(), value)
+        assert len(numeric_pure_nash(ipd_game, values)) == 4
+
 
 class TestVerifyNashNumeric:
     def test_shipped_game_never_disagrees(self, ipd_game, ipd_constraints):
@@ -336,16 +356,30 @@ class TestCheckPlan:
         game, order = ipd.game, ipd.constraints
         first = verify_nash_numeric(game, order, 200, seed=1)
         assert verify_nash_numeric(game, order, 200, seed=1) == first
-        # an equal set has the same Nash set, so it shares the plan
+        # an equal set builds its own plan, as it builds its own lattices
         equal = ConstraintSet(order.constraints, universe=order.universe)
         assert verify_nash_numeric(game, equal, 200, seed=1) == first
-        assert calls == [order]
+        assert calls == [order, equal]
         weaker = ConstraintSet(
             [c for c in order.constraints if c.group is None],
             universe=order.universe,
         )
         verify_nash_numeric(game, weaker, 200, seed=1)
-        assert calls == [order, weaker]
+        assert calls == [order, equal, weaker]
+
+    def test_a_dropped_set_takes_its_plans_along(self, ipd):
+        # nothing outside the set keeps it, or what was built from it, once
+        # the caller drops it; an unused symbol makes it equal to no other
+        # set in the suite
+        order = ConstraintSet(
+            ipd.constraints.constraints,
+            universe=ipd.constraints.universe | {"unused"},
+        )
+        assert verify_nash_numeric(ipd.game, order, 200, seed=1).ok
+        dropped = weakref.ref(order)
+        del order
+        gc.collect()
+        assert dropped() is None
 
 
 def _free_game(n_rows, n_cols):

@@ -612,6 +612,19 @@ class TestSweep:
             "values appear only in reported bounds"
         )
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"r": [0.5, "0.6"]}, "weight must be a number, got '0.6'"),
+            ({"C": ["3", 3.4]}, "score must be a number, got '3'"),
+            ({"s": [None]}, "weight must be a number, got None"),
+        ],
+    )
+    def test_non_number_grid_value_is_a_validation_error(self, grid, message):
+        with pytest.raises(ValidationError) as exc:
+            sweep(ipd_scenario(mode=Mode.COMPUTED), grid)
+        assert str(exc.value) == message
+
     def test_bad_grid_solves_no_point(self, monkeypatch):
         # solving the points one by one up to C = -1.0 would rebuild 900
         grid = {
