@@ -11,7 +11,7 @@ import math
 from collections.abc import Iterable
 
 from ._record import Record
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _shown, check_integer, check_number
 
 PRIOR_TOLERANCE = 1e-12
 
@@ -32,6 +32,7 @@ class EventSpace(Record):
                 f"{len(self.prior)} prior entries for {len(self.labels)} events"
             )
         for label, p in zip(self.labels, self.prior):
+            check_number(f"prior({label})", p)
             if not math.isfinite(p):
                 raise DomainError(f"prior({label}) = {p!r} is not finite")
             if p < 0.0:
@@ -90,12 +91,14 @@ def fixed_point_posterior(space: EventSpace, unaffected: Iterable[int]) -> float
     bit for bit.
     """
     indices = list(unaffected)
+    for i in indices:
+        check_integer("event index", i, None)
     if len(set(indices)) != len(indices):
         raise ValidationError("unaffected event indices must be distinct")
     for i in indices:
         if not 0 <= i < len(space):
             raise ValidationError(
-                f"event index {i!r} out of range for {len(space)} events"
+                f"event index {_shown(i)} out of range for {len(space)} events"
             )
     remaining = [i for i in range(len(space)) if i not in indices]
     if len(remaining) != 1:

@@ -21,7 +21,6 @@ would otherwise pay its import, which is most of a cold ``import splitgame``.
 """
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterable, Sequence
 
 from ._record import Record
@@ -31,6 +30,8 @@ from .errors import (
     SamplingExhaustedError,
     UnknownSymbolError,
     ValidationError,
+    check_integer,
+    check_number,
 )
 
 BOUND_EXACT = "exact"
@@ -67,6 +68,7 @@ class DominanceConstraint(Record):
             raise ValidationError(
                 f"constraint compares {self.left!r} with itself"
             )
+        check_number(f"p({self.left} > {self.right})", self.probability)
         if not 0.0 <= self.probability <= 1.0:
             raise ValidationError(
                 f"p({self.left} > {self.right}) = {self.probability!r} "
@@ -78,30 +80,6 @@ class DominanceConstraint(Record):
     @property
     def certain(self) -> bool:
         return self.bound == BOUND_EXACT and self.probability == 1.0
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or a stand-in where it raises: Python refuses to
-    print an integer past ``sys.get_int_max_str_digits()`` digits."""
-    try:
-        return repr(value)
-    except ValueError:
-        return "a number too long to print"
-
-
-def check_integer(name: str, value, low: int, high: int | None = None) -> None:
-    """Reject a value that is not an integer in [low, high]; numpy integers
-    count as integers, bools do not."""
-    if type(value) is not int and (
-        not isinstance(value, numbers.Integral) or isinstance(value, bool)
-    ):
-        raise ValidationError(
-            f"{name} must be an integer, got {_shown(value)}"
-        )
-    if value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {_shown(value)}")
-    if high is not None and value > high:
-        raise ValidationError(f"{name} must be <= {high}")
 
 
 def check_trials(trials) -> None:

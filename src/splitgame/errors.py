@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks every module
+makes of a caller-supplied number or integer.
 
 New error conditions should subclass one of the four buckets below rather
 than raise bare exceptions. Each bucket carries the stable exit code the CLI
 returns for it as ``exit_code``; a subclass inherits its bucket's code.
 """
+import numbers
 
 
 class SplitgameError(Exception):
@@ -47,3 +49,41 @@ class InconsistentOrderError(SplitgameError):
         super().__init__(
             "inconsistent certain order, cycle: " + " > ".join(self.cycle)
         )
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or a stand-in where it raises: Python refuses to
+    print an integer past ``sys.get_int_max_str_digits()`` digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "a number too long to print"
+
+
+def check_number(name: str, value) -> None:
+    """Reject a value that is not a real number within float range: bools,
+    strings, None, complex numbers, Decimal and arrays are refused, numpy
+    ints and floats accepted."""
+    if type(value) is float:
+        return
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {_shown(value)}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{name}: integer too large for a float") from None
+
+
+def check_integer(name: str, value, low: int | None, high: int | None = None) -> None:
+    """Reject a value that is not an integer in [low, high] (a bound of None
+    is open); numpy integers count as integers, bools do not."""
+    if type(value) is not int and (
+        not isinstance(value, numbers.Integral) or isinstance(value, bool)
+    ):
+        raise ValidationError(
+            f"{name} must be an integer, got {_shown(value)}"
+        )
+    if low is not None and value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {_shown(value)}")
+    if high is not None and value > high:
+        raise ValidationError(f"{name} must be <= {high}")

@@ -12,7 +12,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
 from ._record import Record
-from .errors import UnknownSymbolError, ValidationError
+from .errors import UnknownSymbolError, ValidationError, _shown, check_integer
 
 PLAYER_ROW = 0
 PLAYER_COL = 1
@@ -107,8 +107,14 @@ class OrdinalGame(Record):
         return len(self.col_strategies)
 
     def payoff(self, row: int, col: int, player: int) -> str:
-        if player not in (PLAYER_ROW, PLAYER_COL):
-            raise ValidationError(f"player must be 0 or 1, got {player!r}")
+        check_integer("row", row, 0, self.n_rows - 1)
+        check_integer("column", col, 0, self.n_cols - 1)
+        try:
+            check_integer("player", player, PLAYER_ROW, PLAYER_COL)
+        except ValidationError:
+            raise ValidationError(
+                f"player must be 0 or 1, got {_shown(player)}"
+            ) from None
         return self.cells[row][col][player]
 
     def symbol_ids(self) -> frozenset:
@@ -130,15 +136,13 @@ class NumericOrder:
 
     Every comparison is decided; equal values answer False both ways, so
     tied payoffs never beat each other and ``pure_nash`` keeps both cells.
-    A NaN value, which compares False both ways too, raises ValidationError.
+    Values are read by ``_floats``, as ``montecarlo.numeric_pure_nash``
+    reads scalars: anything else, or a NaN, which compares False both ways
+    too, raises ValidationError.
     """
 
     def __init__(self, values: Mapping[str, float]):
-        # coerce so numpy scalars cannot leak np.bool_ out of implies()
-        self._values = {key: float(value) for key, value in values.items()}
-        for key, value in self._values.items():
-            if math.isnan(value):
-                raise ValidationError(f"numeric value for symbol {key!r} is NaN")
+        self._values = _floats(values, values)
 
     def implies(self, left: str, right: str) -> bool | None:
         try:
@@ -147,6 +151,34 @@ class NumericOrder:
             raise UnknownSymbolError(
                 f"no numeric value for symbol {missing.args[0]!r}"
             ) from None
+
+
+def _as_float(value) -> float | None:
+    """``value`` as a float if it is a bool, int or float scalar, numpy's
+    included, within float range; None otherwise."""
+    kind = getattr(getattr(value, "dtype", None), "kind", None)
+    if not isinstance(value, (int, float)) and (
+        kind not in ("b", "i", "u", "f") or getattr(value, "shape", None) != ()
+    ):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _floats(values: Mapping, symbols) -> dict[str, float]:
+    """The values of ``symbols`` as floats, so numpy scalars cannot leak
+    np.bool_ out of a comparison and a Python int past int64 compares as a
+    float. A value ``_as_float`` refuses, and then a NaN, raises
+    ValidationError naming the smallest such symbol."""
+    floats = {symbol: _as_float(values[symbol]) for symbol in symbols}
+    for fault, bad in (("is not a real number", lambda v: v is None),
+                       ("is NaN", math.isnan)):
+        odd = [symbol for symbol, value in floats.items() if bad(value)]
+        if odd:
+            raise ValidationError(f"numeric value for symbol {min(odd)!r} {fault}")
+    return floats
 
 
 def _unbeaten(order, axis: Sequence[str], i: int) -> bool | None:

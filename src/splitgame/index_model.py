@@ -18,7 +18,7 @@ import warnings
 from enum import Enum
 
 from ._record import Record
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_number
 
 DEFAULT_VARIANCE = 10.0
 SCALE_MAX = 10.0
@@ -52,40 +52,30 @@ MODE_ALIASES = {"paper": Mode.PUBLISHED.value}
 
 
 def _check_variance(variance: float):
-    try:
-        if not (math.isfinite(variance) and variance > 0.0):
-            raise DomainError(
-                f"variance must be finite and positive, got {variance!r}"
-            )
-    except TypeError:
-        raise ValidationError(f"variance must be a number, got {variance!r}") from None
+    check_number("variance", variance)
+    if not (math.isfinite(variance) and variance > 0.0):
+        raise DomainError(f"variance must be finite and positive, got {variance!r}")
 
 
 def check_score(score: float) -> None:
     """Reject a score that is not a number, or off the 10-point scale: not
     positive, or above it."""
-    try:
-        if not score > 0.0:
-            raise DomainError(f"score must be positive, got {score!r}")
-        if score > SCALE_MAX:
-            raise DomainError(
-                f"score {score!r} exceeds the {SCALE_MAX:g}-point scale"
-            )
-    except TypeError:
-        raise ValidationError(f"score must be a number, got {score!r}") from None
+    check_number("score", score)
+    if not score > 0.0:
+        raise DomainError(f"score must be positive, got {score!r}")
+    if score > SCALE_MAX:
+        raise DomainError(f"score {score!r} exceeds the {SCALE_MAX:g}-point scale")
 
 
 def check_weight(weight: float) -> None:
     """Reject a weight that is not a number, or outside the open interval
     (0, 1)."""
-    try:
-        if not 0.0 < weight < 1.0:
-            raise DomainError(
-                f"weight must lie strictly inside (0, 1), got {weight!r}; "
-                "boundary values appear only in reported bounds"
-            )
-    except TypeError:
-        raise ValidationError(f"weight must be a number, got {weight!r}") from None
+    check_number("weight", weight)
+    if not 0.0 < weight < 1.0:
+        raise DomainError(
+            f"weight must lie strictly inside (0, 1), got {weight!r}; "
+            "boundary values appear only in reported bounds"
+        )
 
 
 def warn_outside_interior(score: float) -> None:
@@ -126,6 +116,7 @@ def gaussian_tail(lower: float, variance: float = DEFAULT_VARIANCE) -> float:
     raises DomainError.
     """
     _check_variance(variance)
+    check_number("tail bound", lower)
     if math.isnan(lower):
         raise DomainError("tail bound must be a number, got nan")
     return 0.5 * math.erfc(lower / math.sqrt(2.0 * variance))
@@ -139,6 +130,7 @@ def score_factor(score: float, variance: float = DEFAULT_VARIANCE) -> float:
     score is accepted here, while the 10-point scale gate lives on
     IndexParameters.
     """
+    check_number("score", score)
     if not score > 0.0:
         raise DomainError(f"score must be positive, got {score!r}")
     return (1.0 - gaussian_tail(math.sqrt(score), variance)) / 3.0

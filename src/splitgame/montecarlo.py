@@ -19,8 +19,8 @@ from collections.abc import Mapping
 from ._record import Record
 from .constraints import MAX_TRIALS  # noqa: F401  (re-exported)
 from .constraints import ConstraintSet, check_seed, check_trials
-from .errors import UnknownSymbolError, ValidationError
-from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, pure_nash
+from .errors import UnknownSymbolError, ValidationError, check_number
+from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, _floats, pure_nash
 
 RNG_ALGORITHM = "pcg64"
 # trials per sampler call in verify_nash_numeric; bounds its memory
@@ -42,6 +42,7 @@ class SimulationConfig(Record):
         check_seed(self.seed)
         for name in ("p_em12", "p_pf21"):
             value = getattr(self, name)
+            check_number(name, value)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(
                     f"{name} = {value!r} is outside [0, 1]"
@@ -107,9 +108,11 @@ def numeric_pure_nash(
     column payoff is >= the max of its row, i.e. no player has a strictly
     better unilateral deviation. Scalar values give a frozenset of cells;
     values that are arrays of shape (size,) give a (size, n_rows, n_cols)
-    bool mask, one scan per row. A NaN value raises ValidationError and a
-    missing symbol UnknownSymbolError, as ``NumericOrder`` does; values of
-    mixed shapes, or not bool, integer or float, raise ValidationError.
+    bool mask, one scan per row. Scalars are read as ``NumericOrder`` reads
+    them, bool, int and float, numpy's included, a Python int past int64 as
+    a float. A NaN value raises ValidationError and a missing symbol
+    UnknownSymbolError, as ``NumericOrder`` does; values of mixed shapes, or
+    not bool, integer or float, raise ValidationError.
     """
     import numpy as np
 
@@ -131,13 +134,22 @@ def numeric_pure_nash(
             "numeric values must be all scalars or all arrays of one shape"
         ) from None
     if payoffs.dtype.kind not in "biuf" or np.isnan(payoffs).any():
-        for fault, bad in (
-            ("is not a real number", lambda v: np.asarray(v).dtype.kind not in "biuf"),
-            ("is NaN", lambda v: np.isnan(v).any()),
-        ):
-            odd = [s for s in game.symbol_ids() if bad(values[s])]
-            if odd:
-                raise ValidationError(f"numeric value for symbol {min(odd)!r} {fault}")
+        if payoffs.ndim == 1:
+            # scalars, read as ``NumericOrder`` reads them: once they pass,
+            # a Python int past int64, gathered as an object, is a float
+            _floats(values, game.symbol_ids())
+            payoffs = payoffs.astype(float)
+        else:
+            for fault, bad in (
+                ("is not a real number",
+                 lambda v: np.asarray(v).dtype.kind not in "biuf"),
+                ("is NaN", lambda v: np.isnan(v).any()),
+            ):
+                odd = [s for s in game.symbol_ids() if bad(values[s])]
+                if odd:
+                    raise ValidationError(
+                        f"numeric value for symbol {min(odd)!r} {fault}"
+                    )
     # read flat in (player, row, col) order, any trial axis last; the mask
     # is scanned on that layout and returned as a view, trial axis first
     rows, cols = payoffs.reshape((2, game.n_rows, game.n_cols) + payoffs.shape[1:])

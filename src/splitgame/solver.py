@@ -157,23 +157,6 @@ def effective_constraints(scenario: Scenario) -> ConstraintSet:
     return ConstraintSet(kept, universe=base.universe)
 
 
-def _on_reference(label: str, param_name: str, score: float, published: bool) -> bool:
-    """Whether the score is the one the label's published constant refers to.
-
-    This is the published-mode gate: published mode only covers the two
-    reference scores, so there any other score raises.
-    """
-    ref_score = PUBLISHED_TABLE[label][0]
-    on_reference = abs(score - ref_score) <= SCORE_MATCH_TOLERANCE
-    if published and not on_reference:
-        raise ValidationError(
-            f"published mode requires {param_name} = {ref_score:g} "
-            f"(the score the published constant refers to), got "
-            f"{score!r}; use computed mode for other scores"
-        )
-    return on_reference
-
-
 def solve(scenario: Scenario) -> DecisionReport:
     """Solve one scenario into a decision report.
 
@@ -192,10 +175,10 @@ def solve(scenario: Scenario) -> DecisionReport:
     used, other = sources[::-1] if published else sources
     notes: list[str] = []
     for label, name, params in (("em12", "C", em), ("pf21", "Q", pf)):
-        if _on_reference(label, name, params.score, published):
-            ref_score, constant = PUBLISHED_TABLE[label]
-            # k(score) is the cap in computed mode; published mode admits
-            # only the reference score, so this is one tail call per label
+        ref_score, constant = PUBLISHED_TABLE[label]
+        # published mode has gated the score onto its reference, and needs
+        # its one tail call per label; in computed mode k(score) is the cap
+        if published or abs(params.score - ref_score) <= SCORE_MATCH_TOLERANCE:
             factor = caps[name][params.score]
             if published:
                 factor = score_factor(params.score, params.variance)
@@ -303,8 +286,10 @@ def _grid(
 ) -> tuple[list[list[float]], dict[str, dict[float, float]]]:
     """The rows over a grid of checked names, and the caps by "C" or "Q"
     and score. An empty grid gives the scenario's own point. ``order`` is
-    the case-adjusted order; under strong evidence its certainty chain
-    fixes p(pf21), computed first, so its error precedes any axis check.
+    the case-adjusted order. Under strong evidence p(pf21) is the chain
+    PF22 > PF12 > PF11, whose second link the case has made certain, so it
+    is p(PF22 > PF12); it is computed first, so its error precedes any axis
+    check.
 
     A bad grid raises what solving its points one by one raises, after the
     same warnings, from one walk over the axes. The first failing point is
@@ -319,11 +304,8 @@ def _grid(
     game = scenario.game
     chain_p_pf21 = None  # under weak evidence the weight times the cap
     if scenario.case is Case.STRONG_EVIDENCE:
-        # certainty chain: strict-course payoff beats the lenient one beats
-        # the dutiful-cell one, each link independent
-        pf12 = game.payoff(0, 1, 1)
         chain_p_pf21 = order.independent_chain_probability(
-            [(game.payoff(1, 1, 1), pf12), (pf12, game.payoff(0, 0, 1))]
+            [(game.payoff(1, 1, 1), game.payoff(0, 1, 1))]
         )
     names = sorted(grid)
     em, pf = scenario.em_params, scenario.pf_params
@@ -340,13 +322,18 @@ def _grid(
 
     def gate_and_cap(name: str, score: float):
         if score not in caps[name]:
-            label = "em12" if name == "C" else "pf21"
-            _on_reference(label, name, score, published)
-            caps[name][score] = (
-                PUBLISHED_TABLE[label][1]
-                if published
-                else score_factor(score, em.variance)
-            )
+            if not published:
+                caps[name][score] = score_factor(score, em.variance)
+                return
+            # the published-mode gate: a constant refers to one score only
+            ref_score, constant = PUBLISHED_TABLE["em12" if name == "C" else "pf21"]
+            if not abs(score - ref_score) <= SCORE_MATCH_TOLERANCE:
+                raise ValidationError(
+                    f"published mode requires {name} = {ref_score:g} "
+                    f"(the score the published constant refers to), got "
+                    f"{score!r}; use computed mode for other scores"
+                )
+            caps[name][score] = constant
 
     # the first point, as ``solve`` after ``with_parameters`` checks it
     for attr in dict.fromkeys(_param_target(name)[0] for name in names):

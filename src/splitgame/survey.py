@@ -14,7 +14,7 @@ from collections.abc import Mapping, Sequence
 
 from . import _resource
 from ._record import Record
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -29,8 +29,7 @@ class SurveyItem(Record):
     polarity: str
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValidationError(f"item index must be >= 1, got {self.index!r}")
+        check_integer("item index", self.index, 1)
         if self.polarity not in (POSITIVE, NEGATIVE):
             raise ValidationError(
                 f"item {self.index}: polarity must be '{POSITIVE}' or "

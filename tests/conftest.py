@@ -29,7 +29,7 @@ from splitgame import (
 from splitgame import solver
 from splitgame.constraints import MAX_TRIALS, _components, check_integer
 from splitgame.index_model import PUBLISHED_TABLE, Mode, score_factor
-from splitgame.solver import SWEEP_METRICS, _on_reference, _require_2x2
+from splitgame.solver import SCORE_MATCH_TOLERANCE, SWEEP_METRICS, _require_2x2
 from splitgame.survey import (
     INDEX_MAX,
     SCALE_STEPS,
@@ -516,6 +516,25 @@ def reference_structure_notes(scenario):
             f"(1,1); this order's equilibrium set is {sorted(map(tuple, nash))}"
         )
     return tuple(notes)
+
+
+# the one function that once both raised the published-mode gate and told
+# whether a score sits on its reference; the reference point keeps it
+def _on_reference(label: str, param_name: str, score: float, published: bool) -> bool:
+    """Whether the score is the one the label's published constant refers to.
+
+    This is the published-mode gate: published mode only covers the two
+    reference scores, so there any other score raises.
+    """
+    ref_score = PUBLISHED_TABLE[label][0]
+    on_reference = abs(score - ref_score) <= SCORE_MATCH_TOLERANCE
+    if published and not on_reference:
+        raise ValidationError(
+            f"published mode requires {param_name} = {ref_score:g} "
+            f"(the score the published constant refers to), got "
+            f"{score!r}; use computed mode for other scores"
+        )
+    return on_reference
 
 
 def reference_point(scenario, chain_p_pf21):

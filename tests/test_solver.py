@@ -126,6 +126,30 @@ def point_scenarios(draw):
     )
 
 
+def _strong_link(link, mode=Mode.PUBLISHED):
+    """The IPD scenario under strong evidence with its one constraint on
+    PF22 > PF12, certain as shipped, replaced by ``link`` (None: removed).
+    The chain's other link, PF12 > PF11, is the case's certain swap."""
+    shipped = ipd_scenario(case=Case.STRONG_EVIDENCE, mode=mode)
+    kept = [
+        c for c in shipped.constraints.constraints
+        if (c.left, c.right) != ("PF22", "PF12")
+    ]
+    kept += [link] if link is not None else []
+    order = ConstraintSet(kept, universe=shipped.constraints.universe)
+    return replace(shipped, constraints=order)
+
+
+# PF22 > PF12 certain, exact at 0.7, missing, and only a lower bound
+_STRONG_LINKS = [
+    DominanceConstraint("PF22", "PF12", 1.0),
+    DominanceConstraint("PF22", "PF12", 0.7),
+    None,
+    DominanceConstraint("PF22", "PF12", 0.7, BOUND_LOWER),
+]
+_STRONG_GRID = {"C": [3.4, 5.0], "s": [0.5, 0.9]}
+
+
 def _point_outcome(scenario, reference):
     """The metric values, bounds and notes of one point, or the exception:
     from ``solve``, or from the reference chain, point stage and notes."""
@@ -446,6 +470,10 @@ class TestSolve:
         ipd_scenario(case=Case.STRONG_EVIDENCE),
         pf_params=IndexParameters(5.0, 0.5),
     ))
+    @example(_strong_link(_STRONG_LINKS[0]))
+    @example(_strong_link(_STRONG_LINKS[1]))
+    @example(_strong_link(_STRONG_LINKS[2]))
+    @example(_strong_link(_STRONG_LINKS[3]))
     def test_matches_reference_point(self, scenario):
         assert _point_outcome(scenario, False) == _point_outcome(
             scenario, True
@@ -580,6 +608,10 @@ class TestSweep:
         _with_base(Mode.COMPUTED, {}),
         {"C": [0.5, 0.0, 10.0], "Q": [1.0, 0.0, 10.0]},
     ))
+    @example((_strong_link(_STRONG_LINKS[0], Mode.COMPUTED), _STRONG_GRID))
+    @example((_strong_link(_STRONG_LINKS[1], Mode.COMPUTED), _STRONG_GRID))
+    @example((_strong_link(_STRONG_LINKS[2], Mode.COMPUTED), _STRONG_GRID))
+    @example((_strong_link(_STRONG_LINKS[3], Mode.COMPUTED), _STRONG_GRID))
     def test_matches_point_by_point_reference(self, inputs):
         scenario, grid = inputs
         assert _sweep_outcome(sweep, scenario, grid) == _sweep_outcome(
