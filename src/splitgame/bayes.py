@@ -11,7 +11,9 @@ import math
 from collections.abc import Iterable
 
 from ._record import Record
-from .errors import DomainError, ValidationError, _shown, check_integer, check_number
+from .errors import (
+    DomainError, ValidationError, _sequence, _shown, check_integer, check_number,
+)
 
 PRIOR_TOLERANCE = 1e-12
 
@@ -23,6 +25,11 @@ class EventSpace(Record):
     prior: tuple[float, ...]
 
     def __post_init__(self):
+        # stored as tuples, so every space is hashable
+        labels = _sequence("event labels", self.labels, "labels")
+        prior = _sequence("event prior", self.prior, "numbers")
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "prior", tuple(prior))
         if not self.labels:
             raise ValidationError("event space needs at least one event")
         if len(set(self.labels)) != len(self.labels):
@@ -90,6 +97,10 @@ def fixed_point_posterior(space: EventSpace, unaffected: Iterable[int]) -> float
     linear remainder 1 - alpha = 1 - q gives alpha = q, the prior itself,
     bit for bit.
     """
+    if not isinstance(unaffected, Iterable):
+        raise ValidationError(
+            f"unaffected event indices must be iterable, got {_shown(unaffected)}"
+        )
     indices = list(unaffected)
     for i in indices:
         check_integer("event index", i, None)

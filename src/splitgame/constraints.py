@@ -21,9 +21,9 @@ would otherwise pay its import, which is most of a cold ``import splitgame``.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
-from ._record import Record
+from ._record import Record, replace
 from .errors import (
     InconsistentOrderError,
     MissingProbabilityError,
@@ -62,7 +62,7 @@ class DominanceConstraint(Record):
     group: str | None = None
 
     def __post_init__(self):
-        if not self.left or not self.right:
+        if not all(isinstance(sym, str) and sym for sym in (self.left, self.right)):
             raise ValidationError("constraint symbols must be non-empty ids")
         if self.left == self.right:
             raise ValidationError(
@@ -198,12 +198,11 @@ def _linear_extensions(follow, cumulative, u) -> np.ndarray:
     return order
 
 
-class ConstraintSet:
+class ConstraintSet(Record):
     """An immutable collection of dominance constraints.
 
     The certain constraints must form a DAG; the induced strict partial order
-    (their transitive closure) is what ``implies`` answers from. Instances
-    never mutate: ``add_constraint`` returns a new set.
+    (their transitive closure) is what ``implies`` answers from.
 
     If ``universe`` is given, every constraint must stay inside it and order
     queries on ids outside it raise ``UnknownSymbolError``. Without a
@@ -211,20 +210,19 @@ class ConstraintSet:
     compare as unknown.
     """
 
-    def __init__(
-        self,
-        constraints: Iterable[DominanceConstraint] = (),
-        universe: Iterable[str] | None = None,
-    ):
-        self._constraints: tuple[DominanceConstraint, ...] = tuple(constraints)
-        self._universe: frozenset[str] | None = (
-            frozenset(universe) if universe is not None else None
-        )
+    constraints: tuple[DominanceConstraint, ...] = ()
+    universe: frozenset[str] | None = None
 
-        if self._universe is not None:
-            for c in self._constraints:
+    def __post_init__(self):
+        constraints = tuple(self.constraints)
+        universe = None if self.universe is None else frozenset(self.universe)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "universe", universe)
+
+        if universe is not None:
+            for c in constraints:
                 for sym in (c.left, c.right):
-                    if sym not in self._universe:
+                    if sym not in universe:
                         raise ValidationError(
                             f"constraint p({c.left} > {c.right}) uses symbol "
                             f"{sym!r} outside the bound universe"
@@ -232,18 +230,18 @@ class ConstraintSet:
 
         # exact probabilities per ordered pair; conflicting duplicates are
         # ambiguous input and rejected outright
-        self._exact: dict[tuple[str, str], float] = {}
-        for c in self._constraints:
+        exact: dict[tuple[str, str], float] = {}
+        for c in constraints:
             if c.bound != BOUND_EXACT:
                 continue
             pair = (c.left, c.right)
-            stored = self._exact.get(pair)
+            stored = exact.get(pair)
             if stored is not None and stored != c.probability:
                 raise ValidationError(
                     f"conflicting probabilities for {c.left} > {c.right}: "
                     f"{stored!r} and {c.probability!r}"
                 )
-            self._exact[pair] = c.probability
+            exact[pair] = c.probability
 
         # the certain edges, successors in insertion order (dict keys), so no
         # search depends on the string hash seed. A constraint closes a cycle
@@ -251,7 +249,7 @@ class ConstraintSet:
         # predecessors); the first is reported, with the shortest path back
         edges: dict[str, dict[str, None]] = {}
         targets = set()
-        for c in self._constraints:
+        for c in constraints:
             if not c.certain:
                 continue
             if c.right in edges and c.left in targets:
@@ -264,29 +262,23 @@ class ConstraintSet:
             edges.setdefault(c.left, {})[c.right] = None
             targets.add(c.right)
         # the closure: a symbol with successors dominates all it reaches
-        reach = dict.fromkeys(targets.union(edges, self._universe or ()), frozenset())
+        reach = dict.fromkeys(targets.union(edges, universe or ()), frozenset())
         for sym in edges:
             reach[sym] = frozenset(_search(edges, sym)) - {sym}
-        self._reach = reach
-        # built on first use, from the immutable fields above: the sampling
-        # plan (or the error its build raised) and the check plans per game
-        self._plan = None
-        self._checks = {}
-
-    @property
-    def constraints(self) -> tuple[DominanceConstraint, ...]:
-        return self._constraints
-
-    @property
-    def universe(self) -> frozenset[str] | None:
-        return self._universe
+        # per-instance state, never in equality or hash: the tables above,
+        # then, built on first use, the sampling plan (or the error its
+        # build raised) and the check plans per game
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_reach", reach)
+        object.__setattr__(self, "_plan", None)
+        object.__setattr__(self, "_checks", {})
 
     @property
     def symbols(self) -> frozenset[str]:
         """Every id the set knows about: its universe when bound; an open
         set knows only the symbols of its certain constraints."""
-        if self._universe is not None:
-            return self._universe
+        if self.universe is not None:
+            return self.universe
         return frozenset(self._reach)
 
     @property
@@ -298,16 +290,13 @@ class ConstraintSet:
 
     def add_constraint(self, constraint: DominanceConstraint) -> "ConstraintSet":
         """A new set with one more constraint; self is left untouched."""
-        return ConstraintSet(
-            self._constraints + (constraint,),
-            universe=self._universe,
-        )
+        return replace(self, constraints=self.constraints + (constraint,))
 
     def _check_known(self, *ids: str):
-        if self._universe is None:
+        if self.universe is None:
             return
         for sym in ids:
-            if sym not in self._universe:
+            if sym not in self.universe:
                 raise UnknownSymbolError(f"unknown payoff symbol {sym!r}")
 
     def implies(self, left: str, right: str) -> bool | None:
@@ -382,10 +371,10 @@ class ConstraintSet:
                         for lesser in self._reach[name]:
                             above[local[lesser]] |= 1 << bit
                     walks.append((np.asarray(members), _lattice(above)))
-                self._plan = names, free, walks
+                object.__setattr__(self, "_plan", (names, free, walks))
             except SamplingExhaustedError as failed:
                 # no traceback: its frames hold the enumeration's lists
-                self._plan = failed.with_traceback(None)
+                object.__setattr__(self, "_plan", failed.with_traceback(None))
         if isinstance(self._plan, SamplingExhaustedError):
             raise SamplingExhaustedError(*self._plan.args)
         return self._plan
@@ -445,17 +434,6 @@ class ConstraintSet:
             return {name: float(v[0]) for name, v in zip(names, values)}
         return dict(zip(names, values))
 
-    def __eq__(self, other):
-        if not isinstance(other, ConstraintSet):
-            return NotImplemented
-        return (
-            self._constraints == other._constraints
-            and self._universe == other._universe
-        )
-
-    def __hash__(self):
-        return hash((self._constraints, self._universe))
-
     def __repr__(self):
-        scope = "open" if self._universe is None else f"{len(self._universe)} symbols"
-        return f"ConstraintSet({len(self._constraints)} constraints, {scope})"
+        scope = "open" if self.universe is None else f"{len(self.universe)} symbols"
+        return f"ConstraintSet({len(self.constraints)} constraints, {scope})"

@@ -60,6 +60,16 @@ def _shown(value) -> str:
         return "a number too long to print"
 
 
+def _sequence(what: str, value, of: str):
+    """``value`` if it is a list or tuple; anything else, a string such as
+    "RC" above all, which would read as its characters, is refused."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(
+            f"{what} must be a list or tuple of {of}, got {_shown(value)}"
+        )
+    return value
+
+
 def check_number(name: str, value) -> None:
     """Reject a value that is not a real number within float range: bools,
     strings, None, complex numbers, Decimal and arrays are refused, numpy

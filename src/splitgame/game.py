@@ -12,7 +12,9 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
 from ._record import Record
-from .errors import UnknownSymbolError, ValidationError, _shown, check_integer
+from .errors import (
+    UnknownSymbolError, ValidationError, _sequence, _shown, check_integer,
+)
 
 PLAYER_ROW = 0
 PLAYER_COL = 1
@@ -119,16 +121,6 @@ class OrdinalGame(Record):
 
     def symbol_ids(self) -> frozenset:
         return frozenset(sym for row in self.cells for pair in row for sym in pair)
-
-
-def _sequence(what: str, value, of: str):
-    """``value`` if it is a list or tuple; anything else, a string such as
-    "RC" above all, which would read as its characters, is refused."""
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(
-            f"{what} must be a list or tuple of {of}, got {value!r}"
-        )
-    return value
 
 
 class NumericOrder:

@@ -154,7 +154,7 @@ def effective_constraints(scenario: Scenario) -> ConstraintSet:
     kept.append(
         DominanceConstraint(pf12, pf11, 1.0, group="strong_evidence_case")
     )
-    return ConstraintSet(kept, universe=base.universe)
+    return replace(base, constraints=kept)
 
 
 def solve(scenario: Scenario) -> DecisionReport:
@@ -273,7 +273,13 @@ def sweep(
     names = sorted(grid)
     for name in names:
         _param_target(name)
-        if not grid[name]:
+        axis = grid[name]
+        if isinstance(axis, str) or not isinstance(axis, Sequence):
+            raise ValidationError(
+                f"parameter {name!r} needs a list or tuple of values, "
+                f"got {type(axis).__name__}"
+            )
+        if not axis:
             raise ValidationError(f"parameter {name!r} has no grid values")
     rows, _ = _grid(scenario, effective_constraints(scenario), grid)
     return names + list(SWEEP_METRICS), rows

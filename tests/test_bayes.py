@@ -10,7 +10,9 @@ from splitgame import (
     EventSpace,
     ValidationError,
     fixed_point_posterior,
+    ipd_scenario,
 )
+from splitgame._record import replace
 
 UNIFORM3 = EventSpace.uniform(["e1", "e2", "e3"])
 
@@ -54,6 +56,15 @@ class TestEventSpace:
     def test_duplicate_labels(self):
         with pytest.raises(ValidationError):
             EventSpace(("a", "a"), (0.5, 0.5))
+
+    def test_lists_are_stored_as_tuples(self):
+        space = EventSpace(["a", "b"], [0.5, 0.5])
+        assert (space.labels, space.prior) == (("a", "b"), (0.5, 0.5))
+        assert space == EventSpace(("a", "b"), (0.5, 0.5))
+        assert hash(space) == hash((("a", "b"), (0.5, 0.5)))
+        ipd = ipd_scenario()
+        events = EventSpace(list(ipd.events.labels), list(ipd.events.prior))
+        hash(replace(ipd, events=events))  # a scenario holding it hashes too
 
     def test_comparison_event_needs_a_label(self):
         with pytest.raises(
@@ -103,6 +114,14 @@ class TestFixedPoint:
             fixed_point_posterior(UNIFORM3, (1, 5))
         with pytest.raises(ValidationError):
             fixed_point_posterior(UNIFORM3, (2,))
+
+    def test_unaffected_is_any_iterable_of_indices(self):
+        space = EventSpace(("a", "b"), (0.2, 0.8))
+        assert fixed_point_posterior(space, range(1, 2)) == 0.2
+        assert fixed_point_posterior(space, (i for i in [0])) == 0.8
+        with pytest.raises(ValidationError) as exc:
+            fixed_point_posterior(space, 1)
+        assert str(exc.value) == "unaffected event indices must be iterable, got 1"
 
     def test_update_map_residual_vanishes_at_fixed_point(self):
         for space in (

@@ -3,7 +3,8 @@
 Each call must return or raise a ``SplitgameError``: a raw ``TypeError``,
 ``ValueError``, ``OverflowError`` or ``IndexError`` fails the table. A
 sequence argument (a prior, a grid axis, event indices, a value map) gets
-the hostile value as one of its entries.
+the hostile value as one of its entries; the message rows also pass
+something other than a sequence where one belongs.
 """
 import math
 from decimal import Decimal
@@ -137,12 +138,50 @@ def test_returns_or_raises_a_splitgame_error(call, value):
             lambda: SurveyItem("1", "t", "positive"),
             "item index must be an integer, got '1'",
         ),
+        (
+            lambda: sweep(ipd_scenario(), {"r": True}),
+            "parameter 'r' needs a list or tuple of values, got bool",
+        ),
+        (
+            lambda: sweep(ipd_scenario(), {"r": (w for w in [0.5])}),
+            "parameter 'r' needs a list or tuple of values, got generator",
+        ),
+        (
+            lambda: sweep(IPD, {"r": np.array([0.5, 0.6])}),
+            "parameter 'r' needs a list or tuple of values, got ndarray",
+        ),
+        (
+            lambda: sweep(ipd_scenario(), {"r": "0.5"}),
+            "parameter 'r' needs a list or tuple of values, got str",
+        ),
+        (
+            lambda: EventSpace(("a",), None),
+            "event prior must be a list or tuple of numbers, got None",
+        ),
+        (
+            lambda: EventSpace(("a",), 1.0),
+            "event prior must be a list or tuple of numbers, got 1.0",
+        ),
+        (
+            lambda: EventSpace("ab", (0.5, 0.5)),
+            "event labels must be a list or tuple of labels, got 'ab'",
+        ),
+        (
+            lambda: fixed_point_posterior(SPACE, None),
+            "unaffected event indices must be iterable, got None",
+        ),
+        (
+            lambda: DominanceConstraint(5, 6, 1.0),
+            "constraint symbols must be non-empty ids",
+        ),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
         "text_score_factor", "decimal_grid_value", "huge_tail_bound",
         "huge_variance", "row_past_grid", "negative_row", "bool_player",
-        "text_event_index", "text_item_index",
+        "text_event_index", "text_item_index", "bool_axis", "generator_axis",
+        "array_axis", "text_axis", "none_prior", "number_prior", "text_labels",
+        "none_event_indices", "int_symbols",
     ],
 )
 def test_message(make, message):

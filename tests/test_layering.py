@@ -95,3 +95,32 @@ def test_no_process_wide_cache_keyed_by_arguments(module):
     # a cache keyed by arguments keeps every argument it saw alive for the
     # whole process; what is derived from an object is kept on the object
     assert cached_functions_with_parameters(module) == []
+
+
+VALUE_METHODS = frozenset({"__eq__", "__hash__", "__setattr__", "__delattr__"})
+
+
+def value_methods_defined(module: str) -> list[str]:
+    """``Class.method`` for each equality, hash, assignment or deletion
+    method a class body in ``module`` defines, by ``def`` or assignment."""
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for statement in node.body:
+            names = []
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(statement, "targets", None) or [statement.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            found += [f"{node.name}.{n}" for n in names if n in VALUE_METHODS]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(set(ALLOWED) - BASE))
+def test_value_semantics_live_in_the_record_base(module):
+    # a value type subclasses ``_record.Record``, which gives every record
+    # the same equality, hash and refusal of assignment
+    assert value_methods_defined(module) == []

@@ -2,14 +2,17 @@
 type: field order and defaults, equality with its own class only, a hash
 equal to that of its field tuple, the ``Name(field=value, ...)`` repr,
 refusal of assignment and deletion, and a ``replace`` that checks again."""
+import importlib
+import pkgutil
 from collections import namedtuple
 
 import pytest
 
-from splitgame._record import replace
+import splitgame
+from splitgame._record import Record, replace
 from splitgame.bayes import ComparisonEvent, EventSpace
 from splitgame.constraints import ConstraintSet, DominanceConstraint
-from splitgame.errors import DomainError, ValidationError
+from splitgame.errors import DomainError, InconsistentOrderError, ValidationError
 from splitgame.game import CellCoord, OrdinalGame
 from splitgame.index_model import IndexParameters, Mode
 from splitgame.montecarlo import (
@@ -53,6 +56,15 @@ ROWS = [
         "DominanceConstraint(left='a', right='b', probability=0.75, "
         "bound='exact', group=None)",
         {"group": "g"}, {"probability": 1.5}, ValidationError,
+    ),
+    Row(
+        ConstraintSet, ("constraints", "universe"), ((), None), 0,
+        "ConstraintSet(0 constraints, open)",
+        {"universe": frozenset({"a", "b"})},
+        {"constraints": (
+            DominanceConstraint("a", "b", 1.0), DominanceConstraint("b", "a", 1.0)
+        )},
+        InconsistentOrderError,
     ),
     Row(
         OrdinalGame, ("row_strategies", "col_strategies", "cells"),
@@ -177,8 +189,22 @@ def build(row):
     return row.cls(*row.values)
 
 
+def record_types() -> set:
+    """Every ``Record`` subclass the package's modules define."""
+    for module in pkgutil.iter_modules(splitgame.__path__):
+        importlib.import_module(f"splitgame.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("splitgame."):
+                found.add(cls)
+    return found
+
+
 def test_table_covers_every_record_type():
-    assert len({row.cls for row in ROWS}) == len(ROWS) == 16
+    assert len({row.cls for row in ROWS}) == len(ROWS)
+    assert {row.cls for row in ROWS} == record_types()
 
 
 @by_type
@@ -191,8 +217,9 @@ def test_fields_in_order(row):
 @by_type
 def test_defaults(row):
     assert row.cls(*row.values[:row.required]) == build(row)
-    with pytest.raises(TypeError):
-        row.cls(*row.values[:row.required - 1])
+    if row.required:
+        with pytest.raises(TypeError):
+            row.cls(*row.values[:row.required - 1])
     with pytest.raises(TypeError):
         row.cls(*row.values, None)
     with pytest.raises(TypeError):

@@ -725,6 +725,19 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep(ipd, {"w": [0.5]})
 
+    def test_an_axis_is_any_non_string_sequence(self, ipd):
+        rows = sweep(ipd, {"r": [0.5], "s": [0.25, 0.75]})
+        assert sweep(ipd, {"r": (0.5,), "s": (0.25, 0.75)}) == rows
+        computed = replace(ipd, mode=Mode.COMPUTED)
+        scores = sweep(computed, {"C": [2, 3, 4]})
+        assert sweep(computed, {"C": range(2, 5)}) == scores
+        # a set has no order to sweep in
+        with pytest.raises(
+            ValidationError,
+            match="^parameter 's' needs a list or tuple of values, got set$",
+        ):
+            sweep(ipd, {"s": {0.25, 0.75}})
+
     def test_parameters_checked_one_at_a_time_in_name_order(self, ipd):
         # "C" sorts before "x", so its empty grid is reported first
         with pytest.raises(
