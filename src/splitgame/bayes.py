@@ -27,6 +27,11 @@ class EventSpace(Record):
     def __post_init__(self):
         # stored as tuples, so every space is hashable
         labels = _sequence("event labels", self.labels, "labels")
+        for label in labels:
+            if not (isinstance(label, str) and label):
+                raise ValidationError(
+                    f"event label must be a non-empty string, got {_shown(label)}"
+                )
         prior = _sequence("event prior", self.prior, "numbers")
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "prior", tuple(prior))

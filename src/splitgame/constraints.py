@@ -10,9 +10,9 @@ sample uses them.
 
 What is derived from the order is built on first use, kept on the set and
 dropped with it; a set from ``add_constraint`` builds its own. Sampling
-keeps the sorted names and each component's downset lattice, so later
-``sample_realization`` calls only draw, and a chain keeps only its one
-linear extension, never walked; a build that raises keeps its error.
+keeps the sorted names and each component's table of its linear extensions
+(at most 64) or else its downset lattice, so later calls only draw; a chain
+keeps its one extension, never walked; a build that raises keeps its error.
 ``montecarlo.verify_nash_numeric`` keeps its check plans per game there.
 
 numpy is imported inside the sampling functions, not at module level: only
@@ -30,6 +30,7 @@ from .errors import (
     SamplingExhaustedError,
     UnknownSymbolError,
     ValidationError,
+    _shown,
     check_integer,
     check_number,
 )
@@ -198,6 +199,34 @@ def _linear_extensions(follow, cumulative, u) -> np.ndarray:
     return order
 
 
+def _extension_picker(follow, cumulative):
+    """``_linear_extensions`` as a function of its uniforms; with at most 64
+    extensions, its picks from a table: per depth but the last, the uint64
+    mask of the extensions whose ``cum[j-1] <= u < cum[j]`` holds each gap."""
+    import numpy as np
+
+    padded = np.pad(cumulative, ((0, 0), (1, 0)))  # cum[j-1] at j, cum[j] at j + 1
+    at, placed = np.zeros((1, 1), dtype=np.intp), np.zeros((0, 1), dtype=np.intp)
+    for _ in range(follow.shape[1]):  # per prefix its downsets, then its symbols
+        prefix, j = np.nonzero(padded[at[-1], 1:] > padded[at[-1], :-1])
+        if len(prefix) > 64:  # every prefix ends in an extension
+            return lambda u: _linear_extensions(follow, cumulative, u)
+        at = np.vstack([at[:, prefix], follow[at[-1, prefix], j]])
+        placed = np.vstack([placed[:, prefix], j])
+    los, his = (padded[at[:-2], placed[:-1] + end] for end in (0, 1))  # (k - 1, n)
+    low = np.array(sorted({0.0, *his.ravel().tolist()}))[:, None]  # gap starts
+    bits = np.uint64(1) << np.arange(placed.shape[1], dtype=np.uint64)
+    masks = np.array([((lo <= low) & (low < hi)) @ bits for lo, hi in zip(los, his)])
+    offsets = np.arange(0, masks.size, len(low))[:, None]
+
+    def pick(u):  # the last depth's uniform is not read; the AND leaves one bit
+        gaps = low[1:, 0].searchsorted(u[:-1, :, 0], "right") + offsets
+        found = np.bitwise_and.reduce(masks.take(gaps), axis=0)
+        return placed.take(bits.searchsorted(found), axis=1)
+
+    return pick
+
+
 class ConstraintSet(Record):
     """An immutable collection of dominance constraints.
 
@@ -215,6 +244,14 @@ class ConstraintSet(Record):
 
     def __post_init__(self):
         constraints = tuple(self.constraints)
+        if self.universe is not None and not (
+            isinstance(self.universe, (list, tuple, set, frozenset))
+            and all(isinstance(sym, str) and sym for sym in self.universe)
+        ):
+            raise ValidationError(
+                "universe must be a list, tuple or set of non-empty ids, "
+                f"got {_shown(self.universe)}"
+            )
         universe = None if self.universe is None else frozenset(self.universe)
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "universe", universe)
@@ -340,7 +377,7 @@ class ConstraintSet(Record):
         """What sampling needs of the order, built on first use and kept:
         the sorted names, the indices of the unconstrained ones, and per
         connected component of two or more symbols its member indices with
-        its ``_lattice`` tables; a chain, read off the closure, keeps its
+        its ``_extension_picker``; a chain, read off the closure, keeps its
         members in its one linear extension, from the top, and None, and
         builds no lattice. A component over ``SAMPLING_DOWNSET_CAP`` raises
         SamplingExhaustedError; the error is kept, so every later call
@@ -370,7 +407,8 @@ class ConstraintSet(Record):
                     for name, bit in local.items():
                         for lesser in self._reach[name]:
                             above[local[lesser]] |= 1 << bit
-                    walks.append((np.asarray(members), _lattice(above)))
+                    pick = _extension_picker(*_lattice(above))
+                    walks.append((np.asarray(members), pick))
                 object.__setattr__(self, "_plan", (names, free, walks))
             except SamplingExhaustedError as failed:
                 # no traceback: its frames hold the enumeration's lists
@@ -388,10 +426,10 @@ class ConstraintSet(Record):
         extension from a count over its downset lattice (Brightwell &
         Winkler, Order 8, 1991), then sorted iid uniforms in that order;
         unconstrained symbols are plain uniforms. The lattices are built on
-        the first call and kept with the set; a chain, whose one extension
-        is read off the closure, builds none and is never walked. Each call
-        reads one generator part by part; a chain advances it past its walk
-        uniforms.
+        the first call and kept with the set, with a 64-bit mask table in
+        place of the walk for a component of at most 64 extensions; a chain,
+        read off the closure, builds none and is never walked, and advances
+        the generator, read part by part, past its walk uniforms.
         ``size=None`` gives one ``{name: float}``; an integer ``size`` gives
         ``{name: array}`` of that many independent rows, at most
         ``MAX_TRIALS`` values in all.
@@ -418,15 +456,15 @@ class ConstraintSet(Record):
         rng = np.random.default_rng(seed)
         values = np.empty((len(names), rows))
         values[free] = rng.random((len(free), rows))
-        for members, lattice in walks:
+        for members, pick in walks:
             k = len(members)
-            if lattice is None:  # a chain skips its walk uniforms unallocated
+            if pick is None:  # a chain skips its walk uniforms unallocated
                 rng.bit_generator.advance(k * rows)
             else:
-                order = _linear_extensions(*lattice, rng.random((k, rows, 1)))
+                order = pick(rng.random((k, rows, 1)))
             draws = rng.random((rows, k))
             draws.sort(axis=1)
-            if lattice is None:
+            if pick is None:
                 values[members] = draws.T[::-1]
             else:  # values[members[order], trial], by flat index
                 values.put(members[order] * rows + np.arange(rows), draws.T[::-1])

@@ -200,7 +200,7 @@ def verify_nash_numeric(
     equilibria, then decided non-equilibria, each in cell order. The
     symbolic side (Nash sets, checked cells, their rows, columns and
     expected mask) is worked out once per game and kept on the set, beside
-    its sampling lattices, until the set is dropped.
+    its sampling tables, until the set is dropped.
     """
     import numpy as np
 

@@ -268,6 +268,8 @@ def sweep(
     each axis value once, and evaluates k(C) and k(Q) once per distinct
     score.
     """
+    if not isinstance(grid, Mapping):
+        raise ValidationError(f"sweep grid must be a mapping, got {type(grid).__name__}")
     if not grid:
         raise ValidationError("sweep grid is empty")
     names = sorted(grid)

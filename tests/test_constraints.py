@@ -7,10 +7,11 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
@@ -26,6 +27,7 @@ from splitgame import constraints as constraints_module
 from splitgame.constraints import (
     MAX_TRIALS,
     _components,
+    _extension_picker,
     _lattice,
     _linear_extensions,
     check_integer,
@@ -867,6 +869,14 @@ def test_chains_and_crowns_draw_bit_identical_values(
     assert _bits(constraints.sample_realization([seed, block], size)) == expected
 
 
+def zigzag_fence():
+    """T0 > B0 < T1 > B1 < T2 > B2 < T3 > B3: 8 symbols with 1385 linear
+    extensions (the Euler zigzag number E8), too many for a table."""
+    pairs = [(f"T{i}", f"B{i}") for i in range(4)]
+    pairs += [(f"T{i + 1}", f"B{i}") for i in range(3)]
+    return ConstraintSet([certain(top, bottom) for top, bottom in pairs])
+
+
 class TestChainsAreNotWalked:
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -893,10 +903,17 @@ class TestChainsAreNotWalked:
             order.sample_realization(seed)
         assert walks == [0]
 
-    def test_each_crown_is_walked_once_per_call(self, walks, ipd_constraints):
-        for calls, seed in enumerate(range(3), start=1):
+    def test_only_components_over_64_extensions_are_walked(
+        self, walks, ipd_constraints
+    ):
+        # each IPD crown has 4 extensions and picks from its table
+        for seed in range(3):
             ipd_constraints.sample_realization([seed, 0], size=4)
-            assert walks == [2 * calls]
+        assert walks == [0]
+        fence = zigzag_fence()
+        for calls, seed in enumerate(range(3), start=1):
+            fence.sample_realization([seed, 0], size=4)
+            assert walks == [calls]
 
 
 @st.composite
@@ -939,6 +956,42 @@ class TestWalk:
             for symbol in extension:
                 assert above[symbol] & ~placed == 0
                 placed |= 1 << symbol
+
+
+class TestExtensionTable:
+    @staticmethod
+    def table(follow, cumulative):
+        """The order's picker if it picks from a table, None if it walks."""
+        pick = _extension_picker(follow, cumulative)
+        with mock.patch.object(constraints_module, "_linear_extensions") as walk:
+            pick(np.zeros((follow.shape[1], 1, 1)))
+        return None if walk.called else pick
+
+    @settings(max_examples=300, deadline=None)
+    @given(walked_lattices())
+    def test_picks_match_the_walk(self, drawn):
+        # ties with the tables' own shares, 0.0 and the largest double
+        # below 1 included
+        above, follow, cumulative, u = drawn
+        assume(len(above) > 1)
+        pick = self.table(follow, cumulative)
+        assume(pick is not None)
+        order = pick(u)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, _linear_extensions(follow, cumulative, u))
+
+    def test_a_table_holds_at_most_64_extensions(self):
+        # a chain beside one free symbol has one extension per depth of the
+        # free symbol: 64 fill every bit of the mask, 65 walk
+        def chain_and_one(length):
+            return _lattice([(1 << j) - 1 for j in range(length)] + [0])
+
+        assert self.table(*chain_and_one(64)) is None
+        follow, cumulative = chain_and_one(63)
+        u = np.random.default_rng(0).random((64, 4096, 1))
+        order = self.table(follow, cumulative)(u)
+        assert np.array_equal(order, _linear_extensions(follow, cumulative, u))
+        assert len({tuple(row) for row in order.T.tolist()}) == 64
 
 
 class TestCheckInteger:
@@ -1005,3 +1058,11 @@ class TestSamplingMemory:
             universe=row + col + [f"F{i}" for i in range(8)],
         )
         assert self._peak_share(order) <= 2.5
+
+    def test_three_above_three(self):
+        # 36 extensions, all in one table: its masks take memory per row
+        # that does not grow with the number of extensions
+        order = ConstraintSet(
+            [certain(f"T{i}", f"B{j}") for i in range(3) for j in range(3)]
+        )
+        assert self._peak_share(order) <= 6.0

@@ -4,7 +4,8 @@ Each call must return or raise a ``SplitgameError``: a raw ``TypeError``,
 ``ValueError``, ``OverflowError`` or ``IndexError`` fails the table. A
 sequence argument (a prior, a grid axis, event indices, a value map) gets
 the hostile value as one of its entries; the message rows also pass
-something other than a sequence where one belongs.
+something other than a sequence or a mapping where one belongs, and
+entries that are not ids or labels.
 """
 import math
 from decimal import Decimal
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from splitgame import (
+    ConstraintSet,
     DominanceConstraint,
     EventSpace,
     IndexParameters,
@@ -174,6 +176,39 @@ def test_returns_or_raises_a_splitgame_error(call, value):
             lambda: DominanceConstraint(5, 6, 1.0),
             "constraint symbols must be non-empty ids",
         ),
+        (
+            lambda: ConstraintSet((), universe="ab"),
+            "universe must be a list, tuple or set of non-empty ids, got 'ab'",
+        ),
+        (
+            lambda: ConstraintSet((), universe=5),
+            "universe must be a list, tuple or set of non-empty ids, got 5",
+        ),
+        (
+            lambda: ConstraintSet((), universe=["a", 3]),
+            "universe must be a list, tuple or set of non-empty ids, got ['a', 3]",
+        ),
+        (
+            lambda: EventSpace(([1],), (1.0,)),
+            "event label must be a non-empty string, got [1]",
+        ),
+        (
+            lambda: EventSpace((1,), (1.0,)),
+            "event label must be a non-empty string, got 1",
+        ),
+        (
+            lambda: EventSpace(("a", ""), (0.5, 0.5)),
+            "event label must be a non-empty string, got ''",
+        ),
+        (lambda: sweep(ipd_scenario(), 5), "sweep grid must be a mapping, got int"),
+        (
+            lambda: sweep(ipd_scenario(), {"r": [0.5]}.items()),
+            "sweep grid must be a mapping, got dict_items",
+        ),
+        (
+            lambda: sweep(ipd_scenario(), [("r", [0.5])]),
+            "sweep grid must be a mapping, got list",
+        ),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
@@ -181,7 +216,9 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         "huge_variance", "row_past_grid", "negative_row", "bool_player",
         "text_event_index", "text_item_index", "bool_axis", "generator_axis",
         "array_axis", "text_axis", "none_prior", "number_prior", "text_labels",
-        "none_event_indices", "int_symbols",
+        "none_event_indices", "int_symbols", "text_universe", "int_universe",
+        "int_in_universe", "list_label", "int_label", "empty_label", "int_grid",
+        "items_grid", "list_grid",
     ],
 )
 def test_message(make, message):
