@@ -11,7 +11,8 @@ sample uses them.
 What is derived from the order is built on first use, kept on the set and
 dropped with it; a set from ``add_constraint`` builds its own. Sampling
 keeps the sorted names and each component's table of its linear extensions
-(at most 64) or else its downset lattice, so later calls only draw; a chain
+(at most 64), each as the columns of a row's sorted draws its members take,
+or else its downset lattice, so later calls only draw and gather; a chain
 keeps its one extension, never walked; a build that raises keeps its error.
 ``montecarlo.verify_nash_numeric`` keeps its check plans per game there.
 
@@ -200,17 +201,24 @@ def _linear_extensions(follow, cumulative, u) -> np.ndarray:
 
 
 def _extension_picker(follow, cumulative):
-    """``_linear_extensions`` as a function of its uniforms; with at most 64
-    extensions, its picks from a table: per depth but the last, the uint64
-    mask of the extensions whose ``cum[j-1] <= u < cum[j]`` holds each gap."""
+    """``_linear_extensions`` as a placement: a function of its uniforms
+    giving, per row, each symbol's column in that row's ascending draws.
+    With at most 64 extensions, its picks come from a table: per depth but
+    the last, the uint64 mask of the extensions whose ``cum[j-1] <= u <
+    cum[j]`` holds each gap, and per extension its columns."""
     import numpy as np
+
+    def columns(order):  # (k, n) symbols from the top -> (n, k) columns
+        cols = np.empty(order.shape[::-1], dtype=np.intp)
+        cols[np.arange(len(cols)), order] = np.arange(len(order))[::-1, None]
+        return cols
 
     padded = np.pad(cumulative, ((0, 0), (1, 0)))  # cum[j-1] at j, cum[j] at j + 1
     at, placed = np.zeros((1, 1), dtype=np.intp), np.zeros((0, 1), dtype=np.intp)
     for _ in range(follow.shape[1]):  # per prefix its downsets, then its symbols
         prefix, j = np.nonzero(padded[at[-1], 1:] > padded[at[-1], :-1])
         if len(prefix) > 64:  # every prefix ends in an extension
-            return lambda u: _linear_extensions(follow, cumulative, u)
+            return lambda u: columns(_linear_extensions(follow, cumulative, u))
         at = np.vstack([at[:, prefix], follow[at[-1, prefix], j]])
         placed = np.vstack([placed[:, prefix], j])
     los, his = (padded[at[:-2], placed[:-1] + end] for end in (0, 1))  # (k - 1, n)
@@ -218,11 +226,12 @@ def _extension_picker(follow, cumulative):
     bits = np.uint64(1) << np.arange(placed.shape[1], dtype=np.uint64)
     masks = np.array([((lo <= low) & (low < hi)) @ bits for lo, hi in zip(los, his)])
     offsets = np.arange(0, masks.size, len(low))[:, None]
+    cols = columns(placed)
 
     def pick(u):  # the last depth's uniform is not read; the AND leaves one bit
         gaps = low[1:, 0].searchsorted(u[:-1, :, 0], "right") + offsets
         found = np.bitwise_and.reduce(masks.take(gaps), axis=0)
-        return placed.take(bits.searchsorted(found), axis=1)
+        return cols.take(bits.searchsorted(found), axis=0)
 
     return pick
 
@@ -285,23 +294,29 @@ class ConstraintSet(Record):
         # when its right reaches its left (so has successors, and its left
         # predecessors); the first is reported, with the shortest path back
         edges: dict[str, dict[str, None]] = {}
-        targets = set()
+        indegree: dict[str, int] = {}  # how many symbols are just above each
         for c in constraints:
             if not c.certain:
                 continue
-            if c.right in edges and c.left in targets:
+            if c.right in edges and c.left in indegree:
                 parent = _search(edges, c.right)
                 if c.left in parent:
                     path = [c.left]
                     while path[-1] != c.right:
                         path.append(parent[path[-1]])
                     raise InconsistentOrderError([c.left] + path[::-1])
-            edges.setdefault(c.left, {})[c.right] = None
-            targets.add(c.right)
-        # the closure: a symbol with successors dominates all it reaches
-        reach = dict.fromkeys(targets.union(edges, universe or ()), frozenset())
-        for sym in edges:
-            reach[sym] = frozenset(_search(edges, sym)) - {sym}
+            if c.right not in edges.setdefault(c.left, {}):
+                edges[c.left][c.right] = None
+                indegree[c.right] = indegree.get(c.right, 0) + 1
+        reach = dict.fromkeys([*indegree, *edges, *(universe or ())], frozenset())
+        ranked = [sym for sym in edges if sym not in indegree]  # the sources
+        for sym in ranked:  # Kahn's order, grown while it is walked
+            for lesser in edges[sym]:
+                indegree[lesser] -= 1
+                if not indegree[lesser] and lesser in edges:
+                    ranked.append(lesser)
+        for sym in reversed(ranked):  # the closure, sinks first: one union per edge
+            reach[sym] = frozenset(edges[sym]).union(*map(reach.get, edges[sym]))
         # per-instance state, never in equality or hash: the tables above,
         # then, built on first use, the sampling plan (or the error its
         # build raised) and the check plans per game
@@ -377,7 +392,8 @@ class ConstraintSet(Record):
         """What sampling needs of the order, built on first use and kept:
         the sorted names, the indices of the unconstrained ones, and per
         connected component of two or more symbols its member indices with
-        its ``_extension_picker``; a chain, read off the closure, keeps its
+        its ``_extension_picker``, which gives each member's column in a
+        row's sorted draws; a chain, read off the closure, keeps its
         members in its one linear extension, from the top, and None, and
         builds no lattice. A component over ``SAMPLING_DOWNSET_CAP`` raises
         SamplingExhaustedError; the error is kept, so every later call
@@ -424,12 +440,13 @@ class ConstraintSet(Record):
         constraint holding strictly (ties have measure zero), drawn exactly:
         each connected component of the order gets a uniformly random linear
         extension from a count over its downset lattice (Brightwell &
-        Winkler, Order 8, 1991), then sorted iid uniforms in that order;
-        unconstrained symbols are plain uniforms. The lattices are built on
-        the first call and kept with the set, with a 64-bit mask table in
-        place of the walk for a component of at most 64 extensions; a chain,
-        read off the closure, builds none and is never walked, and advances
-        the generator, read part by part, past its walk uniforms.
+        Winkler, Order 8, 1991), then sorted iid uniforms, gathered into
+        the columns that extension gives its members; unconstrained symbols
+        are plain uniforms. The lattices are built on the first call and
+        kept with the set, with a 64-bit mask table in place of the walk for
+        a component of at most 64 extensions; a chain, read off the closure,
+        builds none and is never walked, and advances the generator, read
+        part by part, past its walk uniforms.
         ``size=None`` gives one ``{name: float}``; an integer ``size`` gives
         ``{name: array}`` of that many independent rows, at most
         ``MAX_TRIALS`` values in all.
@@ -455,19 +472,20 @@ class ConstraintSet(Record):
         rows = 1 if size is None else int(size)
         rng = np.random.default_rng(seed)
         values = np.empty((len(names), rows))
-        values[free] = rng.random((len(free), rows))
+        if free:
+            values[free] = rng.random((len(free), rows))
         for members, pick in walks:
             k = len(members)
             if pick is None:  # a chain skips its walk uniforms unallocated
                 rng.bit_generator.advance(k * rows)
-            else:
-                order = pick(rng.random((k, rows, 1)))
-            draws = rng.random((rows, k))
+                draws = rng.random((rows, k))
+            else:  # its walk uniforms, then its draws, in one read
+                draws = rng.random(2 * k * rows)  # rebinding frees the last draws
+                cols = pick(draws[: k * rows].reshape(k, rows, 1))
+                cols += np.arange(0, k * rows, k)[:, None]  # flat, by row
+                draws = draws[k * rows:].reshape(rows, k)
             draws.sort(axis=1)
-            if pick is None:
-                values[members] = draws.T[::-1]
-            else:  # values[members[order], trial], by flat index
-                values.put(members[order] * rows + np.arange(rows), draws.T[::-1])
+            values[members] = draws.T[::-1] if pick is None else draws.take(cols).T
         if size is None:
             return {name: float(v[0]) for name, v in zip(names, values)}
         return dict(zip(names, values))

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks every module
-makes of a caller-supplied number or integer.
+makes of a caller-supplied number, integer or object kind.
 
 New error conditions should subclass one of the four buckets below rather
 than raise bare exceptions. Each bucket carries the stable exit code the CLI
@@ -68,6 +68,13 @@ def _sequence(what: str, value, of: str):
             f"{what} must be a list or tuple of {of}, got {_shown(value)}"
         )
     return value
+
+
+def check_kind(name: str, value, cls) -> None:
+    """Reject a value that is not an instance of ``cls``."""
+    if not isinstance(value, cls):
+        kind = type(value).__name__
+        raise ValidationError(f"{name} must be {cls.__name__}, got {kind}")
 
 
 def check_number(name: str, value) -> None:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from ._record import Record
 from .errors import (
-    UnknownSymbolError, ValidationError, _sequence, _shown, check_integer,
+    UnknownSymbolError, ValidationError, _sequence, _shown, check_integer, check_kind,
 )
 
 PLAYER_ROW = 0
@@ -223,8 +223,11 @@ def pure_nash(game: OrdinalGame, order) -> tuple[frozenset, frozenset]:
     any order the oracle allows, and undecided when it is an equilibrium in
     some but not all of those orders. A single certain profitable deviation
     settles a cell as not an equilibrium regardless of other gaps, and so
-    do needed comparisons that cannot all hold together.
+    do needed comparisons that cannot all hold together. A wrong-kind
+    game or order raises ValidationError.
     """
+    check_kind("game", game, OrdinalGame)
+    check_kind("order.implies", getattr(order, "implies", None), Callable)
     # the row player's payoffs down each column; the column player's lie
     # along each row
     row_axes = [[pair[PLAYER_ROW] for pair in col] for col in zip(*game.cells)]

@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from ._record import Record
 from .constraints import MAX_TRIALS  # noqa: F401  (re-exported)
 from .constraints import ConstraintSet, check_seed, check_trials
-from .errors import UnknownSymbolError, ValidationError, check_number
+from .errors import UnknownSymbolError, ValidationError, check_kind, check_number
 from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, _floats, pure_nash
 
 RNG_ALGORITHM = "pcg64"
@@ -116,6 +116,8 @@ def numeric_pure_nash(
     """
     import numpy as np
 
+    check_kind("game", game, OrdinalGame)
+    check_kind("values", values, Mapping)
     try:
         payoffs = np.array(
             [
@@ -204,6 +206,8 @@ def verify_nash_numeric(
     """
     import numpy as np
 
+    check_kind("game", game, OrdinalGame)
+    check_kind("constraints", constraints, ConstraintSet)
     check_trials(trials)
     check_seed(seed)
     plan = constraints._checks.get(game)
@@ -224,8 +228,10 @@ def verify_nash_numeric(
     for block, first in enumerate(range(0, trials, VERIFY_BLOCK)):
         size = min(VERIFY_BLOCK, trials - first)
         values = constraints.sample_realization([seed, block], size=size)
-        numeric = numeric_pure_nash(game, values)
-        for trial, k in zip(*np.nonzero(numeric[:, rows, cols] != expected)):
+        wrong = numeric_pure_nash(game, values)[:, rows, cols] != expected
+        if not wrong.any():
+            continue
+        for trial, k in zip(*np.nonzero(wrong)):
             kind = (
                 "equilibrium_failed" if expected[k] else "non_equilibrium_appeared"
             )

@@ -958,12 +958,21 @@ class TestWalk:
                 placed |= 1 << symbol
 
 
+def columns_of(order):
+    """The placement a (k, rows) walk ``order`` (each depth's symbol, from
+    the top) gives: per row, each symbol's column in the row's ascending
+    draws, which is the inverse of the order read from the bottom."""
+    return order[::-1].T.argsort(axis=1)
+
+
 class TestExtensionTable:
     @staticmethod
     def table(follow, cumulative):
         """The order's picker if it picks from a table, None if it walks."""
         pick = _extension_picker(follow, cumulative)
-        with mock.patch.object(constraints_module, "_linear_extensions") as walk:
+        with mock.patch.object(
+            constraints_module, "_linear_extensions", wraps=_linear_extensions
+        ) as walk:
             pick(np.zeros((follow.shape[1], 1, 1)))
         return None if walk.called else pick
 
@@ -976,9 +985,10 @@ class TestExtensionTable:
         assume(len(above) > 1)
         pick = self.table(follow, cumulative)
         assume(pick is not None)
-        order = pick(u)
-        assert order.dtype == np.intp
-        assert np.array_equal(order, _linear_extensions(follow, cumulative, u))
+        cols = pick(u)
+        assert cols.dtype == np.intp
+        expected = columns_of(_linear_extensions(follow, cumulative, u))
+        assert np.array_equal(cols, expected)
 
     def test_a_table_holds_at_most_64_extensions(self):
         # a chain beside one free symbol has one extension per depth of the
@@ -989,9 +999,25 @@ class TestExtensionTable:
         assert self.table(*chain_and_one(64)) is None
         follow, cumulative = chain_and_one(63)
         u = np.random.default_rng(0).random((64, 4096, 1))
-        order = self.table(follow, cumulative)(u)
-        assert np.array_equal(order, _linear_extensions(follow, cumulative, u))
-        assert len({tuple(row) for row in order.T.tolist()}) == 64
+        cols = self.table(follow, cumulative)(u)
+        expected = columns_of(_linear_extensions(follow, cumulative, u))
+        assert np.array_equal(cols, expected)
+        assert len({tuple(row) for row in cols.tolist()}) == 64
+
+    @settings(max_examples=300, deadline=None)
+    @given(walked_lattices())
+    def test_every_placement_is_a_permutation_honoring_the_order(self, drawn):
+        # a table's or a walk's: each row places the k symbols in k distinct
+        # columns, every symbol above those that must precede it
+        above, follow, cumulative, u = drawn
+        assume(len(above) > 1)
+        cols = _extension_picker(follow, cumulative)(u)
+        k = len(above)
+        assert cols.shape == (u.shape[1], k)
+        for row in cols.tolist():
+            assert sorted(row) == list(range(k))
+            for j, before in enumerate(above):
+                assert all(row[i] > row[j] for i in range(k) if before >> i & 1)
 
 
 class TestCheckInteger:

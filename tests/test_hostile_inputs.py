@@ -85,6 +85,13 @@ CALLS = {
     "sample_realization.size": lambda v: ORDER.sample_realization(0, v),
     "verify_nash_numeric.trials": lambda v: verify_nash_numeric(GAME, ORDER, v, 0),
     "verify_nash_numeric.seed": lambda v: verify_nash_numeric(GAME, ORDER, 1, v),
+    "verify_nash_numeric.game": lambda v: verify_nash_numeric(v, ORDER, 10, 0),
+    "verify_nash_numeric.constraints":
+        lambda v: verify_nash_numeric(GAME, v, 10, 0),
+    "numeric_pure_nash.game": lambda v: numeric_pure_nash(v, VALUES),
+    "numeric_pure_nash.values": lambda v: numeric_pure_nash(GAME, v),
+    "pure_nash.game": lambda v: pure_nash(v, ORDER),
+    "pure_nash.order": lambda v: pure_nash(GAME, v),
     "NumericOrder.one": lambda v: NumericOrder({**VALUES, "EM12": v}),
     "NumericOrder.all": lambda v: NumericOrder(dict.fromkeys(SYMBOLS, v)),
     "numeric_pure_nash.one":
@@ -209,6 +216,26 @@ def test_returns_or_raises_a_splitgame_error(call, value):
             lambda: sweep(ipd_scenario(), [("r", [0.5])]),
             "sweep grid must be a mapping, got list",
         ),
+        (
+            lambda: verify_nash_numeric(None, ORDER, 10, 0),
+            "game must be OrdinalGame, got NoneType",
+        ),
+        (
+            lambda: verify_nash_numeric(GAME, GAME, 10, 0),
+            "constraints must be ConstraintSet, got OrdinalGame",
+        ),
+        (
+            lambda: numeric_pure_nash(GAME, list(VALUES.values())),
+            "values must be Mapping, got list",
+        ),
+        (
+            lambda: pure_nash(GAME, None),
+            "order.implies must be Callable, got NoneType",
+        ),
+        (
+            lambda: pure_nash(GAME, VALUES),
+            "order.implies must be Callable, got NoneType",
+        ),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
@@ -218,7 +245,8 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         "array_axis", "text_axis", "none_prior", "number_prior", "text_labels",
         "none_event_indices", "int_symbols", "text_universe", "int_universe",
         "int_in_universe", "list_label", "int_label", "empty_label", "int_grid",
-        "items_grid", "list_grid",
+        "items_grid", "list_grid", "none_game", "game_as_order", "list_values",
+        "none_order", "values_as_order",
     ],
 )
 def test_message(make, message):
