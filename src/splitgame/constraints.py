@@ -12,7 +12,9 @@ What is derived from the order is built on first use, kept on the set and
 dropped with it; a set from ``add_constraint`` builds its own. Sampling
 keeps the sorted names and each component's table of its linear extensions
 (at most 64), each as the columns of a row's sorted draws its members take,
-or else its downset lattice, so later calls only draw and gather; a chain
+or else its downset lattice, so later calls only draw and gather; adjacent
+components with one local order share one table and are drawn, picked,
+sorted and placed as one batch of at most ``_SAMPLE_BATCH`` values; a chain
 keeps its one extension, never walked; a build that raises keeps its error.
 ``montecarlo.verify_nash_numeric`` keeps its check plans per game there.
 
@@ -42,6 +44,12 @@ BOUND_LOWER = "lower"
 # most trials one Monte Carlo run takes (10^8), and most values (rows
 # times symbols) one ``sample_realization`` call draws: 800 MB of float64
 MAX_TRIALS = 10**8
+
+# most values (rows times symbols) one batch of components with one local
+# order draws and places in ``sample_realization``; bounds its memory, as
+# ``SIMULATE_BLOCK`` does in ``simulate_selection``. A component larger
+# than this is a batch of its own
+_SAMPLE_BATCH = 1 << 16
 
 # most downsets the exact sampler enumerates for one connected component of
 # the certain order; every component of a game up to 3x3 (18 symbols) fits,
@@ -236,6 +244,26 @@ def _extension_picker(follow, cumulative):
     return pick
 
 
+def _place(values, block, pick, rng, rows):
+    """Draw and place one batch: the components of one local order whose
+    member indices are the (n, k) ``block``. Reads, per component, its
+    (k, rows) walk uniforms, then its (rows, k) draws, the stream n reads of
+    one component would take; one pick places every row of the batch, one
+    sort orders each row's draws in place, and one gather from the read
+    puts them in the picked columns of ``values``."""
+    import numpy as np
+
+    n, k = block.shape
+    read = rng.random((n, 2, k * rows))
+    walk = read[:, 0].reshape(n, k, rows).transpose(1, 0, 2)
+    cols = pick(walk.reshape(k, n * rows, 1)).reshape(n, rows, k)
+    read[:, 1].reshape(n, rows, k).sort(axis=2)
+    # columns to flat indices into ``read``: a row's draws start every k
+    # values in the second half of its component's part
+    cols += np.arange(0, read.size, k).reshape(n, 2 * rows)[:, rows:, None]
+    values[block] = read.take(cols).transpose(0, 2, 1)
+
+
 class ConstraintSet(Record):
     """An immutable collection of dominance constraints.
 
@@ -252,7 +280,20 @@ class ConstraintSet(Record):
     universe: frozenset[str] | None = None
 
     def __post_init__(self):
-        constraints = tuple(self.constraints)
+        try:
+            entries = iter(self.constraints)
+        except TypeError:
+            raise ValidationError(
+                "constraints must be an iterable of DominanceConstraint, "
+                f"got {_shown(self.constraints)}"
+            ) from None
+        constraints = tuple(entries)
+        for at, c in enumerate(constraints):
+            if not isinstance(c, DominanceConstraint):
+                raise ValidationError(
+                    f"constraint {at} must be DominanceConstraint, "
+                    f"got {type(c).__name__}"
+                )
         if self.universe is not None and not (
             isinstance(self.universe, (list, tuple, set, frozenset))
             and all(isinstance(sym, str) and sym for sym in self.universe)
@@ -390,12 +431,13 @@ class ConstraintSet(Record):
 
     def _sampling_plan(self):
         """What sampling needs of the order, built on first use and kept:
-        the sorted names, the indices of the unconstrained ones, and per
-        connected component of two or more symbols its member indices with
-        its ``_extension_picker``, which gives each member's column in a
-        row's sorted draws; a chain, read off the closure, keeps its
-        members in its one linear extension, from the top, and None, and
-        builds no lattice. A component over ``SAMPLING_DOWNSET_CAP`` raises
+        the sorted names, the indices of the unconstrained ones, and per run
+        of adjacent components of two or more symbols with one local order
+        (equal ``above``) a (g, k) block of their member indices with one
+        ``_extension_picker``, which gives each member's column in a row's
+        sorted draws; a chain, read off the closure, keeps its members in
+        its one linear extension, from the top, and None, builds no lattice
+        and ends a run. A component over ``SAMPLING_DOWNSET_CAP`` raises
         SamplingExhaustedError; the error is kept, so every later call
         raises the same class and message without building again."""
         if self._plan is None:
@@ -404,7 +446,7 @@ class ConstraintSet(Record):
             names = sorted(self.symbols)
             components = _components(names, self._reach)
             free = [members[0] for members in components if len(members) == 1]
-            walks = []
+            walks, last = [], None  # ``last``: the local order of walks[-1]
             try:
                 for members in components:
                     if len(members) == 1:
@@ -417,14 +459,20 @@ class ConstraintSet(Record):
                     if sum(below.values()) == k * (k - 1) // 2:
                         ranked = sorted(members, key=below.__getitem__, reverse=True)
                         walks.append((np.asarray(ranked), None))
+                        last = None
                         continue
                     local = {names[i]: bit for bit, i in enumerate(members)}
                     above = [0] * k
                     for name, bit in local.items():
                         for lesser in self._reach[name]:
                             above[local[lesser]] |= 1 << bit
+                    if above == last:
+                        block, pick = walks[-1]
+                        walks[-1] = (np.vstack([block, members]), pick)
+                        continue
                     pick = _extension_picker(*_lattice(above))
-                    walks.append((np.asarray(members), pick))
+                    walks.append((np.asarray([members]), pick))
+                    last = above
                 object.__setattr__(self, "_plan", (names, free, walks))
             except SamplingExhaustedError as failed:
                 # no traceback: its frames hold the enumeration's lists
@@ -446,7 +494,12 @@ class ConstraintSet(Record):
         kept with the set, with a 64-bit mask table in place of the walk for
         a component of at most 64 extensions; a chain, read off the closure,
         builds none and is never walked, and advances the generator, read
-        part by part, past its walk uniforms.
+        part by part, past its walk uniforms. Adjacent components with one
+        local order share one lattice and are sampled in batches of at most
+        ``_SAMPLE_BATCH`` values (rows times symbols, at least one
+        component): one read of the batch's walk uniforms and draws, the
+        same stream as one read per component, then one pick, one sort and
+        one gather, and the batch's arrays go before the next one reads.
         ``size=None`` gives one ``{name: float}``; an integer ``size`` gives
         ``{name: array}`` of that many independent rows, at most
         ``MAX_TRIALS`` values in all.
@@ -475,17 +528,18 @@ class ConstraintSet(Record):
         if free:
             values[free] = rng.random((len(free), rows))
         for members, pick in walks:
-            k = len(members)
             if pick is None:  # a chain skips its walk uniforms unallocated
+                k = len(members)
                 rng.bit_generator.advance(k * rows)
                 draws = rng.random((rows, k))
-            else:  # its walk uniforms, then its draws, in one read
-                draws = rng.random(2 * k * rows)  # rebinding frees the last draws
-                cols = pick(draws[: k * rows].reshape(k, rows, 1))
-                cols += np.arange(0, k * rows, k)[:, None]  # flat, by row
-                draws = draws[k * rows:].reshape(rows, k)
-            draws.sort(axis=1)
-            values[members] = draws.T[::-1] if pick is None else draws.take(cols).T
+                draws.sort(axis=1)
+                values[members] = draws.T[::-1]
+                continue
+            g, k = members.shape
+            per = max(1, _SAMPLE_BATCH // (k * rows or 1))  # components per batch
+            for start in range(0, g, per):
+                # a call, so the batch's read and columns go before the next
+                _place(values, members[start:start + per], pick, rng, rows)
         if size is None:
             return {name: float(v[0]) for name, v in zip(names, values)}
         return dict(zip(names, values))

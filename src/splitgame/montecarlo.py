@@ -135,7 +135,9 @@ def numeric_pure_nash(
         raise ValidationError(
             "numeric values must be all scalars or all arrays of one shape"
         ) from None
-    if payoffs.dtype.kind not in "biuf" or np.isnan(payoffs).any():
+    # ``np.count_nonzero`` here and ``np.maximum.reduce`` below, not the
+    # ``.any`` and ``.max`` methods, which go through numpy's Python wrappers
+    if payoffs.dtype.kind not in "biuf" or np.count_nonzero(np.isnan(payoffs)):
         if payoffs.ndim == 1:
             # scalars, read as ``NumericOrder`` reads them: once they pass,
             # a Python int past int64, gathered as an object, is a float
@@ -155,7 +157,8 @@ def numeric_pure_nash(
     # read flat in (player, row, col) order, any trial axis last; the mask
     # is scanned on that layout and returned as a view, trial axis first
     rows, cols = payoffs.reshape((2, game.n_rows, game.n_cols) + payoffs.shape[1:])
-    mask = (rows >= rows.max(axis=0)) & (cols >= cols.max(axis=1, keepdims=True))
+    best = np.maximum.reduce
+    mask = (rows >= best(rows, axis=0)) & (cols >= best(cols, axis=1, keepdims=True))
     if mask.ndim == 2:
         return frozenset(CellCoord(int(r), int(c)) for r, c in zip(*np.nonzero(mask)))
     return mask.transpose(*range(2, mask.ndim), 0, 1)
@@ -219,7 +222,7 @@ def verify_nash_numeric(
         equilibria = tuple(sorted(found))
         checked = equilibria + tuple(sorted(all_cells - found - undecided))
         rows, cols = np.array(checked, dtype=np.intp).reshape(-1, 2).T
-        expected = np.arange(len(checked)) < len(equilibria)
+        expected = (np.arange(len(checked)) < len(equilibria))[:, None]
         plan = constraints._checks[game] = (
             equilibria, tuple(sorted(undecided)), checked, rows, cols, expected
         )
@@ -228,12 +231,16 @@ def verify_nash_numeric(
     for block, first in enumerate(range(0, trials, VERIFY_BLOCK)):
         size = min(VERIFY_BLOCK, trials - first)
         values = constraints.sample_realization([seed, block], size=size)
-        wrong = numeric_pure_nash(game, values)[:, rows, cols] != expected
-        if not wrong.any():
+        # the checked cells, gathered from the scan's (rows, cols, trials)
+        # layout: one row of trials per cell
+        scan = numeric_pure_nash(game, values).transpose(1, 2, 0)
+        wrong = scan[rows, cols] != expected
+        if not np.count_nonzero(wrong):
             continue
-        for trial, k in zip(*np.nonzero(wrong)):
+        for trial, k in zip(*np.nonzero(wrong.T)):
             kind = (
-                "equilibrium_failed" if expected[k] else "non_equilibrium_appeared"
+                "equilibrium_failed" if k < len(equilibria)
+                else "non_equilibrium_appeared"
             )
             found.append(Disagreement(first + int(trial), checked[k], kind))
     # every field by position: a record's keyword path costs microseconds

@@ -24,7 +24,7 @@ from ._record import Record, replace
 from .bayes import EventSpace
 from .constraints import BOUND_EXACT, ConstraintSet, DominanceConstraint
 from .constraints import check_seed, check_trials
-from .errors import UnknownSymbolError, ValidationError
+from .errors import UnknownSymbolError, ValidationError, check_kind
 from .game import OrdinalGame
 from .index_model import DEFAULT_VARIANCE, IndexParameters, Mode
 
@@ -66,6 +66,8 @@ class Scenario(Record):
     players: tuple[str, str] = ("row", "column")
 
     def __post_init__(self):
+        check_kind("case", self.case, Case)
+        check_kind("mode", self.mode, Mode)
         # the file format holds one variance for both coefficient parameter
         # sets, so a scenario with two could not echo its own inputs
         em, pf = self.em_params.variance, self.pf_params.variance

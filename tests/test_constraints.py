@@ -507,7 +507,7 @@ class TestSamplingPlan:
         monkeypatch.setattr(constraints_module, "_lattice", counting)
         return sizes
 
-    def test_one_lattice_build_per_component(self, builds):
+    def test_one_lattice_build_per_run_of_one_local_order(self, builds):
         scenario = ipd_scenario()
         order = ConstraintSet(
             scenario.constraints.constraints,
@@ -518,7 +518,26 @@ class TestSamplingPlan:
             order.sample_realization(seed, size=5)
         for seed in range(2):
             assert verify_nash_numeric(scenario.game, order, 100, seed).ok
-        # two 2+2 crowns
+        # two adjacent 2+2 crowns of one local order: one build serves both
+        assert builds == [4]
+        _, _, walks = order._sampling_plan()
+        assert [members.shape for members, _ in walks] == [(2, 4)]
+
+    def test_a_chain_between_ends_a_run(self, builds):
+        # crowns A and C have one local order, and so has D; the chain B
+        # between A and C keeps them in runs of their own, C and D share one
+        crowns = [(f"{p}{t}", f"{p}{b}") for p in "ACD" for t in "01" for b in "23"]
+        order = _order(crowns + [("B0", "B1"), ("B1", "B2")])
+        names, _, walks = order._sampling_plan()
+        assert [
+            [[names[i] for i in row] for row in np.atleast_2d(members)]
+            for members, _ in walks
+        ] == [
+            [["A0", "A1", "A2", "A3"]],
+            [["B0", "B1", "B2"]],
+            [["C0", "C1", "C2", "C3"], ["D0", "D1", "D2", "D3"]],
+        ]
+        assert [pick is None for _, pick in walks] == [False, True, False]
         assert builds == [4, 4]
 
     def test_derived_set_builds_its_own_plan(self, builds):
@@ -808,11 +827,12 @@ class TestSamplerLaw:
         names, above = _order_masks(constraints)
         _, _, walks = constraints._sampling_plan()
         for members, lattice in walks:
-            extensions = _brute_extensions(above, members.tolist())
-            if lattice is None:
+            if lattice is None:  # a chain, from the top
+                extensions = _brute_extensions(above, members.tolist())
                 assert extensions == [tuple(members.tolist())]
-            else:
-                assert len(extensions) > 1
+                continue
+            for row in members.tolist():  # each component of the run
+                assert len(_brute_extensions(above, row)) > 1
 
     def test_every_dag_up_to_four_symbols(self):
         count = 0
@@ -867,6 +887,65 @@ def test_chains_and_crowns_draw_bit_identical_values(
     expected = _bits(reference_sample_realization(constraints, [seed, block], size))
     assert _bits(constraints.sample_realization([seed, block], size)) == expected
     assert _bits(constraints.sample_realization([seed, block], size)) == expected
+
+
+@st.composite
+def adjacent_crowns(draw):
+    """1 to 4 2+2 crowns of one local order, named in order, perhaps a
+    chain of 2 to 4 symbols between two of them, and free symbols anywhere;
+    with the number of crowns in each run the chain leaves."""
+    crowns = draw(st.integers(1, 4))
+    cut = draw(st.none() | st.integers(1, crowns - 1)) if crowns > 1 else None
+    parts = [("crown", 4)] * crowns
+    if cut is not None:
+        parts.insert(cut, ("chain", draw(st.integers(2, 4))))
+    for _ in range(draw(st.integers(0, 2))):
+        parts.insert(draw(st.integers(0, len(parts))), ("free", 1))
+    pairs, at = [], 0
+    for kind, width in parts:
+        if kind == "crown":
+            pairs += [(at + top, at + bottom) for top in (0, 1) for bottom in (2, 3)]
+        elif kind == "chain":
+            pairs += [(at + i, at + i + 1) for i in range(width - 1)]
+        at += width
+    names = [f"S{i:02d}" for i in range(at)]
+    order = ConstraintSet(
+        [certain(names[a], names[b]) for a, b in pairs], universe=names
+    )
+    runs = [crowns] if cut is None else [cut, crowns - cut]
+    return order, runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    drawn=adjacent_crowns(),
+    per=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.sampled_from([None, 0, 1]) | st.integers(2, 40),
+)
+def test_batched_crowns_draw_bit_identical_values(drawn, per, seed, size):
+    # a batch bound that fits ``per`` crowns, so batches of one, of two and
+    # of a whole run are all drawn, each from its place in the stream
+    order, runs = drawn
+    rows = 1 if size is None else size
+    batches = []
+    place = constraints_module._place
+
+    def recording(values, block, *rest):
+        batches.append(len(block))
+        return place(values, block, *rest)
+
+    expected = _bits(reference_sample_realization(order, seed, size))
+    bound = per * 4 * max(rows, 1)
+    with mock.patch.object(constraints_module, "_SAMPLE_BATCH", bound), \
+            mock.patch.object(constraints_module, "_place", recording):
+        assert _bits(order.sample_realization(seed, size)) == expected
+    _, _, walks = order._sampling_plan()
+    assert [len(members) for members, pick in walks if pick is not None] == runs
+    per = per if rows else 4  # no rows: a bound of 4 * per fits every run
+    assert batches == [
+        min(per, run - start) for run in runs for start in range(0, run, per)
+    ]
 
 
 def zigzag_fence():
@@ -1084,6 +1163,14 @@ class TestSamplingMemory:
             universe=row + col + [f"F{i}" for i in range(8)],
         )
         assert self._peak_share(order) <= 2.5
+
+    def test_four_adjacent_crowns(self):
+        # one local order, so one run; at 10^6 values each crown is a batch
+        # of its own, and a batch's read is gone before the next one's
+        order = _order(
+            [(f"{p}{t}", f"{p}{b}") for p in "ABCD" for t in "01" for b in "23"]
+        )
+        assert self._peak_share(order) <= 3.0
 
     def test_three_above_three(self):
         # 36 extensions, all in one table: its masks take memory per row

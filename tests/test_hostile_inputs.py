@@ -236,6 +236,27 @@ def test_returns_or_raises_a_splitgame_error(call, value):
             lambda: pure_nash(GAME, VALUES),
             "order.implies must be Callable, got NoneType",
         ),
+        (
+            lambda: ConstraintSet(None),
+            "constraints must be an iterable of DominanceConstraint, got None",
+        ),
+        (
+            lambda: ConstraintSet(5),
+            "constraints must be an iterable of DominanceConstraint, got 5",
+        ),
+        (
+            lambda: ConstraintSet([1]),
+            "constraint 0 must be DominanceConstraint, got int",
+        ),
+        (
+            lambda: ConstraintSet([*ORDER.constraints, "EM11 > EM12"]),
+            f"constraint {len(ORDER.constraints)} must be DominanceConstraint, "
+            "got str",
+        ),
+        (lambda: ipd_scenario(case=5), "case must be Case, got int"),
+        (lambda: ipd_scenario(case="weak_evidence"), "case must be Case, got str"),
+        (lambda: ipd_scenario(mode="computed"), "mode must be Mode, got str"),
+        (lambda: ipd_scenario(mode=None), "mode must be Mode, got NoneType"),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
@@ -246,7 +267,9 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         "none_event_indices", "int_symbols", "text_universe", "int_universe",
         "int_in_universe", "list_label", "int_label", "empty_label", "int_grid",
         "items_grid", "list_grid", "none_game", "game_as_order", "list_values",
-        "none_order", "values_as_order",
+        "none_order", "values_as_order", "none_constraints", "int_constraints",
+        "int_constraint", "text_constraint", "int_case", "text_case",
+        "text_mode", "none_mode",
     ],
 )
 def test_message(make, message):
