@@ -8,15 +8,10 @@ Lower-bound constraints are stored and echoed back (``constraints``,
 ``Scenario.to_dict``) but never read: no order query, chain probability or
 sample uses them.
 
-What is derived from the order is built on first use, kept on the set and
-dropped with it; a set from ``add_constraint`` builds its own. Sampling
-keeps the sorted names and each component's table of its linear extensions
-(at most 64), each as the columns of a row's sorted draws its members take,
-or else its downset lattice, so later calls only draw and gather; adjacent
-components with one local order share one table and are drawn, picked,
-sorted and placed as one batch of at most ``_SAMPLE_BATCH`` values; a chain
-keeps its one extension, never walked; a build that raises keeps its error.
-``montecarlo.verify_nash_numeric`` keeps its check plans per game there.
+What is derived from the order, the sampling plan (or the error its build
+raised) and ``montecarlo.verify_nash_numeric``'s check plans per game, is
+built on first use, kept on the set and dropped with it; a set from
+``add_constraint`` builds its own.
 
 numpy is imported inside the sampling functions, not at module level: only
 sampling needs it, and the order queries behind ``solve`` and ``sweep``
@@ -33,8 +28,10 @@ from .errors import (
     SamplingExhaustedError,
     UnknownSymbolError,
     ValidationError,
+    _sequence,
     _shown,
     check_integer,
+    check_kind,
     check_number,
 )
 
@@ -86,6 +83,11 @@ class DominanceConstraint(Record):
             )
         if self.bound not in (BOUND_EXACT, BOUND_LOWER):
             raise ValidationError(f"unknown bound kind {self.bound!r}")
+        if self.group is not None and not (isinstance(self.group, str) and self.group):
+            raise ValidationError(
+                "constraint group must be None or a non-empty id, "
+                f"got {_shown(self.group)}"
+            )
 
     @property
     def certain(self) -> bool:
@@ -139,7 +141,8 @@ def _lattice(above):
     ``above[j]`` is the bitmask of the symbols that must precede symbol j.
     The downsets (bitmasks of the symbols already placed from the top) are
     enumerated breadth first; counting the completions of each one
-    backwards gives the exact probability of every next symbol. Returns
+    backwards gives the exact probability of every next symbol (Brightwell
+    & Winkler, Order 8, 1991). Returns
     ``(follow, cumulative)``: per downset but the full one, the downset
     reached by placing each symbol next, and the cumulative share of each
     next symbol, ending in exactly 1.
@@ -195,16 +198,14 @@ def _linear_extensions(follow, cumulative, u) -> np.ndarray:
 
     k, rows = u.shape[:2]
     moves = follow.ravel()
-    # u < 1, so the first entry above it is a move with positive share
+    # u < 1, so the first entry above it is a move with positive share; at
+    # the last depth, the one symbol left
     state = np.zeros(rows, dtype=np.intp)
     order = np.empty((k, rows), dtype=np.intp)
-    for depth in range(k - 1):
+    for depth in range(k):
         shares = cumulative.take(state, axis=0)
         order[depth] = pick = (shares > u[depth]).argmax(axis=1)
         state = moves.take(state * k + pick)
-    # one symbol is left: its row is 0...0, 1...1, and its first 1 is the
-    # pick of every u < 1, so the last uniform, though drawn, is not compared
-    order[-1] = cumulative.take(state, axis=0).argmax(axis=1)
     return order
 
 
@@ -274,6 +275,11 @@ class ConstraintSet(Record):
     queries on ids outside it raise ``UnknownSymbolError``. Without a
     universe the set is open: any id may be queried and unseen ids simply
     compare as unknown.
+
+    Construction checks the container and the universe's kind first, then
+    each constraint in input order (its kind, its symbols against the
+    universe, a conflicting exact probability, a cycle); the first faulty
+    constraint is the one named.
     """
 
     constraints: tuple[DominanceConstraint, ...] = ()
@@ -288,12 +294,6 @@ class ConstraintSet(Record):
                 f"got {_shown(self.constraints)}"
             ) from None
         constraints = tuple(entries)
-        for at, c in enumerate(constraints):
-            if not isinstance(c, DominanceConstraint):
-                raise ValidationError(
-                    f"constraint {at} must be DominanceConstraint, "
-                    f"got {type(c).__name__}"
-                )
         if self.universe is not None and not (
             isinstance(self.universe, (list, tuple, set, frozenset))
             and all(isinstance(sym, str) and sym for sym in self.universe)
@@ -306,49 +306,44 @@ class ConstraintSet(Record):
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "universe", universe)
 
-        if universe is not None:
-            for c in constraints:
-                for sym in (c.left, c.right):
-                    if sym not in universe:
-                        raise ValidationError(
-                            f"constraint p({c.left} > {c.right}) uses symbol "
-                            f"{sym!r} outside the bound universe"
-                        )
-
-        # exact probabilities per ordered pair; conflicting duplicates are
-        # ambiguous input and rejected outright
-        exact: dict[tuple[str, str], float] = {}
-        for c in constraints:
-            if c.bound != BOUND_EXACT:
-                continue
-            pair = (c.left, c.right)
-            stored = exact.get(pair)
-            if stored is not None and stored != c.probability:
-                raise ValidationError(
-                    f"conflicting probabilities for {c.left} > {c.right}: "
-                    f"{stored!r} and {c.probability!r}"
-                )
-            exact[pair] = c.probability
-
+        # one pass in input order, so the first faulty constraint is named:
+        # ``exact`` holds each ordered pair's exact probability, ``edges``
         # the certain edges, successors in insertion order (dict keys), so no
         # search depends on the string hash seed. A constraint closes a cycle
         # when its right reaches its left (so has successors, and its left
-        # predecessors); the first is reported, with the shortest path back
+        # predecessors); it is named with the shortest path back
+        exact: dict[tuple[str, str], float] = {}
         edges: dict[str, dict[str, None]] = {}
         indegree: dict[str, int] = {}  # how many symbols are just above each
-        for c in constraints:
-            if not c.certain:
+        for at, c in enumerate(constraints):
+            if not isinstance(c, DominanceConstraint):
+                check_kind(f"constraint {at}", c, DominanceConstraint)
+            left, right = c.left, c.right
+            if universe is not None and not (left in universe and right in universe):
+                sym = right if left in universe else left
+                raise ValidationError(
+                    f"constraint p({left} > {right}) uses symbol "
+                    f"{sym!r} outside the bound universe"
+                )
+            if c.bound != BOUND_EXACT:
                 continue
-            if c.right in edges and c.left in indegree:
-                parent = _search(edges, c.right)
-                if c.left in parent:
-                    path = [c.left]
-                    while path[-1] != c.right:
+            if exact.setdefault((left, right), c.probability) != c.probability:
+                raise ValidationError(
+                    f"conflicting probabilities for {left} > {right}: "
+                    f"{exact[left, right]!r} and {c.probability!r}"
+                )
+            if c.probability != 1.0:  # not certain
+                continue
+            if right in edges and left in indegree:
+                parent = _search(edges, right)
+                if left in parent:
+                    path = [left]
+                    while path[-1] != right:
                         path.append(parent[path[-1]])
-                    raise InconsistentOrderError([c.left] + path[::-1])
-            if c.right not in edges.setdefault(c.left, {}):
-                edges[c.left][c.right] = None
-                indegree[c.right] = indegree.get(c.right, 0) + 1
+                    raise InconsistentOrderError([left] + path[::-1])
+            if right not in edges.setdefault(left, {}):
+                edges[left][right] = None
+                indegree[right] = indegree.get(right, 0) + 1
         reach = dict.fromkeys([*indegree, *edges, *(universe or ())], frozenset())
         ranked = [sym for sym in edges if sym not in indegree]  # the sources
         for sym in ranked:  # Kahn's order, grown while it is walked
@@ -386,10 +381,9 @@ class ConstraintSet(Record):
         return replace(self, constraints=self.constraints + (constraint,))
 
     def _check_known(self, *ids: str):
-        if self.universe is None:
-            return
         for sym in ids:
-            if sym not in self.universe:
+            check_kind("payoff symbol", sym, str)
+            if self.universe is not None and sym not in self.universe:
                 raise UnknownSymbolError(f"unknown payoff symbol {sym!r}")
 
     def implies(self, left: str, right: str) -> bool | None:
@@ -417,7 +411,13 @@ class ConstraintSet(Record):
         the stored exact probability is used. An empty chain is vacuous (1.0).
         """
         product = 1.0
-        for left, right in chain:
+        for pair in _sequence("chain", chain, "(greater, lesser) pairs"):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValidationError(
+                    "chain entry must be a (greater, lesser) pair, "
+                    f"got {_shown(pair)}"
+                )
+            left, right = pair
             self._check_known(left, right)
             if right in self._reach.get(left, ()):
                 continue
@@ -485,27 +485,15 @@ class ConstraintSet(Record):
         """Numeric realizations of the symbols, uniform on the certain order.
 
         The values are iid uniform on [0, 1] conditioned on every certain
-        constraint holding strictly (ties have measure zero), drawn exactly:
-        each connected component of the order gets a uniformly random linear
-        extension from a count over its downset lattice (Brightwell &
-        Winkler, Order 8, 1991), then sorted iid uniforms, gathered into
-        the columns that extension gives its members; unconstrained symbols
-        are plain uniforms. The lattices are built on the first call and
-        kept with the set, with a 64-bit mask table in place of the walk for
-        a component of at most 64 extensions; a chain, read off the closure,
-        builds none and is never walked, and advances the generator, read
-        part by part, past its walk uniforms. Adjacent components with one
-        local order share one lattice and are sampled in batches of at most
-        ``_SAMPLE_BATCH`` values (rows times symbols, at least one
-        component): one read of the batch's walk uniforms and draws, the
-        same stream as one read per component, then one pick, one sort and
-        one gather, and the batch's arrays go before the next one reads.
-        ``size=None`` gives one ``{name: float}``; an integer ``size`` gives
-        ``{name: array}`` of that many independent rows, at most
-        ``MAX_TRIALS`` values in all.
+        constraint holding strictly (ties have measure zero), drawn exactly,
+        without rejection. ``size=None`` gives one ``{name: float}``; an
+        integer ``size`` gives ``{name: array}`` of that many independent
+        rows, at most ``MAX_TRIALS`` values (rows times symbols) in all.
         Deterministic for a given seed, an integer >= 0 or a list or tuple
-        of them (numpy PCG64). Raises SamplingExhaustedError when a
-        component has more than ``SAMPLING_DOWNSET_CAP`` downsets.
+        of them (numpy PCG64). The plan the draws follow is built on the
+        first call and kept with the set. A component of the order with more
+        than ``SAMPLING_DOWNSET_CAP`` downsets raises SamplingExhaustedError;
+        the failure is kept too, so later calls raise it again at once.
         """
         for part in seed if isinstance(seed, (list, tuple)) else (seed,):
             check_seed(part)

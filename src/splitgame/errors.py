@@ -1,11 +1,12 @@
 """Exception types shared across the package, and the checks every module
-makes of a caller-supplied number, integer or object kind.
+makes of a caller-supplied number, integer, object kind or file path.
 
 New error conditions should subclass one of the four buckets below rather
 than raise bare exceptions. Each bucket carries the stable exit code the CLI
 returns for it as ``exit_code``; a subclass inherits its bucket's code.
 """
 import numbers
+import os
 
 
 class SplitgameError(Exception):
@@ -75,6 +76,15 @@ def check_kind(name: str, value, cls) -> None:
     if not isinstance(value, cls):
         kind = type(value).__name__
         raise ValidationError(f"{name} must be {cls.__name__}, got {kind}")
+
+
+def check_path(path) -> None:
+    """Reject a file path that is not ``str``, ``bytes`` or ``os.PathLike``:
+    ``open`` would read an int as a file descriptor, and close it."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(
+            f"path must be str, bytes or os.PathLike, got {_shown(path)}"
+        )
 
 
 def check_number(name: str, value) -> None:

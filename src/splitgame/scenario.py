@@ -24,7 +24,7 @@ from ._record import Record, replace
 from .bayes import EventSpace
 from .constraints import BOUND_EXACT, ConstraintSet, DominanceConstraint
 from .constraints import check_seed, check_trials
-from .errors import UnknownSymbolError, ValidationError, check_kind
+from .errors import UnknownSymbolError, ValidationError, check_kind, check_path
 from .game import OrdinalGame
 from .index_model import DEFAULT_VARIANCE, IndexParameters, Mode
 
@@ -232,6 +232,7 @@ def load_scenario(path) -> Scenario:
     def reject_non_finite(literal: str):
         raise ValidationError(f"{path}: {literal} is not a finite number")
 
+    check_path(path)
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle, parse_constant=reject_non_finite)

@@ -23,7 +23,7 @@ from collections.abc import Mapping, Sequence
 from ._record import Record, replace
 from .bayes import ComparisonEvent
 from .constraints import ConstraintSet, DominanceConstraint
-from .errors import ValidationError
+from .errors import ValidationError, check_kind
 from .game import CellCoord, OrdinalGame, pure_nash
 from .index_model import (
     PUBLISHED_TABLE,
@@ -92,26 +92,35 @@ class DecisionReport(Record):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DecisionReport":
-        results = data["results"]
-        return cls(
-            scenario_name=data["scenario"].get("name", ""),
-            mode=data["mode"],
-            case=data["case"],
-            **{name: results[name] for name in SWEEP_METRICS},
-            nash_cells=tuple(
-                CellCoord(*cell) for cell in results["nash_cells"]
-            ),
-            undecided_cells=tuple(
-                CellCoord(*cell) for cell in results["undecided_cells"]
-            ),
-            bounds=dict(data["bounds"]),
-            comparison_events=tuple(
-                ComparisonEvent(label, spec["left"], spec["right"])
-                for label, spec in sorted(data["comparison_events"].items())
-            ),
-            notes=tuple(data["notes"]),
-            inputs=dict(data["scenario"]),
-        )
+        """The report a ``to_dict`` document holds; a document with a field
+        missing or of the wrong shape raises ValidationError."""
+        try:
+            for field in ("scenario", "results", "bounds", "comparison_events"):
+                check_kind(f"report field {field!r}", data[field], Mapping)
+            results = data["results"]
+            return cls(
+                scenario_name=data["scenario"].get("name", ""),
+                mode=data["mode"],
+                case=data["case"],
+                **{name: results[name] for name in SWEEP_METRICS},
+                nash_cells=tuple(
+                    CellCoord(*cell) for cell in results["nash_cells"]
+                ),
+                undecided_cells=tuple(
+                    CellCoord(*cell) for cell in results["undecided_cells"]
+                ),
+                bounds=dict(data["bounds"]),
+                comparison_events=tuple(
+                    ComparisonEvent(label, spec["left"], spec["right"])
+                    for label, spec in sorted(data["comparison_events"].items())
+                ),
+                notes=tuple(data["notes"]),
+                inputs=dict(data["scenario"]),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"report document lacks field {exc}") from None
+        except TypeError as exc:
+            raise ValidationError(f"malformed report document: {exc}") from None
 
 
 def _require_2x2(game: OrdinalGame):

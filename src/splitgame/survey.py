@@ -14,7 +14,7 @@ from collections.abc import Mapping, Sequence
 
 from . import _resource
 from ._record import Record
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_integer, check_path
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -215,6 +215,7 @@ def read_responses_csv(
     rows: list[tuple[str, SurveyResponse]] = []
     warnings: list[str] = []
 
+    check_path(path)
     with open(path, "rb") as handle:
         data = handle.read()
     try:

@@ -40,6 +40,7 @@ from splitgame import (
     InconsistentOrderError,
     MissingProbabilityError,
     SamplingExhaustedError,
+    SplitgameError,
     UnknownSymbolError,
     ValidationError,
     ipd_scenario,
@@ -148,6 +149,50 @@ class TestConstruction:
     def test_universe_must_cover_constraints(self):
         with pytest.raises(ValidationError):
             ConstraintSet([certain("A", "B")], universe=frozenset({"A"}))
+
+    @pytest.mark.parametrize(
+        "constraints, universe, error, code, message",
+        [
+            (
+                [certain("A", "B"), certain("B", "A"), certain("A", "Z")],
+                {"A", "B"},
+                InconsistentOrderError,
+                5,
+                "inconsistent certain order, cycle: B > A > B",
+            ),
+            (
+                [
+                    certain("A", "B"),
+                    certain("B", "A"),
+                    DominanceConstraint("C", "D", 0.5),
+                    DominanceConstraint("C", "D", 0.7),
+                ],
+                None,
+                InconsistentOrderError,
+                5,
+                "inconsistent certain order, cycle: B > A > B",
+            ),
+            (
+                [certain("A", "B"), 7],
+                5,
+                ValidationError,
+                4,
+                "universe must be a list, tuple or set of non-empty ids, got 5",
+            ),
+        ],
+        ids=["cycle_before_outside_symbol", "cycle_before_conflict",
+             "universe_before_constraints"],
+    )
+    def test_first_faulty_constraint_is_named(
+        self, constraints, universe, error, code, message
+    ):
+        # the universe's kind first, then each constraint in input order,
+        # whatever kind of fault a later one has
+        with pytest.raises(SplitgameError) as exc:
+            ConstraintSet(constraints, universe=universe)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert exc.value.exit_code == code
 
     def test_equality(self):
         a = ConstraintSet([certain("A", "B")])

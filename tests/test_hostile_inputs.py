@@ -8,6 +8,7 @@ something other than a sequence or a mapping where one belongs, and
 entries that are not ids or labels.
 """
 import math
+import os
 from decimal import Decimal
 
 import numpy as np
@@ -28,8 +29,10 @@ from splitgame import (
     fixed_point_posterior,
     gaussian_tail,
     ipd_scenario,
+    load_scenario,
     numeric_pure_nash,
     pure_nash,
+    read_responses_csv,
     score_factor,
     sweep,
     verify_nash_numeric,
@@ -257,6 +260,43 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         (lambda: ipd_scenario(case="weak_evidence"), "case must be Case, got str"),
         (lambda: ipd_scenario(mode="computed"), "mode must be Mode, got str"),
         (lambda: ipd_scenario(mode=None), "mode must be Mode, got NoneType"),
+        (
+            lambda: load_scenario(None),
+            "path must be str, bytes or os.PathLike, got None",
+        ),
+        (  # no descriptor this high is open: the parent's open() fails alone
+            lambda: load_scenario(10**6),
+            "path must be str, bytes or os.PathLike, got 1000000",
+        ),
+        (
+            lambda: read_responses_csv(None),
+            "path must be str, bytes or os.PathLike, got None",
+        ),
+        (
+            lambda: read_responses_csv(10**6),
+            "path must be str, bytes or os.PathLike, got 1000000",
+        ),
+        (
+            lambda: DominanceConstraint("a", "b", 0.5, group=5),
+            "constraint group must be None or a non-empty id, got 5",
+        ),
+        (
+            lambda: DominanceConstraint("a", "b", 0.5, group=""),
+            "constraint group must be None or a non-empty id, got ''",
+        ),
+        (lambda: ORDER.implies([], "EM11"), "payoff symbol must be str, got list"),
+        (
+            lambda: ConstraintSet([]).implies("a", None),
+            "payoff symbol must be str, got NoneType",
+        ),
+        (
+            lambda: ORDER.independent_chain_probability(None),
+            "chain must be a list or tuple of (greater, lesser) pairs, got None",
+        ),
+        (
+            lambda: ORDER.independent_chain_probability([("EM11",)]),
+            "chain entry must be a (greater, lesser) pair, got ('EM11',)",
+        ),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
@@ -269,13 +309,30 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         "items_grid", "list_grid", "none_game", "game_as_order", "list_values",
         "none_order", "values_as_order", "none_constraints", "int_constraints",
         "int_constraint", "text_constraint", "int_case", "text_case",
-        "text_mode", "none_mode",
+        "text_mode", "none_mode", "none_scenario_path", "int_scenario_path",
+        "none_csv_path", "int_csv_path", "int_group", "empty_group",
+        "list_symbol", "none_symbol_open_set", "none_chain", "short_chain_entry",
     ],
 )
 def test_message(make, message):
     with pytest.raises(ValidationError) as error:
         make()
     assert str(error.value) == message
+
+
+@pytest.mark.parametrize("read", [load_scenario, read_responses_csv])
+def test_a_file_descriptor_is_not_a_path(read):
+    # open() reads an int as a descriptor and closes it when done; the
+    # write end is closed first, so a read would end at once
+    r, w = os.pipe()
+    os.close(w)
+    try:
+        with pytest.raises(ValidationError) as error:
+            read(r)
+        assert str(error.value) == f"path must be str, bytes or os.PathLike, got {r}"
+        os.fstat(r)  # still open
+    finally:
+        os.close(r)
 
 
 # scalars both sides of the numeric check read as numbers, and the rest

@@ -1,4 +1,5 @@
 import ast
+import copy
 import importlib
 import warnings
 from unittest import mock
@@ -483,6 +484,84 @@ class TestSolve:
         report = solve(ipd)
         clone = DecisionReport.from_dict(report.to_dict())
         assert clone.to_dict() == report.to_dict()
+
+
+_REPORT = solve(ipd_scenario()).to_dict()
+_REPORT_KEYS = sorted({*_REPORT, *_REPORT["results"], "left", "right", "name"})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_REPORT_KEYS) | st.text(max_size=3), inner,
+                      max_size=4),
+    max_leaves=8,
+)
+
+
+def _nodes(node, path=()):
+    """The path of every value below ``node``, children before parents."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+        yield path + (key,)
+
+
+@st.composite
+def mutated_reports(draw):
+    """A solved report's document with one to three values replaced by any
+    JSON value, or dropped."""
+    doc = copy.deepcopy(_REPORT)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_JSON)
+        else:
+            del parent[path[-1]]
+        if not doc:  # nothing left to mutate
+            break
+    return doc
+
+
+class TestReportDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON | mutated_reports())
+    def test_reads_a_report_or_raises_a_splitgame_error(self, doc):
+        try:
+            report = DecisionReport.from_dict(doc)
+        except SplitgameError:
+            return
+        assert isinstance(report, DecisionReport)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {}, "report document lacks field 'scenario'"),
+            (lambda doc: None, "malformed report document: "),
+            (lambda doc: {**doc, "results": {}},
+             "report document lacks field 'p_em12'"),
+            (lambda doc: {**doc, "scenario": []},
+             "report field 'scenario' must be Mapping, got list"),
+            (lambda doc: {**doc, "bounds": [["lower", 0.5]]},
+             "report field 'bounds' must be Mapping, got list"),
+            (lambda doc: {**doc, "results": {**doc["results"], "nash_cells": [5]}},
+             "malformed report document: "),
+            (lambda doc: {**doc, "comparison_events": {"em12": "x"}},
+             "malformed report document: "),
+        ],
+        ids=["empty", "none", "no_metrics", "list_scenario", "list_bounds",
+             "int_cell", "text_event"],
+    )
+    def test_malformed_document(self, edit, message):
+        # a message ending in ": " goes on with Python's own words
+        with pytest.raises(ValidationError) as exc:
+            DecisionReport.from_dict(edit(copy.deepcopy(_REPORT)))
+        assert str(exc.value).startswith(message)
+        assert message.endswith(": ") or str(exc.value) == message
 
 
 class TestWithParameters:
