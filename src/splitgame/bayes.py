@@ -12,7 +12,8 @@ from collections.abc import Iterable
 
 from ._record import Record
 from .errors import (
-    DomainError, ValidationError, _sequence, _shown, check_integer, check_number,
+    DomainError, ValidationError, _sequence, _shown, check_integer, check_kind,
+    check_number,
 )
 
 PRIOR_TOLERANCE = 1e-12
@@ -57,6 +58,8 @@ class EventSpace(Record):
 
     @classmethod
     def uniform(cls, labels: Iterable[str]) -> "EventSpace":
+        if not isinstance(labels, Iterable):
+            raise ValidationError(f"event labels must be iterable, got {_shown(labels)}")
         names = tuple(labels)
         return cls(names, tuple(1.0 / len(names) for _ in names))
 
@@ -102,6 +105,7 @@ def fixed_point_posterior(space: EventSpace, unaffected: Iterable[int]) -> float
     linear remainder 1 - alpha = 1 - q gives alpha = q, the prior itself,
     bit for bit.
     """
+    check_kind("space", space, EventSpace)
     if not isinstance(unaffected, Iterable):
         raise ValidationError(
             f"unaffected event indices must be iterable, got {_shown(unaffected)}"

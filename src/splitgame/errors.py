@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks every module
-makes of a caller-supplied number, integer, object kind or file path.
+makes of caller-supplied numbers, integers, kinds, paths and documents.
 
 New error conditions should subclass one of the four buckets below rather
 than raise bare exceptions. Each bucket carries the stable exit code the CLI
@@ -7,6 +7,8 @@ returns for it as ``exit_code``; a subclass inherits its bucket's code.
 """
 import numbers
 import os
+from collections.abc import Iterator, Mapping
+from operator import itemgetter
 
 
 class SplitgameError(Exception):
@@ -114,3 +116,106 @@ def check_integer(name: str, value, low: int | None, high: int | None = None) ->
         raise ValidationError(f"{name} must be >= {low}, got {_shown(value)}")
     if high is not None and value > high:
         raise ValidationError(f"{name} must be <= {high}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+_JSON_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": _is_number,
+    # as in draft 2020-12, a float with no fractional part is an integer
+    "integer": lambda value: not isinstance(value, bool) and (
+        isinstance(value, int)
+        or (isinstance(value, float) and value.is_integer())
+    ),
+}
+
+
+def _schema_errors(
+    value, schema: Mapping, path: tuple = ()
+) -> Iterator[tuple[tuple, str]]:
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``.
+
+    Keywords are read in the schema's own order and worded as jsonschema's
+    ``Draft202012Validator`` words them, so sorting the errors by path gives
+    the same list as that validator. Only the keywords it names are read
+    (annotations such as "title" carry no constraint); ``enum`` values must
+    be strings.
+    """
+    for keyword, rule in schema.items():
+        if keyword == "type":
+            if not _JSON_TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif keyword == "enum":
+            if value not in rule:
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif isinstance(value, dict):
+            if keyword == "required":
+                for name in rule:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+            elif keyword == "additionalProperties" and rule is False:
+                known = schema.get("properties", {})
+                extras = sorted(
+                    {name for name in value if name not in known}, key=str
+                )
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    names = ", ".join(repr(name) for name in extras)
+                    yield path, (
+                        f"Additional properties are not allowed "
+                        f"({names} {verb} unexpected)"
+                    )
+            elif keyword == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub, path + (name,))
+        elif isinstance(value, list):
+            if keyword == "prefixItems":
+                for index, (item, sub) in enumerate(zip(value, rule)):
+                    yield from _schema_errors(item, sub, path + (index,))
+            elif keyword == "items":
+                prefix = len(schema.get("prefixItems", ()))
+                extra = len(value) - prefix
+                if extra > 0 and rule is False:
+                    rest = value[prefix:] if extra != 1 else value[prefix]
+                    noun = "items" if prefix != 1 else "item"
+                    yield path, (
+                        f"Expected at most {prefix} {noun} but found {extra} "
+                        f"extra: {rest!r}"
+                    )
+                elif extra > 0:
+                    for index in range(prefix, len(value)):
+                        yield from _schema_errors(
+                            value[index], rule, path + (index,)
+                        )
+            elif keyword == "minItems" and len(value) < rule:
+                short = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{value!r} {short}"
+            elif keyword == "maxItems" and len(value) > rule:
+                long = "is expected to be empty" if rule == 0 else "is too long"
+                yield path, f"{value!r} {long}"
+        elif isinstance(value, str):
+            if keyword == "minLength" and len(value) < rule:
+                short = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{value!r} {short}"
+        elif _is_number(value):
+            if keyword == "minimum" and value < rule:
+                yield path, f"{value!r} is less than the minimum of {rule!r}"
+            elif keyword == "maximum" and value > rule:
+                yield path, f"{value!r} is greater than the maximum of {rule!r}"
+
+
+def check_document(data, schema: Mapping, source: str) -> None:
+    """Reject a parsed document that breaks ``schema``, naming the first
+    error in path order (of equal paths, the earliest) as
+    ``<source>: <path>: <message>``."""
+    first = min(_schema_errors(data, schema), key=itemgetter(0), default=None)
+    if first is not None:
+        path, message = first
+        where = "/".join(str(part) for part in path) or "<root>"
+        raise ValidationError(f"{source}: {where}: {message}")

@@ -134,6 +134,7 @@ class NumericOrder:
     """
 
     def __init__(self, values: Mapping[str, float]):
+        check_kind("values", values, Mapping)
         self._values = _floats(values, values)
 
     def implies(self, left: str, right: str) -> bool | None:

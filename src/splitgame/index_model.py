@@ -18,7 +18,7 @@ import warnings
 from enum import Enum
 
 from ._record import Record
-from .errors import DomainError, ValidationError, check_number
+from .errors import DomainError, ValidationError, _shown, check_number
 
 DEFAULT_VARIANCE = 10.0
 SCALE_MAX = 10.0
@@ -40,10 +40,10 @@ class Mode(Enum):
     def parse(cls, text: str) -> "Mode":
         """The mode whose value or alias (``MODE_ALIASES``) is exactly ``text``."""
         try:
-            return cls(MODE_ALIASES.get(text, text))
+            return cls(MODE_ALIASES.get(text, text) if isinstance(text, str) else text)
         except ValueError:
             raise ValidationError(
-                f"unknown mode {text!r}; expected 'computed' or 'published'"
+                f"unknown mode {_shown(text)}; expected 'computed' or 'published'"
             ) from None
 
 

@@ -74,6 +74,7 @@ def simulate_selection(config: SimulationConfig) -> SimulationResult:
     uniforms of PCG64(seed) and the pf draws the next ``trials``, tallied
     in blocks of SIMULATE_BLOCK so memory stays bounded.
     """
+    check_kind("config", config, SimulationConfig)
     import numpy as np
 
     trials = config.trials

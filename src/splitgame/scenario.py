@@ -13,18 +13,17 @@ and -Infinity are rejected while the file is read.
 from __future__ import annotations
 
 import json
-import numbers
 import sys
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from enum import Enum
-from operator import itemgetter
 
 from . import _resource
 from ._record import Record, replace
 from .bayes import EventSpace
 from .constraints import BOUND_EXACT, ConstraintSet, DominanceConstraint
 from .constraints import check_seed, check_trials
-from .errors import UnknownSymbolError, ValidationError, check_kind, check_path
+from .errors import UnknownSymbolError, ValidationError, check_document
+from .errors import check_kind, check_path
 from .game import OrdinalGame
 from .index_model import DEFAULT_VARIANCE, IndexParameters, Mode
 
@@ -134,98 +133,6 @@ def scenario_schema() -> dict:
     return copy.deepcopy(_resource("scenario.schema.json"))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Number) and not isinstance(value, bool)
-
-
-_JSON_TYPES = {
-    "object": lambda value: isinstance(value, dict),
-    "array": lambda value: isinstance(value, list),
-    "string": lambda value: isinstance(value, str),
-    "number": _is_number,
-    # as in draft 2020-12, a float with no fractional part is an integer
-    "integer": lambda value: not isinstance(value, bool) and (
-        isinstance(value, int)
-        or (isinstance(value, float) and value.is_integer())
-    ),
-}
-
-
-def _schema_errors(
-    value, schema: Mapping, path: tuple = ()
-) -> Iterator[tuple[tuple, str]]:
-    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``.
-
-    Keywords are read in the schema's own order and worded as jsonschema's
-    ``Draft202012Validator`` words them, so sorting the errors by path gives
-    the same list as that validator. Only the keywords it names are read
-    (annotations such as "title" carry no constraint); ``enum`` values must
-    be strings.
-    """
-    for keyword, rule in schema.items():
-        if keyword == "type":
-            if not _JSON_TYPES[rule](value):
-                yield path, f"{value!r} is not of type {rule!r}"
-        elif keyword == "enum":
-            if value not in rule:
-                yield path, f"{value!r} is not one of {rule!r}"
-        elif isinstance(value, dict):
-            if keyword == "required":
-                for name in rule:
-                    if name not in value:
-                        yield path, f"{name!r} is a required property"
-            elif keyword == "additionalProperties" and rule is False:
-                known = schema.get("properties", {})
-                extras = sorted(
-                    {name for name in value if name not in known}, key=str
-                )
-                if extras:
-                    verb = "was" if len(extras) == 1 else "were"
-                    names = ", ".join(repr(name) for name in extras)
-                    yield path, (
-                        f"Additional properties are not allowed "
-                        f"({names} {verb} unexpected)"
-                    )
-            elif keyword == "properties":
-                for name, sub in rule.items():
-                    if name in value:
-                        yield from _schema_errors(value[name], sub, path + (name,))
-        elif isinstance(value, list):
-            if keyword == "prefixItems":
-                for index, (item, sub) in enumerate(zip(value, rule)):
-                    yield from _schema_errors(item, sub, path + (index,))
-            elif keyword == "items":
-                prefix = len(schema.get("prefixItems", ()))
-                extra = len(value) - prefix
-                if extra > 0 and rule is False:
-                    rest = value[prefix:] if extra != 1 else value[prefix]
-                    noun = "items" if prefix != 1 else "item"
-                    yield path, (
-                        f"Expected at most {prefix} {noun} but found {extra} "
-                        f"extra: {rest!r}"
-                    )
-                elif extra > 0:
-                    for index in range(prefix, len(value)):
-                        yield from _schema_errors(
-                            value[index], rule, path + (index,)
-                        )
-            elif keyword == "minItems" and len(value) < rule:
-                short = "should be non-empty" if rule == 1 else "is too short"
-                yield path, f"{value!r} {short}"
-            elif keyword == "maxItems" and len(value) > rule:
-                long = "is expected to be empty" if rule == 0 else "is too long"
-                yield path, f"{value!r} {long}"
-        elif isinstance(value, str):
-            if keyword == "minLength" and len(value) < rule:
-                short = "should be non-empty" if rule == 1 else "is too short"
-                yield path, f"{value!r} {short}"
-        elif _is_number(value):
-            if keyword == "minimum" and value < rule:
-                yield path, f"{value!r} is less than the minimum of {rule!r}"
-            elif keyword == "maximum" and value > rule:
-                yield path, f"{value!r} is greater than the maximum of {rule!r}"
-
-
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file; a leading UTF-8 byte order mark
     is dropped, as RFC 8259 lets a parser do."""
@@ -254,13 +161,7 @@ def load_scenario(path) -> Scenario:
 
 def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
     """Build a scenario from an already-parsed document."""
-    schema = _resource("scenario.schema.json")
-    # the first error in path order; min keeps the earliest of equal paths
-    first = min(_schema_errors(data, schema), key=itemgetter(0), default=None)
-    if first is not None:
-        path, message = first
-        where = "/".join(str(part) for part in path) or "<root>"
-        raise ValidationError(f"{source}: {where}: {message}")
+    check_document(data, _resource("scenario.schema.json"), source)
 
     def number(where: str, value) -> float:
         try:

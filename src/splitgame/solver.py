@@ -20,10 +20,11 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping, Sequence
 
+from . import _resource
 from ._record import Record, replace
 from .bayes import ComparisonEvent
 from .constraints import ConstraintSet, DominanceConstraint
-from .errors import ValidationError, check_kind
+from .errors import ValidationError, check_document, check_kind
 from .game import CellCoord, OrdinalGame, pure_nash
 from .index_model import (
     PUBLISHED_TABLE,
@@ -92,38 +93,31 @@ class DecisionReport(Record):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DecisionReport":
-        """The report a ``to_dict`` document holds; a document with a field
-        missing or of the wrong shape raises ValidationError."""
-        try:
-            for field in ("scenario", "results", "bounds", "comparison_events"):
-                check_kind(f"report field {field!r}", data[field], Mapping)
-            results = data["results"]
-            return cls(
-                scenario_name=data["scenario"].get("name", ""),
-                mode=data["mode"],
-                case=data["case"],
-                **{name: results[name] for name in SWEEP_METRICS},
-                nash_cells=tuple(
-                    CellCoord(*cell) for cell in results["nash_cells"]
-                ),
-                undecided_cells=tuple(
-                    CellCoord(*cell) for cell in results["undecided_cells"]
-                ),
-                bounds=dict(data["bounds"]),
-                comparison_events=tuple(
-                    ComparisonEvent(label, spec["left"], spec["right"])
-                    for label, spec in sorted(data["comparison_events"].items())
-                ),
-                notes=tuple(data["notes"]),
-                inputs=dict(data["scenario"]),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"report document lacks field {exc}") from None
-        except TypeError as exc:
-            raise ValidationError(f"malformed report document: {exc}") from None
+        """The report a ``to_dict`` document holds; a document that breaks
+        ``resources/report.schema.json`` raises ValidationError."""
+        check_document(data, _resource("report.schema.json"), "<report>")
+        results = data["results"]
+        return cls(
+            scenario_name=data["scenario"].get("name", ""),
+            mode=data["mode"],
+            case=data["case"],
+            **{name: results[name] for name in SWEEP_METRICS},
+            nash_cells=tuple(CellCoord(*cell) for cell in results["nash_cells"]),
+            undecided_cells=tuple(
+                CellCoord(*cell) for cell in results["undecided_cells"]
+            ),
+            bounds=dict(data["bounds"]),
+            comparison_events=tuple(
+                ComparisonEvent(label, spec["left"], spec["right"])
+                for label, spec in sorted(data["comparison_events"].items())
+            ),
+            notes=tuple(data["notes"]),
+            inputs=dict(data["scenario"]),
+        )
 
 
 def _require_2x2(game: OrdinalGame):
+    check_kind("game", game, OrdinalGame)
     if game.n_rows != 2 or game.n_cols != 2:
         raise ValidationError(
             "the selection calculus needs a 2x2 game, got "
@@ -149,6 +143,7 @@ def effective_constraints(scenario: Scenario) -> ConstraintSet:
     p(PF11 > PF12) > 0.5 can never decide an order query, and the report's
     note states it.
     """
+    check_kind("scenario", scenario, Scenario)
     _require_2x2(scenario.game)
     base = scenario.constraints
     if scenario.case is Case.WEAK_EVIDENCE:
@@ -173,8 +168,8 @@ def solve(scenario: Scenario) -> DecisionReport:
     equals ``solve`` at its point. The comparison events, the Nash set under
     the case-adjusted order and the notes are the report's alone.
     """
-    events = comparison_events(scenario.game)
     order = effective_constraints(scenario)
+    events = comparison_events(scenario.game)
     nash, undecided = pure_nash(scenario.game, order)
     (values,), caps = _grid(scenario, order, {})
     em, pf = scenario.em_params, scenario.pf_params
@@ -253,6 +248,8 @@ def _param_target(name: str) -> tuple[str, str]:
 
 def with_parameters(scenario: Scenario, overrides: Mapping[str, float]) -> Scenario:
     """A copy of the scenario with some of r, s, C, Q replaced."""
+    check_kind("scenario", scenario, Scenario)
+    check_kind("overrides", overrides, Mapping)
     updates: dict[str, dict[str, float]] = {}
     for name, value in overrides.items():
         attr, fieldname = _param_target(name)

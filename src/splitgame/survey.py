@@ -14,7 +14,8 @@ from collections.abc import Mapping, Sequence
 
 from . import _resource
 from ._record import Record
-from .errors import ValidationError, check_integer, check_path
+from .errors import ValidationError, _shown, check_document, check_integer
+from .errors import check_kind, check_number, check_path
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -64,14 +65,14 @@ def canonical_instrument() -> Instrument:
 
 
 def instrument_from_dict(data: Mapping) -> Instrument:
-    try:
-        items = tuple(
-            SurveyItem(entry["index"], entry["text"], entry["polarity"])
-            for entry in data["items"]
-        )
-        return Instrument(data["version"], data.get("name", "instrument"), items)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed instrument definition: {exc}") from None
+    """The instrument a parsed definition holds; a definition that breaks
+    ``resources/instrument.schema.json`` raises ValidationError."""
+    check_document(data, _resource("instrument.schema.json"), "<instrument>")
+    items = tuple(
+        SurveyItem(entry["index"], entry["text"], entry["polarity"])
+        for entry in data["items"]
+    )
+    return Instrument(data["version"], data.get("name", "instrument"), items)
 
 
 def _choice_position(choice: str | int) -> int:
@@ -119,8 +120,11 @@ class SurveyResponse(Record):
     answers: Mapping[int, str | int]
 
     def __post_init__(self):
-        object.__setattr__(self, "answers", dict(self.answers))
-        for key in self.answers:
+        answers = self.answers
+        if type(answers) is not dict:
+            check_kind("answers", answers, Mapping)
+        object.__setattr__(self, "answers", dict(answers))
+        for key in answers:
             if not isinstance(key, int) or isinstance(key, bool):
                 raise ValidationError(f"item index {key!r} must be an integer")
 
@@ -133,10 +137,13 @@ class PIndexScore(Record):
     n_items: int = 7
 
     def __post_init__(self):
+        check_integer("raw sum", self.raw_sum, None)
+        check_number("index", self.p_index)
+        check_integer("item count", self.n_items, 1)
         low, high = self.n_items, SCALE_STEPS * self.n_items
         if not low <= self.raw_sum <= high:
             raise ValidationError(
-                f"raw sum {self.raw_sum!r} outside [{low}, {high}]"
+                f"raw sum {_shown(self.raw_sum)} outside [{_shown(low)}, {_shown(high)}]"
             )
         if not 0.0 <= self.p_index <= INDEX_MAX:
             raise ValidationError(
@@ -167,6 +174,7 @@ def score_response(response: SurveyResponse) -> PIndexScore:
     all-maximum response to 10 exactly. Responses with the same raw sum
     share one score record.
     """
+    check_kind("response", response, SurveyResponse)
     expected, polarity, scores = _score_plan()
     answers = response.answers
     if answers.keys() != expected:
@@ -188,6 +196,8 @@ def aggregate(scores: Sequence[PIndexScore]) -> float:
     """Mean index over a cohort of scored responses."""
     if not scores:
         raise ValidationError("cannot aggregate zero responses")
+    for score in scores:
+        check_kind("score", score, PIndexScore)
     return sum(score.p_index for score in scores) / len(scores)
 
 

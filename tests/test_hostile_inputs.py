@@ -7,6 +7,7 @@ the hostile value as one of its entries; the message rows also pass
 something other than a sequence or a mapping where one belongs, and
 entries that are not ids or labels.
 """
+import copy
 import math
 import os
 from decimal import Decimal
@@ -16,16 +17,22 @@ import pytest
 
 from splitgame import (
     ConstraintSet,
+    DecisionReport,
     DominanceConstraint,
     EventSpace,
     IndexParameters,
     Mode,
     NumericOrder,
+    PIndexScore,
     SimulationConfig,
     SimulationDefaults,
     SplitgameError,
     SurveyItem,
+    SurveyResponse,
     ValidationError,
+    aggregate,
+    comparison_events,
+    effective_constraints,
     fixed_point_posterior,
     gaussian_tail,
     ipd_scenario,
@@ -34,9 +41,14 @@ from splitgame import (
     pure_nash,
     read_responses_csv,
     score_factor,
+    score_response,
+    simulate_selection,
+    solve,
     sweep,
     verify_nash_numeric,
+    with_parameters,
 )
+from splitgame.survey import instrument_from_dict
 
 HOSTILE = {
     "text": "1",
@@ -56,6 +68,21 @@ SPACE = EventSpace.uniform("abc")
 SYMBOLS = sorted(GAME.symbol_ids())
 # distinct values, so the Nash set depends on every comparison
 VALUES = {symbol: float(k) for k, symbol in enumerate(SYMBOLS)}
+REPORT = solve(IPD).to_dict()
+
+
+def _report(edits):
+    """The solved report's document with values replaced, each at a path
+    written with "/" between keys."""
+    doc = copy.deepcopy(REPORT)
+    for path, value in edits.items():
+        *parents, last = path.split("/")
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return doc
+
 
 # argument -> a call that puts one value there, every other argument valid
 CALLS = {
@@ -101,6 +128,23 @@ CALLS = {
         lambda v: numeric_pure_nash(GAME, {**VALUES, "EM12": v}),
     "numeric_pure_nash.all":
         lambda v: numeric_pure_nash(GAME, dict.fromkeys(SYMBOLS, v)),
+    "solve.scenario": lambda v: solve(v),
+    "sweep.scenario": lambda v: sweep(v, {"r": [0.5]}),
+    "effective_constraints.scenario": lambda v: effective_constraints(v),
+    "comparison_events.game": lambda v: comparison_events(v),
+    "with_parameters.scenario": lambda v: with_parameters(v, {"r": 0.5}),
+    "with_parameters.overrides": lambda v: with_parameters(IPD, v),
+    "SurveyResponse.answers": lambda v: SurveyResponse(v),
+    "PIndexScore.raw_sum": lambda v: PIndexScore(v, 1.0),
+    "PIndexScore.p_index": lambda v: PIndexScore(7, v),
+    "PIndexScore.n_items": lambda v: PIndexScore(7, 0.0, v),
+    "score_response.response": lambda v: score_response(v),
+    "aggregate.score": lambda v: aggregate([v]),
+    "NumericOrder.values": lambda v: NumericOrder(v),
+    "simulate_selection.config": lambda v: simulate_selection(v),
+    "fixed_point_posterior.space": lambda v: fixed_point_posterior(v, [0]),
+    "EventSpace.uniform.labels": lambda v: EventSpace.uniform(v),
+    "Mode.parse": lambda v: Mode.parse(v),
 }
 
 
@@ -297,6 +341,30 @@ def test_returns_or_raises_a_splitgame_error(call, value):
             lambda: ORDER.independent_chain_probability([("EM11",)]),
             "chain entry must be a (greater, lesser) pair, got ('EM11',)",
         ),
+        (
+            lambda: Mode.parse([]),
+            "unknown mode []; expected 'computed' or 'published'",
+        ),
+        (
+            lambda: DecisionReport.from_dict(
+                _report({"results/p_em12": "x", "mode": 5, "notes": "ab"})
+            ),
+            "<report>: mode: 5 is not one of ['computed', 'published']",
+        ),
+        (
+            lambda: DecisionReport.from_dict(
+                _report({"bounds": {"a": "b"}, "results/nash_cells": [["a", "b"]]})
+            ),
+            "<report>: bounds: Additional properties are not allowed "
+            "('a' was unexpected)",
+        ),
+        (
+            lambda: instrument_from_dict({
+                "version": "x",
+                "items": [{"index": 1, "text": 5, "polarity": "positive"}],
+            }),
+            "<instrument>: items/0/text: 5 is not of type 'string'",
+        ),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
@@ -312,6 +380,7 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         "text_mode", "none_mode", "none_scenario_path", "int_scenario_path",
         "none_csv_path", "int_csv_path", "int_group", "empty_group",
         "list_symbol", "none_symbol_open_set", "none_chain", "short_chain_entry",
+        "list_mode", "text_report_metric", "text_report_cell", "text_item_text",
     ],
 )
 def test_message(make, message):

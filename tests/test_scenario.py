@@ -31,12 +31,9 @@ from splitgame import (
     solve,
 )
 from splitgame._record import replace
+from splitgame.errors import _JSON_TYPES, _schema_errors
 from splitgame.montecarlo import MAX_TRIALS
-from splitgame.scenario import (
-    _JSON_TYPES,
-    _schema_errors,
-    scenario_schema,
-)
+from splitgame.scenario import scenario_schema
 
 
 @pytest.fixture
@@ -315,9 +312,9 @@ def _at(doc, path):
 
 
 @st.composite
-def mutated_ipd_documents(draw):
-    """The shipped scenario with one to three field-level mutations."""
-    doc = ipd_scenario().to_dict()
+def mutated_documents(draw, base):
+    """``base`` with one to three field-level mutations."""
+    doc = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         node = _at(doc, path)
@@ -340,14 +337,36 @@ def mutated_ipd_documents(draw):
     return doc
 
 
-def _oracle_errors(doc):
-    validator = jsonschema.Draft202012Validator(scenario_schema())
+# every shipped schema -> a document that meets it: the shipped scenario, a
+# report solved from it, the shipped instrument
+SCHEMAS = {
+    "scenario.schema.json": ipd_scenario().to_dict(),
+    "report.schema.json": solve(ipd_scenario()).to_dict(),
+    "instrument.schema.json": copy.deepcopy(splitgame._resource("instrument.json")),
+}
+
+
+def _schema(name):
+    """A copy of the shipped schema ``name``, so no test can change it."""
+    return copy.deepcopy(splitgame._resource(name))
+
+
+@st.composite
+def mutated_shipped_documents(draw):
+    """A shipped schema's name and its document with one to three
+    field-level mutations."""
+    name = draw(st.sampled_from(sorted(SCHEMAS)))
+    return name, draw(mutated_documents(SCHEMAS[name]))
+
+
+def _oracle_errors(doc, schema):
+    validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     return [(tuple(e.absolute_path), e.message) for e in errors]
 
 
-def _reader_errors(doc):
-    return sorted(_schema_errors(doc, scenario_schema()), key=itemgetter(0))
+def _reader_errors(doc, schema):
+    return sorted(_schema_errors(doc, schema), key=itemgetter(0))
 
 
 def _reader_keywords():
@@ -377,10 +396,12 @@ def _schema_nodes(schema):
 class TestSchemaReader:
     """The package's schema reader against jsonschema as an oracle."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(mutated_ipd_documents())
-    def test_errors_match_jsonschema(self, doc):
-        assert _reader_errors(doc) == _oracle_errors(doc)
+    @settings(max_examples=800, deadline=None)
+    @given(mutated_shipped_documents())
+    def test_errors_match_jsonschema(self, named_doc):
+        name, doc = named_doc
+        schema = _schema(name)
+        assert _reader_errors(doc, schema) == _oracle_errors(doc, schema)
 
     @pytest.mark.parametrize(
         "path, value",
@@ -401,7 +422,8 @@ class TestSchemaReader:
     def test_hand_picked_mutations_match_jsonschema(self, path, value):
         doc = ipd_scenario().to_dict()
         _at(doc, path[:-1])[path[-1]] = value
-        assert _reader_errors(doc) == _oracle_errors(doc)
+        schema = scenario_schema()
+        assert _reader_errors(doc, schema) == _oracle_errors(doc, schema)
 
     @pytest.mark.parametrize(
         "schema, value",
@@ -429,13 +451,18 @@ class TestSchemaReader:
         # as "pattern", which it skips, would fail the walk below
         assert {"type", "enum", "properties", "minimum"} <= handled
         assert "pattern" not in handled
-        for node in _schema_nodes(scenario_schema()):
-            assert set(node) <= handled | annotations, node
-            assert node.get("type", "object") in _JSON_TYPES, node
-            assert node.get("additionalProperties", False) is False, node
-            items = node.get("items", False)
-            assert items is False or isinstance(items, dict), node
-            assert all(isinstance(v, str) for v in node.get("enum", ())), node
+        resources = Path(splitgame.__file__).parent / "resources"
+        names = sorted(path.name for path in resources.glob("*.schema.json"))
+        # every schema the package ships is also checked against jsonschema
+        assert names == sorted(SCHEMAS)
+        for name in names:
+            for node in _schema_nodes(_schema(name)):
+                assert set(node) <= handled | annotations, node
+                assert node.get("type", "object") in _JSON_TYPES, node
+                assert node.get("additionalProperties", False) is False, node
+                items = node.get("items", False)
+                assert items is False or isinstance(items, dict), node
+                assert all(isinstance(v, str) for v in node.get("enum", ())), node
 
 
     def test_changing_the_returned_schema_changes_no_check(self, ipd_path):

@@ -93,14 +93,14 @@ class TestInstrument:
     @pytest.mark.parametrize(
         "data, reason",
         [
-            ({"version": 1}, "'items'"),
-            ({"version": 1, "items": [5]}, "'int' object is not subscriptable"),
+            ({"version": 1}, "<root>: 'items' is a required property"),
+            ({"version": 1, "items": [5]}, "items/0: 5 is not of type 'object'"),
         ],
     )
     def test_instrument_from_dict_rejects_a_malformed_document(self, data, reason):
         with pytest.raises(ValidationError) as caught:
             instrument_from_dict(data)
-        assert str(caught.value) == f"malformed instrument definition: {reason}"
+        assert str(caught.value) == f"<instrument>: {reason}"
 
     def test_choices_match_the_shipped_scale(self):
         # the letters are written both here and in the instrument file
