@@ -26,7 +26,6 @@ _EXPORTS = {
     "BOUND_LOWER": "constraints",
     "ConstraintSet": "constraints",
     "DominanceConstraint": "constraints",
-    "SAMPLING_DOWNSET_CAP": "constraints",
     "DomainError": "errors",
     "InconsistentOrderError": "errors",
     "MissingProbabilityError": "errors",
@@ -53,6 +52,7 @@ _EXPORTS = {
     "numeric_pure_nash": "montecarlo",
     "simulate_selection": "montecarlo",
     "verify_nash_numeric": "montecarlo",
+    "SAMPLING_DOWNSET_CAP": "sampling",
     "Case": "scenario",
     "Scenario": "scenario",
     "SimulationDefaults": "scenario",

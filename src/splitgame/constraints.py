@@ -8,14 +8,11 @@ Lower-bound constraints are stored and echoed back (``constraints``,
 ``Scenario.to_dict``) but never read: no order query, chain probability or
 sample uses them.
 
-What is derived from the order, the sampling plan (or the error its build
-raised) and ``montecarlo.verify_nash_numeric``'s check plans per game, is
-built on first use, kept on the set and dropped with it; a set from
-``add_constraint`` builds its own.
-
-numpy is imported inside the sampling functions, not at module level: only
-sampling needs it, and the order queries behind ``solve`` and ``sweep``
-would otherwise pay its import, which is most of a cold ``import splitgame``.
+What is derived from the order (the sampling plan or its build's error, and
+``montecarlo.verify_nash_numeric``'s check plans per game) is built on first
+use, kept on the set and dropped with it; a set from ``add_constraint``
+builds its own. The sampler, ``sampling``, is imported only when drawing, so
+``solve`` and ``sweep`` load no numpy, most of a cold ``import splitgame``.
 """
 from __future__ import annotations
 
@@ -23,6 +20,7 @@ from collections.abc import Sequence
 
 from ._record import Record, replace
 from .errors import (
+    MAX_TRIALS,
     InconsistentOrderError,
     MissingProbabilityError,
     SamplingExhaustedError,
@@ -33,26 +31,11 @@ from .errors import (
     check_integer,
     check_kind,
     check_number,
+    check_seed,
 )
 
 BOUND_EXACT = "exact"
 BOUND_LOWER = "lower"
-
-# most trials one Monte Carlo run takes (10^8), and most values (rows
-# times symbols) one ``sample_realization`` call draws: 800 MB of float64
-MAX_TRIALS = 10**8
-
-# most values (rows times symbols) one batch of components with one local
-# order draws and places in ``sample_realization``; bounds its memory, as
-# ``SIMULATE_BLOCK`` does in ``simulate_selection``. A component larger
-# than this is a batch of its own
-_SAMPLE_BATCH = 1 << 16
-
-# most downsets the exact sampler enumerates for one connected component of
-# the certain order; every component of a game up to 3x3 (18 symbols) fits,
-# the widest (one symbol above 17 others) having 2**17 + 1 downsets; a chain
-# builds no lattice, so no chain reaches the cap
-SAMPLING_DOWNSET_CAP = 1 << 18
 
 
 class DominanceConstraint(Record):
@@ -72,9 +55,7 @@ class DominanceConstraint(Record):
         if not all(isinstance(sym, str) and sym for sym in (self.left, self.right)):
             raise ValidationError("constraint symbols must be non-empty ids")
         if self.left == self.right:
-            raise ValidationError(
-                f"constraint compares {self.left!r} with itself"
-            )
+            raise ValidationError(f"constraint compares {self.left!r} with itself")
         check_number(f"p({self.left} > {self.right})", self.probability)
         if not 0.0 <= self.probability <= 1.0:
             raise ValidationError(
@@ -94,16 +75,6 @@ class DominanceConstraint(Record):
         return self.bound == BOUND_EXACT and self.probability == 1.0
 
 
-def check_trials(trials) -> None:
-    """Reject a trial count that is not an integer in [1, MAX_TRIALS]."""
-    check_integer("trials", trials, 1, MAX_TRIALS)
-
-
-def check_seed(seed) -> None:
-    """Reject a generator seed that is not an integer >= 0."""
-    check_integer("seed", seed, 0)
-
-
 def _search(edges, start) -> dict:
     """Breadth first over ``edges`` (node -> successors, in insertion
     order) from ``start``: every node reached, ``start`` included, mapped to
@@ -118,153 +89,6 @@ def _search(edges, start) -> dict:
     return parent
 
 
-def _components(names, reach) -> list[list[int]]:
-    """Connected components of the certain order over ``names``, as sorted
-    lists of indices, ordered by their smallest index."""
-    index = {name: i for i, name in enumerate(names)}
-    links = {name: set(reach[name]) for name in names}
-    for name in names:
-        for lesser in reach[name]:
-            links[lesser].add(name)
-    groups, seen = [], set()
-    for name in names:
-        if name not in seen:
-            found = _search(links, name)
-            seen.update(found)
-            groups.append(sorted(map(index.__getitem__, found)))
-    return groups
-
-
-def _lattice(above):
-    """The downset lattice of one connected order, as sampling tables.
-
-    ``above[j]`` is the bitmask of the symbols that must precede symbol j.
-    The downsets (bitmasks of the symbols already placed from the top) are
-    enumerated breadth first; counting the completions of each one
-    backwards gives the exact probability of every next symbol (Brightwell
-    & Winkler, Order 8, 1991). Returns
-    ``(follow, cumulative)``: per downset but the full one, the downset
-    reached by placing each symbol next, and the cumulative share of each
-    next symbol, ending in exactly 1.
-    """
-    import numpy as np
-
-    k = len(above)
-    symbols = [(j, above[j], above[j] | 1 << j) for j in range(k)]
-    downsets, index = [0], {0: 0}
-    source, symbol, target = [], [], []  # the moves, grouped by source
-    for at, placed in enumerate(downsets):  # grows while it is walked
-        for j, before, needs in symbols:
-            if placed & needs == before:
-                grown = placed | 1 << j
-                to = index.get(grown)
-                if to is None:
-                    to = index[grown] = len(downsets)
-                    if to >= SAMPLING_DOWNSET_CAP:
-                        raise SamplingExhaustedError(
-                            f"a connected component of {k} symbols in the "
-                            f"certain order has more than "
-                            f"{SAMPLING_DOWNSET_CAP} downsets"
-                        )
-                    downsets.append(grown)
-                source.append(at)
-                symbol.append(j)
-                target.append(to)
-
-    # exact completion counts, backwards (Python ints never overflow); the
-    # full downset, the last, has no next symbol
-    completions = [0] * (len(downsets) - 1) + [1]
-    for at, to in zip(reversed(source), reversed(target)):
-        completions[at] += completions[to]
-    follow = np.zeros((len(downsets) - 1, k), dtype=np.intp)
-    follow[source, symbol] = target
-    cumulative = np.zeros((len(downsets) - 1, k))
-    cumulative[source, symbol] = [
-        completions[to] / completions[at] for at, to in zip(source, target)
-    ]
-    np.cumsum(cumulative, axis=1, out=cumulative)
-    cumulative /= cumulative[:, -1:]
-    return follow, cumulative
-
-
-def _linear_extensions(follow, cumulative, u) -> np.ndarray:
-    """Uniformly random linear extensions of one connected order, from its
-    ``_lattice`` tables and a (k, rows, 1) array of uniforms.
-
-    All rows walk the lattice together, one array step per position.
-    Returns a (k, rows) array: each row's symbol at each depth from the top.
-    """
-    import numpy as np
-
-    k, rows = u.shape[:2]
-    moves = follow.ravel()
-    # u < 1, so the first entry above it is a move with positive share; at
-    # the last depth, the one symbol left
-    state = np.zeros(rows, dtype=np.intp)
-    order = np.empty((k, rows), dtype=np.intp)
-    for depth in range(k):
-        shares = cumulative.take(state, axis=0)
-        order[depth] = pick = (shares > u[depth]).argmax(axis=1)
-        state = moves.take(state * k + pick)
-    return order
-
-
-def _extension_picker(follow, cumulative):
-    """``_linear_extensions`` as a placement: a function of its uniforms
-    giving, per row, each symbol's column in that row's ascending draws.
-    With at most 64 extensions, its picks come from a table: per depth but
-    the last, the uint64 mask of the extensions whose ``cum[j-1] <= u <
-    cum[j]`` holds each gap, and per extension its columns."""
-    import numpy as np
-
-    def columns(order):  # (k, n) symbols from the top -> (n, k) columns
-        cols = np.empty(order.shape[::-1], dtype=np.intp)
-        cols[np.arange(len(cols)), order] = np.arange(len(order))[::-1, None]
-        return cols
-
-    padded = np.pad(cumulative, ((0, 0), (1, 0)))  # cum[j-1] at j, cum[j] at j + 1
-    at, placed = np.zeros((1, 1), dtype=np.intp), np.zeros((0, 1), dtype=np.intp)
-    for _ in range(follow.shape[1]):  # per prefix its downsets, then its symbols
-        prefix, j = np.nonzero(padded[at[-1], 1:] > padded[at[-1], :-1])
-        if len(prefix) > 64:  # every prefix ends in an extension
-            return lambda u: columns(_linear_extensions(follow, cumulative, u))
-        at = np.vstack([at[:, prefix], follow[at[-1, prefix], j]])
-        placed = np.vstack([placed[:, prefix], j])
-    los, his = (padded[at[:-2], placed[:-1] + end] for end in (0, 1))  # (k - 1, n)
-    low = np.array(sorted({0.0, *his.ravel().tolist()}))[:, None]  # gap starts
-    bits = np.uint64(1) << np.arange(placed.shape[1], dtype=np.uint64)
-    masks = np.array([((lo <= low) & (low < hi)) @ bits for lo, hi in zip(los, his)])
-    offsets = np.arange(0, masks.size, len(low))[:, None]
-    cols = columns(placed)
-
-    def pick(u):  # the last depth's uniform is not read; the AND leaves one bit
-        gaps = low[1:, 0].searchsorted(u[:-1, :, 0], "right") + offsets
-        found = np.bitwise_and.reduce(masks.take(gaps), axis=0)
-        return cols.take(bits.searchsorted(found), axis=0)
-
-    return pick
-
-
-def _place(values, block, pick, rng, rows):
-    """Draw and place one batch: the components of one local order whose
-    member indices are the (n, k) ``block``. Reads, per component, its
-    (k, rows) walk uniforms, then its (rows, k) draws, the stream n reads of
-    one component would take; one pick places every row of the batch, one
-    sort orders each row's draws in place, and one gather from the read
-    puts them in the picked columns of ``values``."""
-    import numpy as np
-
-    n, k = block.shape
-    read = rng.random((n, 2, k * rows))
-    walk = read[:, 0].reshape(n, k, rows).transpose(1, 0, 2)
-    cols = pick(walk.reshape(k, n * rows, 1)).reshape(n, rows, k)
-    read[:, 1].reshape(n, rows, k).sort(axis=2)
-    # columns to flat indices into ``read``: a row's draws start every k
-    # values in the second half of its component's part
-    cols += np.arange(0, read.size, k).reshape(n, 2 * rows)[:, rows:, None]
-    values[block] = read.take(cols).transpose(0, 2, 1)
-
-
 class ConstraintSet(Record):
     """An immutable collection of dominance constraints.
 
@@ -272,9 +96,8 @@ class ConstraintSet(Record):
     (their transitive closure) is what ``implies`` answers from.
 
     If ``universe`` is given, every constraint must stay inside it and order
-    queries on ids outside it raise ``UnknownSymbolError``. Without a
-    universe the set is open: any id may be queried and unseen ids simply
-    compare as unknown.
+    queries on ids outside it raise ``UnknownSymbolError``; without one the
+    set is open, and unseen ids compare as unknown.
 
     Construction checks the container and the universe's kind first, then
     each constraint in input order (its kind, its symbols against the
@@ -306,12 +129,12 @@ class ConstraintSet(Record):
         object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "universe", universe)
 
-        # one pass in input order, so the first faulty constraint is named:
-        # ``exact`` holds each ordered pair's exact probability, ``edges``
-        # the certain edges, successors in insertion order (dict keys), so no
-        # search depends on the string hash seed. A constraint closes a cycle
-        # when its right reaches its left (so has successors, and its left
-        # predecessors); it is named with the shortest path back
+        # one pass in input order: ``exact`` holds each ordered pair's exact
+        # probability, ``edges`` the certain edges, successors in insertion
+        # order (dict keys), so no search depends on the string hash seed. A
+        # constraint closes a cycle when its right reaches its left (so has
+        # successors, and its left predecessors); it is named with the
+        # shortest path back
         exact: dict[tuple[str, str], float] = {}
         edges: dict[str, dict[str, None]] = {}
         indegree: dict[str, int] = {}  # how many symbols are just above each
@@ -354,8 +177,7 @@ class ConstraintSet(Record):
         for sym in reversed(ranked):  # the closure, sinks first: one union per edge
             reach[sym] = frozenset(edges[sym]).union(*map(reach.get, edges[sym]))
         # per-instance state, never in equality or hash: the tables above,
-        # then, built on first use, the sampling plan (or the error its
-        # build raised) and the check plans per game
+        # then the sampling plan and the check plans, built on first use
         object.__setattr__(self, "_exact", exact)
         object.__setattr__(self, "_reach", reach)
         object.__setattr__(self, "_plan", None)
@@ -430,53 +252,14 @@ class ConstraintSet(Record):
         return product
 
     def _sampling_plan(self):
-        """What sampling needs of the order, built on first use and kept:
-        the sorted names, the indices of the unconstrained ones, and per run
-        of adjacent components of two or more symbols with one local order
-        (equal ``above``) a (g, k) block of their member indices with one
-        ``_extension_picker``, which gives each member's column in a row's
-        sorted draws; a chain, read off the closure, keeps its members in
-        its one linear extension, from the top, and None, builds no lattice
-        and ends a run. A component over ``SAMPLING_DOWNSET_CAP`` raises
-        SamplingExhaustedError; the error is kept, so every later call
-        raises the same class and message without building again."""
+        """``sampling.plan`` of the order, or the error it raised, kept."""
         if self._plan is None:
-            import numpy as np
-
-            names = sorted(self.symbols)
-            components = _components(names, self._reach)
-            free = [members[0] for members in components if len(members) == 1]
-            walks, last = [], None  # ``last``: the local order of walks[-1]
+            from . import sampling
             try:
-                for members in components:
-                    if len(members) == 1:
-                        continue
-                    # a component's symbols dominate only one another, so it
-                    # is a chain exactly when all k(k - 1)/2 of its pairs are
-                    # ordered, and the more a symbol dominates the higher it is
-                    below = {i: len(self._reach[names[i]]) for i in members}
-                    k = len(members)
-                    if sum(below.values()) == k * (k - 1) // 2:
-                        ranked = sorted(members, key=below.__getitem__, reverse=True)
-                        walks.append((np.asarray(ranked), None))
-                        last = None
-                        continue
-                    local = {names[i]: bit for bit, i in enumerate(members)}
-                    above = [0] * k
-                    for name, bit in local.items():
-                        for lesser in self._reach[name]:
-                            above[local[lesser]] |= 1 << bit
-                    if above == last:
-                        block, pick = walks[-1]
-                        walks[-1] = (np.vstack([block, members]), pick)
-                        continue
-                    pick = _extension_picker(*_lattice(above))
-                    walks.append((np.asarray([members]), pick))
-                    last = above
-                object.__setattr__(self, "_plan", (names, free, walks))
+                plan = sampling.plan(sorted(self.symbols), self._reach)
             except SamplingExhaustedError as failed:
-                # no traceback: its frames hold the enumeration's lists
-                object.__setattr__(self, "_plan", failed.with_traceback(None))
+                plan = failed.with_traceback(None)  # its frames hold the lattice
+            object.__setattr__(self, "_plan", plan)
         if isinstance(self._plan, SamplingExhaustedError):
             raise SamplingExhaustedError(*self._plan.args)
         return self._plan
@@ -489,48 +272,28 @@ class ConstraintSet(Record):
         without rejection. ``size=None`` gives one ``{name: float}``; an
         integer ``size`` gives ``{name: array}`` of that many independent
         rows, at most ``MAX_TRIALS`` values (rows times symbols) in all.
-        Deterministic for a given seed, an integer >= 0 or a list or tuple
-        of them (numpy PCG64). The plan the draws follow is built on the
-        first call and kept with the set. A component of the order with more
-        than ``SAMPLING_DOWNSET_CAP`` downsets raises SamplingExhaustedError;
-        the failure is kept too, so later calls raise it again at once.
+        Deterministic for a given seed, an integer >= 0 or a list or tuple of
+        them (numpy PCG64). The plan the draws follow is built on the first
+        call and kept, as is the SamplingExhaustedError of a component over
+        ``sampling.SAMPLING_DOWNSET_CAP`` downsets.
         """
         for part in seed if isinstance(seed, (list, tuple)) else (seed,):
             check_seed(part)
         if size is not None:
             check_integer("size", size, 0, MAX_TRIALS)
-            # checked before anything is built: the values alone take 8
-            # bytes each
+            # checked before anything is built: each value takes 8 bytes
             width = len(self.symbols)
             if size * width > MAX_TRIALS:
                 raise ValidationError(
                     f"size * symbols must be <= {MAX_TRIALS}, "
                     f"got {size} * {width}"
                 )
-        import numpy as np
-
-        names, free, walks = self._sampling_plan()
-        rows = 1 if size is None else int(size)
-        rng = np.random.default_rng(seed)
-        values = np.empty((len(names), rows))
-        if free:
-            values[free] = rng.random((len(free), rows))
-        for members, pick in walks:
-            if pick is None:  # a chain skips its walk uniforms unallocated
-                k = len(members)
-                rng.bit_generator.advance(k * rows)
-                draws = rng.random((rows, k))
-                draws.sort(axis=1)
-                values[members] = draws.T[::-1]
-                continue
-            g, k = members.shape
-            per = max(1, _SAMPLE_BATCH // (k * rows or 1))  # components per batch
-            for start in range(0, g, per):
-                # a call, so the batch's read and columns go before the next
-                _place(values, members[start:start + per], pick, rng, rows)
+        import splitgame.sampling as sampling  # cheaper per call than from-import
+        plan = self._sampling_plan()
+        values = sampling.draw(plan, seed, 1 if size is None else int(size))
         if size is None:
-            return {name: float(v[0]) for name, v in zip(names, values)}
-        return dict(zip(names, values))
+            return {name: float(v[0]) for name, v in zip(plan[0], values)}
+        return dict(zip(plan[0], values))
 
     def __repr__(self):
         scope = "open" if self.universe is None else f"{len(self.universe)} symbols"

@@ -39,7 +39,8 @@ class DomainError(SplitgameError, ValueError):
 
 class SamplingExhaustedError(DomainError):
     """A component of the certain order is too wide to sample exactly: its
-    downset lattice passes ``constraints.SAMPLING_DOWNSET_CAP``."""
+    downset lattice passes ``sampling.SAMPLING_DOWNSET_CAP`` (reading
+    ``splitgame.SAMPLING_DOWNSET_CAP`` loads that module, and numpy)."""
 
 
 class InconsistentOrderError(SplitgameError):
@@ -118,8 +119,23 @@ def check_integer(name: str, value, low: int | None, high: int | None = None) ->
         raise ValidationError(f"{name} must be <= {high}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+# most trials one Monte Carlo run takes (10^8), and most values (rows
+# times symbols) one ``sample_realization`` call draws: 800 MB of float64
+MAX_TRIALS = 10**8
+
+
+def check_trials(trials) -> None:
+    """Reject a trial count that is not an integer in [1, MAX_TRIALS]."""
+    check_integer("trials", trials, 1, MAX_TRIALS)
+
+
+def check_seed(seed) -> None:
+    """Reject a generator seed that is not an integer >= 0."""
+    check_integer("seed", seed, 0)
+
+
+def _is_number(value) -> bool:  # a complex number has no order to check
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 _JSON_TYPES = {
@@ -149,10 +165,10 @@ def _schema_errors(
     for keyword, rule in schema.items():
         if keyword == "type":
             if not _JSON_TYPES[rule](value):
-                yield path, f"{value!r} is not of type {rule!r}"
+                yield path, f"{_shown(value)} is not of type {rule!r}"
         elif keyword == "enum":
             if value not in rule:
-                yield path, f"{value!r} is not one of {rule!r}"
+                yield path, f"{_shown(value)} is not one of {rule!r}"
         elif isinstance(value, dict):
             if keyword == "required":
                 for name in rule:
@@ -160,12 +176,13 @@ def _schema_errors(
                         yield path, f"{name!r} is a required property"
             elif keyword == "additionalProperties" and rule is False:
                 known = schema.get("properties", {})
-                extras = sorted(
-                    {name for name in value if name not in known}, key=str
+                extras = sorted(  # as by str, which raises on a huge int
+                    {name for name in value if name not in known},
+                    key=lambda name: name if isinstance(name, str) else _shown(name),
                 )
                 if extras:
                     verb = "was" if len(extras) == 1 else "were"
-                    names = ", ".join(repr(name) for name in extras)
+                    names = ", ".join(map(_shown, extras))
                     yield path, (
                         f"Additional properties are not allowed "
                         f"({names} {verb} unexpected)"
@@ -186,7 +203,7 @@ def _schema_errors(
                     noun = "items" if prefix != 1 else "item"
                     yield path, (
                         f"Expected at most {prefix} {noun} but found {extra} "
-                        f"extra: {rest!r}"
+                        f"extra: {_shown(rest)}"
                     )
                 elif extra > 0:
                     for index in range(prefix, len(value)):
@@ -195,19 +212,19 @@ def _schema_errors(
                         )
             elif keyword == "minItems" and len(value) < rule:
                 short = "should be non-empty" if rule == 1 else "is too short"
-                yield path, f"{value!r} {short}"
+                yield path, f"{_shown(value)} {short}"
             elif keyword == "maxItems" and len(value) > rule:
                 long = "is expected to be empty" if rule == 0 else "is too long"
-                yield path, f"{value!r} {long}"
+                yield path, f"{_shown(value)} {long}"
         elif isinstance(value, str):
             if keyword == "minLength" and len(value) < rule:
                 short = "should be non-empty" if rule == 1 else "is too short"
-                yield path, f"{value!r} {short}"
+                yield path, f"{_shown(value)} {short}"
         elif _is_number(value):
             if keyword == "minimum" and value < rule:
-                yield path, f"{value!r} is less than the minimum of {rule!r}"
+                yield path, f"{_shown(value)} is less than the minimum of {rule!r}"
             elif keyword == "maximum" and value > rule:
-                yield path, f"{value!r} is greater than the maximum of {rule!r}"
+                yield path, f"{_shown(value)} is greater than the maximum of {rule!r}"
 
 
 def check_document(data, schema: Mapping, source: str) -> None:

@@ -17,9 +17,10 @@ import math
 from collections.abc import Mapping
 
 from ._record import Record
-from .constraints import MAX_TRIALS  # noqa: F401  (re-exported)
-from .constraints import ConstraintSet, check_seed, check_trials
+from .constraints import ConstraintSet
+from .errors import MAX_TRIALS  # noqa: F401  (re-exported)
 from .errors import UnknownSymbolError, ValidationError, check_kind, check_number
+from .errors import check_seed, check_trials
 from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, _floats, pure_nash
 
 RNG_ALGORITHM = "pcg64"

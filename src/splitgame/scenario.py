@@ -21,9 +21,8 @@ from . import _resource
 from ._record import Record, replace
 from .bayes import EventSpace
 from .constraints import BOUND_EXACT, ConstraintSet, DominanceConstraint
-from .constraints import check_seed, check_trials
 from .errors import UnknownSymbolError, ValidationError, check_document
-from .errors import check_kind, check_path
+from .errors import check_kind, check_path, check_seed, check_trials
 from .game import OrdinalGame
 from .index_model import DEFAULT_VARIANCE, IndexParameters, Mode
 
@@ -65,8 +64,14 @@ class Scenario(Record):
     players: tuple[str, str] = ("row", "column")
 
     def __post_init__(self):
-        check_kind("case", self.case, Case)
-        check_kind("mode", self.mode, Mode)
+        for name, kind in (
+            ("game", OrdinalGame), ("constraints", ConstraintSet),
+            ("events", EventSpace), ("em_params", IndexParameters),
+            ("pf_params", IndexParameters), ("case", Case), ("mode", Mode),
+        ):
+            check_kind(name, getattr(self, name), kind)
+        if self.mc is not None:
+            check_kind("mc", self.mc, SimulationDefaults)
         # the file format holds one variance for both coefficient parameter
         # sets, so a scenario with two could not echo its own inputs
         em, pf = self.em_params.variance, self.pf_params.variance

@@ -14,8 +14,8 @@ from collections.abc import Mapping, Sequence
 
 from . import _resource
 from ._record import Record
-from .errors import ValidationError, _shown, check_document, check_integer
-from .errors import check_kind, check_number, check_path
+from .errors import ValidationError, _sequence, _shown, check_document
+from .errors import check_integer, check_kind, check_number, check_path
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -194,7 +194,7 @@ def score_response(response: SurveyResponse) -> PIndexScore:
 
 def aggregate(scores: Sequence[PIndexScore]) -> float:
     """Mean index over a cohort of scored responses."""
-    if not scores:
+    if not _sequence("scores", scores, "PIndexScore"):
         raise ValidationError("cannot aggregate zero responses")
     for score in scores:
         check_kind("score", score, PIndexScore)

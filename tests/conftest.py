@@ -27,7 +27,8 @@ from splitgame import (
     with_parameters,
 )
 from splitgame import solver
-from splitgame.constraints import MAX_TRIALS, _components, check_integer
+from splitgame.constraints import MAX_TRIALS, check_integer
+from splitgame.sampling import _components
 from splitgame.index_model import PUBLISHED_TABLE, Mode, score_factor
 from splitgame.solver import SCORE_MATCH_TOLERANCE, SWEEP_METRICS, _require_2x2
 from splitgame.survey import (

@@ -449,7 +449,7 @@ class TestSimulateCommand:
 
 # runs cli.main in a fresh interpreter, since this test process has numpy
 # loaded already (conftest imports it), and prints the exit code and
-# whether numpy was imported
+# whether numpy and the sampler were imported
 _NUMPY_PROBE = """\
 import contextlib, io, sys
 from splitgame.cli import main
@@ -459,7 +459,7 @@ with contextlib.redirect_stdout(io.StringIO()), \\
         code = main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "splitgame.sampling" in sys.modules)
 """
 
 
@@ -477,8 +477,8 @@ def _python(code, *argv):
 
 
 def _probe(argv):
-    code, loaded = _python(_NUMPY_PROBE, *argv).split()
-    return int(code), loaded == "True"
+    code, numpy, sampling = _python(_NUMPY_PROBE, *argv).split()
+    return int(code), numpy == "True", sampling == "True"
 
 
 class TestNumpyOnlyWhereSampling:
@@ -496,13 +496,14 @@ class TestNumpyOnlyWhereSampling:
         ids=["solve", "sweep", "score", "help", "validation_error"],
     )
     def test_command_does_not_load_numpy(self, argv, code):
-        assert _probe(argv) == (code, False)
+        assert _probe(argv) == (code, False, False)
 
     def test_simulate_loads_numpy(self):
-        # the probe can see numpy when a command does draw
+        # the probe can see numpy when a command does draw; simulate draws
+        # the selection model, not an order, so it needs no sampler
         argv = ["simulate", "--scenario", "scenarios/ipd.json",
                 "--trials", "100", "--seed", "1"]
-        assert _probe(argv) == (0, True)
+        assert _probe(argv) == (0, True, False)
 
     def test_cli_import_loads_montecarlo(self):
         # perfbench/spans.py installs its traced wrappers by importing

@@ -23,14 +23,13 @@ from conftest import (
     reference_sample_realization,
     rejection_realization,
 )
-from splitgame import constraints as constraints_module
-from splitgame.constraints import (
-    MAX_TRIALS,
+from splitgame import sampling
+from splitgame.constraints import MAX_TRIALS, check_integer
+from splitgame.sampling import (
     _components,
     _extension_picker,
     _lattice,
     _linear_extensions,
-    check_integer,
 )
 from splitgame import (
     BOUND_LOWER,
@@ -543,13 +542,13 @@ class TestSamplingPlan:
     def builds(self, monkeypatch):
         """The component sizes of every lattice build, in order."""
         sizes = []
-        build = constraints_module._lattice
+        build = sampling._lattice
 
         def counting(above):
             sizes.append(len(above))
             return build(above)
 
-        monkeypatch.setattr(constraints_module, "_lattice", counting)
+        monkeypatch.setattr(sampling, "_lattice", counting)
         return sizes
 
     def test_one_lattice_build_per_run_of_one_local_order(self, builds):
@@ -615,7 +614,7 @@ class TestSamplingPlan:
 
     def test_a_failed_build_is_kept(self, builds, monkeypatch):
         # one symbol above three others: 2**3 + 1 downsets, over a cap of 4
-        monkeypatch.setattr(constraints_module, "SAMPLING_DOWNSET_CAP", 4)
+        monkeypatch.setattr(sampling, "SAMPLING_DOWNSET_CAP", 4)
         star = ConstraintSet([certain("T", lesser) for lesser in "ABC"])
         raised = []
         for size in (None, 5):
@@ -742,13 +741,14 @@ def test_order_matches_the_edge_by_edge_closure(drawn):
 def test_building_and_hashing_a_set_loads_no_numpy():
     # the sampling plan is built on the first draw, not with the set, and
     # the check plan on the first verification, so importing both modules,
-    # building, hashing and extending a set load no numpy; -S keeps site's
-    # own imports out
+    # building, hashing and extending a set load neither numpy nor the
+    # sampler; -S keeps site's own imports out
     code = (
         "import sys, splitgame.montecarlo, splitgame.constraints as c; "
         "s = c.ConstraintSet([c.DominanceConstraint('a', 'b', 1.0)]); "
         "hash(s.add_constraint(c.DominanceConstraint('b', 'x', 1.0))); "
-        "assert 'numpy' not in sys.modules"
+        "assert 'numpy' not in sys.modules; "
+        "assert 'splitgame.sampling' not in sys.modules"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -860,7 +860,7 @@ class TestSamplerLaw:
         names, above = _order_masks(constraints)
         k = len(names)
         extensions = set(_brute_extensions(above, range(k)))
-        law = _walk_law(*constraints_module._lattice(above))
+        law = _walk_law(*sampling._lattice(above))
         for perm in itertools.permutations(range(k)):
             want = 1.0 / len(extensions) if perm in extensions else 0.0
             assert abs(law.get(perm, 0.0) - want) <= 1e-12, (perm, want)
@@ -974,7 +974,7 @@ def test_batched_crowns_draw_bit_identical_values(drawn, per, seed, size):
     order, runs = drawn
     rows = 1 if size is None else size
     batches = []
-    place = constraints_module._place
+    place = sampling._place
 
     def recording(values, block, *rest):
         batches.append(len(block))
@@ -982,8 +982,8 @@ def test_batched_crowns_draw_bit_identical_values(drawn, per, seed, size):
 
     expected = _bits(reference_sample_realization(order, seed, size))
     bound = per * 4 * max(rows, 1)
-    with mock.patch.object(constraints_module, "_SAMPLE_BATCH", bound), \
-            mock.patch.object(constraints_module, "_place", recording):
+    with mock.patch.object(sampling, "_SAMPLE_BATCH", bound), \
+            mock.patch.object(sampling, "_place", recording):
         assert _bits(order.sample_realization(seed, size)) == expected
     _, _, walks = order._sampling_plan()
     assert [len(members) for members, pick in walks if pick is not None] == runs
@@ -1006,13 +1006,13 @@ class TestChainsAreNotWalked:
     def walks(self, monkeypatch):
         """The number of lattice walks so far, in a one-item list."""
         calls = [0]
-        walk = constraints_module._linear_extensions
+        walk = sampling._linear_extensions
 
         def counting(*args):
             calls[0] += 1
             return walk(*args)
 
-        monkeypatch.setattr(constraints_module, "_linear_extensions", counting)
+        monkeypatch.setattr(sampling, "_linear_extensions", counting)
         return calls
 
     def test_tight_shaped_order_walks_nothing(self, walks):
@@ -1027,15 +1027,17 @@ class TestChainsAreNotWalked:
             order.sample_realization(seed)
         assert walks == [0]
 
-    def test_only_components_over_64_extensions_are_walked(
+    def test_only_components_whose_table_passes_the_row_bound_are_walked(
         self, walks, ipd_constraints
     ):
-        # each IPD crown has 4 extensions and picks from its table
+        # the IPD crowns share one 4-row table, filled by one walk of its
+        # rows, and pick from it
         for seed in range(3):
             ipd_constraints.sample_realization([seed, 0], size=4)
-        assert walks == [0]
+        assert walks == [1]
+        # the fence's table would have 75,600 rows: no table, a walk a draw
         fence = zigzag_fence()
-        for calls, seed in enumerate(range(3), start=1):
+        for calls, seed in enumerate(range(3), start=2):
             fence.sample_realization([seed, 0], size=4)
             assert walks == [calls]
 
@@ -1095,7 +1097,7 @@ class TestExtensionTable:
         """The order's picker if it picks from a table, None if it walks."""
         pick = _extension_picker(follow, cumulative)
         with mock.patch.object(
-            constraints_module, "_linear_extensions", wraps=_linear_extensions
+            sampling, "_linear_extensions", wraps=_linear_extensions
         ) as walk:
             pick(np.zeros((follow.shape[1], 1, 1)))
         return None if walk.called else pick
@@ -1114,19 +1116,43 @@ class TestExtensionTable:
         expected = columns_of(_linear_extensions(follow, cumulative, u))
         assert np.array_equal(cols, expected)
 
-    def test_a_table_holds_at_most_64_extensions(self):
-        # a chain beside one free symbol has one extension per depth of the
-        # free symbol: 64 fill every bit of the mask, 65 walk
+    def test_a_table_holds_at_most_its_row_bound(self):
+        # a chain beside one free symbol has two gaps at each depth of the
+        # chain, so 2**length rows: a length at the bound fills a table, one
+        # more walks
         def chain_and_one(length):
             return _lattice([(1 << j) - 1 for j in range(length)] + [0])
 
-        assert self.table(*chain_and_one(64)) is None
-        follow, cumulative = chain_and_one(63)
-        u = np.random.default_rng(0).random((64, 4096, 1))
+        length = sampling._TABLE_ROWS.bit_length() - 1
+        assert 2**length == sampling._TABLE_ROWS
+        assert self.table(*chain_and_one(length + 1)) is None
+        follow, cumulative = chain_and_one(length)
+        u = np.random.default_rng(0).random((length + 1, 4096, 1))
         cols = self.table(follow, cumulative)(u)
         expected = columns_of(_linear_extensions(follow, cumulative, u))
         assert np.array_equal(cols, expected)
-        assert len({tuple(row) for row in cols.tolist()}) == 64
+        assert len({tuple(row) for row in cols.tolist()}) == length + 1
+
+    @pytest.mark.parametrize("tops, bottoms, extensions", [
+        (2, 2, 4), (3, 3, 36), (3, 4, 144),
+    ], ids=["crown_2+2", "three_above_three", "three_above_four"])
+    def test_every_top_above_every_bottom_picks_from_a_table(
+        self, tops, bottoms, extensions
+    ):
+        # each of the tops! * bottoms! extensions is picked, as the walk
+        # picks it, ties with the tables' own shares included
+        k = tops + bottoms
+        follow, cumulative = _lattice([0] * tops + [(1 << tops) - 1] * bottoms)
+        pick = self.table(follow, cumulative)
+        assert pick is not None
+        rng = np.random.default_rng(1)
+        u = rng.random((k, 20000, 1))
+        ties = np.array(sorted({0.0, *cumulative[cumulative < 1.0].tolist()}))
+        tied = rng.random(u.shape) < 0.25
+        u[tied] = rng.choice(ties, int(tied.sum()))
+        cols = pick(u)
+        assert np.array_equal(cols, columns_of(_linear_extensions(follow, cumulative, u)))
+        assert len({tuple(row) for row in cols.tolist()}) == extensions
 
     @settings(max_examples=300, deadline=None)
     @given(walked_lattices())
@@ -1218,8 +1244,8 @@ class TestSamplingMemory:
         assert self._peak_share(order) <= 3.0
 
     def test_three_above_three(self):
-        # 36 extensions, all in one table: its masks take memory per row
-        # that does not grow with the number of extensions
+        # 36 extensions, all in one table: a pick takes memory per row that
+        # does not grow with the number of extensions
         order = ConstraintSet(
             [certain(f"T{i}", f"B{j}") for i in range(3) for j in range(3)]
         )

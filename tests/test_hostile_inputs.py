@@ -40,6 +40,7 @@ from splitgame import (
     numeric_pure_nash,
     pure_nash,
     read_responses_csv,
+    scenario_from_dict,
     score_factor,
     score_response,
     simulate_selection,
@@ -48,6 +49,7 @@ from splitgame import (
     verify_nash_numeric,
     with_parameters,
 )
+from splitgame._record import replace
 from splitgame.survey import instrument_from_dict
 
 HOSTILE = {
@@ -81,6 +83,14 @@ def _report(edits):
         for key in parents:
             node = node[key]
         node[last] = value
+    return doc
+
+
+def _with_probability(value):
+    """The scenario's document with its first constraint's probability set
+    to ``value``."""
+    doc = IPD.to_dict()
+    doc["constraints"][0]["probability"] = value
     return doc
 
 
@@ -145,6 +155,14 @@ CALLS = {
     "fixed_point_posterior.space": lambda v: fixed_point_posterior(v, [0]),
     "EventSpace.uniform.labels": lambda v: EventSpace.uniform(v),
     "Mode.parse": lambda v: Mode.parse(v),
+    "aggregate.scores": lambda v: aggregate(v),
+    "Scenario.game": lambda v: replace(IPD, game=v),
+    "Scenario.constraints": lambda v: replace(IPD, constraints=v),
+    "Scenario.events": lambda v: replace(IPD, events=v),
+    "Scenario.em_params": lambda v: replace(IPD, em_params=v),
+    "Scenario.pf_params": lambda v: replace(IPD, pf_params=v),
+    "Scenario.mc": lambda v: replace(IPD, mc=v),
+    "scenario_from_dict.probability": lambda v: scenario_from_dict(_with_probability(v)),
 }
 
 
@@ -365,6 +383,20 @@ def test_returns_or_raises_a_splitgame_error(call, value):
             }),
             "<instrument>: items/0/text: 5 is not of type 'string'",
         ),
+        (lambda: aggregate(5), "scores must be a list or tuple of PIndexScore, got 5"),
+        (lambda: replace(IPD, game=None), "game must be OrdinalGame, got NoneType"),
+        (lambda: replace(IPD, events="abc"), "events must be EventSpace, got str"),
+        (lambda: replace(IPD, mc="1"), "mc must be SimulationDefaults, got str"),
+        (
+            lambda: scenario_from_dict(_with_probability(10**5000)),
+            "<scenario>: constraints/0/probability: a number too long to print "
+            "is greater than the maximum of 1",
+        ),
+        (
+            lambda: scenario_from_dict({**IPD.to_dict(), 10**5000: 1}),
+            "<scenario>: <root>: Additional properties are not allowed "
+            "(a number too long to print was unexpected)",
+        ),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
@@ -381,6 +413,8 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         "none_csv_path", "int_csv_path", "int_group", "empty_group",
         "list_symbol", "none_symbol_open_set", "none_chain", "short_chain_entry",
         "list_mode", "text_report_metric", "text_report_cell", "text_item_text",
+        "int_scores", "none_scenario_game", "text_scenario_events",
+        "text_scenario_mc", "huge_schema_value", "huge_schema_key",
     ],
 )
 def test_message(make, message):

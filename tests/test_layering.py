@@ -1,8 +1,8 @@
 """The package's layers: which package modules each module may import.
 
 The frozen record base imports nothing of the package, and every layer may
-build on it. The core (errors, the game, the constraint order, the event
-space and the index model) knows nothing above it. The scenario model and
+build on it. The core (errors, the game, the constraint order and its
+sampler, the event space and the index model) knows nothing above it. The scenario model and
 its file format rest on the core alone. Solving, Monte Carlo checks and
 survey scoring each rest on the core and the scenario, never on each other
 or on the CLI.
@@ -18,7 +18,7 @@ PACKAGE = "splitgame"
 SOURCE = Path(splitgame.__file__).parent
 
 BASE = frozenset({"_record"})
-CORE = BASE | {"errors", "game", "constraints", "bayes", "index_model"}
+CORE = BASE | {"errors", "game", "constraints", "sampling", "bayes", "index_model"}
 ANALYSES = frozenset({"solver", "montecarlo", "survey"})
 
 # module -> the package modules it may import
