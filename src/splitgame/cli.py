@@ -6,12 +6,14 @@ six significant digits.
 
 Exit codes are stable; ``_EXIT_CODE_DOC``, the epilog of ``--help``,
 lists them, and each library error class carries its own as ``exit_code``.
+
+Each module in ``DEFERRED`` runs on first use, through ``LazyLoader`` since
+``perfbench/spans.py`` reads it from ``sys.modules`` after this import.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import importlib.util
 import json
 import math
 import sys
@@ -21,10 +23,27 @@ from collections.abc import Sequence
 from ._record import replace
 from .errors import SplitgameError, ValidationError
 from .index_model import MODE_ALIASES, Mode
-from .montecarlo import SimulationConfig, simulate_selection
-from .scenario import load_scenario
-from .solver import solve, sweep
-from .survey import aggregate, read_responses_csv, score_response
+
+# package modules some command does not run; an import statement would run
+# one at once, so each is used through the name bound below
+DEFERRED = ("bayes", "constraints", "game", "scenario", "solver", "montecarlo", "survey")
+
+
+def _deferred(name: str):
+    """``splitgame.<name>`` as imported already, or to run on first use."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+bayes, constraints, game, scenario, solver, montecarlo, survey = map(_deferred, DEFERRED)
 
 EXIT_OK = 0
 EXIT_IO = 3
@@ -76,14 +95,15 @@ def _emit(text: str, out_path: str | None):
 
 
 def _load(args: argparse.Namespace):
-    scenario = load_scenario(args.scenario)
+    loaded = scenario.load_scenario(args.scenario)
     if args.mode:
-        scenario = replace(scenario, mode=Mode.parse(args.mode))
-    return scenario
+        loaded = replace(loaded, mode=Mode.parse(args.mode))
+    return loaded
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    report = solve(_load(args))
+    loaded = _load(args)  # first, so a file that fails runs no solver
+    report = solver.solve(loaded)
     _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
 
     err = sys.stderr
@@ -156,9 +176,9 @@ def _parse_grid_specs(specs: Sequence[str]) -> dict[str, list[float]]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    loaded = _load(args)
     grid = _parse_grid_specs(args.grid)
-    columns, rows = sweep(scenario, grid)
+    columns, rows = solver.sweep(loaded, grid)
 
     # column names and float reprs never need csv quoting
     lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
@@ -171,13 +191,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    rows, skipped = read_responses_csv(args.survey_csv, lenient=args.lenient)
+    import csv
+    import io
+
+    rows, skipped = survey.read_responses_csv(args.survey_csv, lenient=args.lenient)
     for note in skipped:
         _say("warning", note)
     if not rows:
         raise ValidationError(f"{args.survey_csv}: no valid data rows")
 
-    scored = [(respondent, score_response(response)) for respondent, response in rows]
+    scored = [(respondent, survey.score_response(response)) for respondent, response in rows]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["respondent_id", "raw_sum", "p_index"])
@@ -185,7 +208,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         writer.writerow([respondent, score.raw_sum, repr(score.p_index)])
     _emit(buffer.getvalue(), args.out)
 
-    mean = aggregate([score for _, score in scored])
+    mean = survey.aggregate([score for _, score in scored])
     print(
         f"aggregate p-index over {len(scored)} respondents: {_fmt(mean)}",
         file=sys.stderr,
@@ -202,17 +225,17 @@ _SIMULATE_OUTCOMES = (
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _load(args)
-    report = solve(scenario)
+    loaded = _load(args)
+    report = solver.solve(loaded)
     trials, seed = args.trials, args.seed
     if trials is None:
-        trials = scenario.mc.trials if scenario.mc else 100_000
+        trials = loaded.mc.trials if loaded.mc else 100_000
     if seed is None:
-        seed = scenario.mc.seed if scenario.mc else 0
-    config = SimulationConfig(
+        seed = loaded.mc.seed if loaded.mc else 0
+    config = montecarlo.SimulationConfig(
         trials=trials, seed=seed, p_em12=report.p_em12, p_pf21=report.p_pf21
     )
-    result = simulate_selection(config)
+    result = montecarlo.simulate_selection(config)
 
     closed = {key: getattr(report, key) for key, _, _ in _SIMULATE_OUTCOMES}
     empirical = {key: getattr(result, key) for _, key, _ in _SIMULATE_OUTCOMES}

@@ -56,12 +56,17 @@ class InconsistentOrderError(SplitgameError):
 
 
 def _shown(value) -> str:
-    """``repr(value)``, or a stand-in where it raises: Python refuses to
-    print an integer past ``sys.get_int_max_str_digits()`` digits."""
+    """``repr(value)``, or a stand-in naming its kind where it raises: Python
+    refuses to print an integer past ``sys.get_int_max_str_digits()`` digits,
+    or a list or dict holding one."""
     try:
         return repr(value)
     except ValueError:
-        return "a number too long to print"
+        if isinstance(value, int):
+            return "a number too long to print"
+        kind = type(value).__name__
+        article = "an" if kind[0] in "aeiou" else "a"
+        return f"{article} {kind} holding a number too long to print"
 
 
 def _sequence(what: str, value, of: str):

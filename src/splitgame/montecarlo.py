@@ -8,8 +8,8 @@ algorithm identifier is recorded in every result so runs stay reproducible
 across environments.
 
 numpy is imported inside the functions that draw or scan, not at module
-level: the CLI imports this module for every command, and ``solve``,
-``sweep`` and ``score``, which never sample, would otherwise pay its import.
+level, so that using this module's records does not pay its import. The
+CLI runs this module only for ``simulate``.
 """
 from __future__ import annotations
 

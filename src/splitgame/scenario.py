@@ -21,8 +21,8 @@ from . import _resource
 from ._record import Record, replace
 from .bayes import EventSpace
 from .constraints import BOUND_EXACT, ConstraintSet, DominanceConstraint
-from .errors import UnknownSymbolError, ValidationError, check_document
-from .errors import check_kind, check_path, check_seed, check_trials
+from .errors import UnknownSymbolError, ValidationError, _sequence, _shown
+from .errors import check_document, check_kind, check_path, check_seed, check_trials
 from .game import OrdinalGame
 from .index_model import DEFAULT_VARIANCE, IndexParameters, Mode
 
@@ -65,13 +65,18 @@ class Scenario(Record):
 
     def __post_init__(self):
         for name, kind in (
-            ("game", OrdinalGame), ("constraints", ConstraintSet),
+            ("name", str), ("game", OrdinalGame), ("constraints", ConstraintSet),
             ("events", EventSpace), ("em_params", IndexParameters),
             ("pf_params", IndexParameters), ("case", Case), ("mode", Mode),
         ):
             check_kind(name, getattr(self, name), kind)
         if self.mc is not None:
             check_kind("mc", self.mc, SimulationDefaults)
+        check_kind("description", self.description, str)
+        players = _sequence("players", self.players, "two strings")
+        if len(players) != 2 or not all(isinstance(p, str) for p in players):
+            raise ValidationError(f"players must be two strings, got {_shown(players)}")
+        object.__setattr__(self, "players", tuple(players))  # stored hashable
         # the file format holds one variance for both coefficient parameter
         # sets, so a scenario with two could not echo its own inputs
         em, pf = self.em_params.variance, self.pf_params.variance

@@ -514,6 +514,64 @@ class TestNumpyOnlyWhereSampling:
                 "assert 'splitgame.montecarlo' in sys.modules")
 
 
+# runs cli.main as _NUMPY_PROBE does and prints the exit code and the
+# package modules that ran; a deferred module not used yet is in
+# sys.modules as a LazyLoader stand-in, whose type is not ModuleType
+_RAN_PROBE = _NUMPY_PROBE.rpartition("print(")[0] + """\
+import types
+print(code, *sorted(name for name, module in sys.modules.items()
+                    if name.startswith("splitgame.")
+                    and type(module) is types.ModuleType))
+"""
+
+# what every command runs: the parser and the exit-code mapping
+_CLI_MODULES = {"cli", "_record", "errors", "index_model"}
+_SCENARIO_MODULES = _CLI_MODULES | {"bayes", "constraints", "game", "scenario"}
+
+
+class TestModulesEachCommandRuns:
+    @pytest.mark.parametrize(
+        "argv, code, modules",
+        [
+            (["solve", "--scenario", "scenarios/ipd.json"], 0,
+             _SCENARIO_MODULES | {"solver"}),
+            (["sweep", "--scenario", "scenarios/ipd.json",
+              "--grid", "r=0.1:0.9:0.1"], 0, _SCENARIO_MODULES | {"solver"}),
+            (["simulate", "--scenario", "scenarios/ipd.json",
+              "--trials", "100"], 0, _SCENARIO_MODULES | {"solver", "montecarlo"}),
+            (["score", "tests/golden/cohort.csv", "--lenient"], 0,
+             _CLI_MODULES | {"survey"}),
+            (["--help"], 0, _CLI_MODULES),
+            (["solve", "--scenario", "tests/golden/inputs/unknown_field.json"],
+             4, _SCENARIO_MODULES),
+            (["sweep", "--scenario", "scenarios/ipd.json", "--grid",
+              "r=0:1:nan"], 4, _SCENARIO_MODULES),
+        ],
+        ids=["solve", "sweep", "simulate", "score", "help", "schema_error",
+             "grid_error"],
+    )
+    def test_command_runs_only_its_modules(self, argv, code, modules):
+        ran_code, *ran = _python(_RAN_PROBE, *argv).split()
+        assert int(ran_code) == code
+        assert set(ran) == {f"splitgame.{name}" for name in modules}
+
+    def test_an_imported_module_is_kept(self):
+        # a second module object would give a second Disagreement class,
+        # which no isinstance check on the first would accept
+        _python(
+            "import sys, splitgame.montecarlo as first, splitgame.cli, splitgame\n"
+            "assert sys.modules['splitgame.montecarlo'] is first\n"
+            "assert splitgame.cli.montecarlo is first\n"
+            "assert splitgame.Disagreement is first.Disagreement"
+        )
+
+    def test_a_deferred_module_imports_by_name(self):
+        _python(
+            "import splitgame.cli, splitgame.solver\n"
+            "assert splitgame.solver.solve is splitgame.cli.solver.solve"
+        )
+
+
 # installs perfbench's span wrappers the way a traced benchmark run does,
 # after ``import splitgame.cli``, without writing bytecode under perfbench/
 _SPANS_INSTALLED = """\

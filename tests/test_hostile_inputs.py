@@ -94,6 +94,13 @@ def _with_probability(value):
     return doc
 
 
+def _with_payoff_pair(pair):
+    """The scenario's document with ``pair`` as cell (0, 0)."""
+    doc = IPD.to_dict()
+    doc["game"]["payoffs"][0][0] = pair
+    return doc
+
+
 # argument -> a call that puts one value there, every other argument valid
 CALLS = {
     "IndexParameters.score": lambda v: IndexParameters(v, 0.5),
@@ -397,6 +404,18 @@ def test_returns_or_raises_a_splitgame_error(call, value):
             "<scenario>: <root>: Additional properties are not allowed "
             "(a number too long to print was unexpected)",
         ),
+        (
+            lambda: scenario_from_dict(_with_payoff_pair(["EM11", "PF11", 10**5000])),
+            "<scenario>: game/payoffs/0/0: a list holding a number too long "
+            "to print is too long",
+        ),
+        (lambda: replace(IPD, name=5), "name must be str, got int"),
+        (lambda: replace(IPD, description=None), "description must be str, got NoneType"),
+        (
+            lambda: replace(IPD, players=None),
+            "players must be a list or tuple of two strings, got None",
+        ),
+        (lambda: replace(IPD, players=("a",)), "players must be two strings, got ('a',)"),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
@@ -415,6 +434,8 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         "list_mode", "text_report_metric", "text_report_cell", "text_item_text",
         "int_scores", "none_scenario_game", "text_scenario_events",
         "text_scenario_mc", "huge_schema_value", "huge_schema_key",
+        "huge_int_in_list", "int_scenario_name", "none_description",
+        "none_players", "one_player",
     ],
 )
 def test_message(make, message):

@@ -35,7 +35,8 @@ ALLOWED = {
 
 def package_imports(module: str) -> set:
     """The package modules that import statements anywhere in ``module``'s
-    source name, relative or absolute."""
+    source name, relative or absolute, and those a ``DEFERRED`` tuple in it
+    names (the CLI loads these on first use, with no import statement)."""
     modules = {path.stem for path in SOURCE.glob("*.py")}
     tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
     found = set()
@@ -56,6 +57,10 @@ def package_imports(module: str) -> set:
                 found.add(base.split(".")[0])
             else:
                 found.update(a.name for a in node.names if a.name in modules)
+        elif isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "DEFERRED" for target in node.targets
+        ):
+            found.update(ast.literal_eval(node.value))
     found.discard(module)
     return found
 
@@ -67,6 +72,12 @@ def test_table_covers_every_module():
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_only_its_layers(module):
     assert package_imports(module) <= ALLOWED[module]
+
+
+def test_deferred_modules_count_as_imports():
+    from splitgame.cli import DEFERRED
+
+    assert set(DEFERRED) <= package_imports("cli")
 
 
 def cached_functions_with_parameters(module: str) -> list[str]:
