@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from ._record import Record
 from .errors import (
     DomainError, ValidationError, _sequence, _shown, check_integer, check_kind,
-    check_number,
+    check_number, check_text,
 )
 
 PRIOR_TOLERANCE = 1e-12
@@ -29,10 +29,7 @@ class EventSpace(Record):
         # stored as tuples, so every space is hashable
         labels = _sequence("event labels", self.labels, "labels")
         for label in labels:
-            if not (isinstance(label, str) and label):
-                raise ValidationError(
-                    f"event label must be a non-empty string, got {_shown(label)}"
-                )
+            check_text("event label", label)
         prior = _sequence("event prior", self.prior, "numbers")
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "prior", tuple(prior))
@@ -58,9 +55,11 @@ class EventSpace(Record):
 
     @classmethod
     def uniform(cls, labels: Iterable[str]) -> "EventSpace":
+        """Equal priors over ``labels``: any iterable but a string, which the
+        constructor refuses rather than read as its characters."""
         if not isinstance(labels, Iterable):
             raise ValidationError(f"event labels must be iterable, got {_shown(labels)}")
-        names = tuple(labels)
+        names = labels if isinstance(labels, str) else tuple(labels)
         return cls(names, tuple(1.0 / len(names) for _ in names))
 
     def __len__(self):
@@ -80,8 +79,11 @@ class ComparisonEvent(Record):
     right: str
 
     def __post_init__(self):
+        check_kind("comparison event label", self.label, str)
         if not self.label:
             raise ValidationError("comparison event label must be non-empty")
+        check_text(f"comparison event {self.label!r} left symbol", self.left)
+        check_text(f"comparison event {self.label!r} right symbol", self.right)
         if self.left == self.right:
             raise ValidationError(
                 f"comparison event {self.label!r} compares "

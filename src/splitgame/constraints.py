@@ -30,7 +30,7 @@ from .errors import (
     _shown,
     check_integer,
     check_kind,
-    check_number,
+    check_probability,
     check_seed,
 )
 
@@ -56,14 +56,9 @@ class DominanceConstraint(Record):
             raise ValidationError("constraint symbols must be non-empty ids")
         if self.left == self.right:
             raise ValidationError(f"constraint compares {self.left!r} with itself")
-        check_number(f"p({self.left} > {self.right})", self.probability)
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValidationError(
-                f"p({self.left} > {self.right}) = {self.probability!r} "
-                "is outside [0, 1]"
-            )
-        if self.bound not in (BOUND_EXACT, BOUND_LOWER):
-            raise ValidationError(f"unknown bound kind {self.bound!r}")
+        check_probability(f"p({self.left} > {self.right})", self.probability)
+        if not isinstance(self.bound, str) or self.bound not in (BOUND_EXACT, BOUND_LOWER):
+            raise ValidationError(f"unknown bound kind {_shown(self.bound)}")
         if self.group is not None and not (isinstance(self.group, str) and self.group):
             raise ValidationError(
                 "constraint group must be None or a non-empty id, "

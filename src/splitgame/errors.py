@@ -86,6 +86,12 @@ def check_kind(name: str, value, cls) -> None:
         raise ValidationError(f"{name} must be {cls.__name__}, got {kind}")
 
 
+def check_text(name: str, value) -> None:
+    """Reject a value that is not a non-empty string."""
+    if not (isinstance(value, str) and value):
+        raise ValidationError(f"{name} must be a non-empty string, got {_shown(value)}")
+
+
 def check_path(path) -> None:
     """Reject a file path that is not ``str``, ``bytes`` or ``os.PathLike``:
     ``open`` would read an int as a file descriptor, and close it."""
@@ -101,7 +107,7 @@ def check_number(name: str, value) -> None:
     ints and floats accepted."""
     if type(value) is float:
         return
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    if not _is_number(value):
         raise ValidationError(f"{name} must be a number, got {_shown(value)}")
     try:
         float(value)
@@ -109,12 +115,17 @@ def check_number(name: str, value) -> None:
         raise ValidationError(f"{name}: integer too large for a float") from None
 
 
+def check_probability(name: str, value) -> None:
+    """Reject a value that is not a number in [0, 1]: NaN is outside."""
+    check_number(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} = {value!r} is outside [0, 1]")
+
+
 def check_integer(name: str, value, low: int | None, high: int | None = None) -> None:
     """Reject a value that is not an integer in [low, high] (a bound of None
     is open); numpy integers count as integers, bools do not."""
-    if type(value) is not int and (
-        not isinstance(value, numbers.Integral) or isinstance(value, bool)
-    ):
+    if type(value) is not int and not _is_integer(value):
         raise ValidationError(
             f"{name} must be an integer, got {_shown(value)}"
         )
@@ -141,6 +152,10 @@ def check_seed(seed) -> None:
 
 def _is_number(value) -> bool:  # a complex number has no order to check
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:  # numpy's integers count, bools do not
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 _JSON_TYPES = {

@@ -52,7 +52,7 @@ class OrdinalGame(Record):
             bad = [name for name in names if not (isinstance(name, str) and name)]
             if bad:
                 raise ValidationError(
-                    f"{side} strategy names must be non-empty strings, got {bad[0]!r}"
+                    f"{side} strategy names must be non-empty strings, got {_shown(bad[0])}"
                 )
             object.__setattr__(self, attr, tuple(names))
         if not self.row_strategies or not self.col_strategies:
@@ -78,7 +78,7 @@ class OrdinalGame(Record):
                 ):
                     raise ValidationError(
                         f"cell ({r}, {c}) must hold exactly two non-empty "
-                        f"string ids, got {pair!r}"
+                        f"string ids, got {_shown(pair)}"
                     )
                 for sym in pair:
                     if sym in seen:
@@ -166,12 +166,16 @@ def _floats(values: Mapping, symbols) -> dict[str, float]:
     float. A value ``_as_float`` refuses, and then a NaN, raises
     ValidationError naming the smallest such symbol."""
     floats = {symbol: _as_float(values[symbol]) for symbol in symbols}
-    for fault, bad in (("is not a real number", lambda v: v is None),
-                       ("is NaN", math.isnan)):
-        odd = [symbol for symbol, value in floats.items() if bad(value)]
+    _name_faulty(floats, floats, lambda v: v is None, math.isnan)
+    return floats
+
+
+def _name_faulty(values: Mapping, symbols, not_real, is_nan) -> None:
+    """Refuse the smallest symbol ``not_real`` flags, else the smallest ``is_nan`` flags."""
+    for fault, bad in (("is not a real number", not_real), ("is NaN", is_nan)):
+        odd = [symbol for symbol in symbols if bad(values[symbol])]
         if odd:
             raise ValidationError(f"numeric value for symbol {min(odd)!r} {fault}")
-    return floats
 
 
 def _unbeaten(order, axis: Sequence[str], i: int) -> bool | None:

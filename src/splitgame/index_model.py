@@ -18,7 +18,7 @@ import warnings
 from enum import Enum
 
 from ._record import Record
-from .errors import DomainError, ValidationError, _shown, check_number
+from .errors import DomainError, ValidationError, _shown, check_kind, check_number
 
 DEFAULT_VARIANCE = 10.0
 SCALE_MAX = 10.0
@@ -142,6 +142,7 @@ def published_coefficient(event: str, mode: Mode) -> float:
     Only available in published mode; computed mode must evaluate the formula
     instead of echoing constants that disagree with it.
     """
+    check_kind("mode", mode, Mode)
     if mode is not Mode.PUBLISHED:
         raise ValidationError(
             "published coefficients are only available in published mode"

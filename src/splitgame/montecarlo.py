@@ -19,9 +19,10 @@ from collections.abc import Mapping
 from ._record import Record
 from .constraints import ConstraintSet
 from .errors import MAX_TRIALS  # noqa: F401  (re-exported)
-from .errors import UnknownSymbolError, ValidationError, check_kind, check_number
-from .errors import check_seed, check_trials
-from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, _floats, pure_nash
+from .errors import UnknownSymbolError, ValidationError, check_kind
+from .errors import check_probability, check_seed, check_trials
+from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, pure_nash
+from .game import _floats, _name_faulty
 
 RNG_ALGORITHM = "pcg64"
 # trials per sampler call in verify_nash_numeric; bounds its memory
@@ -41,13 +42,8 @@ class SimulationConfig(Record):
     def __post_init__(self):
         check_trials(self.trials)
         check_seed(self.seed)
-        for name in ("p_em12", "p_pf21"):
-            value = getattr(self, name)
-            check_number(name, value)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"{name} = {value!r} is outside [0, 1]"
-                )
+        check_probability("p_em12", self.p_em12)
+        check_probability("p_pf21", self.p_pf21)
 
 
 class SimulationResult(Record):
@@ -146,16 +142,9 @@ def numeric_pure_nash(
             _floats(values, game.symbol_ids())
             payoffs = payoffs.astype(float)
         else:
-            for fault, bad in (
-                ("is not a real number",
-                 lambda v: np.asarray(v).dtype.kind not in "biuf"),
-                ("is NaN", lambda v: np.isnan(v).any()),
-            ):
-                odd = [s for s in game.symbol_ids() if bad(values[s])]
-                if odd:
-                    raise ValidationError(
-                        f"numeric value for symbol {min(odd)!r} {fault}"
-                    )
+            _name_faulty(values, game.symbol_ids(),
+                         lambda v: np.asarray(v).dtype.kind not in "biuf",
+                         lambda v: np.isnan(v).any())
     # read flat in (player, row, col) order, any trial axis last; the mask
     # is scanned on that layout and returned as a view, trial axis first
     rows, cols = payoffs.reshape((2, game.n_rows, game.n_cols) + payoffs.shape[1:])

@@ -14,8 +14,8 @@ from collections.abc import Mapping, Sequence
 
 from . import _resource
 from ._record import Record
-from .errors import ValidationError, _sequence, _shown, check_document
-from .errors import check_integer, check_kind, check_number, check_path
+from .errors import ValidationError, _is_integer, _sequence, _shown, check_document
+from .errors import check_integer, check_kind, check_number, check_path, check_text
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -31,10 +31,11 @@ class SurveyItem(Record):
 
     def __post_init__(self):
         check_integer("item index", self.index, 1)
-        if self.polarity not in (POSITIVE, NEGATIVE):
+        check_text(f"item {_shown(self.index)} text", self.text)
+        if not isinstance(self.polarity, str) or self.polarity not in (POSITIVE, NEGATIVE):
             raise ValidationError(
-                f"item {self.index}: polarity must be '{POSITIVE}' or "
-                f"'{NEGATIVE}', got {self.polarity!r}"
+                f"item {_shown(self.index)}: polarity must be '{POSITIVE}' or "
+                f"'{NEGATIVE}', got {_shown(self.polarity)}"
             )
 
 
@@ -46,13 +47,18 @@ class Instrument(Record):
     items: tuple[SurveyItem, ...]
 
     def __post_init__(self):
-        if not self.items:
+        check_integer("instrument version", self.version, 1)
+        check_text("instrument name", self.name)
+        items = tuple(_sequence("instrument items", self.items, "SurveyItem"))
+        object.__setattr__(self, "items", items)  # stored hashable
+        if not items:
             raise ValidationError("instrument needs at least one item")
-        expected = list(range(1, len(self.items) + 1))
-        if [item.index for item in self.items] != expected:
-            raise ValidationError(
-                "instrument items must be numbered contiguously from 1"
-            )
+        for number, item in enumerate(items, 1):
+            check_kind("instrument item", item, SurveyItem)
+            if item.index != number:
+                raise ValidationError(
+                    "instrument items must be numbered contiguously from 1"
+                )
 
     def __len__(self):
         return len(self.items)
@@ -68,11 +74,8 @@ def instrument_from_dict(data: Mapping) -> Instrument:
     """The instrument a parsed definition holds; a definition that breaks
     ``resources/instrument.schema.json`` raises ValidationError."""
     check_document(data, _resource("instrument.schema.json"), "<instrument>")
-    items = tuple(
-        SurveyItem(entry["index"], entry["text"], entry["polarity"])
-        for entry in data["items"]
-    )
-    return Instrument(data["version"], data.get("name", "instrument"), items)
+    items = [SurveyItem(**entry) for entry in data["items"]]
+    return Instrument(int(data["version"]), data.get("name", "instrument"), items)
 
 
 def _choice_position(choice: str | int) -> int:
@@ -88,9 +91,8 @@ def _choice_position(choice: str | int) -> int:
                 position = int(token)
             except ValueError:
                 pass  # past int()'s digit limit: the invalid-choice error below
-    if isinstance(position, int) and not isinstance(position, bool):
-        if 1 <= position <= SCALE_STEPS:
-            return position
+    if (type(position) is int or _is_integer(position)) and 1 <= position <= SCALE_STEPS:
+        return int(position)
     raise ValidationError(f"invalid choice {choice!r}; expected a-f or 1-6")
 
 
@@ -105,14 +107,6 @@ _POSITIONS = {
 }
 
 
-def score_item(item: SurveyItem, choice: str | int) -> int:
-    """Points for one answered item: position for positive, reversed otherwise."""
-    position = _choice_position(choice)
-    if item.polarity == POSITIVE:
-        return position
-    return SCALE_STEPS + 1 - position
-
-
 class SurveyResponse(Record):
     """Answers keyed by item index; completeness is checked against an
     instrument at scoring time, missing answers are never imputed."""
@@ -125,7 +119,7 @@ class SurveyResponse(Record):
             check_kind("answers", answers, Mapping)
         object.__setattr__(self, "answers", dict(answers))
         for key in answers:
-            if not isinstance(key, int) or isinstance(key, bool):
+            if type(key) is not int and not _is_integer(key):
                 raise ValidationError(f"item index {key!r} must be an integer")
 
 

@@ -33,10 +33,11 @@ from splitgame.index_model import PUBLISHED_TABLE, Mode, score_factor
 from splitgame.solver import SCORE_MATCH_TOLERANCE, SWEEP_METRICS, _require_2x2
 from splitgame.survey import (
     INDEX_MAX,
+    POSITIVE,
     SCALE_STEPS,
     PIndexScore,
+    _choice_position,
     canonical_instrument,
-    score_item,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -641,9 +642,16 @@ def reference_effective_constraints(scenario: Scenario) -> ConstraintSet:
     return base.add_constraint(lower)
 
 
+def item_points(item, choice):
+    """Points for one answered item: its choice position if the item is
+    positive, the position reversed if negative."""
+    position = _choice_position(choice)
+    return position if item.polarity == POSITIVE else SCALE_STEPS + 1 - position
+
+
 def reference_score(response):
-    """``score_response`` as it was before its per-instrument plan: one
-    ``score_item`` per item and a new record per response."""
+    """``score_response`` as it was before its per-instrument plan: points
+    item by item and a new record per response."""
     instrument = canonical_instrument()
     expected = {item.index for item in instrument.items}
     answered = set(response.answers)
@@ -654,7 +662,7 @@ def reference_score(response):
     if extra:
         raise ValidationError(f"answers for unknown items: {extra}")
     raw = sum(
-        score_item(item, response.answers[item.index])
+        item_points(item, response.answers[item.index])
         for item in instrument.items
     )
     n = len(instrument)

@@ -16,13 +16,16 @@ import numpy as np
 import pytest
 
 from splitgame import (
+    ComparisonEvent,
     ConstraintSet,
     DecisionReport,
     DominanceConstraint,
     EventSpace,
     IndexParameters,
+    Instrument,
     Mode,
     NumericOrder,
+    OrdinalGame,
     PIndexScore,
     SimulationConfig,
     SimulationDefaults,
@@ -31,6 +34,7 @@ from splitgame import (
     SurveyResponse,
     ValidationError,
     aggregate,
+    canonical_instrument,
     comparison_events,
     effective_constraints,
     fixed_point_posterior,
@@ -38,6 +42,7 @@ from splitgame import (
     ipd_scenario,
     load_scenario,
     numeric_pure_nash,
+    published_coefficient,
     pure_nash,
     read_responses_csv,
     scenario_from_dict,
@@ -66,7 +71,8 @@ HOSTILE = {
 
 IPD = ipd_scenario(mode=Mode.COMPUTED)
 GAME, ORDER = IPD.game, IPD.constraints
-SPACE = EventSpace.uniform("abc")
+SPACE = EventSpace.uniform(["a", "b", "c"])
+ITEMS = canonical_instrument().items
 SYMBOLS = sorted(GAME.symbol_ids())
 # distinct values, so the Nash set depends on every comparison
 VALUES = {symbol: float(k) for k, symbol in enumerate(SYMBOLS)}
@@ -128,6 +134,18 @@ CALLS = {
     "fixed_point_posterior.unaffected":
         lambda v: fixed_point_posterior(SPACE, [0, v]),
     "SurveyItem.index": lambda v: SurveyItem(v, "t", "positive"),
+    "SurveyItem.text": lambda v: SurveyItem(1, v, "positive"),
+    "SurveyItem.polarity": lambda v: SurveyItem(1, "t", v),
+    "DominanceConstraint.bound": lambda v: DominanceConstraint("a", "b", 0.5, v),
+    "OrdinalGame.strategy": lambda v: OrdinalGame(("a", v), ("c",), [[("w", "x")], [("y", "z")]]),
+    "OrdinalGame.cell": lambda v: OrdinalGame(("a",), ("c",), [[("w", v)]]),
+    "Instrument.version": lambda v: Instrument(v, "n", ITEMS),
+    "Instrument.name": lambda v: Instrument(1, v, ITEMS),
+    "Instrument.items": lambda v: Instrument(1, "n", v),
+    "Instrument.item": lambda v: Instrument(1, "n", [v]),
+    "ComparisonEvent.label": lambda v: ComparisonEvent(v, "a", "b"),
+    "ComparisonEvent.left": lambda v: ComparisonEvent("x", v, "b"),
+    "published_coefficient.mode": lambda v: published_coefficient("em12", v),
     "sample_realization.seed": lambda v: ORDER.sample_realization(v),
     "sample_realization.size": lambda v: ORDER.sample_realization(0, v),
     "verify_nash_numeric.trials": lambda v: verify_nash_numeric(GAME, ORDER, v, 0),
@@ -416,6 +434,56 @@ def test_returns_or_raises_a_splitgame_error(call, value):
             "players must be a list or tuple of two strings, got None",
         ),
         (lambda: replace(IPD, players=("a",)), "players must be two strings, got ('a',)"),
+        (
+            lambda: ComparisonEvent(5, "a", "b"),
+            "comparison event label must be str, got int",
+        ),
+        (
+            lambda: ComparisonEvent("x", 1, 2),
+            "comparison event 'x' left symbol must be a non-empty string, got 1",
+        ),
+        (
+            lambda: ComparisonEvent("x", "", "b"),
+            "comparison event 'x' left symbol must be a non-empty string, got ''",
+        ),
+        (
+            lambda: ComparisonEvent("x", "a", None),
+            "comparison event 'x' right symbol must be a non-empty string, got None",
+        ),
+        (
+            lambda: SurveyItem(1, 5, "positive"),
+            "item 1 text must be a non-empty string, got 5",
+        ),
+        (
+            lambda: SurveyItem(1, "", "positive"),
+            "item 1 text must be a non-empty string, got ''",
+        ),
+        (
+            lambda: Instrument("x", "n", ITEMS),
+            "instrument version must be an integer, got 'x'",
+        ),
+        (lambda: Instrument(0, "n", ITEMS), "instrument version must be >= 1, got 0"),
+        (
+            lambda: Instrument(1, 5, ITEMS),
+            "instrument name must be a non-empty string, got 5",
+        ),
+        (
+            lambda: Instrument(1, "n", [1]),
+            "instrument item must be SurveyItem, got int",
+        ),
+        (
+            lambda: Instrument(1, "n", ITEMS[0]),
+            "instrument items must be a list or tuple of SurveyItem, got "
+            + repr(ITEMS[0]),
+        ),
+        (
+            lambda: EventSpace.uniform("ab"),
+            "event labels must be a list or tuple of labels, got 'ab'",
+        ),
+        (
+            lambda: published_coefficient("em12", "published"),
+            "mode must be Mode, got str",
+        ),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
@@ -435,7 +503,11 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         "int_scores", "none_scenario_game", "text_scenario_events",
         "text_scenario_mc", "huge_schema_value", "huge_schema_key",
         "huge_int_in_list", "int_scenario_name", "none_description",
-        "none_players", "one_player",
+        "none_players", "one_player", "int_event_label", "int_event_symbols",
+        "empty_event_symbol", "none_event_symbol", "int_item_text",
+        "empty_item_text", "text_instrument_version", "zero_instrument_version",
+        "int_instrument_name", "int_instrument_item", "item_as_instrument_items",
+        "text_uniform_labels", "text_published_mode",
     ],
 )
 def test_message(make, message):
@@ -506,3 +578,130 @@ def test_numeric_order_and_scan_agree(value, where):
         )
     else:
         assert symbolic[0] == "cells"
+
+
+def test_an_instrument_stores_its_items_as_a_tuple():
+    built = Instrument(1, "n", list(ITEMS))
+    assert built.items == ITEMS
+    assert hash(built) == hash(Instrument(1, "n", ITEMS))
+
+
+@pytest.mark.parametrize(
+    "answers",
+    [
+        {i: np.int64(2) for i in range(1, 8)},
+        {np.int64(i): 2 for i in range(1, 8)},
+        {np.int16(i): np.uint8(2) for i in range(1, 8)},
+    ],
+    ids=["np_answers", "np_indices", "np_both"],
+)
+def test_numpy_integers_are_answers_and_item_indices(answers):
+    expected = score_response(SurveyResponse(dict.fromkeys(range(1, 8), 2)))
+    assert score_response(SurveyResponse(answers)) is expected
+
+
+# one valid instance of each input record: None in any field whose default
+# is not None must be refused
+RECORDS = {
+    "Scenario": IPD,
+    "SimulationDefaults": SimulationDefaults(10, 0),
+    "IndexParameters": IndexParameters(3.4, 0.5),
+    "EventSpace": SPACE,
+    "ComparisonEvent": ComparisonEvent("em12", "EM11", "EM22"),
+    "DominanceConstraint": DominanceConstraint("a", "b", 0.5),
+    "ConstraintSet": ORDER,
+    "OrdinalGame": GAME,
+    "SimulationConfig": SimulationConfig(10, 0, 0.5, 0.5),
+    "SurveyItem": ITEMS[0],
+    "Instrument": canonical_instrument(),
+    "SurveyResponse": SurveyResponse(dict.fromkeys(range(1, 8), "a")),
+    "PIndexScore": PIndexScore(7, 0.0),
+}
+NONE_FIELDS = [
+    (name, field)
+    for name, record in RECORDS.items()
+    for field in record._fields
+    if field not in record._defaults or record._defaults[field] is not None
+]
+
+
+@pytest.mark.parametrize(
+    "name, field", NONE_FIELDS, ids=[f"{name}.{field}" for name, field in NONE_FIELDS]
+)
+def test_none_in_a_field_is_refused(name, field):
+    with pytest.raises(ValidationError):
+        replace(RECORDS[name], **{field: None})
+
+
+# both probability sites, with the name each gives its value
+PROBABILITY_SITES = {
+    "DominanceConstraint": ("p(a > b)", lambda v: DominanceConstraint("a", "b", v)),
+    "p_em12": ("p_em12", lambda v: SimulationConfig(10, 0, v, 0.5)),
+    "p_pf21": ("p_pf21", lambda v: SimulationConfig(10, 0, 0.5, v)),
+}
+# a value no probability may take -> what is said of it after the name
+NOT_PROBABILITIES = {
+    "nan": (math.nan, " = nan is outside [0, 1]"),
+    "inf": (math.inf, " = inf is outside [0, 1]"),
+    "minus_inf": (-math.inf, " = -inf is outside [0, 1]"),
+    "negative": (-0.1, " = -0.1 is outside [0, 1]"),
+    "above_one": (1.5, " = 1.5 is outside [0, 1]"),
+    "bool": (True, " must be a number, got True"),
+    "text": ("x", " must be a number, got 'x'"),
+    "object_array": (
+        np.array([0.5], dtype=object),
+        " must be a number, got array([0.5], dtype=object)",
+    ),
+    "complex_array": (np.array([0.5j]), " must be a number, got array([0.+0.5j])"),
+}
+
+
+@pytest.mark.parametrize("site", PROBABILITY_SITES.values(), ids=PROBABILITY_SITES)
+@pytest.mark.parametrize("fault", NOT_PROBABILITIES.values(), ids=NOT_PROBABILITIES)
+def test_probability_sites_word_a_fault_alike(site, fault):
+    (name, make), (value, said) = site, fault
+    with pytest.raises(ValidationError) as error:
+        make(value)
+    assert str(error.value) == name + said
+
+
+# both callers of the faulty-symbol scan: ``_floats``, under NumericOrder and
+# a scan of scalars, and a scan of arrays, which gets each value twice
+SCAN_CALLERS = {
+    "NumericOrder": lambda values: pure_nash(GAME, NumericOrder(values)),
+    "scalars": lambda values: numeric_pure_nash(GAME, values),
+    "arrays": lambda values: numeric_pure_nash(
+        GAME, {symbol: np.full(2, value) for symbol, value in values.items()}
+    ),
+}
+# a value at symbols PF11 and EM22 -> the fault named, or None if it is read
+SCANNED = {
+    "nan": (math.nan, "'EM22' is NaN"),
+    "inf": (math.inf, None),
+    "minus_inf": (-math.inf, None),
+    "negative": (-0.1, None),
+    "above_one": (1.5, None),
+    "bool": (True, None),
+    "text": ("x", "'EM22' is not a real number"),
+    "object_array": (np.array(0.5, dtype=object), "'EM22' is not a real number"),
+    "complex_array": (np.array(0.5j), "'EM22' is not a real number"),
+}
+
+
+@pytest.mark.parametrize("scan", SCAN_CALLERS.values(), ids=SCAN_CALLERS)
+@pytest.mark.parametrize("value, fault", SCANNED.values(), ids=SCANNED)
+def test_faulty_symbol_scans_name_a_fault_alike(scan, value, fault):
+    values = {**VALUES, "PF11": value, "EM22": value}
+    if fault is None:
+        scan(values)
+        return
+    with pytest.raises(ValidationError) as error:
+        scan(values)
+    assert str(error.value) == f"numeric value for symbol {fault}"
+
+
+@pytest.mark.parametrize("scan", SCAN_CALLERS.values(), ids=SCAN_CALLERS)
+def test_faulty_symbol_scans_name_a_value_that_is_not_real_before_a_nan(scan):
+    with pytest.raises(ValidationError) as error:
+        scan({**VALUES, "EM11": math.nan, "PF22": "x"})
+    assert str(error.value) == "numeric value for symbol 'PF22' is not a real number"

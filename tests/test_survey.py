@@ -29,7 +29,6 @@ from splitgame.survey import (
     _parse_row,
     csv_header,
     instrument_from_dict,
-    score_item,
 )
 
 MAX_ANSWERS = {1: "f", 2: "a", 3: "f", 4: "a", 5: "a", 6: "a", 7: "f"}
@@ -90,6 +89,13 @@ class TestInstrument:
         with pytest.raises(ValidationError):
             Instrument(1, "broken", items)
 
+    def test_a_version_the_schema_reads_as_an_integer_loads(self):
+        # JSON Schema counts 1.0 as an integer; the instrument stores 1
+        item = {"index": 1, "text": "t", "polarity": POSITIVE}
+        loaded = instrument_from_dict({"version": 1.0, "items": [item]})
+        assert loaded == Instrument(1, "instrument", (SurveyItem(1, "t", POSITIVE),))
+        assert type(loaded.version) is int
+
     @pytest.mark.parametrize(
         "data, reason",
         [
@@ -120,24 +126,27 @@ class TestInstrument:
             )
 
 
-class TestScoreItem:
+def points_scored(index, choice):
+    """Points ``score_response`` gives item ``index`` answered ``choice``,
+    every other item at its least professional answer (1 point each)."""
+    answers = {**MIN_ANSWERS, index: choice}
+    return score_response(SurveyResponse(answers)).raw_sum - (len(answers) - 1)
+
+
+class TestItemPoints:
     def test_positive_maximum(self):
-        item = canonical_instrument().items[0]
-        assert score_item(item, "f") == 6
+        assert points_scored(1, "f") == 6
 
     def test_reverse_coded_maximum(self):
-        item = canonical_instrument().items[4]
-        assert score_item(item, "a") == 6
+        assert points_scored(5, "a") == 6
 
     def test_reverse_coded_midpoint(self):
-        item = canonical_instrument().items[3]
-        assert score_item(item, "c") == 4
+        assert points_scored(4, "c") == 4
 
     def test_numeric_and_uppercase_choices(self):
-        item = canonical_instrument().items[0]
-        assert score_item(item, "3") == 3
-        assert score_item(item, 3) == 3
-        assert score_item(item, "F") == 6
+        assert points_scored(1, "3") == 3
+        assert points_scored(1, 3) == 3
+        assert points_scored(1, "F") == 6
 
     # '²' is a digit to str.isdigit but not to int(); int() refuses to read
     # more than 4300 digits
@@ -146,10 +155,10 @@ class TestScoreItem:
         ["g", "0", "7", "", 0, 7, True, "\u00b2",
          pytest.param("9" * 5000, id="past-the-digit-limit")],
     )
-    def test_invalid_choice(self, choice):
-        item = canonical_instrument().items[0]
+    @pytest.mark.parametrize("score", [False, True], ids=["cell", "response"])
+    def test_invalid_choice(self, choice, score):
         with pytest.raises(ValidationError) as caught:
-            score_item(item, choice)
+            points_scored(1, choice) if score else _choice_position(choice)
         # named as given: the text '7' is not the number 7
         assert str(caught.value) == f"invalid choice {choice!r}; expected a-f or 1-6"
 
@@ -220,7 +229,7 @@ class TestScoreResponse:
         st.fixed_dictionaries(dict.fromkeys(range(1, 8), ANSWERS))
         | st.dictionaries(st.integers(0, 9), ANSWERS)
     )
-    def test_matches_the_score_item_loop(self, answers):
+    def test_matches_the_item_by_item_reference(self, answers):
         response = SurveyResponse(answers)
         assert outcome(score_response, response) == outcome(reference_score, response)
 
