@@ -8,7 +8,7 @@ returns that prior.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 
 from ._record import Record
 from .errors import (
@@ -55,10 +55,13 @@ class EventSpace(Record):
 
     @classmethod
     def uniform(cls, labels: Iterable[str]) -> "EventSpace":
-        """Equal priors over ``labels``: any iterable but a string, which the
-        constructor refuses rather than read as its characters."""
+        """Equal priors over ``labels``, any iterable but a string (read as
+        its characters) or a set (ordered by the string hash seed)."""
         if not isinstance(labels, Iterable):
             raise ValidationError(f"event labels must be iterable, got {_shown(labels)}")
+        if isinstance(labels, Set):
+            kind = type(labels).__name__
+            raise ValidationError(f"event labels need a list or tuple of labels, got {kind}")
         names = labels if isinstance(labels, str) else tuple(labels)
         return cls(names, tuple(1.0 / len(names) for _ in names))
 

@@ -184,7 +184,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
     print(
-        f"sweep: {len(rows)} rows over {', '.join(sorted(grid))}",
+        f"sweep: {len(rows)} row{'s' * (len(rows) != 1)} over {', '.join(sorted(grid))}",
         file=sys.stderr,
     )
     return EXIT_OK

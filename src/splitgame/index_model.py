@@ -8,8 +8,8 @@ modes exist because the published reference constants (0.3090 for score 3.4,
 and 0.2633): "computed" evaluates the formula, "published" reproduces the
 reference constants verbatim and only accepts the two reference scores.
 
-The tail has the closed form P(X > x) = erfc(x / sqrt(2 * variance)) / 2,
-evaluated with the standard library's erfc.
+The tail has the closed form P(X > x) = erfc(x / sqrt(2 * variance)) / 2; its
+one copy, ``_tail(x, sqrt(2 * variance))``, runs after its callers' checks.
 """
 from __future__ import annotations
 
@@ -119,7 +119,11 @@ def gaussian_tail(lower: float, variance: float = DEFAULT_VARIANCE) -> float:
     check_number("tail bound", lower)
     if math.isnan(lower):
         raise DomainError("tail bound must be a number, got nan")
-    return 0.5 * math.erfc(lower / math.sqrt(2.0 * variance))
+    return _tail(lower, math.sqrt(2.0 * variance))
+
+
+def _tail(lower: float, root: float) -> float:
+    return 0.5 * math.erfc(lower / root)
 
 
 def score_factor(score: float, variance: float = DEFAULT_VARIANCE) -> float:

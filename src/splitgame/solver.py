@@ -18,6 +18,7 @@ remaining mass is indeterminate.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping, Sequence
 
 from . import _resource
@@ -28,8 +29,8 @@ from .errors import ValidationError, check_document, check_kind
 from .game import CellCoord, OrdinalGame, pure_nash
 from .index_model import (
     PUBLISHED_TABLE,
-    IndexParameters,
     Mode,
+    _tail,
     check_score,
     check_weight,
     score_factor,
@@ -183,9 +184,8 @@ def solve(scenario: Scenario) -> DecisionReport:
         # published mode has gated the score onto its reference, and needs
         # its one tail call per label; in computed mode k(score) is the cap
         if published or abs(params.score - ref_score) <= SCORE_MATCH_TOLERANCE:
-            factor = caps[name][params.score]
-            if published:
-                factor = score_factor(params.score, params.variance)
+            cap = caps[name][params.score]
+            factor = score_factor(params.score, params.variance) if published else cap
             notes.append(
                 f"{label}: published constant {constant:.6g} at score "
                 f"{ref_score:g} diverges from the formula value "
@@ -254,9 +254,7 @@ def with_parameters(scenario: Scenario, overrides: Mapping[str, float]) -> Scena
     for name, value in overrides.items():
         attr, fieldname = _param_target(name)
         updates.setdefault(attr, {})[fieldname] = value
-    changes: dict[str, IndexParameters] = {}
-    for attr, fields in updates.items():
-        changes[attr] = replace(getattr(scenario, attr), **fields)
+    changes = {attr: replace(getattr(scenario, attr), **kw) for attr, kw in updates.items()}
     return replace(scenario, **changes)
 
 
@@ -274,7 +272,7 @@ def sweep(
     each axis value once, and evaluates k(C) and k(Q) once per distinct
     score.
     """
-    if not isinstance(grid, Mapping):
+    if not isinstance(grid, (dict, Mapping)):
         raise ValidationError(f"sweep grid must be a mapping, got {type(grid).__name__}")
     if not grid:
         raise ValidationError("sweep grid is empty")
@@ -282,14 +280,14 @@ def sweep(
     for name in names:
         _param_target(name)
         axis = grid[name]
-        if isinstance(axis, str) or not isinstance(axis, Sequence):
+        if isinstance(axis, str) or not isinstance(axis, (list, tuple, Sequence)):
             raise ValidationError(
                 f"parameter {name!r} needs a list or tuple of values, "
                 f"got {type(axis).__name__}"
             )
         if not axis:
             raise ValidationError(f"parameter {name!r} has no grid values")
-    rows, _ = _grid(scenario, effective_constraints(scenario), grid)
+    rows, _ = _grid(scenario, effective_constraints(scenario), grid, names)
     return names + list(SWEEP_METRICS), rows
 
 
@@ -297,13 +295,14 @@ def _grid(
     scenario: Scenario,
     order: ConstraintSet,
     grid: Mapping[str, Sequence[float]],
+    names: Sequence[str] = (),
 ) -> tuple[list[list[float]], dict[str, dict[float, float]]]:
-    """The rows over a grid of checked names, and the caps by "C" or "Q"
-    and score. An empty grid gives the scenario's own point. ``order`` is
-    the case-adjusted order. Under strong evidence p(pf21) is the chain
-    PF22 > PF12 > PF11, whose second link the case has made certain, so it
-    is p(PF22 > PF12); it is computed first, so its error precedes any axis
-    check.
+    """The rows over a grid, whose ``names`` come checked and sorted, and
+    the caps by "C" or "Q" and score. An empty grid gives the scenario's own
+    point. ``order`` is the case-adjusted order. Under strong evidence
+    p(pf21) is the chain PF22 > PF12 > PF11, whose second link the case has
+    made certain, so it is p(PF22 > PF12); it is computed first, so its
+    error precedes any axis check.
 
     A bad grid raises what solving its points one by one raises, after the
     same warnings, from one walk over the axes. The first failing point is
@@ -315,13 +314,11 @@ def _grid(
     value of each axis, last axis first, as its own point does. A repeated
     value only repeats checks that passed and warnings already shown.
     """
-    game = scenario.game
     chain_p_pf21 = None  # under weak evidence the weight times the cap
     if scenario.case is Case.STRONG_EVIDENCE:
         chain_p_pf21 = order.independent_chain_probability(
-            [(game.payoff(1, 1, 1), game.payoff(0, 1, 1))]
+            [(scenario.game.payoff(1, 1, 1), scenario.game.payoff(0, 1, 1))]
         )
-    names = sorted(grid)
     em, pf = scenario.em_params, scenario.pf_params
     published = scenario.mode is Mode.PUBLISHED
     # the axes in sorted name order C, Q, r, s; one not swept holds the
@@ -333,11 +330,12 @@ def _grid(
         "s": grid.get("s", [pf.weight]),
     }
     caps: dict[str, dict[float, float]] = {"C": {}, "Q": {}}
+    root = math.sqrt(2.0 * em.variance)  # k below is score_factor's, bit for bit
 
     def gate_and_cap(name: str, score: float):
         if score not in caps[name]:
             if not published:
-                caps[name][score] = score_factor(score, em.variance)
+                caps[name][score] = (1.0 - _tail(math.sqrt(score), root)) / 3.0
                 return
             # the published-mode gate: a constant refers to one score only
             ref_score, constant = PUBLISHED_TABLE["em12" if name == "C" else "pf21"]
@@ -350,7 +348,7 @@ def _grid(
             caps[name][score] = constant
 
     # the first point, as ``solve`` after ``with_parameters`` checks it
-    for attr in dict.fromkeys(_param_target(name)[0] for name in names):
+    for attr in dict.fromkeys(_PARAM_TARGETS[name][0] for name in names):
         score, weight = ("C", "r") if attr == "em_params" else ("Q", "s")
         check_score(axes[score][0])
         check_weight(axes[weight][0])

@@ -36,6 +36,30 @@ class TestEventSpace:
             EventSpace.uniform([])
         assert str(exc.value) == "event space needs at least one event"
 
+    @pytest.mark.parametrize(
+        "labels",
+        [{"e1", "e2", "e3"}, frozenset({"e1", "e2", "e3"}),
+         {"e1": 0, "e2": 0, "e3": 0}.keys()],
+        ids=["set", "frozenset", "dict_keys"],
+    )
+    def test_uniform_over_a_set_rejected(self, labels):
+        # a set's iteration order follows the string hash seed
+        with pytest.raises(ValidationError) as exc:
+            EventSpace.uniform(labels)
+        kind = type(labels).__name__
+        assert str(exc.value) == (
+            f"event labels need a list or tuple of labels, got {kind}"
+        )
+
+    @pytest.mark.parametrize(
+        "labels",
+        [["e1", "e2", "e3"], ("e1", "e2", "e3"),
+         (f"e{k}" for k in (1, 2, 3))],
+        ids=["list", "tuple", "generator"],
+    )
+    def test_uniform_over_an_ordered_iterable(self, labels):
+        assert EventSpace.uniform(labels) == UNIFORM3
+
     def test_negative_prior_rejected(self):
         with pytest.raises(DomainError):
             EventSpace(("a", "b"), (1.2, -0.2))

@@ -194,6 +194,16 @@ class TestSweepCommand:
         assert float(rows[1][1]) == report.p_em12
         assert float(rows[1][4]) == report.p_cell_22
 
+    @pytest.mark.parametrize(
+        "spec, summary",
+        [("r=0.5:0.5:0.1", "sweep: 1 row over r"),
+         ("r=0.5:0.6:0.1", "sweep: 2 rows over r")],
+        ids=["one_row", "two_rows"],
+    )
+    def test_summary_counts_rows(self, ipd_path, spec, summary, capsys):
+        assert main(["sweep", "--scenario", ipd_path, "--grid", spec]) == 0
+        assert capsys.readouterr().err == summary + "\n"
+
     def test_two_parameter_grid(self, ipd_path, capsys):
         code = main(
             [

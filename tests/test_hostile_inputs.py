@@ -484,6 +484,10 @@ def test_returns_or_raises_a_splitgame_error(call, value):
             lambda: published_coefficient("em12", "published"),
             "mode must be Mode, got str",
         ),
+        (
+            lambda: EventSpace.uniform({"a", "b", "c"}),
+            "event labels need a list or tuple of labels, got set",
+        ),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
@@ -507,7 +511,7 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         "empty_event_symbol", "none_event_symbol", "int_item_text",
         "empty_item_text", "text_instrument_version", "zero_instrument_version",
         "int_instrument_name", "int_instrument_item", "item_as_instrument_items",
-        "text_uniform_labels", "text_published_mode",
+        "text_uniform_labels", "text_published_mode", "set_uniform_labels",
     ],
 )
 def test_message(make, message):

@@ -452,13 +452,14 @@ class TestSolve:
     @pytest.mark.parametrize("case", list(Case))
     def test_tail_evaluated_at_most_twice(self, monkeypatch, mode, case):
         calls = []
-        tail = index_model.gaussian_tail
+        tail = index_model._tail
 
         def counting_tail(*args, **kwargs):
             calls.append(args)
             return tail(*args, **kwargs)
 
-        monkeypatch.setattr(index_model, "gaussian_tail", counting_tail)
+        monkeypatch.setattr(index_model, "_tail", counting_tail)
+        monkeypatch.setattr(solver, "_tail", counting_tail)
         solve(ipd_scenario(case=case, mode=mode))
         assert 0 < len(calls) <= 2
 
@@ -790,16 +791,63 @@ class TestSweep:
     ):
         # a point-by-point sweep makes two calls per point: 128 on 8x8
         count = 0
-        factor = solver.score_factor
+        tail = solver._tail
 
-        def counting_factor(*args):
+        def counting_tail(*args):
             nonlocal count
             count += 1
-            return factor(*args)
+            return tail(*args)
 
-        monkeypatch.setattr(solver, "score_factor", counting_factor)
+        monkeypatch.setattr(solver, "_tail", counting_tail)
         sweep(ipd_scenario(mode=Mode.COMPUTED), grid)
         assert count == calls
+
+    def test_each_grid_value_checked_once(self, monkeypatch):
+        # one check per grid value, plus the first point's two weights; the
+        # tail behind k(C) and k(Q) checks nothing again
+        scenario = ipd_scenario(mode=Mode.COMPUTED)
+        count = 0
+        check = index_model.check_number
+
+        def counting_check(*args):
+            nonlocal count
+            count += 1
+            return check(*args)
+
+        monkeypatch.setattr(index_model, "check_number", counting_check)
+        sweep(scenario, {"C": _EIGHT_SCORES, "Q": _EIGHT_SCORES})
+        assert count == 8 + 8 + 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["CQ", "rs"]),
+        st.data(),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).filter(
+            lambda v: v != index_model.DEFAULT_VARIANCE
+        ),
+    )
+    def test_computed_caps_are_score_factor_bit_for_bit(self, axes, data, variance):
+        score = st.floats(0.0, 10.0, exclude_min=True)
+        values = score if axes == "CQ" else _WEIGHTS
+        grid = {
+            name: data.draw(st.lists(values, min_size=1, max_size=4), label=name)
+            for name in axes
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            em, pf = (
+                IndexParameters(data.draw(score), data.draw(_WEIGHTS), variance)
+                for _ in range(2)
+            )
+            scenario = replace(
+                ipd_scenario(mode=Mode.COMPUTED), em_params=em, pf_params=pf
+            )
+            columns, rows = sweep(scenario, grid)
+        for row in rows:
+            point = {"C": em.score, "Q": pf.score, "r": em.weight, "s": pf.weight}
+            point.update(zip(columns, row))
+            assert point["p_em12"] == point["r"] * score_factor(point["C"], variance)
+            assert point["p_pf21"] == point["s"] * score_factor(point["Q"], variance)
 
     def test_out_of_interior_score_axis_still_warns(self):
         with warnings.catch_warnings(record=True) as caught:
