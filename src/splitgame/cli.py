@@ -87,11 +87,29 @@ def _say(kind: str, message) -> None:
 
 
 def _emit(text: str, out_path: str | None):
-    if out_path:
+    """``text`` to stdout or ``out_path``: a regular or new file whole or not
+    at all, by a temporary file beside it; others (``/dev/stdout``) in place."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    import os
+    import stat
+    old = os.lstat(out_path) if os.path.lexists(out_path) else None
+    if old is not None and not stat.S_ISREG(old.st_mode):
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+        return
+    temp = f"{out_path}.{os.urandom(4).hex()}.tmp"
+    handle = open(temp, "x", encoding="utf-8", newline="")
+    try:
+        with handle:
+            if old is not None:
+                os.chmod(temp, stat.S_IMODE(old.st_mode))
+            handle.write(text)
+        os.replace(temp, out_path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _load(args: argparse.Namespace):

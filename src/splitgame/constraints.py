@@ -283,9 +283,8 @@ class ConstraintSet(Record):
                     f"size * symbols must be <= {MAX_TRIALS}, "
                     f"got {size} * {width}"
                 )
-        import splitgame.sampling as sampling  # cheaper per call than from-import
-        plan = self._sampling_plan()
-        values = sampling.draw(plan, seed, 1 if size is None else int(size))
+        plan = self._sampling_plan()  # draws itself: no import per call
+        values = plan.draw(seed, 1 if size is None else int(size))
         if size is None:
             return {name: float(v[0]) for name, v in zip(plan[0], values)}
         return dict(zip(plan[0], values))

@@ -1,10 +1,15 @@
 """Values iid uniform on [0, 1] conditioned on a certain order, drawn exactly.
 
-``plan(names, reach)`` builds what drawing needs of an order, ``draw(plan,
-seed, rows)`` draws. Each connected component picks a linear extension by a
-walk of its downset lattice with the counted share of each next symbol
-(Brightwell & Winkler, Order 8, 1991), tabulated when the table takes at most
-``_TABLE_ROWS`` rows, and places its sorted draws in it.
+``plan(names, reach)`` builds what drawing needs of an order, a ``Plan``
+whose ``draw(seed, rows)`` draws. Each connected component picks a linear
+extension by a walk of its downset lattice with the counted share of each
+next symbol (Brightwell & Winkler, Order 8, 1991), tabulated when the table
+takes at most ``_TABLE_ROWS`` rows, and places its sorted draws in it.
+
+A draw reads its generator in one order: the free symbols' (free, rows)
+values, then per component in turn its (k, rows) walk uniforms and its
+(rows, k) draws. A chain's walk uniforms are read and left unused, or skipped
+unallocated; a double is one 64-bit step, so the stream is the same.
 """
 import numpy as np
 
@@ -184,7 +189,10 @@ def plan(names, reach):
             continue
         walks.append((np.asarray([members]), _extension_picker(*_lattice(above))))
         last = above
-    return names, free, walks
+    kept = Plan((names, free, walks))
+    if all(pick is None for _, pick in walks):  # free symbols and chains only
+        kept.stream = len(free) + 2 * sum(len(members) for members, _ in walks)
+    return kept
 
 
 def _place(values, block, pick, rng, rows):
@@ -203,25 +211,50 @@ def _place(values, block, pick, rng, rows):
     values[block] = read.take(cols).transpose(0, 2, 1)
 
 
-def draw(plan, seed, rows) -> np.ndarray:
-    """(symbols, rows) values drawn along ``plan`` from numpy's PCG64
-    seeded with ``seed``: the free symbols', then each run's in turn."""
-    names, free, walks = plan
-    rng = np.random.default_rng(seed)
-    values = np.empty((len(names), rows))
-    if free:
-        values[free] = rng.random((len(free), rows))
-    for members, pick in walks:
-        if pick is None:  # a chain skips its walk uniforms unallocated
-            k = len(members)
-            rng.bit_generator.advance(k * rows)
-            draws = rng.random((rows, k))
-            draws.sort(axis=1)
-            values[members] = draws.T[::-1]
-            continue
-        g, k = members.shape
-        per = max(1, _SAMPLE_BATCH // (k * rows or 1))  # components per batch
-        for start in range(0, g, per):
-            # a call, so the batch's read and columns go before the next
-            _place(values, members[start:start + per], pick, rng, rows)
-    return values
+class Plan(tuple):
+    """``(names, free, walks)`` from ``plan``, with ``stream``, the values a
+    row reads (None if a run walks), and ``layout``, the last (rows, gather)."""
+
+    stream = layout = None
+
+    def draw(self, seed, rows) -> np.ndarray:
+        """(symbols, rows) values from numpy's PCG64 seeded with ``seed``; a
+        stream of free symbols and chains within ``_SAMPLE_BATCH`` values is
+        one read, a sort per chain and one gather through the kept layout."""
+        names, free, walks = self
+        rng = np.random.default_rng(seed)
+        if self.stream is not None and rows * self.stream <= _SAMPLE_BATCH:
+            stream = rng.random(rows * self.stream)
+            kept = self.layout  # read once: a concurrent draw swaps it whole
+            if kept is None or kept[0] != rows:  # each value's stream index
+                layout = np.empty((len(names), rows), dtype=np.intp)
+                at = len(free) * rows
+                layout[free] = np.arange(at).reshape(len(free), rows)
+                for members, _ in walks:  # a chain's top: a row's last draw
+                    k = len(members)
+                    at += 2 * k * rows
+                    layout[members] = np.arange(at - k * rows, at).reshape(rows, k).T[::-1]
+                kept = self.layout = rows, layout
+            at = len(free) * rows
+            for members, _ in walks:
+                k = len(members)
+                at += 2 * k * rows
+                stream[at - k * rows:at].reshape(rows, k).sort(axis=1)
+            return stream.take(kept[1])
+        values = np.empty((len(names), rows))
+        if free:
+            values[free] = rng.random((len(free), rows))
+        for members, pick in walks:
+            if pick is None:  # a chain skips its walk uniforms unallocated
+                k = len(members)
+                rng.bit_generator.advance(k * rows)
+                draws = rng.random((rows, k))
+                draws.sort(axis=1)
+                values[members] = draws.T[::-1]
+                continue
+            g, k = members.shape
+            per = max(1, _SAMPLE_BATCH // (k * rows or 1))  # components per batch
+            for start in range(0, g, per):
+                # a call, so the batch's read and columns go before the next
+                _place(values, members[start:start + per], pick, rng, rows)
+        return values

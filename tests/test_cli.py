@@ -2,6 +2,7 @@ import codecs
 import copy
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from splitgame import (
     ipd_scenario,
     solve,
 )
+from splitgame import cli
 from splitgame.cli import (
     _EXIT_CODE_DOC,
     _LINE_MAX,
@@ -471,6 +473,98 @@ with contextlib.redirect_stdout(io.StringIO()), \\
         code = exc.code
 print(code, "numpy" in sys.modules, "splitgame.sampling" in sys.modules)
 """
+
+
+IPD_SCENARIO = str(REPO_ROOT / "scenarios" / "ipd.json")
+
+# command -> its argv without --out
+_OUT_COMMANDS = {
+    "solve": ["solve", "--scenario", IPD_SCENARIO],
+    "sweep": ["sweep", "--scenario", IPD_SCENARIO, "--grid", "r=0.1:0.3:0.1"],
+    "score": ["score", str(GOLDEN / "cohort.csv")],
+    "simulate": ["simulate", "--scenario", IPD_SCENARIO, "--trials", "100"],
+}
+
+
+class _FailingMidway:
+    """A file that writes half of what it is given, then fails as a full
+    disk does."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[:len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestOutWrittenWholeOrNotAtAll:
+    @pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+    def test_a_failed_write_leaves_the_earlier_file(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"an earlier run's output\n")
+        monkeypatch.setattr(
+            cli, "open", lambda *a, **k: _FailingMidway(open(*a, **k)), raising=False
+        )
+        assert main(_OUT_COMMANDS[command] + ["--out", str(out)]) == 3
+        assert out.read_bytes() == b"an earlier run's output\n"
+        assert os.listdir(tmp_path) == ["out.txt"]  # no temporary file left
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: [Errno 28] No space left on device" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+    def test_a_write_replaces_the_file_and_keeps_its_mode(
+        self, command, tmp_path, capsys
+    ):
+        assert main(_OUT_COMMANDS[command]) == 0
+        expected = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        out.write_text("an earlier run's output\n")
+        out.chmod(0o640)
+        assert main(_OUT_COMMANDS[command] + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == expected
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(_OUT_COMMANDS["solve"] + ["--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["case"] == "weak_evidence"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_device_exits_3(self, capsys):
+        assert main(_OUT_COMMANDS["solve"] + ["--out", "/dev/full"]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_dev_stdout_is_written_in_place(self, capsys):
+        assert main(_OUT_COMMANDS["solve"]) == 0
+        expected = capsys.readouterr().out
+        result = subprocess.run(
+            [sys.executable, "-m", "splitgame", *_OUT_COMMANDS["solve"],
+             "--out", "/dev/stdout"],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == expected
 
 
 def _python(code, *argv):

@@ -1,12 +1,15 @@
 import enum
+import importlib.util
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import deque
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +26,8 @@ from conftest import (
     reference_sample_realization,
     rejection_realization,
 )
+import splitgame
+from splitgame import constraints as constraint_module
 from splitgame import sampling
 from splitgame.constraints import MAX_TRIALS, check_integer
 from splitgame.sampling import (
@@ -192,6 +197,19 @@ class TestConstruction:
         assert type(exc.value) is error
         assert str(exc.value) == message
         assert exc.value.exit_code == code
+
+    @pytest.mark.parametrize(
+        "left, right, outside",
+        [("Z", "A", "Z"), ("A", "Z", "Z"), ("Y", "Z", "Y")],
+        ids=["left_outside", "right_outside", "both_outside_left_named"],
+    )
+    def test_symbol_outside_the_bound_universe_is_named(self, left, right, outside):
+        with pytest.raises(ValidationError) as exc:
+            ConstraintSet([certain(left, right)], universe=["A", "B"])
+        assert str(exc.value) == (
+            f"constraint p({left} > {right}) uses symbol {outside!r} "
+            "outside the bound universe"
+        )
 
     def test_equality(self):
         a = ConstraintSet([certain("A", "B")])
@@ -414,6 +432,35 @@ class TestSampling:
             f"size * symbols must be <= {MAX_TRIALS}, got {size} * 8"
         )
         assert peak < 1 << 20
+
+    def test_values_at_the_cap_drawn_and_one_row_more_rejected(
+        self, ipd_base_constraints, monkeypatch
+    ):
+        # size * symbols <= MAX_TRIALS, at a cap small enough to draw at:
+        # the shipped order has 8 symbols, so 5 rows fill a cap of 40
+        monkeypatch.setattr(constraint_module, "MAX_TRIALS", 40)
+        values = ipd_base_constraints.sample_realization(0, size=5)
+        assert {column.shape for column in values.values()} == {(5,)}
+        with pytest.raises(ValidationError) as exc:
+            ipd_base_constraints.sample_realization(0, size=6)
+        assert str(exc.value) == "size * symbols must be <= 40, got 6 * 8"
+
+    @pytest.mark.parametrize("cap, fits", [(9, True), (8, False)])
+    def test_downset_cap_at_and_one_under_the_count(self, monkeypatch, cap, fits):
+        # one symbol above three others has 2**3 + 1 = 9 downsets
+        monkeypatch.setattr(sampling, "SAMPLING_DOWNSET_CAP", cap)
+        star = ConstraintSet([certain("T", lesser) for lesser in "ABC"])
+        if fits:
+            assert _bits(star.sample_realization(4, size=6)) == _bits(
+                reference_sample_realization(star, 4, 6)
+            )
+            return
+        with pytest.raises(SamplingExhaustedError) as exc:
+            star.sample_realization(4, size=6)
+        assert str(exc.value) == (
+            "a connected component of 4 symbols in the certain order has "
+            "more than 8 downsets"
+        )
 
     def test_size_past_the_digit_limit_rejected(self, ipd_base_constraints):
         with pytest.raises(ValidationError) as exc:
@@ -783,6 +830,101 @@ class TestSamplingSeed:
         assert _bits(drawn) == _bits(
             ipd_base_constraints.sample_realization((1, np.int64(2)), size=4)
         )
+
+
+def test_a_copy_under_another_name_draws_with_its_own_sampler(monkeypatch):
+    # no module of the package imports it by its absolute name, so a copy
+    # loaded under another name draws even where ``splitgame`` cannot load
+    pairs, universe = ("AB", "BC"), list("ABCD")
+    order = ConstraintSet([certain(a, b) for a, b in pairs], universe=universe)
+    expected = _bits(order.sample_realization(5, size=7))
+    for name in [n for n in sys.modules if n.partition(".")[0] == "splitgame"]:
+        monkeypatch.setitem(sys.modules, name, None)  # import raises
+    init = Path(splitgame.__file__)
+    spec = importlib.util.spec_from_file_location(
+        "splitgame_copy", init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "splitgame_copy", package)
+    try:
+        spec.loader.exec_module(package)
+        twin = package.ConstraintSet(
+            [package.DominanceConstraint(a, b, 1.0) for a, b in pairs],
+            universe=universe,
+        )
+        assert _bits(twin.sample_realization(5, size=7)) == expected
+        assert type(twin._sampling_plan()).__module__ == "splitgame_copy.sampling"
+    finally:
+        for name in [n for n in sys.modules if n.startswith("splitgame_copy.")]:
+            del sys.modules[name]
+
+
+class TestOneReadDraw:
+    """Free symbols and chains, no run to walk, within ``_SAMPLE_BATCH``
+    values: one read, a sort per chain and one gather through the layout
+    the plan keeps for the last row count."""
+
+    @pytest.fixture
+    def order(self):
+        # a chain of three and two free symbols: 2 + 2 * 3 values per row
+        return ConstraintSet(
+            [certain("A", "B"), certain("B", "C")], universe=list("ABCDE")
+        )
+
+    def test_a_row_reads_free_symbols_once_and_chains_twice(self, order):
+        assert order._sampling_plan().stream == 8
+        crown = _order([(top, bottom) for top in "AB" for bottom in "CD"])
+        assert crown._sampling_plan().stream is None
+        crown.sample_realization(0, size=3)
+        assert crown._sampling_plan().layout is None
+
+    @pytest.mark.parametrize("size", [None, 0, 1, 5, 6])
+    def test_a_block_at_the_bound_reads_once_and_one_row_more_does_not(
+        self, order, size
+    ):
+        rows = 1 if size is None else size
+        expected = _bits(reference_sample_realization(order, 3, size))
+        with mock.patch.object(sampling, "_SAMPLE_BATCH", 8 * 5):
+            assert _bits(order.sample_realization(3, size)) == expected
+        layout = order._sampling_plan().layout
+        assert (layout is None) == (rows > 5)
+        if layout is not None:
+            assert layout[0] == rows and layout[1].shape == (5, rows)
+
+    def test_each_row_count_swaps_the_kept_layout_whole(self, order):
+        for seed, size in enumerate([3, None, 7, 3, 0, 7]):
+            expected = _bits(reference_sample_realization(order, seed, size))
+            assert _bits(order.sample_realization(seed, size)) == expected
+            rows, layout = order._sampling_plan().layout
+            assert rows == (1 if size is None else size) == layout.shape[1]
+
+    def test_threads_drawing_other_row_counts_draw_their_own_values(self, order):
+        # the layout is read once and swapped in whole, so a draw never
+        # gathers through another row count's layout
+        sizes = [1, 3, 7, 3]
+        expected = {
+            size: _bits(reference_sample_realization(order, size, size))
+            for size in sizes
+        }
+        wrong = []
+
+        def draw(size):
+            for _ in range(500):
+                if _bits(order.sample_realization(size, size)) != expected[size]:
+                    wrong.append(size)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(s,)) for s in sizes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 def _order_masks(constraints):

@@ -80,6 +80,32 @@ def test_deferred_modules_count_as_imports():
     assert set(DEFERRED) <= package_imports("cli")
 
 
+def absolute_self_imports(module: str) -> list[str]:
+    """The import statements in ``module`` that name the package by its
+    absolute name, as ``line: name``."""
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"{node.lineno}: {name}" for name in names
+            if name == PACKAGE or name.startswith(PACKAGE + ".")
+        ]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_no_module_imports_the_package_by_its_name(module):
+    # relative imports only: loaded under another name, the package must
+    # not reach for (or silently use) another copy installed as splitgame
+    assert absolute_self_imports(module) == []
+
+
 def cached_functions_with_parameters(module: str) -> list[str]:
     """The functions in ``module`` decorated with ``functools.lru_cache``
     or ``functools.cache`` (called or not, by attribute or by name) that

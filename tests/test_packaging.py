@@ -1,5 +1,6 @@
 """The installed package carries every file under ``splitgame/resources``,
 and finds them when it is imported from a zip archive."""
+import ast
 import os
 import subprocess
 import sys
@@ -31,6 +32,26 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
     config = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
     assert splitgame.__version__ == config["project"]["version"]
+
+
+# the oldest Python that pyproject.toml's requires-python admits
+OLDEST_PYTHON = (3, 10)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*PACKAGE_DIR.glob("*.py"), *(REPO_ROOT / "tests").glob("*.py")]),
+    ids=lambda path: path.relative_to(REPO_ROOT).as_posix(),
+)
+def test_sources_parse_as_the_oldest_python(path):
+    source = path.read_text(encoding="utf-8")
+    ast.parse(source, filename=str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_oldest_python_is_the_one_pyproject_requires():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    config = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
+    assert config["project"]["requires-python"] == ">=%d.%d" % OLDEST_PYTHON
 
 
 # check -> the interpreter's arguments, run from the repository root
