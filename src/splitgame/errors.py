@@ -225,7 +225,7 @@ def _schema_errors(
                         f"Expected at most {prefix} {noun} but found {extra} "
                         f"extra: {_shown(rest)}"
                     )
-                elif extra > 0:
+                else:  # with no item past the prefix, the range is empty
                     for index in range(prefix, len(value)):
                         yield from _schema_errors(
                             value[index], rule, path + (index,)

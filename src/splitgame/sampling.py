@@ -3,13 +3,17 @@
 ``plan(names, reach)`` builds what drawing needs of an order, a ``Plan``
 whose ``draw(seed, rows)`` draws. Each connected component picks a linear
 extension by a walk of its downset lattice with the counted share of each
-next symbol (Brightwell & Winkler, Order 8, 1991), tabulated when the table
-takes at most ``_TABLE_ROWS`` rows, and places its sorted draws in it.
+next symbol (Brightwell & Winkler, Order 8, 1991), and places its sorted
+draws in it. The walk is tabulated when the table takes at most
+``_TABLE_ROWS`` rows and ``_TABLE_STARTS`` gap starts above 0; a pick then
+compares each depth's uniform with each such start of that depth, adding the
+depth's stride for each one it reaches, and looks the sum up.
 
 A draw reads its generator in one order: the free symbols' (free, rows)
 values, then per component in turn its (k, rows) walk uniforms and its
-(rows, k) draws. A chain's walk uniforms are read and left unused, or skipped
-unallocated; a double is one 64-bit step, so the stream is the same.
+(rows, k) draws. A block within ``_SAMPLE_BATCH`` values is one read and one
+gather; a larger one reads part by part, skipping a chain's walk uniforms
+unallocated. A double is one 64-bit step, so the stream is the same.
 """
 import numpy as np
 
@@ -26,8 +30,10 @@ _SAMPLE_BATCH = 1 << 16
 # symbol above 17 others) having 2**17 + 1; a chain builds no lattice
 SAMPLING_DOWNSET_CAP = 1 << 18
 
-# most rows of a component's tabulated walk; a larger one walks per draw
+# most rows of a component's tabulated walk, and most gap starts above 0
+# over its depths, each a comparison per pick; a larger one walks per draw
 _TABLE_ROWS = 1 << 12
+_TABLE_STARTS = 32
 
 
 def _components(names, reach) -> list[list[int]]:
@@ -118,7 +124,8 @@ def _extension_picker(follow, cumulative):
     At a depth the walk compares its uniform only with the shares of the
     downsets it can reach there, so a uniform picks as the start of its gap
     between them does: the walk is tabulated, a row per combination of
-    per-depth gaps, and a pick sums each uniform's gap code into a row.
+    per-depth gaps, and a pick adds a depth's stride for each of its gap
+    starts above 0 that the depth's uniform reaches.
     """
     def walk(u):  # the walk's (k, n) symbols from the top as (n, k) columns
         order = _linear_extensions(follow, cumulative, u)
@@ -126,33 +133,36 @@ def _extension_picker(follow, cumulative):
         cols[np.arange(len(cols)), order] = np.arange(len(order))[::-1, None]
         return cols
 
-    starts, strides, rows = [], [], 1
+    # per depth with gap starts above 0, its cuts: (depth, cuts, stride), one
+    # cut as a float, more as a column
+    steps, rows, count = [], 1, 0
+    u = np.zeros((follow.shape[1], 1))
     states = np.zeros(1, dtype=np.intp)
-    for _ in range(follow.shape[1] - 1):  # the last depth has one symbol left
+    for depth in range(follow.shape[1] - 1):  # the last has one symbol left
         shares = cumulative[states]
         # the gaps' starts: 0 and each share below 1, which u never reaches
-        starts.append(np.array(sorted({0.0, *shares[shares < 1.0].tolist()})))
-        strides.append(rows)
-        rows *= len(starts[-1])
-        if rows > _TABLE_ROWS:
+        starts = sorted({0.0, *shares[shares < 1.0].tolist()})
+        if len(starts) > 1:
+            cuts = starts[1] if len(starts) == 2 else np.array(starts[1:])[:, None]
+            steps.append((depth, cuts, rows))
+        count += len(starts) - 1
+        if rows * len(starts) > _TABLE_ROWS or count > _TABLE_STARTS:
             return walk
+        u = np.tile(u, len(starts))  # a table row's gaps: one per depth
+        u[depth] = np.repeat(starts, rows)
+        rows *= len(starts)
         at, j = np.nonzero(np.diff(shares, prepend=0.0) > 0)  # the moves
         states = np.flatnonzero(np.bincount(follow[states[at], j]))
-    u = np.zeros((follow.shape[1], rows, 1))
-    for depth, (gaps, stride) in enumerate(zip(starts, strides)):
-        u[depth, :, 0] = gaps[np.arange(rows) // stride % len(gaps)]
-    cols = walk(u)
-    # one search finds a uniform's gap among every depth's starts, ``low``;
-    # ``codes`` gives each such gap, per depth, as its own gap times its stride
-    low = np.array(sorted({gap for gaps in starts for gap in gaps.tolist()}))
-    codes = np.array([(gaps.searchsorted(low, "right") - 1) * stride
-                      for gaps, stride in zip(starts, strides)])
-    offsets = np.arange(0, codes.size, len(low))[:, None]
+    cols = walk(u[:, :, None])
 
     def pick(u):  # the last depth's uniform is not read
-        gaps = low[1:].searchsorted(u[:-1, :, 0], "right")
-        gaps += offsets
-        return cols.take(codes.take(gaps).sum(axis=0), axis=0)
+        code = np.zeros(u.shape[1], dtype=np.intp)
+        for depth, cuts, stride in steps:
+            reached = u[depth, :, 0] >= cuts  # per cut, if a column
+            if reached.ndim > 1:
+                reached = reached.sum(axis=0)
+            code += reached if stride == 1 else reached * stride
+        return cols.take(code, axis=0)
 
     return pick
 
@@ -190,57 +200,76 @@ def plan(names, reach):
         walks.append((np.asarray([members]), _extension_picker(*_lattice(above))))
         last = above
     kept = Plan((names, free, walks))
-    if all(pick is None for _, pick in walks):  # free symbols and chains only
-        kept.stream = len(free) + 2 * sum(len(members) for members, _ in walks)
+    kept.stream = len(free) + 2 * sum(members.size for members, _ in walks)
     return kept
+
+
+def _columns(read, pick):
+    """Each value's column among its row's draws, as (n, rows, k), for one
+    local order's n components read as the (n, 2, k, rows) ``read``: per
+    component its (k, rows) walk uniforms then its (rows, k) draws, each
+    row's draws sorted in place."""
+    n, _, k, rows = read.shape
+    read[:, 1].reshape(n, rows, k).sort(axis=2)
+    walk = read[:, 0].transpose(1, 0, 2).reshape(k, n * rows, 1)
+    return pick(walk).reshape(n, rows, k)
 
 
 def _place(values, block, pick, rng, rows):
     """Draw and place the components of one local order whose indices are
     the (n, k) ``block``, reading per component its (k, rows) walk uniforms
-    then its (rows, k) draws: one pick, one sort of each row's draws in
-    place, and one gather into the picked columns of ``values``."""
+    then its (rows, k) draws, into ``values``."""
     n, k = block.shape
-    read = rng.random((n, 2, k * rows))
-    walk = read[:, 0].reshape(n, k, rows).transpose(1, 0, 2)
-    cols = pick(walk.reshape(k, n * rows, 1)).reshape(n, rows, k)
-    read[:, 1].reshape(n, rows, k).sort(axis=2)
-    # columns to flat indices into ``read``: a row's draws start every k
-    # values in the second half of its component's part
+    read = rng.random((n, 2, k, rows))
+    cols = _columns(read, pick)
+    # a row's draws start every k values in the second half of its part
     cols += np.arange(0, read.size, k).reshape(n, 2 * rows)[:, rows:, None]
     values[block] = read.take(cols).transpose(0, 2, 1)
 
 
 class Plan(tuple):
     """``(names, free, walks)`` from ``plan``, with ``stream``, the values a
-    row reads (None if a run walks), and ``layout``, the last (rows, gather)."""
+    row reads, and ``layout``, the last (rows, gather, parts)."""
 
-    stream = layout = None
+    layout = None
 
     def draw(self, seed, rows) -> np.ndarray:
         """(symbols, rows) values from numpy's PCG64 seeded with ``seed``; a
-        stream of free symbols and chains within ``_SAMPLE_BATCH`` values is
-        one read, a sort per chain and one gather through the kept layout."""
+        stream within ``_SAMPLE_BATCH`` values is one read, a sort per
+        component, a pick per run and one gather."""
         names, free, walks = self
         rng = np.random.default_rng(seed)
-        if self.stream is not None and rows * self.stream <= _SAMPLE_BATCH:
+        if rows * self.stream <= _SAMPLE_BATCH:
             stream = rng.random(rows * self.stream)
             kept = self.layout  # read once: a concurrent draw swaps it whole
             if kept is None or kept[0] != rows:  # each value's stream index
+                # a run's symbols are left unset, to be written by each draw
                 layout = np.empty((len(names), rows), dtype=np.intp)
                 at = len(free) * rows
                 layout[free] = np.arange(at).reshape(len(free), rows)
-                for members, _ in walks:  # a chain's top: a row's last draw
+                parts = []  # per walk, with each of its (component, row)'s first draw
+                for members, pick in walks:
+                    n, k = members.reshape(-1, members.shape[-1]).shape
+                    draws = np.arange(at, at + 2 * n * k * rows).reshape(n, 2 * rows, k)
+                    at += draws.size
+                    if pick is None:  # a chain's top: a row's last draw
+                        layout[members] = draws[0, rows:].T[::-1]
+                    parts.append((members, pick, draws[:, rows:, :1]))
+                kept = self.layout = rows, layout, parts
+            gather, at = kept[1], len(free) * rows
+            for members, pick, first in kept[2]:
+                if pick is None:  # a chain's draws: its part's last k * rows
                     k = len(members)
                     at += 2 * k * rows
-                    layout[members] = np.arange(at - k * rows, at).reshape(rows, k).T[::-1]
-                kept = self.layout = rows, layout
-            at = len(free) * rows
-            for members, _ in walks:
-                k = len(members)
-                at += 2 * k * rows
-                stream[at - k * rows:at].reshape(rows, k).sort(axis=1)
-            return stream.take(kept[1])
+                    stream[at - k * rows:at].reshape(rows, k).sort(axis=1)
+                    continue
+                n, k = members.shape
+                read = stream[at:at + 2 * n * k * rows].reshape(n, 2, k, rows)
+                at += read.size
+                if gather is kept[1]:  # the first run copies the layout
+                    gather = gather.copy()
+                gather[members] = (_columns(read, pick) + first).transpose(0, 2, 1)
+            return stream.take(gather)
         values = np.empty((len(names), rows))
         if free:
             values[free] = rng.random((len(free), rows))

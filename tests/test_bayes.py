@@ -68,6 +68,25 @@ class TestEventSpace:
         with pytest.raises(DomainError):
             EventSpace(("a", "b"), (0.5, 0.4))
 
+    @pytest.mark.parametrize("steps, accepted", [
+        (4503, True), (4504, False), (-9007, True), (-9008, False),
+    ])
+    def test_prior_sum_tolerance_at_its_last_double(self, steps, accepted):
+        # PRIOR_TOLERANCE is 1e-12. Above 1 a sum moves in steps of 2**-52,
+        # below it in steps of 2**-53, and each distance here is that many
+        # steps, exactly representable: 4503 * 2**-52 and 9007 * 2**-53 are
+        # the last within 1e-12 on each side, one step more is outside it
+        step = 2.0**-52 if steps > 0 else 2.0**-53
+        prior = (0.5 + steps * step, 0.5)
+        total = sum(prior)
+        assert total - 1.0 == steps * step  # exact
+        if accepted:
+            EventSpace(("a", "b"), prior)
+            return
+        with pytest.raises(DomainError) as exc:
+            EventSpace(("a", "b"), prior)
+        assert str(exc.value) == f"prior sums to {total!r}, outside 1 +/- 1e-12"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_prior_rejected_with_label(self, bad):
         with pytest.raises(DomainError, match="prior\\(a\\)"):
@@ -138,6 +157,19 @@ class TestFixedPoint:
             fixed_point_posterior(UNIFORM3, (1, 5))
         with pytest.raises(ValidationError):
             fixed_point_posterior(UNIFORM3, (2,))
+
+    @pytest.mark.parametrize("unaffected, alpha", [
+        ((0, 1), 0.5), ((1, 2), 0.2),
+    ])
+    def test_first_and_last_index_accepted(self, unaffected, alpha):
+        space = EventSpace(("a", "b", "c"), (0.2, 0.3, 0.5))
+        assert fixed_point_posterior(space, unaffected) == alpha
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_one_index_past_either_end_is_named(self, bad):
+        with pytest.raises(ValidationError) as exc:
+            fixed_point_posterior(UNIFORM3, (1, bad))
+        assert str(exc.value) == f"event index {bad} out of range for 3 events"
 
     def test_unaffected_is_any_iterable_of_indices(self):
         space = EventSpace(("a", "b"), (0.2, 0.8))

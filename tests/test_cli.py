@@ -321,6 +321,37 @@ class TestSweepCommand:
         assert result.stderr == "".join(line + "\n" for line in lines)
 
 
+class TestGridLimits:
+    """``_parse_grid_specs`` alone, so no sweep runs: each documented limit
+    accepts a grid at it and refuses one step past it, by name."""
+
+    def test_the_limits(self):
+        assert (GRID_MAX_STEPS, GRID_MAX_ROWS) == (100_000, 1_000_000)
+
+    def test_an_axis_of_exactly_the_most_steps_is_accepted(self):
+        grid = cli._parse_grid_specs(["r=0:100000:1"])
+        assert len(grid["r"]) == 100_001 and grid["r"][-1] == 100_000.0
+
+    def test_one_step_more_is_refused(self):
+        with pytest.raises(ValidationError) as exc:
+            cli._parse_grid_specs(["r=0:100001:1"])
+        assert str(exc.value) == (
+            "grid spec 'r=0:100001:1': more than 100000 steps"
+        )
+
+    def test_a_grid_of_exactly_the_most_rows_is_accepted(self):
+        grid = cli._parse_grid_specs(["r=0:999:1", "s=0:999:1"])
+        assert len(grid["r"]) * len(grid["s"]) == 1_000_000
+
+    def test_one_row_more_is_refused(self):
+        # 101 * 9901 = 1000001 rows
+        with pytest.raises(ValidationError) as exc:
+            cli._parse_grid_specs(["r=0:100:1", "s=0:9900:1"])
+        assert str(exc.value) == (
+            "grid spec 's=0:9900:1': grid exceeds 1000000 rows"
+        )
+
+
 class TestScoreCommand:
     def test_single_max_respondent(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

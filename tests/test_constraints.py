@@ -1,4 +1,5 @@
 import enum
+import hashlib
 import importlib.util
 import itertools
 import math
@@ -831,6 +832,23 @@ class TestSamplingSeed:
             ipd_base_constraints.sample_realization((1, np.int64(2)), size=4)
         )
 
+    @pytest.mark.parametrize("seed, block, size, digest", [
+        (0, 0, 1, "0172cf4ad846120472c2333e6e731a46bae2eb0cfa76579b364393359f60aa25"),
+        (1, 7, 128, "22d9c20464a735066fff80090e47d7bb40f5476a3323a857f0b6d11de1ace576"),
+        (20100, 3, 4096,
+         "b8723143243781298adb0fe220a4420ee8a88c62c0ed6f47665c107e6b189163"),
+        (99, 65536, 4096,
+         "1978f926b7f7641dea3916426b41bd085018b8accbbf52e5e443911c36f0fb8f"),
+    ])
+    def test_shipped_order_draws_its_pinned_values(self, seed, block, size, digest):
+        # the seeding contract, as ``verify_nash_numeric`` seeds a block:
+        # the sha256 of every value, by sorted name, as little-endian
+        # doubles; a change to numpy's streams or to the sampler shows here
+        drawn = ipd_scenario().constraints.sample_realization([seed, block], size)
+        data = b"".join(np.asarray(drawn[name], dtype="<f8").tobytes()
+                        for name in sorted(drawn))
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 def test_a_copy_under_another_name_draws_with_its_own_sampler(monkeypatch):
     # no module of the package imports it by its absolute name, so a copy
@@ -874,8 +892,9 @@ class TestOneReadDraw:
     def test_a_row_reads_free_symbols_once_and_chains_twice(self, order):
         assert order._sampling_plan().stream == 8
         crown = _order([(top, bottom) for top in "AB" for bottom in "CD"])
-        assert crown._sampling_plan().stream is None
-        crown.sample_realization(0, size=3)
+        assert crown._sampling_plan().stream == 8
+        with mock.patch.object(sampling, "_SAMPLE_BATCH", 8 * 3 - 1):
+            crown.sample_realization(0, size=3)
         assert crown._sampling_plan().layout is None
 
     @pytest.mark.parametrize("size", [None, 0, 1, 5, 6])
@@ -891,32 +910,43 @@ class TestOneReadDraw:
         if layout is not None:
             assert layout[0] == rows and layout[1].shape == (5, rows)
 
+    @pytest.mark.parametrize("rows", [4096, 4097])
+    def test_a_crown_block_at_the_bound_reads_once_and_one_row_more_batches(
+        self, rows
+    ):
+        # two 2+2 crowns read 2 * 8 values per row: 4096 rows are exactly
+        # ``_SAMPLE_BATCH`` values, so one read; one row more draws by batches
+        crowns = _order([(p + t, p + b) for p in "AB" for t in "01" for b in "23"])
+        assert crowns._sampling_plan().stream * 4096 == sampling._SAMPLE_BATCH
+        expected = _bits(reference_sample_realization(crowns, [7, 1], rows))
+        with mock.patch.object(sampling, "_place", wraps=sampling._place) as place:
+            assert _bits(crowns.sample_realization([7, 1], rows)) == expected
+        assert place.called == (rows > 4096)
+
     def test_each_row_count_swaps_the_kept_layout_whole(self, order):
         for seed, size in enumerate([3, None, 7, 3, 0, 7]):
             expected = _bits(reference_sample_realization(order, seed, size))
             assert _bits(order.sample_realization(seed, size)) == expected
-            rows, layout = order._sampling_plan().layout
+            rows, layout, _ = order._sampling_plan().layout
             assert rows == (1 if size is None else size) == layout.shape[1]
 
-    def test_threads_drawing_other_row_counts_draw_their_own_values(self, order):
-        # the layout is read once and swapped in whole, so a draw never
-        # gathers through another row count's layout
-        sizes = [1, 3, 7, 3]
-        expected = {
-            size: _bits(reference_sample_realization(order, size, size))
-            for size in sizes
-        }
+    @staticmethod
+    def _draw_in_threads(order, draws, times=500):
+        """Each (seed, size) of ``draws`` drawn ``times`` times in a thread of
+        its own under a 1 us switch interval: the draws that differed from
+        ``reference_sample_realization``."""
+        expected = {d: _bits(reference_sample_realization(order, *d)) for d in draws}
         wrong = []
 
-        def draw(size):
-            for _ in range(500):
-                if _bits(order.sample_realization(size, size)) != expected[size]:
-                    wrong.append(size)
+        def draw(seed, size):
+            for _ in range(times):
+                if _bits(order.sample_realization(seed, size)) != expected[seed, size]:
+                    wrong.append((seed, size))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=draw, args=(s,)) for s in sizes]
+            threads = [threading.Thread(target=draw, args=d) for d in draws]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -924,7 +954,19 @@ class TestOneReadDraw:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
+        return wrong
+
+    def test_threads_drawing_other_row_counts_draw_their_own_values(self, order):
+        # the layout is read once and swapped in whole, so a draw never
+        # gathers through another row count's layout
+        assert self._draw_in_threads(order, [(s, s) for s in (1, 3, 7, 3)]) == []
+
+    def test_threads_drawing_crowns_draw_their_own_picks(self):
+        # a run's picks go into a copy of the kept layout, so threads drawing
+        # one row count from their own seeds never gather another's picks
+        crowns = _order([(p + t, p + b) for p in "AB" for t in "01" for b in "23"])
+        draws = [(seed, 3) for seed in range(8)]
+        assert self._draw_in_threads(crowns, draws, times=1000) == []
 
 
 def _order_masks(constraints):
@@ -1127,9 +1169,11 @@ def test_batched_crowns_draw_bit_identical_values(drawn, per, seed, size):
     with mock.patch.object(sampling, "_SAMPLE_BATCH", bound), \
             mock.patch.object(sampling, "_place", recording):
         assert _bits(order.sample_realization(seed, size)) == expected
-    _, _, walks = order._sampling_plan()
-    assert [len(members) for members, pick in walks if pick is not None] == runs
-    per = per if rows else 4  # no rows: a bound of 4 * per fits every run
+    kept = order._sampling_plan()
+    assert [len(members) for members, pick in kept[2] if pick is not None] == runs
+    if rows * kept.stream <= bound:  # a block within the bound is one read
+        assert batches == []
+        return
     assert batches == [
         min(per, run - start) for run in runs for start in range(0, run, per)
     ]
@@ -1275,6 +1319,28 @@ class TestExtensionTable:
         assert np.array_equal(cols, expected)
         assert len({tuple(row) for row in cols.tolist()}) == length + 1
 
+    def test_a_table_holds_at_most_its_start_bound(self, monkeypatch):
+        # a chain beside one free symbol has one gap start above 0 at each
+        # depth of the chain, so ``length`` of them: with the bound patched
+        # to 5, a chain of 5 fills a table and one of 6 walks
+        def chain_and_one(length):
+            return _lattice([(1 << j) - 1 for j in range(length)] + [0])
+
+        monkeypatch.setattr(sampling, "_TABLE_STARTS", 5)
+        assert self.table(*chain_and_one(6)) is None
+        follow, cumulative = chain_and_one(5)
+        u = np.random.default_rng(0).random((6, 256, 1))
+        cols = self.table(follow, cumulative)(u)
+        expected = columns_of(_linear_extensions(follow, cumulative, u))
+        assert np.array_equal(cols, expected)
+        assert len({tuple(row) for row in cols.tolist()}) == 6
+        # three tops above three bottoms: 2 + 1 + 2 + 1 gap starts above 0,
+        # two depths with two of them
+        three = _lattice([0] * 3 + [0b111] * 3)
+        assert self.table(*three) is None
+        monkeypatch.setattr(sampling, "_TABLE_STARTS", 6)
+        assert self.table(*three) is not None
+
     @pytest.mark.parametrize("tops, bottoms, extensions", [
         (2, 2, 4), (3, 3, 36), (3, 4, 144),
     ], ids=["crown_2+2", "three_above_three", "three_above_four"])
@@ -1391,4 +1457,20 @@ class TestSamplingMemory:
         order = ConstraintSet(
             [certain(f"T{i}", f"B{j}") for i in range(3) for j in range(3)]
         )
+        assert self._peak_share(order) <= 6.0
+
+    def test_a_table_at_its_start_bound(self, monkeypatch):
+        # the widest table a search of random 5- to 9-symbol orders found:
+        # 23 gap starts above 0 over 2880 rows. With the bound patched to 23
+        # it is tabulated, and a pick compares one depth at a time, so its
+        # memory per row holds one depth's comparisons, not all 23
+        edges = [(0, 5), (0, 6), (1, 5), (1, 6), (2, 6), (3, 6), (4, 5), (5, 6)]
+        order = ConstraintSet([certain(f"S{i}", f"S{j}") for i, j in edges])
+        monkeypatch.setattr(sampling, "_TABLE_STARTS", 23)
+        with mock.patch.object(
+            sampling, "_linear_extensions", wraps=_linear_extensions
+        ) as walk:
+            order.sample_realization(0, size=2)
+            order.sample_realization(1, size=2)
+        assert walk.call_count == 1  # the table's rows, walked once
         assert self._peak_share(order) <= 6.0

@@ -327,6 +327,45 @@ class TestModeGate:
             solve(shifted)
         assert "C" in str(exc.value) and "computed" in str(exc.value)
 
+    # SCORE_MATCH_TOLERANCE is 1e-12. Near 3.4 (C's reference) a score moves
+    # in steps of 2**-51, near 6.5 (Q's) in steps of 2**-50; each distance
+    # here is that many steps, exactly representable, the last within 1e-12
+    # of the reference or the first past it
+    TOLERANCE_EDGES = [
+        ("C", 3.4, 2.0**-51, 2251, True), ("C", 3.4, 2.0**-51, 2252, False),
+        ("C", 3.4, 2.0**-51, -2251, True), ("C", 3.4, 2.0**-51, -2252, False),
+        ("Q", 6.5, 2.0**-50, 1125, True), ("Q", 6.5, 2.0**-50, 1126, False),
+        ("Q", 6.5, 2.0**-50, -1125, True), ("Q", 6.5, 2.0**-50, -1126, False),
+    ]
+
+    @pytest.mark.parametrize("name, reference, step, steps, within", TOLERANCE_EDGES)
+    def test_published_gate_at_the_score_tolerance(
+        self, ipd, name, reference, step, steps, within
+    ):
+        score = reference + steps * step
+        assert score - reference == steps * step  # exact
+        if within:
+            sweep(ipd, {name: [score]})
+            return
+        with pytest.raises(ValidationError) as exc:
+            sweep(ipd, {name: [score]})
+        assert str(exc.value) == (
+            f"published mode requires {name} = {reference:g} (the score the "
+            f"published constant refers to), got {score!r}; use computed mode "
+            "for other scores"
+        )
+
+    @pytest.mark.parametrize("name, reference, step, steps, within", TOLERANCE_EDGES)
+    def test_computed_note_at_the_score_tolerance(
+        self, name, reference, step, steps, within
+    ):
+        # a computed report names the published constant only at its score
+        score = reference + steps * step
+        computed = with_parameters(ipd_scenario(mode=Mode.COMPUTED), {name: score})
+        label = "em12" if name == "C" else "pf21"
+        noted = [note for note in solve(computed).notes if note.startswith(label)]
+        assert len(noted) == within
+
     def test_computed_accepts_any_score(self, ipd):
         moved = replace(
             ipd,
