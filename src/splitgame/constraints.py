@@ -268,8 +268,10 @@ class ConstraintSet(Record):
         integer ``size`` gives ``{name: array}`` of that many independent
         rows, at most ``MAX_TRIALS`` values (rows times symbols) in all.
         Deterministic for a given seed, an integer >= 0 or a list or tuple of
-        them (numpy PCG64). The plan the draws follow is built on the first
-        call and kept, as is the SamplingExhaustedError of a component over
+        them: numpy's PCG64, seeded by SeedSequence from the seed's 32-bit
+        words, draws the stream of ``numpy.random.default_rng(seed)``. The
+        plan the draws follow is built on the first call and kept, as is the
+        SamplingExhaustedError of a component over
         ``sampling.SAMPLING_DOWNSET_CAP`` downsets.
         """
         for part in seed if isinstance(seed, (list, tuple)) else (seed,):

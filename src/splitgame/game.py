@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
+from operator import itemgetter
 
 from ._record import Record
 from .errors import (
@@ -86,6 +87,10 @@ class OrdinalGame(Record):
                             f"payoff symbol {sym!r} appears in two cells"
                         )
                     seen.add(sym)
+        # one getter of the payoff ids' values, in (player, row, col) order
+        object.__setattr__(self, "_payoffs", itemgetter(*(
+            pair[p] for p in (PLAYER_ROW, PLAYER_COL) for row in cells for pair in row
+        )))
 
     @classmethod
     def from_ids(

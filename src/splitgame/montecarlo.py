@@ -21,7 +21,7 @@ from .constraints import ConstraintSet
 from .errors import MAX_TRIALS  # noqa: F401  (re-exported)
 from .errors import UnknownSymbolError, ValidationError, check_kind
 from .errors import check_probability, check_seed, check_trials
-from .game import PLAYER_COL, PLAYER_ROW, CellCoord, OrdinalGame, pure_nash
+from .game import CellCoord, OrdinalGame, pure_nash
 from .game import _floats, _name_faulty
 
 RNG_ALGORITHM = "pcg64"
@@ -117,14 +117,7 @@ def numeric_pure_nash(
     check_kind("game", game, OrdinalGame)
     check_kind("values", values, Mapping)
     try:
-        payoffs = np.array(
-            [
-                values[cell[player]]
-                for player in (PLAYER_ROW, PLAYER_COL)
-                for row in game.cells
-                for cell in row
-            ]
-        )
+        payoffs = np.array(game._payoffs(values))  # (player, row, col) order
     except KeyError as missing:
         raise UnknownSymbolError(
             f"no numeric value for symbol {missing.args[0]!r}"
@@ -194,7 +187,7 @@ def verify_nash_numeric(
     in blocks of ``VERIFY_BLOCK``; block b draws its realizations in one
     call seeded with (seed, b). Disagreements are listed by trial, then
     equilibria, then decided non-equilibria, each in cell order. The
-    symbolic side (Nash sets, checked cells, their rows, columns and
+    symbolic side (Nash sets, checked cells, their flat indices and
     expected mask) is worked out once per game and kept on the set, beside
     its sampling tables, until the set is dropped.
     """
@@ -212,20 +205,20 @@ def verify_nash_numeric(
         }
         equilibria = tuple(sorted(found))
         checked = equilibria + tuple(sorted(all_cells - found - undecided))
-        rows, cols = np.array(checked, dtype=np.intp).reshape(-1, 2).T
+        flat = np.array([r * game.n_cols + c for r, c in checked], dtype=np.intp)
         expected = (np.arange(len(checked)) < len(equilibria))[:, None]
         plan = constraints._checks[game] = (
-            equilibria, tuple(sorted(undecided)), checked, rows, cols, expected
+            equilibria, tuple(sorted(undecided)), checked, flat, expected
         )
-    equilibria, undecided, checked, rows, cols, expected = plan
+    equilibria, undecided, checked, cells, expected = plan
     found = []
     for block, first in enumerate(range(0, trials, VERIFY_BLOCK)):
         size = min(VERIFY_BLOCK, trials - first)
         values = constraints.sample_realization([seed, block], size=size)
-        # the checked cells, gathered from the scan's (rows, cols, trials)
+        # the checked cells, taken from the scan's contiguous (cells, trials)
         # layout: one row of trials per cell
         scan = numeric_pure_nash(game, values).transpose(1, 2, 0)
-        wrong = scan[rows, cols] != expected
+        wrong = scan.reshape(-1, size).take(cells, axis=0) != expected
         if not np.count_nonzero(wrong):
             continue
         for trial, k in zip(*np.nonzero(wrong.T)):

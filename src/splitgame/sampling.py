@@ -227,6 +227,18 @@ def _place(values, block, pick, rng, rows):
     values[block] = read.take(cols).transpose(0, 2, 1)
 
 
+def _words(seed) -> np.ndarray:
+    """SeedSequence's entropy from ``seed``, an integer >= 0 or a list or
+    tuple of them: each part's little-endian 32-bit words (0 as one), joined."""
+    words = []
+    for part in map(int, seed if isinstance(seed, (list, tuple)) else (seed,)):
+        words.append(part & 0xFFFFFFFF)
+        while part >> 32:
+            part >>= 32
+            words.append(part & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 class Plan(tuple):
     """``(names, free, walks)`` from ``plan``, with ``stream``, the values a
     row reads, and ``layout``, the last (rows, gather, parts)."""
@@ -234,11 +246,12 @@ class Plan(tuple):
     layout = None
 
     def draw(self, seed, rows) -> np.ndarray:
-        """(symbols, rows) values from numpy's PCG64 seeded with ``seed``; a
-        stream within ``_SAMPLE_BATCH`` values is one read, a sort per
-        component, a pick per run and one gather."""
+        """(symbols, rows) values from numpy's PCG64, seeded by SeedSequence
+        from the 32-bit words of ``seed``, so the stream of
+        ``default_rng(seed)``; a stream within ``_SAMPLE_BATCH`` values is
+        one read, a sort per component, a pick per run and one gather."""
         names, free, walks = self
-        rng = np.random.default_rng(seed)
+        rng = np.random.Generator(np.random.PCG64(_words(seed)))
         if rows * self.stream <= _SAMPLE_BATCH:
             stream = rng.random(rows * self.stream)
             kept = self.layout  # read once: a concurrent draw swaps it whole

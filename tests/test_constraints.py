@@ -832,6 +832,30 @@ class TestSamplingSeed:
             ipd_base_constraints.sample_realization((1, np.int64(2)), size=4)
         )
 
+    # integers >= 0 on and across 32-bit word boundaries, up to five words
+    _PARTS = st.one_of(
+        st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**130]),
+        st.integers(0, 2**130),
+        st.integers(0, 2**64 - 1).map(np.uint64),
+        st.integers(0, 2**63 - 1).map(np.int64),
+        st.integers(0, 2**32 - 1).map(np.uint32),
+        st.integers(0, 127).map(np.int8),
+    )
+
+    @given(seed=st.one_of(
+        _PARTS,
+        st.lists(_PARTS, max_size=3),
+        st.lists(_PARTS, max_size=3).map(tuple),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_seeding_draws_the_stream_of_default_rng(self, seed):
+        # three free symbols over two rows read the stream's first six
+        # values, symbol by symbol in name order
+        order = ConstraintSet([], universe=["a", "b", "c"])
+        drawn = order.sample_realization(seed, size=2)
+        stream = np.random.default_rng(seed).random(6)
+        assert np.concatenate([drawn[name] for name in "abc"]).tobytes() == stream.tobytes()
+
     @pytest.mark.parametrize("seed, block, size, digest", [
         (0, 0, 1, "0172cf4ad846120472c2333e6e731a46bae2eb0cfa76579b364393359f60aa25"),
         (1, 7, 128, "22d9c20464a735066fff80090e47d7bb40f5476a3323a857f0b6d11de1ace576"),
@@ -839,6 +863,9 @@ class TestSamplingSeed:
          "b8723143243781298adb0fe220a4420ee8a88c62c0ed6f47665c107e6b189163"),
         (99, 65536, 4096,
          "1978f926b7f7641dea3916426b41bd085018b8accbbf52e5e443911c36f0fb8f"),
+        # a seed and a block of two 32-bit words each
+        (2**40 + 5, 2**33 + 1, 64,
+         "e7c866f68df0ed217b2b52c52664034bfdde02c88213b223c339d61a5fa91624"),
     ])
     def test_shipped_order_draws_its_pinned_values(self, seed, block, size, digest):
         # the seeding contract, as ``verify_nash_numeric`` seeds a block:

@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import loop_pure_nash, reference_numeric_pure_nash
 from splitgame import montecarlo
+from splitgame._record import replace
 from splitgame import (
     CellCoord,
     ConstraintSet,
@@ -320,6 +323,23 @@ class TestVerifyNashNumeric:
         assert verification.checked_cells == 0
         assert len(verification.symbolic_undecided) == 4
 
+    @pytest.mark.parametrize("n_rows, n_cols", [(2, 3), (3, 2)])
+    def test_a_non_square_game_checks_its_own_cells(self, n_rows, n_cols):
+        # the top row is the row player's best in every column and the last
+        # column the column player's in every row: one equilibrium, every
+        # cell decided, so a cell read as another one shows as a disagreement
+        game = _free_game(n_rows, n_cols)
+        order = ConstraintSet(
+            [DominanceConstraint(f"R{i}{j}", f"R{i + 1}{j}", 1.0)
+             for i in range(n_rows - 1) for j in range(n_cols)]
+            + [DominanceConstraint(f"C{i}{j + 1}", f"C{i}{j}", 1.0)
+               for i in range(n_rows) for j in range(n_cols - 1)]
+        )
+        verification = verify_nash_numeric(game, order, trials=50, seed=4)
+        assert verification.symbolic_equilibria == (CellCoord(0, n_cols - 1),)
+        assert verification.checked_cells == n_rows * n_cols * 50
+        assert verification.ok
+
     def test_totally_ordered_game_is_always_identical(self):
         game = OrdinalGame.from_ids(
             ["a", "b"],
@@ -581,8 +601,56 @@ class TestMissingSymbol:
         ):
             numeric_pure_nash(ipd_game, values)
 
+    @pytest.mark.parametrize("value", [1.0, np.zeros(3)], ids=["scalar", "array"])
+    def test_of_two_missing_the_first_in_player_row_col_order_is_named(self, value):
+        # C00, the column player's payoff in cell (0, 0), sorts first and
+        # comes first by cell, but R11, the row player's, is read first
+        game = _free_game(2, 2)
+        values = {symbol: value for symbol in game.symbol_ids() - {"C00", "R11"}}
+        with pytest.raises(
+            UnknownSymbolError, match="^no numeric value for symbol 'R11'$"
+        ):
+            numeric_pure_nash(game, values)
+
     def test_order_not_covering_the_game(self, ipd_game):
         with pytest.raises(
             UnknownSymbolError, match="^no numeric value for symbol 'EM11'$"
         ):
             verify_nash_numeric(ipd_game, ConstraintSet([]), 10, 0)
+
+
+class TestKeptPayoffGetter:
+    """A game keeps, from its construction, one getter of its payoff ids'
+    values; it is no field, so copies, pickles and replacements compare,
+    hash and print by their fields alone, and each scans its own ids."""
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy, copy.deepcopy, lambda game: pickle.loads(pickle.dumps(game)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_compares_prints_and_scans_as_the_game(self, ipd_game, copy_of):
+        twin = copy_of(ipd_game)
+        assert twin == ipd_game and hash(twin) == hash(ipd_game)
+        assert repr(twin) == repr(ipd_game)
+        values = {
+            symbol: np.arange(5.0) % (i + 2)
+            for i, symbol in enumerate(sorted(ipd_game.symbol_ids()))
+        }
+        assert np.array_equal(
+            numeric_pure_nash(twin, values), numeric_pure_nash(ipd_game, values)
+        )
+
+    def test_a_replaced_grid_scans_its_own_ids(self, ipd_game):
+        cells = tuple(
+            tuple((col, row) for row, col in line) for line in ipd_game.cells
+        )
+        swapped = replace(ipd_game, cells=cells)
+        assert swapped != ipd_game and swapped.cells == cells
+        rng = np.random.default_rng(3)
+        values = {symbol: rng.random(8) for symbol in sorted(ipd_game.symbol_ids())}
+        assert np.array_equal(
+            numeric_pure_nash(swapped, values),
+            reference_numeric_pure_nash(swapped, values),
+        )
+        assert not np.array_equal(
+            numeric_pure_nash(swapped, values), numeric_pure_nash(ipd_game, values)
+        )

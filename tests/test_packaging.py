@@ -2,6 +2,7 @@
 and finds them when it is imported from a zip archive."""
 import ast
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -52,6 +53,29 @@ def test_oldest_python_is_the_one_pyproject_requires():
     tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
     config = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
     assert config["project"]["requires-python"] == ">=%d.%d" % OLDEST_PYTHON
+
+
+def test_ci_runs_the_numpy_floor_on_the_oldest_python():
+    # the one job that runs tier-1, the seeding by 32-bit words included,
+    # on the oldest numpy pyproject.toml admits: "numpy>=1.24" pins
+    # "numpy==1.24.*", on the oldest Python it admits
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    config = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
+    floors = [dep for dep in config["project"]["dependencies"]
+              if dep.startswith("numpy>=")]
+    assert len(floors) == 1
+    floor = floors[0].removeprefix("numpy>=")
+    workflow = (REPO_ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8")
+    jobs = re.findall(
+        r'^ *- python: "([\d.]+)"\n *numpy: "numpy==([\d.]+)"$', workflow, re.M
+    )
+    oldest = "%d.%d" % OLDEST_PYTHON
+    assert [
+        python for python, pin in jobs if pin.startswith(floor + ".")
+    ] == [oldest], jobs
+    # the pin reaches the install, and every job runs the tier-1 command
+    assert 'pip install -e ".[test]" ${{ matrix.numpy }}' in workflow
+    assert "python -m pytest -q --continue-on-collection-errors" in workflow
 
 
 # check -> the interpreter's arguments, run from the repository root
