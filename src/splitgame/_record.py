@@ -3,7 +3,8 @@
 A subclass lists its fields as its own annotations, any default as a class
 attribute. It gets an ``__init__`` by position or keyword that ends in
 ``__post_init__``, equality within its class, the hash of its field tuple,
-the ``Name(field=value, ...)`` repr, and instances that refuse assignment."""
+the ``Name(field=value, ...)`` repr, instances that refuse assignment, and
+copies and pickles built anew from the fields, by ``__init__``."""
 from operator import attrgetter
 
 _setattr = object.__setattr__  # a write via __dict__ would slow later reads
@@ -50,6 +51,9 @@ class Record:
         raise FrozenRecordError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):  # state kept beside the fields is built again
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 def replace(record, **changes):

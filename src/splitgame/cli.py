@@ -100,7 +100,11 @@ def _emit(text: str, out_path: str | None):
             handle.write(text)
         return
     temp = f"{out_path}.{os.urandom(4).hex()}.tmp"
-    handle = open(temp, "x", encoding="utf-8", newline="")
+    try:
+        handle = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as failed:  # named by the path given, not the temporary one
+        failed.filename = out_path
+        raise
     try:
         with handle:
             if old is not None:

@@ -180,7 +180,7 @@ def _schema_errors(
     ``Draft202012Validator`` words them, so sorting the errors by path gives
     the same list as that validator. Only the keywords it names are read
     (annotations such as "title" carry no constraint); ``enum`` values must
-    be strings.
+    be strings, and ``items`` is one schema for every element.
     """
     for keyword, rule in schema.items():
         if keyword == "type":
@@ -212,24 +212,9 @@ def _schema_errors(
                     if name in value:
                         yield from _schema_errors(value[name], sub, path + (name,))
         elif isinstance(value, list):
-            if keyword == "prefixItems":
-                for index, (item, sub) in enumerate(zip(value, rule)):
-                    yield from _schema_errors(item, sub, path + (index,))
-            elif keyword == "items":
-                prefix = len(schema.get("prefixItems", ()))
-                extra = len(value) - prefix
-                if extra > 0 and rule is False:
-                    rest = value[prefix:] if extra != 1 else value[prefix]
-                    noun = "items" if prefix != 1 else "item"
-                    yield path, (
-                        f"Expected at most {prefix} {noun} but found {extra} "
-                        f"extra: {_shown(rest)}"
-                    )
-                else:  # with no item past the prefix, the range is empty
-                    for index in range(prefix, len(value)):
-                        yield from _schema_errors(
-                            value[index], rule, path + (index,)
-                        )
+            if keyword == "items":
+                for index, item in enumerate(value):
+                    yield from _schema_errors(item, rule, path + (index,))
             elif keyword == "minItems" and len(value) < rule:
                 short = "should be non-empty" if rule == 1 else "is too short"
                 yield path, f"{_shown(value)} {short}"

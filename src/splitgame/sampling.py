@@ -12,8 +12,9 @@ depth's stride for each one it reaches, and looks the sum up.
 A draw reads its generator in one order: the free symbols' (free, rows)
 values, then per component in turn its (k, rows) walk uniforms and its
 (rows, k) draws. A block within ``_SAMPLE_BATCH`` values is one read and one
-gather; a larger one reads part by part, skipping a chain's walk uniforms
-unallocated. A double is one 64-bit step, so the stream is the same.
+gather, through a layout kept for the last row count; a larger one reads
+part by part, skipping a chain's walk uniforms unallocated. A double is one
+64-bit step, so the stream is the same.
 """
 import numpy as np
 

@@ -598,6 +598,28 @@ class TestOutWrittenWholeOrNotAtAll:
         assert result.stdout == expected
 
 
+class TestOutInAMissingDirectory:
+    """An ``--out`` that cannot be opened is named as given, not by the
+    temporary file written beside it."""
+
+    @pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+    @pytest.mark.parametrize("parent, reason", [
+        ("missing", "[Errno 2] No such file or directory"),
+        ("a_file", "[Errno 20] Not a directory"),
+    ], ids=["missing", "a_file"])
+    def test_the_error_names_the_out_path(
+        self, command, parent, reason, tmp_path, capsys
+    ):
+        if parent == "a_file":
+            (tmp_path / parent).write_text("")
+        out = tmp_path / parent / "y.csv"
+        assert main(_OUT_COMMANDS[command] + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reason}: '{out}'\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 def _python(code, *argv):
     """stdout of ``python -c code argv...`` run on the source tree."""
     result = subprocess.run(

@@ -1,6 +1,7 @@
 """The installed package carries every file under ``splitgame/resources``,
 and finds them when it is imported from a zip archive."""
 import ast
+import json
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import zipfile
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import splitgame
@@ -27,6 +29,15 @@ def test_package_data_globs_cover_every_resource():
     }
     assert "ipd.json" in {path.name for path in resources}
     assert resources <= shipped
+
+
+def test_shipped_schemas_are_valid_draft_2020_12():
+    paths = sorted((PACKAGE_DIR / "resources").glob("*.schema.json"))
+    assert len(paths) == 3
+    for path in paths:
+        schema = json.loads(path.read_text(encoding="utf-8"))
+        assert schema["$schema"] == "https://json-schema.org/draft/2020-12/schema"
+        jsonschema.Draft202012Validator.check_schema(schema)
 
 
 def test_version_matches_pyproject():

@@ -1,14 +1,18 @@
 """What every frozen record type of the package promises, one table row per
 type: field order and defaults, equality with its own class only, a hash
 equal to that of its field tuple, the ``Name(field=value, ...)`` repr,
-refusal of assignment and deletion, and a ``replace`` that checks again."""
+refusal of assignment and deletion, a ``replace`` that checks again, and
+copies and pickles rebuilt from the fields."""
+import copy
 import importlib
+import pickle
 import pkgutil
 from collections import namedtuple
 
 import pytest
 
 import splitgame
+from splitgame import ipd_scenario
 from splitgame._record import Record, replace
 from splitgame.bayes import ComparisonEvent, EventSpace
 from splitgame.constraints import ConstraintSet, DominanceConstraint
@@ -20,6 +24,7 @@ from splitgame.montecarlo import (
     NashVerification,
     SimulationConfig,
     SimulationResult,
+    verify_nash_numeric,
 )
 from splitgame.scenario import Case, Scenario, SimulationDefaults
 from splitgame.solver import DecisionReport
@@ -293,3 +298,51 @@ def test_replace(row):
 def test_replace_checks_again(row):
     with pytest.raises(row.error):
         replace(build(row), **row.bad)
+
+
+@by_type
+def test_copies_and_pickles_equal_the_record(row):
+    record = build(row)
+    for clone in (
+        copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))
+    ):
+        assert type(clone) is row.cls and clone is not record
+        assert clone == record and repr(clone) == row.text
+
+
+def _sampled_ipd():
+    """The shipped scenario after a verify run: its set keeps a sampling
+    plan and a check plan."""
+    scenario = ipd_scenario()
+    verify_nash_numeric(scenario.game, scenario.constraints, 10, 0)
+    return scenario, scenario.constraints
+
+
+def _sampled_crown():
+    """The 2+2 crown after a draw: A and B each above both C and D."""
+    crown = ConstraintSet(
+        [DominanceConstraint(top, bottom, 1.0) for top in "AB" for bottom in "CD"]
+    )
+    crown.sample_realization(0, size=3)
+    return crown, crown
+
+
+KEPT = ("_exact", "_reach", "_plan", "_checks")
+
+
+@pytest.mark.parametrize("sampled", [_sampled_ipd, _sampled_crown], ids=["ipd", "crown"])
+def test_a_sampled_set_pickles_and_copies_without_its_kept_state(sampled):
+    record, constraints = sampled()
+    assert constraints._plan is not None
+    expected = constraints.sample_realization(7, size=5)
+    clone = pickle.loads(pickle.dumps(record))
+    assert clone == record
+    clone_set = clone if clone.__class__ is ConstraintSet else clone.constraints
+    assert clone_set._plan is None and clone_set._checks == {}
+    drawn = clone_set.sample_realization(7, size=5)
+    assert list(drawn) == list(expected)
+    assert all(drawn[name].tobytes() == expected[name].tobytes() for name in drawn)
+    shallow = copy.copy(constraints)
+    assert shallow == constraints and shallow._plan is None
+    for name in KEPT:
+        assert getattr(shallow, name) is not getattr(constraints, name), name

@@ -31,7 +31,7 @@ from splitgame import (
     solve,
 )
 from splitgame._record import replace
-from splitgame.errors import _JSON_TYPES, _schema_errors
+from splitgame.errors import _JSON_TYPES, _schema_errors, check_document
 from splitgame.montecarlo import MAX_TRIALS
 from splitgame.scenario import scenario_schema
 
@@ -369,6 +369,44 @@ def _reader_errors(doc, schema):
     return sorted(_schema_errors(doc, schema), key=itemgetter(0))
 
 
+def _first_error(doc, schema):
+    """``check_document``'s message for ``doc``, or None if it passes."""
+    try:
+        check_document(doc, schema, "doc")
+    except ValidationError as error:
+        return str(error)
+    return None
+
+
+def _oracle_first_error(doc, schema):
+    """The first error by path that jsonschema reports, worded as
+    ``check_document`` words it, or None."""
+    errors = _oracle_errors(doc, schema)
+    if not errors:
+        return None
+    path, message = errors[0]
+    return f"doc: {'/'.join(map(str, path)) or '<root>'}: {message}"
+
+
+def _prefix_pair_schema():
+    """The shipped scenario schema with each payoff pair stated as two
+    ``prefixItems`` schemas and ``items: false``, as it once was."""
+    schema = scenario_schema()
+    grid = schema["properties"]["game"]["properties"]["payoffs"]["items"]
+    item = grid["items"]["items"]
+    assert grid["items"] == {
+        "type": "array", "items": item, "minItems": 2, "maxItems": 2,
+    }
+    grid["items"] = {
+        "type": "array",
+        "prefixItems": [item, copy.deepcopy(item)],
+        "minItems": 2,
+        "maxItems": 2,
+        "items": False,
+    }
+    return schema
+
+
 def _reader_keywords():
     """The keywords ``_schema_errors`` compares ``keyword`` against, read
     off its source, so a keyword the reader would skip is never listed."""
@@ -386,8 +424,6 @@ def _reader_keywords():
 def _schema_nodes(schema):
     yield schema
     for sub in schema.get("properties", {}).values():
-        yield from _schema_nodes(sub)
-    for sub in schema.get("prefixItems", ()):
         yield from _schema_nodes(sub)
     if isinstance(schema.get("items"), dict):
         yield from _schema_nodes(schema["items"])
@@ -425,13 +461,29 @@ class TestSchemaReader:
         schema = scenario_schema()
         assert _reader_errors(doc, schema) == _oracle_errors(doc, schema)
 
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents(SCHEMAS["scenario.schema.json"]))
+    def test_one_item_schema_words_the_first_error_as_the_prefix_pair(self, doc):
+        assert _first_error(doc, scenario_schema()) == _oracle_first_error(
+            doc, _prefix_pair_schema()
+        )
+
+    @pytest.mark.parametrize(
+        "pair",
+        [[], ["a"], ["a", "b", "c"], [1, "b", "c"], ["a", "b", 3], ["", "b"],
+         ["a", 2], "ab", [None], None],
+    )
+    def test_a_pair_reads_as_under_the_prefix_pair(self, pair):
+        doc = ipd_scenario().to_dict()
+        doc["game"]["payoffs"][0][1] = pair
+        expected = _oracle_first_error(doc, _prefix_pair_schema())
+        assert expected is not None
+        assert _first_error(doc, scenario_schema()) == expected
+
     @pytest.mark.parametrize(
         "schema, value",
         [
             ({"type": "object", "additionalProperties": False}, {"a": 1, "b": 2}),
-            ({"prefixItems": [{"type": "string"}], "items": False}, ["a", "b"]),
-            ({"prefixItems": [{"type": "string"}], "items": False}, ["a", 1, 2]),
-            ({"items": False}, [1]),
             ({"type": "array", "minItems": 2, "maxItems": 0}, [1]),
             ({"type": "string", "minLength": 2}, "a"),
             ({"minimum": 0.5, "maximum": 0}, 0.25),
@@ -460,8 +512,8 @@ class TestSchemaReader:
                 assert set(node) <= handled | annotations, node
                 assert node.get("type", "object") in _JSON_TYPES, node
                 assert node.get("additionalProperties", False) is False, node
-                items = node.get("items", False)
-                assert items is False or isinstance(items, dict), node
+                # the reader reads "items" as one schema, never a boolean
+                assert isinstance(node.get("items", {}), dict), node
                 assert all(isinstance(v, str) for v in node.get("enum", ())), node
 
 
