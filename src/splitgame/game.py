@@ -146,9 +146,12 @@ class NumericOrder:
         try:
             return self._values[left] > self._values[right]
         except KeyError as missing:
-            raise UnknownSymbolError(
-                f"no numeric value for symbol {missing.args[0]!r}"
-            ) from None
+            raise _no_value(missing) from None
+
+
+def _no_value(missing: KeyError) -> UnknownSymbolError:
+    """The error for the symbol a numeric value lookup missed."""
+    return UnknownSymbolError(f"no numeric value for symbol {missing.args[0]!r}")
 
 
 def _as_float(value) -> float | None:

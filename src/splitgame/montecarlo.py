@@ -18,11 +18,10 @@ from collections.abc import Mapping
 
 from ._record import Record
 from .constraints import ConstraintSet
-from .errors import MAX_TRIALS  # noqa: F401  (re-exported)
-from .errors import UnknownSymbolError, ValidationError, check_kind
+from .errors import ValidationError, check_kind
 from .errors import check_probability, check_seed, check_trials
 from .game import CellCoord, OrdinalGame, pure_nash
-from .game import _floats, _name_faulty
+from .game import _floats, _name_faulty, _no_value
 
 RNG_ALGORITHM = "pcg64"
 # trials per sampler call in verify_nash_numeric; bounds its memory
@@ -119,9 +118,7 @@ def numeric_pure_nash(
     try:
         payoffs = np.array(game._payoffs(values))  # (player, row, col) order
     except KeyError as missing:
-        raise UnknownSymbolError(
-            f"no numeric value for symbol {missing.args[0]!r}"
-        ) from None
+        raise _no_value(missing) from None
     except ValueError:  # numpy refuses values of mixed shapes
         raise ValidationError(
             "numeric values must be all scalars or all arrays of one shape"

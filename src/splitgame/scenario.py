@@ -26,6 +26,14 @@ from .errors import check_document, check_kind, check_path, check_seed, check_tr
 from .game import OrdinalGame
 from .index_model import DEFAULT_VARIANCE, IndexParameters, Mode
 
+# file parameter -> (Scenario field, IndexParameters field), in file order
+PARAMETERS = {
+    "r": ("em_params", "weight"),
+    "C": ("em_params", "score"),
+    "s": ("pf_params", "weight"),
+    "Q": ("pf_params", "score"),
+}
+
 
 class Case(Enum):
     """Evidential regime for the column player's strict course."""
@@ -110,10 +118,8 @@ class Scenario(Record):
                 "prior": list(self.events.prior),
             },
             "parameters": {
-                "r": self.em_params.weight,
-                "C": self.em_params.score,
-                "s": self.pf_params.weight,
-                "Q": self.pf_params.score,
+                **{name: getattr(getattr(self, attr), field)
+                   for name, (attr, field) in PARAMETERS.items()},
                 "variance": self.em_params.variance,
             },
             "case": self.case.value,
@@ -210,12 +216,10 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
         for name, value in data["parameters"].items()
     }
     variance = params.get("variance", DEFAULT_VARIANCE)
-    em_params = IndexParameters(
-        score=params["C"], weight=params["r"], variance=variance
-    )
-    pf_params = IndexParameters(
-        score=params["Q"], weight=params["s"], variance=variance
-    )
+    fields: dict[str, dict[str, float]] = {}
+    for name, (attr, field) in PARAMETERS.items():
+        fields.setdefault(attr, {"variance": variance})[field] = params[name]
+    sides = {attr: IndexParameters(**kw) for attr, kw in fields.items()}
     mc = data.get("mc")
     if mc is not None:
         mc = SimulationDefaults(trials=int(mc["trials"]), seed=int(mc["seed"]))
@@ -224,8 +228,7 @@ def scenario_from_dict(data: Mapping, source: str = "<scenario>") -> Scenario:
         game=game,
         constraints=constraints,
         events=events,
-        em_params=em_params,
-        pf_params=pf_params,
+        **sides,
         case=Case(data["case"]),
         mode=Mode.parse(data["mode"]),
         mc=mc,

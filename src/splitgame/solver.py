@@ -36,19 +36,17 @@ from .index_model import (
     score_factor,
     warn_outside_interior,
 )
-from .scenario import Case, Scenario
+from .scenario import PARAMETERS, Case, Scenario
 
 SCORE_MATCH_TOLERANCE = 1e-12
 
 # metric columns every sweep row carries, in output order
 SWEEP_METRICS = ("p_em12", "p_pf21", "p_cell_11", "p_cell_22", "indeterminate")
 
-# sweepable scenario parameters and where they land
-_PARAM_TARGETS = {
-    "r": ("em_params", "weight"),
-    "C": ("em_params", "score"),
-    "s": ("pf_params", "weight"),
-    "Q": ("pf_params", "score"),
+# each scenario attribute's (score, weight) parameter names
+_SIDE_NAMES = {
+    a: tuple(n for f in ("score", "weight") for n, t in PARAMETERS.items() if t == (a, f))
+    for a, _ in PARAMETERS.values()
 }
 
 
@@ -117,21 +115,23 @@ class DecisionReport(Record):
         )
 
 
-def _require_2x2(game: OrdinalGame):
+def _dilemma_ids(game: OrdinalGame) -> tuple[str, str, str, str, str]:
+    """(EM11, EM22, PF11, PF12, PF22): the row ids of cells (0,0) and (1,1),
+    the column ids of (0,0), (0,1) and (1,1); a game not 2x2 raises ValidationError."""
     check_kind("game", game, OrdinalGame)
     if game.n_rows != 2 or game.n_cols != 2:
         raise ValidationError(
             "the selection calculus needs a 2x2 game, got "
             f"{game.n_rows}x{game.n_cols}"
         )
+    ((em11, pf11), (_, pf12)), (_, (em22, pf22)) = game.cells
+    return em11, em22, pf11, pf12, pf22
 
 
 def comparison_events(game: OrdinalGame) -> tuple[ComparisonEvent, ComparisonEvent]:
     """The two diagonal comparison events of a 2x2 game."""
-    _require_2x2(game)
-    em12 = ComparisonEvent("em12", game.payoff(0, 0, 0), game.payoff(1, 1, 0))
-    pf21 = ComparisonEvent("pf21", game.payoff(1, 1, 1), game.payoff(0, 0, 1))
-    return em12, pf21
+    em11, em22, pf11, _, pf22 = _dilemma_ids(game)
+    return ComparisonEvent("em12", em11, em22), ComparisonEvent("pf21", pf22, pf11)
 
 
 def effective_constraints(scenario: Scenario) -> ConstraintSet:
@@ -145,12 +145,10 @@ def effective_constraints(scenario: Scenario) -> ConstraintSet:
     note states it.
     """
     check_kind("scenario", scenario, Scenario)
-    _require_2x2(scenario.game)
+    _, _, pf11, pf12, _ = _dilemma_ids(scenario.game)
     base = scenario.constraints
     if scenario.case is Case.WEAK_EVIDENCE:
         return base
-    pf11 = scenario.game.payoff(0, 0, 1)
-    pf12 = scenario.game.payoff(0, 1, 1)
     kept = [
         c
         for c in base.constraints
@@ -179,20 +177,18 @@ def solve(scenario: Scenario) -> DecisionReport:
     sources = ("the formula value", "the published constant")
     used, other = sources[::-1] if published else sources
     notes: list[str] = []
-    for label, name, params in (("em12", "C", em), ("pf21", "Q", pf)):
+    for label, params, cap in (("em12", em, em_cap), ("pf21", pf, pf_cap)):
         ref_score, constant = PUBLISHED_TABLE[label]
         # published mode has gated the score onto its reference, and needs
         # its one tail call per label; in computed mode k(score) is the cap
         if published or abs(params.score - ref_score) <= SCORE_MATCH_TOLERANCE:
-            cap = caps[name][params.score]
             factor = score_factor(params.score, params.variance) if published else cap
             notes.append(
                 f"{label}: published constant {constant:.6g} at score "
                 f"{ref_score:g} diverges from the formula value "
                 f"{factor:.6g}; this report uses {used}, not {other}"
             )
-    pf11 = scenario.game.payoff(0, 0, 1)
-    pf12 = scenario.game.payoff(0, 1, 1)
+    _, _, pf11, pf12, _ = _dilemma_ids(scenario.game)
     if scenario.case is Case.STRONG_EVIDENCE:
         notes.append(
             f"strong evidence: certain {pf12} > {pf11} applied; any certain "
@@ -238,11 +234,11 @@ def solve(scenario: Scenario) -> DecisionReport:
 def _param_target(name: str) -> tuple[str, str]:
     """The (scenario attribute, field) a sweepable parameter lands in."""
     try:
-        return _PARAM_TARGETS[name]
+        return PARAMETERS[name]
     except KeyError:
         raise ValidationError(
             f"unknown parameter {name!r}; sweepable parameters: "
-            f"{', '.join(sorted(_PARAM_TARGETS))}"
+            f"{', '.join(sorted(PARAMETERS))}"
         ) from None
 
 
@@ -316,13 +312,13 @@ def _grid(
     """
     chain_p_pf21 = None  # under weak evidence the weight times the cap
     if scenario.case is Case.STRONG_EVIDENCE:
-        chain_p_pf21 = order.independent_chain_probability(
-            [(scenario.game.payoff(1, 1, 1), scenario.game.payoff(0, 1, 1))]
-        )
+        _, _, _, pf12, pf22 = _dilemma_ids(scenario.game)
+        chain_p_pf21 = order.independent_chain_probability([(pf22, pf12)])
     em, pf = scenario.em_params, scenario.pf_params
     published = scenario.mode is Mode.PUBLISHED
     # the axes in sorted name order C, Q, r, s; one not swept holds the
-    # scenario's own value, so their product enumerates the grid's points
+    # scenario's own value, so their product enumerates the grid's points.
+    # A literal, cheaper per call than building them from scenario.PARAMETERS
     axes = {
         "C": grid.get("C", [em.score]),
         "Q": grid.get("Q", [pf.score]),
@@ -348,8 +344,7 @@ def _grid(
             caps[name][score] = constant
 
     # the first point, as ``solve`` after ``with_parameters`` checks it
-    for attr in dict.fromkeys(_PARAM_TARGETS[name][0] for name in names):
-        score, weight = ("C", "r") if attr == "em_params" else ("Q", "s")
+    for score, weight in dict.fromkeys(_SIDE_NAMES[PARAMETERS[n][0]] for n in names):
         check_score(axes[score][0])
         check_weight(axes[weight][0])
         warn_outside_interior(axes[score][0])

@@ -30,7 +30,7 @@ from splitgame import solver
 from splitgame.constraints import MAX_TRIALS, check_integer
 from splitgame.sampling import _components
 from splitgame.index_model import PUBLISHED_TABLE, Mode, score_factor
-from splitgame.solver import SCORE_MATCH_TOLERANCE, SWEEP_METRICS, _require_2x2
+from splitgame.solver import SCORE_MATCH_TOLERANCE, SWEEP_METRICS, _dilemma_ids
 from splitgame.survey import (
     INDEX_MAX,
     POSITIVE,
@@ -622,7 +622,7 @@ def reference_effective_constraints(scenario: Scenario) -> ConstraintSet:
     dropped first. Weak evidence only records a lower bound, invisible to
     the dominance order.
     """
-    _require_2x2(scenario.game)
+    _dilemma_ids(scenario.game)  # its 2x2 check; the ids are read below
     pf11 = scenario.game.payoff(0, 0, 1)
     pf12 = scenario.game.payoff(0, 1, 1)
     base = scenario.constraints

@@ -34,7 +34,7 @@ from splitgame.cli import (
     _show_warning,
     main,
 )
-from splitgame.montecarlo import MAX_TRIALS
+from splitgame.errors import MAX_TRIALS
 
 SURVEY_HEADER = "respondent_id,item1,item2,item3,item4,item5,item6,item7"
 GOLDEN = REPO_ROOT / "tests" / "golden"
@@ -63,13 +63,16 @@ def test_each_bucket_exit_code_is_documented():
         for cls in (ValidationError, InconsistentOrderError, DomainError)
     }
     assert buckets == {4, 5, 6}
-    epilog = {int(line.split()[0]) for line in _EXIT_CODE_DOC.splitlines()[1:]}
+    epilog = dict(
+        line.strip().split("  ", 1) for line in _EXIT_CODE_DOC.splitlines()[1:]
+    )
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Exit codes\n", 1)[1].split("\n#", 1)[0]
-    listed = {int(code) for code in re.findall(r"^\| (\d+) \|", table, re.M)}
-    for codes in (epilog, listed):
-        # every bucket's code is listed, and every listed 4-6 is a bucket's
-        assert {code for code in codes if 4 <= code <= 6} == buckets
+    listed = dict(re.findall(r"^\| (\d+) \| (.+) \|$", table, re.M))
+    # the README states each code's meaning as the epilog does
+    assert listed == epilog
+    # every bucket's code is listed, and every listed 4-6 is a bucket's
+    assert {int(code) for code in epilog if 4 <= int(code) <= 6} == buckets
 
 
 class TestSolveCommand:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import loop_pure_nash, reference_numeric_pure_nash
 from splitgame import montecarlo
+from splitgame.errors import MAX_TRIALS
 from splitgame._record import replace
 from splitgame import (
     CellCoord,
@@ -80,11 +81,11 @@ def test_trials_must_be_a_positive_integer(entry):
 @monte_carlo_entry_points
 def test_trials_above_the_cap_are_rejected(entry):
     # one past the cap, and counts that would run until killed
-    for bad in (montecarlo.MAX_TRIALS + 1, 10**23, 10**30, 10**5000):
+    for bad in (MAX_TRIALS + 1, 10**23, 10**30, 10**5000):
         with pytest.raises(ValidationError) as exc:
             entry(bad)
         assert str(exc.value) == "trials must be <= 100000000"
-    montecarlo.check_trials(montecarlo.MAX_TRIALS)
+    montecarlo.check_trials(MAX_TRIALS)
 
 
 @monte_carlo_entry_points

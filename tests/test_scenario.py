@@ -29,11 +29,12 @@ from splitgame import (
     load_scenario,
     scenario_from_dict,
     solve,
+    with_parameters,
 )
 from splitgame._record import replace
-from splitgame.errors import _JSON_TYPES, _schema_errors, check_document
-from splitgame.montecarlo import MAX_TRIALS
-from splitgame.scenario import scenario_schema
+from splitgame.errors import MAX_TRIALS, _JSON_TYPES, _schema_errors, check_document
+from splitgame.scenario import PARAMETERS, scenario_schema
+from test_docs import FORMAT_DOC, _fenced
 
 
 @pytest.fixture
@@ -243,6 +244,46 @@ class TestRoundTrip:
         scenario = scenario_from_dict(ipd_dict)
         assert scenario.mc is None
         assert scenario.description == ""
+
+
+def _side_fields(scenario) -> dict:
+    """Each (Scenario field, IndexParameters field) pair and its value."""
+    return {
+        (attr, field): getattr(getattr(scenario, attr), field)
+        for attr in ("em_params", "pf_params")
+        for field in IndexParameters._fields
+    }
+
+
+class TestParameterTable:
+    """``PARAMETERS`` against the schema, the format document and the reader."""
+
+    def test_schema_and_format_example_name_the_table(self):
+        names = [*PARAMETERS, "variance"]
+        schema = scenario_schema()["properties"]["parameters"]
+        assert sorted(schema["properties"]) == sorted(names)
+        [example] = [
+            json.loads(body)
+            for heading, body in _fenced(FORMAT_DOC.read_text(encoding="utf-8"), "json")
+            if heading == "`parameters`"
+        ]
+        assert list(example) == names  # file order
+
+    @pytest.mark.parametrize("name", [*PARAMETERS, "variance"])
+    def test_each_parameter_moves_only_its_field(self, ipd, ipd_dict, name):
+        value = {"r": 0.25, "C": 5.0, "s": 0.75, "Q": 2.0, "variance": 3.0}[name]
+        ipd_dict["parameters"][name] = value
+        moved = scenario_from_dict(ipd_dict)
+        before, after = _side_fields(ipd), _side_fields(moved)
+        changed = {key for key in before if before[key] != after[key]}
+        if name == "variance":
+            assert changed == {("em_params", "variance"), ("pf_params", "variance")}
+        else:
+            assert changed == {PARAMETERS[name]}
+            assert with_parameters(ipd, {name: value}) == moved
+        assert {after[key] for key in changed} == {value}
+        assert replace(moved, em_params=ipd.em_params, pf_params=ipd.pf_params) == ipd
+        assert moved.to_dict() == ipd_dict
 
 
 class TestSchemaValidation:

@@ -107,11 +107,25 @@ def _scores(reference):
 
 
 _WEIGHTS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_IPD_SYMBOLS = sorted(ipd_scenario().constraints.universe)
+# the game's eight ids in cell order, each row id before its column id: as
+# shipped, or shuffled across cells and player slots
+_LAYOUTS = st.one_of(
+    st.just([sym for row in ipd_scenario().game.cells for pair in row for sym in pair]),
+    st.permutations(_IPD_SYMBOLS),
+)
+
+
+def _laid_out(scenario, ids):
+    """The scenario with its game's cells holding ``ids`` in cell order."""
+    cells = [[ids[0:2], ids[2:4]], [ids[4:6], ids[6:8]]]
+    return replace(scenario, game=replace(scenario.game, cells=cells))
 
 
 @st.composite
 def point_scenarios(draw):
-    """The IPD scenario in any mode and case at one random valid point."""
+    """The IPD scenario in any mode and case at one random valid point,
+    with its ids laid out as shipped or shuffled."""
     variance = draw(st.one_of(st.just(10.0), st.floats(1e-3, 1e3)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -119,7 +133,7 @@ def point_scenarios(draw):
             IndexParameters(draw(_scores(ref)), draw(_WEIGHTS), variance)
             for ref in (3.4, 6.5)
         )
-    return replace(
+    scenario = replace(
         ipd_scenario(
             case=draw(st.sampled_from(list(Case))),
             mode=draw(st.sampled_from(list(Mode))),
@@ -127,6 +141,7 @@ def point_scenarios(draw):
         em_params=em,
         pf_params=pf,
     )
+    return _laid_out(scenario, draw(_LAYOUTS))
 
 
 def _strong_link(link, mode=Mode.PUBLISHED):
@@ -185,7 +200,6 @@ def _sweep_outcome(run, scenario, grid):
     return outcome, list(shown)
 
 
-_IPD_SYMBOLS = sorted(ipd_scenario().constraints.universe)
 # the pairs best responses compare, either way round; the contested
 # assumption PF11 > PF12 and the strong chain's PF22 > PF12 among them
 _CASE_PAIRS = [
@@ -200,7 +214,8 @@ _CASE_PAIRS = [
 def case_scenarios(draw):
     """The IPD game in either case over a random constraint set: acyclic
     certain constraints, probable ones and lower bounds over its symbols,
-    with an open universe or the game's symbols."""
+    with an open universe or the game's symbols, and its ids laid out as
+    shipped or shuffled."""
     ranked = draw(st.permutations(_IPD_SYMBOLS))
     pairs = st.one_of(
         st.sampled_from(_CASE_PAIRS),
@@ -234,10 +249,11 @@ def case_scenarios(draw):
             DominanceConstraint(left, right, probability, group=group)
         )
     universe = draw(st.sampled_from([None, _IPD_SYMBOLS]))
-    return replace(
+    scenario = replace(
         ipd_scenario(case=draw(st.sampled_from(list(Case)))),
         constraints=ConstraintSet(constraints, universe=universe),
     )
+    return _laid_out(scenario, draw(_LAYOUTS))
 
 
 def _solve_outcome(scenario):
