@@ -8,11 +8,12 @@ Lower-bound constraints are stored and echoed back (``constraints``,
 ``Scenario.to_dict``) but never read: no order query, chain probability or
 sample uses them.
 
-What is derived from the order (the sampling plan or its build's error, and
-``montecarlo.verify_nash_numeric``'s check plans per game) is built on first
-use, kept on the set and dropped with it; a set from ``add_constraint``
-builds its own. The sampler, ``sampling``, is imported only when drawing, so
-``solve`` and ``sweep`` load no numpy, most of a cold ``import splitgame``.
+What is derived from the order is built on first use, kept on the set and
+dropped with it: the sampling plan or its build's error, and the check plan
+of the last game ``montecarlo.verify_nash_numeric`` verified against the
+set, one game's at most. A set from ``add_constraint`` builds its own. The
+sampler, ``sampling``, is imported only when drawing, so ``solve`` and
+``sweep`` load no numpy, most of a cold ``import splitgame``.
 """
 from __future__ import annotations
 
@@ -172,11 +173,12 @@ class ConstraintSet(Record):
         for sym in reversed(ranked):  # the closure, sinks first: one union per edge
             reach[sym] = frozenset(edges[sym]).union(*map(reach.get, edges[sym]))
         # per-instance state, never in equality or hash: the tables above,
-        # then the sampling plan and the check plans, built on first use
+        # then the sampling plan and the last verified game's (game, check
+        # plan), built on first use; the check slot is swapped whole
         object.__setattr__(self, "_exact", exact)
         object.__setattr__(self, "_reach", reach)
         object.__setattr__(self, "_plan", None)
-        object.__setattr__(self, "_checks", {})
+        object.__setattr__(self, "_check", None)
 
     @property
     def symbols(self) -> frozenset[str]:

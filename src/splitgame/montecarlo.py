@@ -26,8 +26,10 @@ from .game import _floats, _name_faulty, _no_value
 RNG_ALGORITHM = "pcg64"
 # trials per sampler call in verify_nash_numeric; bounds its memory
 VERIFY_BLOCK = 4096
-# draws per event and block in simulate_selection; bounds its memory
-SIMULATE_BLOCK = 1 << 16
+# draws per event and block in simulate_selection, its whole working set
+# however many trials run: one event's 128 KB of uniforms at a time, and the
+# two events' 16 KB masks (about 180 KB traced at its peak)
+SIMULATE_BLOCK = 1 << 14
 
 
 class SimulationConfig(Record):
@@ -83,8 +85,9 @@ def simulate_selection(config: SimulationConfig) -> SimulationResult:
         size = min(SIMULATE_BLOCK, trials - start)
         em = em_rng.random(size) < config.p_em12
         pf = pf_rng.random(size) < config.p_pf21
-        n11 += int(np.count_nonzero(em & ~pf))
-        n22 += int(np.count_nonzero(pf & ~em))
+        both = np.count_nonzero(em & pf)
+        n11 += int(np.count_nonzero(em) - both)
+        n22 += int(np.count_nonzero(pf) - both)
     return SimulationResult(
         freq_cell_11=n11 / trials,
         freq_cell_22=n22 / trials,
@@ -185,8 +188,10 @@ def verify_nash_numeric(
     call seeded with (seed, b). Disagreements are listed by trial, then
     equilibria, then decided non-equilibria, each in cell order. The
     symbolic side (Nash sets, checked cells, their flat indices and
-    expected mask) is worked out once per game and kept on the set, beside
-    its sampling tables, until the set is dropped.
+    expected mask) is kept on the set, beside its sampling tables, for the
+    last game verified against it: verifying that game again skips
+    ``pure_nash``, and another game replaces it, so the set keeps one check
+    plan however many games it meets.
     """
     import numpy as np
 
@@ -194,8 +199,10 @@ def verify_nash_numeric(
     check_kind("constraints", constraints, ConstraintSet)
     check_trials(trials)
     check_seed(seed)
-    plan = constraints._checks.get(game)
-    if plan is None:
+    kept = constraints._check  # read once: a concurrent call swaps it whole
+    if kept is not None and (kept[0] is game or kept[0] == game):
+        plan = kept[1]
+    else:
         found, undecided = pure_nash(game, constraints)
         all_cells = {
             CellCoord(r, c) for r in range(game.n_rows) for c in range(game.n_cols)
@@ -204,9 +211,8 @@ def verify_nash_numeric(
         checked = equilibria + tuple(sorted(all_cells - found - undecided))
         flat = np.array([r * game.n_cols + c for r, c in checked], dtype=np.intp)
         expected = (np.arange(len(checked)) < len(equilibria))[:, None]
-        plan = constraints._checks[game] = (
-            equilibria, tuple(sorted(undecided)), checked, flat, expected
-        )
+        plan = equilibria, tuple(sorted(undecided)), checked, flat, expected
+        object.__setattr__(constraints, "_check", (game, plan))
     equilibria, undecided, checked, cells, expected = plan
     found = []
     for block, first in enumerate(range(0, trials, VERIFY_BLOCK)):

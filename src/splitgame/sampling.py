@@ -22,8 +22,10 @@ from .constraints import _search
 from .errors import SamplingExhaustedError
 
 # most values (rows times symbols) one batch of components with one local
-# order draws and places; bounds its memory, as ``SIMULATE_BLOCK`` does in
-# ``simulate_selection``. A component larger than this is a batch of its own
+# order draws and places, so a draw's working set beside the values it
+# returns, as ``SIMULATE_BLOCK`` is ``simulate_selection``'s; a component
+# larger than this is a batch of its own. A stream within it is one read,
+# gathered through the one layout a plan keeps, for the last row count
 _SAMPLE_BATCH = 1 << 16
 
 # most downsets enumerated for one connected component of the certain order:

@@ -1,7 +1,9 @@
 import copy
 import gc
+import itertools
 import math
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -186,6 +188,32 @@ class TestSimulateSelection:
         assert result.freq_cell_11 == n11 / trials
         assert result.freq_cell_22 == n22 / trials
         assert result.freq_indeterminate == (trials - n11 - n22) / trials
+
+    @pytest.mark.parametrize("trials, freqs", [
+        (1, (1.0, 0.0, 0.0)),
+        (16383, (0.2230360739791247, 0.20502960385765734, 0.5719343221632179)),
+        (16385, (0.21940799511748552, 0.2014037229173024, 0.5791882819652121)),
+        (10**6, (0.215976, 0.207395, 0.576629)),
+    ])
+    def test_frequencies_pinned_across_block_edges(self, trials, freqs):
+        # what 65,536-draw blocks gave: a block's size never shows
+        config = SimulationConfig(trials=trials, seed=2010, p_em12=0.309, p_pf21=0.2999)
+        result = simulate_selection(config)
+        assert (
+            result.freq_cell_11, result.freq_cell_22, result.freq_indeterminate
+        ) == freqs
+
+    def test_a_million_trials_hold_one_block(self):
+        # a block's uniforms and masks, about 180 KB, whatever the trials
+        config = SimulationConfig(trials=10**6, seed=1, p_em12=0.309, p_pf21=0.2999)
+        simulate_selection(config)  # numpy's first-call state is not a block's
+        tracemalloc.start()
+        try:
+            simulate_selection(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_result_records_generator_and_error(self):
         config = SimulationConfig(trials=400, seed=0, p_em12=0.5, p_pf21=0.5)
@@ -387,6 +415,53 @@ class TestCheckPlan:
         )
         verify_nash_numeric(game, weaker, 200, seed=1)
         assert calls == [order, equal, weaker]
+
+    def test_an_order_keeps_the_last_games_plan_only(self, monkeypatch, ipd):
+        # 1,000 distinct games over one order: the IPD's eight ids permuted
+        # over the 2x2 cells
+        calls = 0  # a count, not a list, which would grow while traced
+        solve = montecarlo.pure_nash
+
+        def counting(game, order):
+            nonlocal calls
+            calls += 1
+            return solve(game, order)
+
+        monkeypatch.setattr(montecarlo, "pure_nash", counting)
+        game = ipd.game
+        order = ConstraintSet(ipd.constraints.constraints, universe=ipd.constraints.universe)
+        games = [
+            OrdinalGame.from_ids(
+                game.row_strategies, game.col_strategies,
+                [[ids[0:2], ids[2:4]], [ids[4:6], ids[6:8]]],
+            )
+            for ids in itertools.islice(
+                itertools.permutations(sorted(game.symbol_ids())), 1000
+            )
+        ]
+        assert len(set(games)) == 1000
+        verify_nash_numeric(game, order, 4, seed=1)  # the sampling plan's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for other in games:
+                verify_nash_numeric(other, order, 4, seed=1)
+            gc.collect()
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one game's plan, not a thousand (about 840 KB of them)
+        assert left < 8 * 1024
+        assert order._check[0] is games[-1]
+        assert calls == 1001
+        last = verify_nash_numeric(games[-1], order, 4, seed=1)
+        assert calls == 1001
+        # an equal game reads the kept plan too; the one before builds anew
+        twin = replace(games[-1])
+        assert verify_nash_numeric(twin, order, 4, seed=1) == last
+        assert calls == 1001
+        verify_nash_numeric(games[-2], order, 4, seed=1)
+        assert calls == 1002
 
     def test_a_dropped_set_takes_its_plans_along(self, ipd):
         # nothing outside the set keeps it, or what was built from it, once

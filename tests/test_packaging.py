@@ -52,7 +52,8 @@ OLDEST_PYTHON = (3, 10)
 
 @pytest.mark.parametrize(
     "path",
-    sorted([*PACKAGE_DIR.glob("*.py"), *(REPO_ROOT / "tests").glob("*.py")]),
+    sorted([*PACKAGE_DIR.glob("*.py"), *(REPO_ROOT / "tests").glob("*.py"),
+            *(REPO_ROOT / "tools").glob("*.py")]),
     ids=lambda path: path.relative_to(REPO_ROOT).as_posix(),
 )
 def test_sources_parse_as_the_oldest_python(path):
