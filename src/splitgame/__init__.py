@@ -59,12 +59,12 @@ _EXPORTS = {
     "ipd_scenario": "scenario",
     "load_scenario": "scenario",
     "scenario_from_dict": "scenario",
+    "with_parameters": "scenario",
     "DecisionReport": "solver",
     "comparison_events": "solver",
     "effective_constraints": "solver",
     "solve": "solver",
     "sweep": "solver",
-    "with_parameters": "solver",
     "Instrument": "survey",
     "PIndexScore": "survey",
     "SurveyItem": "survey",

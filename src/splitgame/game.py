@@ -183,7 +183,11 @@ def _name_faulty(values: Mapping, symbols, not_real, is_nan) -> None:
     for fault, bad in (("is not a real number", not_real), ("is NaN", is_nan)):
         odd = [symbol for symbol in symbols if bad(values[symbol])]
         if odd:
-            raise ValidationError(f"numeric value for symbol {min(odd)!r} {fault}")
+            try:
+                symbol = min(odd)
+            except TypeError:  # symbols of mixed types: the least as shown
+                symbol = min(odd, key=_shown)
+            raise ValidationError(f"numeric value for symbol {_shown(symbol)} {fault}")
 
 
 def _unbeaten(order, axis: Sequence[str], i: int) -> bool | None:

@@ -153,8 +153,8 @@ def published_coefficient(event: str, mode: Mode) -> float:
         )
     try:
         return PUBLISHED_TABLE[event][1]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an event that cannot be hashed
         raise ValidationError(
-            f"no published coefficient for event {event!r}; "
+            f"no published coefficient for event {_shown(event)}; "
             f"known events: {sorted(PUBLISHED_TABLE)}"
         ) from None

@@ -35,6 +35,29 @@ PARAMETERS = {
 }
 
 
+def _param_target(name: str) -> tuple[str, str]:
+    """The (scenario attribute, field) a sweepable parameter lands in."""
+    try:
+        return PARAMETERS[name]
+    except KeyError:
+        raise ValidationError(
+            f"unknown parameter {_shown(name)}; sweepable parameters: "
+            f"{', '.join(sorted(PARAMETERS))}"
+        ) from None
+
+
+def with_parameters(scenario: Scenario, overrides: Mapping[str, float]) -> Scenario:
+    """A copy with some of r, s, C, Q replaced: the writer ``ipd_scenario`` uses."""
+    check_kind("scenario", scenario, Scenario)
+    check_kind("overrides", overrides, Mapping)
+    updates: dict[str, dict[str, float]] = {}
+    for name, value in overrides.items():
+        attr, fieldname = _param_target(name)
+        updates.setdefault(attr, {})[fieldname] = value
+    changes = {attr: replace(getattr(scenario, attr), **kw) for attr, kw in updates.items()}
+    return replace(scenario, **changes)
+
+
 class Case(Enum):
     """Evidential regime for the column player's strict course."""
 
@@ -256,10 +279,4 @@ def ipd_scenario(
     """
     # a fresh build per call: a ConstraintSet keeps its own sampling plan
     shipped = scenario_from_dict(_resource("ipd.json"), source="ipd.json")
-    return replace(
-        shipped,
-        case=case,
-        mode=mode,
-        em_params=replace(shipped.em_params, weight=r),
-        pf_params=replace(shipped.pf_params, weight=s),
-    )
+    return replace(with_parameters(shipped, {"r": r, "s": s}), case=case, mode=mode)

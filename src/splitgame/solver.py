@@ -36,7 +36,7 @@ from .index_model import (
     score_factor,
     warn_outside_interior,
 )
-from .scenario import PARAMETERS, Case, Scenario
+from .scenario import PARAMETERS, Case, Scenario, _param_target
 
 SCORE_MATCH_TOLERANCE = 1e-12
 
@@ -231,29 +231,6 @@ def solve(scenario: Scenario) -> DecisionReport:
     )
 
 
-def _param_target(name: str) -> tuple[str, str]:
-    """The (scenario attribute, field) a sweepable parameter lands in."""
-    try:
-        return PARAMETERS[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown parameter {name!r}; sweepable parameters: "
-            f"{', '.join(sorted(PARAMETERS))}"
-        ) from None
-
-
-def with_parameters(scenario: Scenario, overrides: Mapping[str, float]) -> Scenario:
-    """A copy of the scenario with some of r, s, C, Q replaced."""
-    check_kind("scenario", scenario, Scenario)
-    check_kind("overrides", overrides, Mapping)
-    updates: dict[str, dict[str, float]] = {}
-    for name, value in overrides.items():
-        attr, fieldname = _param_target(name)
-        updates.setdefault(attr, {})[fieldname] = value
-    changes = {attr: replace(getattr(scenario, attr), **kw) for attr, kw in updates.items()}
-    return replace(scenario, **changes)
-
-
 def sweep(
     scenario: Scenario, grid: Mapping[str, Sequence[float]]
 ) -> tuple[list[str], list[list[float]]]:
@@ -272,7 +249,8 @@ def sweep(
         raise ValidationError(f"sweep grid must be a mapping, got {type(grid).__name__}")
     if not grid:
         raise ValidationError("sweep grid is empty")
-    names = sorted(grid)
+    # a key that is not a string, which sorting could refuse, fails as unknown
+    names = sorted(grid, key=lambda n: n if isinstance(n, str) else _param_target(n))
     for name in names:
         _param_target(name)
         axis = grid[name]

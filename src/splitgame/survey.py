@@ -93,7 +93,7 @@ def _choice_position(choice: str | int) -> int:
                 pass  # past int()'s digit limit: the invalid-choice error below
     if (type(position) is int or _is_integer(position)) and 1 <= position <= SCALE_STEPS:
         return int(position)
-    raise ValidationError(f"invalid choice {choice!r}; expected a-f or 1-6")
+    raise ValidationError(f"invalid choice {_shown(choice)}; expected a-f or 1-6")
 
 
 # exact cell text -> position, for every spelling the scale names; keyed by
@@ -120,7 +120,7 @@ class SurveyResponse(Record):
         object.__setattr__(self, "answers", dict(answers))
         for key in answers:
             if type(key) is not int and not _is_integer(key):
-                raise ValidationError(f"item index {key!r} must be an integer")
+                raise ValidationError(f"item index {_shown(key)} must be an integer")
 
 
 class PIndexScore(Record):
@@ -176,7 +176,8 @@ def score_response(response: SurveyResponse) -> PIndexScore:
         missing = sorted(expected - answered)
         if missing:
             raise ValidationError(f"unanswered items: {missing}")
-        raise ValidationError(f"answers for unknown items: {sorted(answered - expected)}")
+        extra = _shown(sorted(answered - expected))
+        raise ValidationError(f"answers for unknown items: {extra}")
     raw = 0
     for index, positive in polarity:
         position = answers[index]

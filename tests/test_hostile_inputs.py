@@ -10,6 +10,7 @@ entries that are not ids or labels.
 import copy
 import math
 import os
+from collections.abc import Hashable
 from decimal import Decimal
 
 import numpy as np
@@ -73,6 +74,7 @@ IPD = ipd_scenario(mode=Mode.COMPUTED)
 GAME, ORDER = IPD.game, IPD.constraints
 SPACE = EventSpace.uniform(["a", "b", "c"])
 ITEMS = canonical_instrument().items
+ANSWERS = dict.fromkeys((item.index for item in ITEMS), "a")
 SYMBOLS = sorted(GAME.symbol_ids())
 # distinct values, so the Nash set depends on every comparison
 VALUES = {symbol: float(k) for k, symbol in enumerate(SYMBOLS)}
@@ -146,6 +148,8 @@ CALLS = {
     "ComparisonEvent.label": lambda v: ComparisonEvent(v, "a", "b"),
     "ComparisonEvent.left": lambda v: ComparisonEvent("x", v, "b"),
     "published_coefficient.mode": lambda v: published_coefficient("em12", v),
+    "published_coefficient.event":
+        lambda v: published_coefficient(v, Mode.PUBLISHED),
     "sample_realization.seed": lambda v: ORDER.sample_realization(v),
     "sample_realization.size": lambda v: ORDER.sample_realization(0, v),
     "verify_nash_numeric.trials": lambda v: verify_nash_numeric(GAME, ORDER, v, 0),
@@ -174,6 +178,8 @@ CALLS = {
     "PIndexScore.p_index": lambda v: PIndexScore(7, v),
     "PIndexScore.n_items": lambda v: PIndexScore(7, 0.0, v),
     "score_response.response": lambda v: score_response(v),
+    "score_response.answer":
+        lambda v: score_response(SurveyResponse(dict.fromkeys(ANSWERS, v))),
     "aggregate.score": lambda v: aggregate([v]),
     "NumericOrder.values": lambda v: NumericOrder(v),
     "simulate_selection.config": lambda v: simulate_selection(v),
@@ -196,6 +202,33 @@ CALLS = {
 def test_returns_or_raises_a_splitgame_error(call, value):
     try:
         call(value)
+    except SplitgameError:
+        pass
+
+
+# the hostile values a mapping can hold as keys, and a key holding one that
+# is too long to print
+KEYS = {
+    **{name: v for name, v in HOSTILE.items() if isinstance(v, Hashable)},
+    "tuple_past_repr": (10**5000,),
+}
+
+# mapping argument -> a call that puts one key there, beside valid keys
+KEY_CALLS = {
+    "sweep.grid": lambda k: sweep(IPD, {"r": [0.5], k: [0.5]}),
+    "with_parameters.overrides": lambda k: with_parameters(IPD, {k: 0.5}),
+    "NumericOrder.values": lambda k: NumericOrder({"a": None, k: None}),
+    "SurveyResponse.answers": lambda k: SurveyResponse({k: "a"}),
+    "score_response.answers":
+        lambda k: score_response(SurveyResponse({**ANSWERS, k: "a"})),
+}
+
+
+@pytest.mark.parametrize("key", KEYS.values(), ids=KEYS)
+@pytest.mark.parametrize("call", KEY_CALLS.values(), ids=KEY_CALLS)
+def test_a_key_returns_or_raises_a_splitgame_error(call, key):
+    try:
+        call(key)
     except SplitgameError:
         pass
 
@@ -488,6 +521,23 @@ def test_returns_or_raises_a_splitgame_error(call, value):
             lambda: EventSpace.uniform({"a", "b", "c"}),
             "event labels need a list or tuple of labels, got set",
         ),
+        (
+            lambda: sweep(IPD, {"r": [0.5], 1: [0.5]}),
+            "unknown parameter 1; sweepable parameters: C, Q, r, s",
+        ),
+        (
+            lambda: published_coefficient([], Mode.PUBLISHED),
+            "no published coefficient for event []; known events: ['em12', 'pf21']",
+        ),
+        (
+            lambda: NumericOrder({"a": None, 1: None}),
+            "numeric value for symbol 'a' is not a real number",
+        ),
+        (
+            lambda: score_response(SurveyResponse(dict.fromkeys(ANSWERS, [10**5000]))),
+            "invalid choice a list holding a number too long to print; "
+            "expected a-f or 1-6",
+        ),
     ],
     ids=[
         "array_score", "bool_probability", "text_prior", "text_probability",
@@ -512,6 +562,7 @@ def test_returns_or_raises_a_splitgame_error(call, value):
         "empty_item_text", "text_instrument_version", "zero_instrument_version",
         "int_instrument_name", "int_instrument_item", "item_as_instrument_items",
         "text_uniform_labels", "text_published_mode", "set_uniform_labels",
+        "int_grid_key", "list_event", "mixed_symbols", "huge_int_in_answers",
     ],
 )
 def test_message(make, message):

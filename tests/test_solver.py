@@ -826,7 +826,7 @@ class TestSweep:
             return wrapper
 
         monkeypatch.setattr(
-            solver, "with_parameters", counting(solver.with_parameters)
+            "splitgame.scenario.with_parameters", counting(with_parameters)
         )
         assert _sweep_outcome(sweep, scenario, grid) == expected
         assert calls == 0
